@@ -20,7 +20,7 @@ use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine, DgcResult, GcMode};
 use aru_metrics::journal::{law_code, FaultClass, HopLeg};
 use aru_metrics::{Counter, Histogram, IterKey, JournalKind, JournalShard, Telemetry, Trace};
 use std::collections::HashMap;
-use vtime::{Micros, SimTime, Timestamp};
+use vtime::{Micros, SimTime, Timestamp, TsStore};
 
 /// Configuration of one simulated run.
 #[derive(Debug, Clone)]
@@ -236,13 +236,13 @@ pub struct Sim {
     trace: Trace,
     tele: SimTele,
     now: SimTime,
-    /// When `Some`, every queue push/pop is recorded for the replay bench.
+    /// When `Some`, every queue push/pop is recorded for replay.
     cap: Option<Vec<QueueOp>>,
 }
 
-/// One event-queue operation from a captured run, for the replay bench
-/// (`desim_bench`): the exact push/pop interleaving the engine performed,
-/// with payloads elided.
+/// One event-queue operation from a captured run, for queue replay
+/// (`benchmark/`'s `desim.equeue.*` metrics): the exact push/pop
+/// interleaving the engine performed, with payloads elided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueOp {
     /// `schedule()` pushed an event at this `(time, seq)`.
@@ -292,7 +292,7 @@ impl Sim {
                     name: c.name,
                     graph_node: c.graph_node,
                     cluster_node: c.cluster_node,
-                    store: crate::store::SimStore::new(),
+                    store: TsStore::new(),
                     marks: ConsumerMarks::new(n_out),
                     aru,
                     dgc_dead_before: Timestamp::ZERO,

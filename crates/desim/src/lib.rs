@@ -42,7 +42,6 @@ pub mod noise;
 pub mod report;
 pub mod schannel;
 pub mod spec;
-pub mod store;
 
 pub use builder::{ChanId, SimBuilder, SimNodeId, SpeedDist, TaskId};
 pub use cost::CostModel;
@@ -54,4 +53,3 @@ pub use noise::Noise;
 pub use report::{SimAnalysis, SimReport};
 pub use schannel::SimItem;
 pub use spec::{InputPolicy, ServiceModel, TaskSpec};
-pub use store::SimStore;

@@ -20,11 +20,10 @@ pub struct SimReport {
     /// it to the [`aru_metrics::export`] serializers to persist it.
     pub telemetry: Telemetry,
     /// Total events the engine dispatched (the numerator of the events/s
-    /// throughput figure in `BENCH_desim.json`).
+    /// throughput figure).
     pub events_dispatched: u64,
     /// High-water mark of the pending-event set — the population the event
-    /// queue actually had to order, which is what the hold-model bench
-    /// reproduces.
+    /// queue actually had to order.
     pub peak_pending: usize,
 }
 

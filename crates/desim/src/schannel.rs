@@ -1,11 +1,10 @@
 //! Simulated channel state (single-threaded; the engine serializes access).
 
 use crate::builder::{SimNodeId, TaskId};
-use crate::store::SimStore;
 use aru_core::{AruController, NodeId};
 use aru_gc::ConsumerMarks;
 use aru_metrics::ItemId;
-use vtime::Timestamp;
+use vtime::{Timestamp, TsStore};
 
 /// One stored item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,16 +14,15 @@ pub struct SimItem {
 }
 
 /// Channel state mirroring `stampede::Channel` semantics under the virtual
-/// clock. Items live in the dense-timestamp ring store ([`SimStore`], the
-/// PR 4 `stampede::store` pattern) rather than a `BTreeMap` — the per-item
-/// map is on the simulated hot path too.
+/// clock, over the same ring+spill [`TsStore`] — the per-item map is on
+/// the simulated hot path too.
 pub struct SimChannel {
     pub name: String,
     /// Task-graph identity (for DGC and the trace).
     pub graph_node: NodeId,
     /// Placement (for memory accounting and network transfers).
     pub cluster_node: SimNodeId,
-    pub store: SimStore,
+    pub store: TsStore<SimItem>,
     pub marks: ConsumerMarks,
     pub aru: AruController,
     pub dgc_dead_before: Timestamp,
@@ -47,25 +45,27 @@ impl SimChannel {
     /// Newest item with `ts >= floor` — necessarily the newest overall.
     #[must_use]
     pub fn latest_at_or_above(&self, floor: Timestamp) -> Option<(Timestamp, SimItem)> {
-        self.store.latest().filter(|&(ts, _)| ts >= floor)
+        self.latest().filter(|&(ts, _)| ts >= floor)
     }
 
     /// Newest item overall.
     #[must_use]
     pub fn latest(&self) -> Option<(Timestamp, SimItem)> {
-        self.store.latest()
+        self.store.latest().map(|(ts, &item)| (ts, item))
     }
 
     /// Exact lookup.
     #[must_use]
     pub fn exact(&self, ts: Timestamp) -> Option<SimItem> {
-        self.store.get(ts)
+        self.store.get(ts).copied()
     }
 
     /// Newest item with `ts <= bound`.
     #[must_use]
     pub fn latest_at_or_before(&self, bound: Timestamp) -> Option<(Timestamp, SimItem)> {
-        self.store.latest_at_or_before(bound)
+        self.store
+            .latest_at_or_before(bound)
+            .map(|(ts, &item)| (ts, item))
     }
 
     /// Remove and return every item below `bound`.
@@ -90,7 +90,7 @@ mod tests {
             name: "c".into(),
             graph_node: NodeId(0),
             cluster_node: SimNodeId(0),
-            store: SimStore::new(),
+            store: TsStore::new(),
             marks: ConsumerMarks::new(1),
             aru: AruController::new(NodeKind::Channel, 1, false, &AruConfig::aru_min()),
             dgc_dead_before: Timestamp::ZERO,

@@ -1,10 +1,23 @@
-//! Tests of the simulator extensions: load profiles (dynamic adaptation)
-//! and FIFO queue semantics (ARU vs classic total-consumption pipelines).
+//! Tests of the simulator extensions: load profiles (dynamic adaptation),
+//! FIFO queue semantics (ARU vs classic total-consumption pipelines), and
+//! the compression-operator and STP-filter ablations.
 
-use aru_core::AruConfig;
+use aru_core::{AruConfig, CompressOp, FilterSpec};
 use aru_metrics::TraceEvent;
 use desim::{CostModel, InputPolicy, ServiceModel, Sim, SimBuilder, SimConfig, TaskSpec};
-use vtime::{Micros, SimTime};
+use vtime::{Micros, OnlineStats, SimTime};
+
+/// Source allocation times (µs) of a run, in record order.
+fn alloc_times(r: &desim::SimReport) -> Vec<u64> {
+    r.trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Alloc { t, .. } => Some(t.as_micros()),
+            _ => None,
+        })
+        .collect()
+}
 
 /// The feedback loop tracks a load step: consumer cost jumps 20 ms → 60 ms
 /// halfway; the source's production rate follows within one latency.
@@ -28,15 +41,7 @@ fn aru_adapts_to_load_step() {
     let r = Sim::run(b, cfg).unwrap();
 
     // Production rate in each half from alloc timestamps.
-    let allocs: Vec<u64> = r
-        .trace
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Alloc { t, .. } => Some(t.as_micros()),
-            _ => None,
-        })
-        .collect();
+    let allocs = alloc_times(&r);
     let half = 10_000_000u64;
     let first: usize = allocs.iter().filter(|&&t| t < half).count();
     let second: usize = allocs.iter().filter(|&&t| t >= half).count();
@@ -187,12 +192,7 @@ fn aru_synchronizes_stereo_sources() {
         cfg.cost = CostModel::ideal();
         cfg.duration = Micros::from_secs(10);
         let r = Sim::run(b, cfg).unwrap();
-        let allocs = r
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Alloc { .. }))
-            .count();
+        let allocs = alloc_times(&r).len();
         (r.outputs(), allocs)
     }
     let (pairs_base, allocs_base) = run(AruConfig::disabled());
@@ -248,12 +248,7 @@ fn report_decompositions_are_consistent() {
     assert_eq!(chans.len(), 1);
     let ch = chans.values().next().unwrap();
     // every alloc went into this one channel
-    let allocs = r
-        .trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Alloc { .. }))
-        .count() as u64;
+    let allocs = alloc_times(&r).len() as u64;
     assert_eq!(ch.items, allocs);
     // and the channel's mean occupancy equals the global observed mean
     let global = r.analyze().footprint.observed_summary().mean;
@@ -262,4 +257,98 @@ fn report_decompositions_are_consistent() {
         "single-channel mean {} vs global {global}",
         ch.mean_bytes
     );
+}
+
+/// Compression-operator ablation (§3.3.2, Figures 3/4): one producer fans
+/// out to 10/40/160 ms consumers. `min` sustains the fastest consumer,
+/// `max` the slowest, and each step min → kth(1) → mean → max throttles the
+/// producer at least as hard as the one before.
+#[test]
+fn compress_operators_order_production_on_a_fanout() {
+    let produced = |op: CompressOp| {
+        let mut b = SimBuilder::new();
+        let n = b.node(8);
+        let c = b.channel("c", n);
+        let src = b.source("src", n, ServiceModel::fixed(Micros::from_millis(2)));
+        b.output(src, c, 10_000).unwrap();
+        for (i, ms) in [10u64, 40, 160].into_iter().enumerate() {
+            let t = b.task(
+                format!("sink{i}"),
+                n,
+                TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(ms))),
+            );
+            b.input(t, c, InputPolicy::DriverLatest).unwrap();
+        }
+        let mut aru = AruConfig::aru_min();
+        aru.compress = op;
+        let mut cfg = SimConfig::new(aru);
+        cfg.cost = CostModel::ideal();
+        cfg.duration = Micros::from_secs(30);
+        alloc_times(&Sim::run(b, cfg).unwrap()).len()
+    };
+    let counts = [
+        ("min", produced(CompressOp::Min)),
+        ("kth(1)", produced(CompressOp::kth_smallest(1))),
+        ("mean", produced(CompressOp::mean())),
+        ("max", produced(CompressOp::Max)),
+    ];
+    for pair in counts.windows(2) {
+        assert!(
+            pair[1].1 <= pair[0].1,
+            "{} ({}) should produce <= {} ({})",
+            pair[1].0,
+            pair[1].1,
+            pair[0].0,
+            pair[0].1
+        );
+    }
+    // The ends of the ordering are far apart, so it is not vacuous.
+    assert!(counts[3].1 * 4 < counts[0].1, "max vs min: {counts:?}");
+}
+
+/// Summary-STP filter ablation — the paper's named future work (§3.3.2:
+/// "such noise can be smoothed out by applying filters"). A σ = 0.5
+/// consumer feeds jittery summary-STPs back; an EWMA and a windowed median
+/// must both cut the producer's production-period jitter (σ of
+/// inter-allocation gaps, mean over three seeds) below the identity filter.
+#[test]
+fn stp_filters_cut_production_jitter_under_a_noisy_consumer() {
+    let jitter = |filter: FilterSpec| {
+        let mut over_seeds = OnlineStats::new();
+        for seed in [1u64, 2, 3] {
+            let mut b = SimBuilder::new();
+            let n = b.node(8);
+            let c = b.channel("c", n);
+            let src = b.source("src", n, ServiceModel::fixed(Micros::from_millis(2)));
+            let snk = b.task(
+                "snk",
+                n,
+                TaskSpec::sink(ServiceModel::new(Micros::from_millis(40), 0.5)),
+            );
+            b.output(src, c, 10_000).unwrap();
+            b.input(snk, c, InputPolicy::DriverLatest).unwrap();
+            let mut cfg = SimConfig::new(AruConfig::aru_min().with_filter(filter));
+            cfg.cost = CostModel::ideal();
+            cfg.duration = Micros::from_secs(60);
+            cfg.seed = seed;
+            let times = alloc_times(&Sim::run(b, cfg).unwrap());
+            let mut gaps = OnlineStats::new();
+            for w in times.windows(2) {
+                gaps.push((w[1] - w[0]) as f64);
+            }
+            over_seeds.push(gaps.std_dev());
+        }
+        over_seeds.mean()
+    };
+    let identity = jitter(FilterSpec::Identity);
+    for (name, f) in [
+        ("ewma(0.2)", FilterSpec::Ewma(0.2)),
+        ("median(5)", FilterSpec::Median(5)),
+    ] {
+        let j = jitter(f);
+        assert!(
+            j < identity,
+            "{name} jitter {j:.0} us should beat identity {identity:.0} us"
+        );
+    }
 }

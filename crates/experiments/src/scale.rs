@@ -10,10 +10,10 @@
 //! events, and wall-clock events/s per cell.
 //!
 //! Cells run concurrently through [`crate::driver`], so the events/s
-//! column here is indicative (cells contend for cores); the *gated*
-//! events/s numbers come from the serial `desim_bench` binary
-//! (`BENCH_desim.json`). Heterogeneous speeds follow the Storm-throughput
-//! scheduling study (PAPERS.md): discrete hardware-generation classes.
+//! column here is indicative (cells contend for cores); the serial,
+//! compared numbers are the `sim_scale_1000` workload of `benchmark/`.
+//! Heterogeneous speeds follow the Storm-throughput scheduling study
+//! (PAPERS.md): discrete hardware-generation classes.
 
 use crate::config::ExpParams;
 use crate::tables::ShapeCheck;
@@ -136,10 +136,10 @@ pub fn build(sc: &ScaleScenario) -> (SimBuilder, SimConfig) {
 
 /// The bench's reference cell: the heaviest sweep point — heterogeneous
 /// classes, bursty load, faults, 8-way fan-out across a congested fabric —
-/// at `nodes`. Shared with `desim_bench` so `BENCH_desim.json` measures
-/// exactly what the sweep runs. The fan-out × slow-link combination keeps
-/// tens of thousands of `ItemArrive` events in flight at 1000 nodes, the
-/// pending-set regime the calendar queue exists for.
+/// at `nodes`. Shared with `benchmark/` (`sim_scale_1000`) so the benchmark
+/// measures exactly what the sweep runs. The fan-out × slow-link
+/// combination keeps tens of thousands of `ItemArrive` events in flight at
+/// 1000 nodes, the pending-set regime the calendar queue exists for.
 #[must_use]
 pub fn bench_scenario(nodes: usize, duration: Micros, seed: u64) -> ScaleScenario {
     ScaleScenario {
@@ -163,32 +163,6 @@ pub fn congested_fabric() -> NetModel {
         latency: Micros::from_millis(20),
         bandwidth_bytes_per_us: 12.5,
     }
-}
-
-/// A fabric mid TCP-incast collapse: wide fan-in bursts overrun the
-/// switch buffers and flows sit in exponential RTO backoff, so a transfer
-/// is effectively in flight for ~1 s. The extreme — but well-documented —
-/// end of the [`congested_fabric`] spectrum.
-#[must_use]
-pub fn collapsed_fabric() -> NetModel {
-    NetModel {
-        latency: Micros::from_secs(1),
-        bandwidth_bytes_per_us: 12.5,
-    }
-}
-
-/// The `desim_bench` headline cell: [`bench_scenario`] pushed into incast
-/// collapse — 16-way broadcast with every flow in RTO backoff
-/// ([`collapsed_fabric`]) — which holds over a million in-flight
-/// `ItemArrive` events at 1000 nodes. The sweep itself runs the moderate
-/// [`bench_scenario`]; the gated events/s numbers come from this cell,
-/// where the pending set is deep enough for the queue to dominate.
-#[must_use]
-pub fn collapse_scenario(nodes: usize, duration: Micros, seed: u64) -> ScaleScenario {
-    let mut sc = bench_scenario(nodes, duration, seed);
-    sc.fanout = 16;
-    sc.net = collapsed_fabric();
-    sc
 }
 
 /// Three hardware generations, Storm-paper style: half the fleet at the

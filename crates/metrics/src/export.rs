@@ -7,9 +7,8 @@
 //! the stampede runtime — this module has no threads and no clocks, so the
 //! CI smoke check and the watch renderer can reuse every piece.
 //!
-//! JSON comes from the std-only writer shared with the bench binaries
-//! (`crate::json`, `#[path]`-included from `crates/bench/src/json.rs` —
-//! the workspace has no JSON crate).
+//! JSON comes from the std-only writer in `crate::json` (the workspace
+//! has no JSON crate).
 
 use crate::fault::FaultReport;
 use crate::hist::HistSnapshot;

@@ -1,17 +1,10 @@
-//! Dependency-free JSON emission for bench binaries.
+//! Dependency-free JSON emission.
 //!
 //! The workspace has no JSON crate (external deps resolve to vendored
-//! offline stand-ins), so bench binaries used to hand-roll `format!` JSON
-//! with no string escaping. This module is the one shared writer: proper
-//! escaping, stable field order, and a small pretty-printer so committed
-//! bench JSON stays line-diffable.
-//!
-//! It is deliberately std-only. `aru-bench` re-exports it as
-//! `aru_bench::json`, and binaries inside the workspace include the same
-//! file with `#[path]` — a normal dependency on `aru-bench` would pull the
-//! registry-only criterion dev-dependency into `cargo test`, which is the
-//! reason `crates/bench` is excluded from the workspace in the first
-//! place.
+//! offline stand-ins). This module is the one shared writer — journal,
+//! telemetry exporter, `repro doctor` and the benchmark's string escaping
+//! all go through it: proper escaping, stable field order, and a small
+//! pretty-printer so written JSON stays line-diffable.
 
 /// Append `s` to `out` as a JSON string literal (quotes included).
 pub fn push_escaped(out: &mut String, s: &str) {
@@ -72,21 +65,6 @@ impl ToJson for f64 {
             out.push_str(&self.to_string());
         } else {
             // JSON has no NaN/Infinity.
-            out.push_str("null");
-        }
-    }
-}
-
-/// A float rendered with a fixed number of decimals (`Fixed(x, 2)` →
-/// `12.34`) — keeps committed bench JSON stable in width.
-#[derive(Clone, Copy, Debug)]
-pub struct Fixed(pub f64, pub usize);
-
-impl ToJson for Fixed {
-    fn write_json(&self, out: &mut String) {
-        if self.0.is_finite() {
-            out.push_str(&format!("{:.*}", self.1, self.0));
-        } else {
             out.push_str("null");
         }
     }
@@ -275,6 +253,7 @@ pub fn find_number_after(json: &str, anchor: Option<&str>, field: &str) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_special_characters() {
@@ -288,7 +267,7 @@ mod tests {
     fn nested_objects_arrays_and_numbers() {
         let inner = JsonObj::new()
             .field("name", "w")
-            .field("ns", Fixed(12.345, 2))
+            .field("ns", 12.35)
             .raw();
         let s = JsonObj::new()
             .field("n", 3u64)
@@ -302,7 +281,7 @@ mod tests {
     fn non_finite_floats_become_null() {
         let s = JsonObj::new()
             .field("a", f64::NAN)
-            .field("b", Fixed(f64::INFINITY, 2))
+            .field("b", f64::INFINITY)
             .finish();
         assert_eq!(s, r#"{"a":null,"b":null}"#);
     }
@@ -321,13 +300,13 @@ mod tests {
             .item(
                 JsonObj::new()
                     .field("name", "put_path")
-                    .field("ns_per_op", Fixed(50.18, 2))
+                    .field("ns_per_op", 50.18)
                     .raw(),
             )
             .item(
                 JsonObj::new()
                     .field("name", "get_path")
-                    .field("ns_per_op", Fixed(46.5, 2))
+                    .field("ns_per_op", 46.5)
                     .raw(),
             )
             .raw();
@@ -338,5 +317,59 @@ mod tests {
             find_number_after(&doc, Some("\"missing\""), "ns_per_op"),
             None
         );
+    }
+
+    /// Fragments chosen to land multi-byte characters next to an anchor,
+    /// leave strings unterminated and brackets unbalanced.
+    const FRAGMENTS: [&str; 20] = [
+        "\"", "\\", "{", "}", "[", "]", ":", ",", " ", "\n", "é", "日", "🦀", "k", "\"k\"", "-",
+        "1", "e", ".", "+",
+    ];
+
+    fn text_strategy() -> impl Strategy<Value = String> {
+        prop::collection::vec(0usize..FRAGMENTS.len(), 0..40)
+            .prop_map(|ix| ix.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Both take files from disk (`find_number_after` reads exported
+        // JSONL back): whatever the bytes, they return, never panic.
+        fn readers_never_panic_on_arbitrary_text(
+            doc in text_strategy(),
+            anchor in text_strategy(),
+            field in text_strategy(),
+        ) {
+            let _ = pretty(&doc);
+            let _ = find_number_after(&doc, None, &field);
+            let _ = find_number_after(&doc, Some(&anchor), &field);
+            // Anchor present, with arbitrary (possibly multi-byte) text on
+            // both sides of it.
+            let around = format!("{doc}{anchor}{doc}");
+            let _ = find_number_after(&around, Some(&anchor), &field);
+        }
+
+        fn find_number_round_trips_written_numbers(
+            bits in any::<u64>(),
+            key in text_strategy(),
+            filler in text_strategy(),
+        ) {
+            let float = f64::from_bits(bits);
+            for (written, want) in [
+                (JsonObj::new().field(&key, bits), Some(bits as f64)),
+                (JsonObj::new().field(&key, float), float.is_finite().then_some(float)),
+            ] {
+                let inner = written.finish();
+                prop_assert_eq!(find_number_after(&inner, None, &key), want);
+                // Nested after an anchor, compact and pretty-printed.
+                let doc = JsonObj::new()
+                    .field("filler", filler.as_str())
+                    .field("anchor", Raw(inner))
+                    .finish();
+                prop_assert_eq!(find_number_after(&doc, Some("\"anchor\""), &key), want);
+                prop_assert_eq!(find_number_after(&pretty(&doc), Some("\"anchor\""), &key), want);
+            }
+        }
     }
 }

@@ -45,10 +45,6 @@ pub mod fault;
 pub mod footprint;
 pub mod hist;
 pub mod journal;
-// The std-only JSON writer shared with the bench binaries; included by
-// path because `crates/bench` is excluded from the workspace (its criterion
-// dev-dependency is registry-only — see that file's module docs).
-#[path = "../../bench/src/json.rs"]
 pub mod json;
 pub mod lineage;
 #[cfg(all(loom, test))]
@@ -79,5 +75,5 @@ pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Series
 pub use spans::{FeedbackHop, HopKind, SpanRecorder, SpanShard, SpanSnapshot};
 pub use stability::{stability, StabilityReport, StabilitySpec};
 pub use thread_stats::{thread_stats, ThreadStats};
-pub use trace::{CoarseTrace, LocalTrace, SharedTrace, Trace};
+pub use trace::{LocalTrace, SharedTrace, Trace};
 pub use waste::WasteReport;

@@ -37,10 +37,6 @@
 //! All analyses are insensitive to tie order (they key on `ItemId` /
 //! `IterKey` and integrate over time), which the trace-equivalence tests
 //! pin down.
-//!
-//! [`CoarseTrace`] preserves the previous single-mutex recorder as a
-//! baseline for the `micro_overhead`/`hotpath` benchmarks and the
-//! sharding-equivalence tests; runtimes should not use it.
 
 use crate::event::{ItemId, IterKey, TraceEvent};
 use crate::registry::Telemetry;
@@ -768,76 +764,6 @@ impl Drop for LocalTrace {
     }
 }
 
-/// The pre-sharding recorder: one global `Mutex<Vec<TraceEvent>>`.
-///
-/// Kept only as the contention baseline for the overhead benchmarks
-/// (`hotpath`, `micro_overhead`) and the sharding-equivalence tests.
-/// Runtimes must use [`SharedTrace`].
-#[derive(Debug, Clone, Default)]
-pub struct CoarseTrace {
-    inner: Arc<Mutex<Vec<TraceEvent>>>,
-    next_item: Arc<AtomicU64>,
-}
-
-impl CoarseTrace {
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn alloc(
-        &self,
-        t: SimTime,
-        buffer: NodeId,
-        ts: Timestamp,
-        bytes: u64,
-        producer: IterKey,
-    ) -> ItemId {
-        let item = ItemId(self.next_item.fetch_add(1, Ordering::Relaxed));
-        self.inner.lock().push(TraceEvent::Alloc {
-            t,
-            item,
-            buffer,
-            ts,
-            bytes,
-            producer,
-        });
-        item
-    }
-
-    pub fn free(&self, t: SimTime, item: ItemId) {
-        self.inner.lock().push(TraceEvent::Free { t, item });
-    }
-
-    pub fn get(&self, t: SimTime, item: ItemId, consumer: IterKey) {
-        self.inner.lock().push(TraceEvent::Get { t, item, consumer });
-    }
-
-    pub fn iter_end(&self, t: SimTime, iter: IterKey, busy: Micros) {
-        self.inner.lock().push(TraceEvent::IterEnd { t, iter, busy });
-    }
-
-    pub fn sink_output(&self, t: SimTime, iter: IterKey, ts: Timestamp) {
-        self.inner.lock().push(TraceEvent::SinkOutput { t, iter, ts });
-    }
-
-    /// Snapshot into an owned [`Trace`]: one stable sort by time (the
-    /// pre-sharding behavior — global append order breaks ties).
-    #[must_use]
-    pub fn snapshot(&self) -> Trace {
-        let mut events = self.inner.lock().clone();
-        events.sort_by_key(TraceEvent::time);
-        let max_time = events.last().map_or(SimTime::ZERO, TraceEvent::time);
-        Trace {
-            events,
-            next_item: self.next_item.load(Ordering::Relaxed),
-            max_time,
-            sorted: true,
-            epoch_unix_us: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1008,20 +934,6 @@ mod tests {
     fn empty_trace_last_time_is_zero() {
         assert_eq!(Trace::new().last_time(), SimTime::ZERO);
         assert_eq!(SharedTrace::new().snapshot().last_time(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn coarse_and_sharded_agree_on_event_multiset() {
-        let coarse = CoarseTrace::new();
-        let sharded = SharedTrace::new();
-        let p = IterKey::new(NodeId(0), 0);
-        for j in 0..10u64 {
-            coarse.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
-            sharded.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
-        }
-        let (a, b) = (coarse.snapshot(), sharded.snapshot());
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.last_time(), b.last_time());
     }
 
     #[test]

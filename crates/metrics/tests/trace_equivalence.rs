@@ -1,15 +1,17 @@
 //! Recorder equivalence: the sharded [`SharedTrace`]/[`LocalTrace`] stack
 //! must be a pure performance change. For a fixed-seed synthetic run, the
-//! postmortem reports computed from the coarse (global-mutex) recorder and
-//! from the sharded recorder must render byte-identically, and concurrent
-//! buffered writers must never lose or duplicate an event.
+//! postmortem reports computed from the coarse recorder it replaced — one
+//! global `Mutex<Trace>`, kept here as the oracle — and from the sharded
+//! recorder must render byte-identically, and concurrent buffered writers
+//! must never lose or duplicate an event.
 
 use aru_core::graph::NodeId;
 use aru_metrics::{
-    CoarseTrace, FootprintReport, ItemId, IterKey, Lineage, PerfReport, SharedTrace, Trace,
+    FootprintReport, ItemId, IterKey, Lineage, PerfReport, SharedTrace, Trace,
     TraceEvent, WasteReport,
 };
 use proptest::prelude::*;
+use std::sync::Mutex;
 use vtime::{Micros, SimTime, Timestamp};
 
 /// Deterministic splitmix64 — the fixed-seed op-sequence generator.
@@ -126,14 +128,14 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
     for seed in [2005u64, 7, 0xdead_beef] {
         let ops = script(seed, 4000);
 
-        let coarse = CoarseTrace::new();
+        let coarse = Mutex::new(Trace::new());
         apply(
             &ops,
-            |t, ts, bytes, p| coarse.alloc(t, buf, ts, bytes, p),
-            |t, id, c| coarse.get(t, id, c),
-            |t, id| coarse.free(t, id),
-            |t, k, busy| coarse.iter_end(t, k, busy),
-            |t, k, ts| coarse.sink_output(t, k, ts),
+            |t, ts, bytes, p| coarse.lock().unwrap().alloc(t, buf, ts, bytes, p),
+            |t, id, c| coarse.lock().unwrap().get(t, id, c),
+            |t, id| coarse.lock().unwrap().free(t, id),
+            |t, k, busy| coarse.lock().unwrap().iter_end(t, k, busy),
+            |t, k, ts| coarse.lock().unwrap().sink_output(t, k, ts),
         );
 
         let sharded = SharedTrace::new();
@@ -162,7 +164,7 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
         );
         drop(local);
 
-        let base = reports(&coarse.snapshot());
+        let base = reports(&coarse.into_inner().unwrap());
         assert_eq!(
             base,
             reports(&sharded.snapshot()),
@@ -174,6 +176,20 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
             "seed {seed}: buffered-writer reports diverge from coarse"
         );
     }
+}
+
+#[test]
+fn coarse_and_sharded_agree_on_event_multiset() {
+    let mut coarse = Trace::new();
+    let sharded = SharedTrace::new();
+    let p = IterKey::new(NodeId(0), 0);
+    for j in 0..10u64 {
+        coarse.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
+        sharded.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
+    }
+    let snap = sharded.snapshot();
+    assert_eq!(coarse.events(), snap.events());
+    assert_eq!(coarse.last_time(), snap.last_time());
 }
 
 proptest! {

@@ -32,7 +32,6 @@
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
 use crate::seqlock::{decode_summary, encode_summary, SeqCell};
-use crate::store::{ItemStore, Stored};
 use crate::task::TaskCtx;
 use crate::tele::BufTele;
 use aru_core::{AruConfig, AruController, NodeKind, Stp};
@@ -41,7 +40,7 @@ use aru_metrics::{ItemId, IterKey, LocalTrace, SharedTrace};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vtime::{Clock, SimTime, Timestamp};
+use vtime::{Clock, SimTime, Timestamp, TsStore};
 
 /// Wall-clock deadline for one blocking buffer operation, from the task's
 /// configured op timeout (`None` = block forever).
@@ -49,8 +48,15 @@ pub(crate) fn op_deadline(ctx: &TaskCtx) -> Option<Instant> {
     ctx.op_timeout().map(|d| Instant::now() + Duration::from(d))
 }
 
+/// An item held by a channel.
+struct Stored<T> {
+    value: Arc<T>,
+    id: ItemId,
+    bytes: u64,
+}
+
 struct ChannelState<T> {
-    items: ItemStore<T>,
+    items: TsStore<Stored<T>>,
     /// Buffered trace writer. Living inside the state mutex, it is written
     /// with `&mut` access on every op the channel already serializes —
     /// recording an event is a plain `Vec::push`, no second lock.
@@ -124,7 +130,7 @@ impl<T: ItemData> Channel<T> {
             gc_mode,
             clock,
             state: Mutex::new(ChannelState {
-                items: ItemStore::new(),
+                items: TsStore::new(),
                 trace: trace.local(),
                 marks: ConsumerMarks::new(0),
                 aru: AruController::new(NodeKind::Channel, 0, false, config),
@@ -1059,9 +1065,8 @@ impl<T: ItemData> Channel<T> {
         self.len() == 0
     }
 
-    /// `(ring, spill)` occupancy of the hybrid item store — observability
-    /// for tests and the hotpath bench. A dense in-order stream should keep
-    /// the spill side at 0.
+    /// `(ring, spill)` occupancy of the item store — observability for
+    /// tests. A dense in-order stream should keep the spill side at 0.
     #[must_use]
     pub fn store_depths(&self) -> (usize, usize) {
         self.state.lock().items.depths()

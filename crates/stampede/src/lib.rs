@@ -69,7 +69,6 @@ mod ring;
 pub mod runtime;
 mod seqlock;
 pub mod shutdown;
-mod store;
 pub mod sync;
 pub mod task;
 mod tele;

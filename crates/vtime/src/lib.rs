@@ -11,14 +11,18 @@
 //!   the wall clock (threaded runtime) or on a manually-advanced clock
 //!   (discrete-event simulator),
 //! * [`TimeWeightedSeries`] — the time-weighted mean/σ integrals the paper
-//!   uses to summarize the application memory footprint (its `MUμ`/`MUσ`).
+//!   uses to summarize the application memory footprint (its `MUμ`/`MUσ`),
+//! * [`TsStore`] — the timestamp-indexed ring+spill item store behind both
+//!   the threaded and the simulated channel.
 
 pub mod clock;
 pub mod series;
 pub mod stats;
+pub mod store;
 pub mod timestamp;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use series::TimeWeightedSeries;
 pub use stats::{OnlineStats, Summary};
+pub use store::TsStore;
 pub use timestamp::{Micros, SimTime, Timestamp};

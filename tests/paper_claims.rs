@@ -223,3 +223,31 @@ fn claim_adjusting_beats_dropping() {
     );
     assert!(out_aru >= out_base, "outputs preserved: {out_aru} vs {out_base}");
 }
+
+/// §3.3.2: the paper paces *source threads only* and lets the adjustment
+/// cascade through blocking; the `AllThreads` extension paces every thread
+/// to its own summary-STP. Both must beat the unpaced baseline's waste, and
+/// sources-only must already capture most of the saving (within 3× + 5
+/// points of all-threads).
+#[test]
+fn claim_pacing_sources_only_captures_the_saving() {
+    let waste = |aru: AruConfig| {
+        let params = SimTrackerParams::new(aru, TrackerConfigId::OneNode)
+            .with_duration(Micros::from_secs(60));
+        tracker::app_sim::run_sim(&params)
+            .analyze()
+            .waste
+            .pct_memory_wasted()
+    };
+    let baseline = waste(AruConfig::disabled());
+    let sources = waste(AruConfig::aru_min().with_pacing(PacingPolicy::SourcesOnly));
+    let all = waste(AruConfig::aru_min().with_pacing(PacingPolicy::AllThreads));
+    assert!(
+        sources < baseline && all < baseline,
+        "sources-only {sources:.1}% and all-threads {all:.1}% must beat baseline {baseline:.1}%"
+    );
+    assert!(
+        sources < all * 3.0 + 5.0,
+        "sources-only {sources:.1}% should be near all-threads {all:.1}%"
+    );
+}
