@@ -1,10 +1,8 @@
 //! Simulated-run reports and postmortem bundles.
 
 use aru_core::Topology;
-use aru_gc::IdealGc;
-use aru_metrics::{
-    FaultReport, FootprintReport, Lineage, PerfReport, Telemetry, Trace, TraceEvent, WasteReport,
-};
+use aru_gc::Postmortem;
+use aru_metrics::{Telemetry, Trace, TraceEvent};
 use vtime::SimTime;
 
 /// Everything recorded during one simulated run.
@@ -38,16 +36,6 @@ impl SimReport {
             .count()
     }
 
-    /// Per-thread execution statistics (named via the stored topology with
-    /// [`aru_metrics::thread_stats::render_thread_stats`]).
-    #[must_use]
-    pub fn thread_stats(
-        &self,
-    ) -> std::collections::BTreeMap<aru_core::NodeId, aru_metrics::ThreadStats> {
-        let lineage = Lineage::analyze(&self.trace);
-        aru_metrics::thread_stats(&self.trace, &lineage)
-    }
-
     /// Per-channel occupancy statistics.
     #[must_use]
     pub fn channel_stats(
@@ -59,28 +47,9 @@ impl SimReport {
     /// Run the full postmortem suite.
     #[must_use]
     pub fn analyze(&self) -> SimAnalysis {
-        let lineage = Lineage::analyze(&self.trace);
-        let footprint = FootprintReport::compute(&self.trace, &lineage, self.t_end);
-        let waste = WasteReport::compute(&lineage, self.t_end);
-        let perf = PerfReport::compute(&self.trace, &lineage, self.t_end);
-        let igc = IdealGc::from_lineage(&lineage, self.t_end);
-        let faults = FaultReport::compute(&self.trace);
-        SimAnalysis {
-            footprint,
-            waste,
-            perf,
-            igc,
-            faults,
-        }
+        Postmortem::analyze(&self.trace, self.t_end)
     }
 }
 
 /// Bundled postmortem results for one simulated run.
-#[derive(Debug, Clone)]
-pub struct SimAnalysis {
-    pub footprint: FootprintReport,
-    pub waste: WasteReport,
-    pub perf: PerfReport,
-    pub igc: IdealGc,
-    pub faults: FaultReport,
-}
+pub type SimAnalysis = Postmortem;

@@ -234,10 +234,11 @@ fn report_decompositions_are_consistent() {
     cfg.duration = Micros::from_secs(5);
     let r = Sim::run(b, cfg).unwrap();
 
-    let threads = r.thread_stats();
+    let a = r.analyze();
+    let threads = aru_metrics::thread_stats(&r.trace, &a.lineage);
     assert_eq!(threads.len(), 2);
     let total_busy: u64 = threads.values().map(|s| s.total_busy.as_micros()).sum();
-    let w = r.analyze().waste;
+    let w = a.waste;
     assert_eq!(
         total_busy,
         w.total_computation.as_micros(),
@@ -251,7 +252,7 @@ fn report_decompositions_are_consistent() {
     let allocs = alloc_times(&r).len() as u64;
     assert_eq!(ch.items, allocs);
     // and the channel's mean occupancy equals the global observed mean
-    let global = r.analyze().footprint.observed_summary().mean;
+    let global = a.footprint.observed_summary().mean;
     assert!(
         (ch.mean_bytes - global).abs() < 1e-6 * (1.0 + global),
         "single-channel mean {} vs global {global}",

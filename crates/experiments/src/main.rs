@@ -258,7 +258,10 @@ fn main() {
             println!(
                 "{}",
                 aru_metrics::thread_stats::render_thread_stats(
-                    &report.thread_stats(),
+                    &aru_metrics::thread_stats(
+                        &report.trace,
+                        &aru_metrics::Lineage::analyze(&report.trace)
+                    ),
                     &report.topo
                 )
             );

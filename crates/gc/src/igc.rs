@@ -45,10 +45,10 @@ impl IdealGc {
     pub fn from_lineage(lineage: &Lineage, t_end: SimTime) -> IdealGc {
         let series = ideal_series(lineage, t_end);
         let useful_computation = lineage
-            .iter_busy()
+            .iterations()
             .iter()
-            .filter(|(&k, _)| lineage.is_iter_used(k))
-            .fold(Micros::ZERO, |acc, (_, &b)| acc + b);
+            .filter(|it| it.used)
+            .fold(Micros::ZERO, |acc, it| acc + it.busy);
         let (_, useful_items) = lineage.item_counts();
         IdealGc {
             series,

@@ -23,10 +23,12 @@ pub mod dgc;
 pub mod igc;
 pub mod marks;
 pub mod policy;
+pub mod postmortem;
 pub mod refcount;
 
 pub use dgc::{DgcEngine, DgcResult};
 pub use igc::IdealGc;
 pub use marks::ConsumerMarks;
 pub use policy::GcMode;
+pub use postmortem::Postmortem;
 pub use refcount::ref_dead_before;

@@ -1,11 +1,12 @@
 //! Per-buffer occupancy statistics — the "which channel holds the memory"
 //! view of the footprint (the paper's C1–C9 decomposition).
 
+use crate::dense::IdTable;
 use crate::event::TraceEvent;
 use crate::trace::Trace;
 use aru_core::graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use vtime::{SimTime, TimeWeightedSeries};
 
 /// Occupancy summary of one buffer.
@@ -29,7 +30,8 @@ pub fn channel_stats(trace: &Trace, t_end: SimTime) -> BTreeMap<NodeId, ChannelS
         items: u64,
     }
     let mut accs: BTreeMap<NodeId, Acc> = BTreeMap::new();
-    let mut item_home: HashMap<crate::event::ItemId, (NodeId, u64)> = HashMap::new();
+    // Buffer and size of each allocated item.
+    let mut item_home: IdTable<Option<(NodeId, u64)>> = IdTable::for_items(trace);
     for ev in trace.events() {
         match *ev {
             TraceEvent::Alloc {
@@ -39,7 +41,7 @@ pub fn channel_stats(trace: &Trace, t_end: SimTime) -> BTreeMap<NodeId, ChannelS
                 bytes,
                 ..
             } => {
-                item_home.insert(item, (buffer, bytes));
+                *item_home.slot(item.0) = Some((buffer, bytes));
                 let a = accs.entry(buffer).or_insert_with(|| Acc {
                     series: TimeWeightedSeries::new(),
                     live: 0,
@@ -50,7 +52,7 @@ pub fn channel_stats(trace: &Trace, t_end: SimTime) -> BTreeMap<NodeId, ChannelS
                 a.series.push(t, a.live as f64);
             }
             TraceEvent::Free { t, item } => {
-                if let Some(&(buffer, bytes)) = item_home.get(&item) {
+                if let Some(&Some((buffer, bytes))) = item_home.get(item.0) {
                     if let Some(a) = accs.get_mut(&buffer) {
                         a.live -= bytes as i64;
                         a.series.push(t, a.live as f64);

@@ -13,6 +13,7 @@
 //! practice since it requires future knowledge of dropped frames" — here the
 //! postmortem trace *is* that future knowledge.
 
+use crate::dense::IdTable;
 use crate::event::TraceEvent;
 use crate::lineage::Lineage;
 use crate::trace::Trace;
@@ -73,17 +74,18 @@ impl FootprintReport {
 #[must_use]
 pub fn observed_series(trace: &Trace) -> TimeWeightedSeries {
     let mut live: i64 = 0;
-    let mut sizes = std::collections::HashMap::new();
+    // Bytes of each live item; 0 once freed (or never allocated).
+    let mut sizes: IdTable<u64> = IdTable::for_items(trace);
     let mut series = TimeWeightedSeries::new();
     for ev in trace.events() {
         match *ev {
             TraceEvent::Alloc { t, item, bytes, .. } => {
-                sizes.insert(item, bytes);
+                *sizes.slot(item.0) = bytes;
                 live += bytes as i64;
                 series.push(t, live as f64);
             }
             TraceEvent::Free { t, item } => {
-                let bytes = sizes.remove(&item).unwrap_or(0);
+                let bytes = sizes.get_mut(item.0).map_or(0, std::mem::take);
                 live -= bytes as i64;
                 debug_assert!(live >= 0, "footprint went negative");
                 series.push(t, live as f64);
@@ -94,31 +96,33 @@ pub fn observed_series(trace: &Trace) -> TimeWeightedSeries {
     series
 }
 
-/// Ideal-GC step function: useful items only, reclaimed at last useful get.
+/// Ideal-GC step function: useful items only, each alive from its
+/// allocation to its [`Lineage::ideal_release`] (its allocation time when it
+/// has none), clamped to `t_end`.
 #[must_use]
 pub fn ideal_series(lineage: &Lineage, t_end: SimTime) -> TimeWeightedSeries {
-    // Build (time, delta) edges and sweep.
-    let mut edges: Vec<(SimTime, i64)> = Vec::new();
-    for (&id, rec) in lineage.items() {
-        if !lineage.is_item_used(id) {
-            continue; // the ideal system never creates it
-        }
-        let death = lineage
-            .ideal_release(id)
-            .unwrap_or(rec.alloc_t)
-            .min(t_end);
-        edges.push((rec.alloc_t, rec.bytes as i64));
-        edges.push((death, -(rec.bytes as i64)));
-    }
-    edges.sort_by_key(|&(t, d)| (t, -d)); // frees after allocs at equal t? alloc first
+    // Both edge lists come sorted from the lineage; clamping the releases
+    // to `t_end` is monotone, so this is a two-way merge. All edges of one
+    // instant are applied before the point is pushed.
+    let (allocs, releases) = (&lineage.ideal_allocs, &lineage.ideal_releases);
     let mut series = TimeWeightedSeries::new();
     let mut live = 0i64;
-    let mut i = 0;
-    while i < edges.len() {
-        let t = edges[i].0;
-        while i < edges.len() && edges[i].0 == t {
-            live += edges[i].1;
-            i += 1;
+    let (mut a, mut r) = (0, 0);
+    loop {
+        let next_alloc = allocs.get(a).map(|&(t, _)| t);
+        let next_release = releases.get(r).map(|&(t, _)| t.min(t_end));
+        let t = match (next_alloc, next_release) {
+            (Some(x), Some(y)) => x.min(y),
+            (Some(x), None) | (None, Some(x)) => x,
+            (None, None) => break,
+        };
+        while a < allocs.len() && allocs[a].0 == t {
+            live += allocs[a].1 as i64;
+            a += 1;
+        }
+        while r < releases.len() && releases[r].0.min(t_end) == t {
+            live -= releases[r].1 as i64;
+            r += 1;
         }
         debug_assert!(live >= 0);
         series.push(t, live as f64);

@@ -39,6 +39,7 @@
 //!   meter.
 
 pub mod channel_stats;
+mod dense;
 pub mod event;
 pub mod export;
 pub mod fault;
@@ -69,7 +70,7 @@ pub use journal::{
     load_journal, FaultClass, HopLeg, Journal, JournalKind, JournalRecord, JournalShard,
     JournalSnapshot, LoadedJournal,
 };
-pub use lineage::Lineage;
+pub use lineage::{ItemRecord, IterRecord, Lineage};
 pub use perf::PerfReport;
 pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Series, Telemetry};
 pub use spans::{FeedbackHop, HopKind, SpanRecorder, SpanShard, SpanSnapshot};

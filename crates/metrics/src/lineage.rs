@@ -14,23 +14,139 @@
 //! consumed it. Usefulness is therefore the backward-reachable set from the
 //! sink outputs over the bipartite item/iteration lineage graph, computed by
 //! a single worklist pass.
+//!
+//! # Layout
+//!
+//! The analysis runs over millions of events, so nothing on its path hashes
+//! (DESIGN.md §9). Items sit in an id-indexed table (`IdTable`: recorder
+//! ids are bounded by the trace's id counter; anything else spills).
+//! Iterations are interned to a dense `u32` in first-seen order through a
+//! per-node `seq` table. The `Get`s are kept in one flat list during the
+//! pass and turned into the iteration → items adjacency by a counting sort;
+//! the worklist pass that marks usefulness also folds each useful `Get` into
+//! its item's `last_useful_get` / `ideal_release`, so every later query is a
+//! field read and every report a linear sweep in id order. Results are a
+//! function of the event sequence alone.
 
+use crate::dense::IdTable;
 use crate::event::{ItemId, IterKey, TraceEvent};
 use crate::trace::Trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use vtime::{Micros, SimTime, Timestamp};
 
-/// Static facts about one item, extracted from the trace.
-#[derive(Debug, Clone)]
+/// One row of the item table: the facts of an `Alloc` event plus what the
+/// rest of the trace says about that item. When an id is allocated more
+/// than once (only hand-built traces do that) the row is that of the latest
+/// allocation.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ItemRecord {
     pub alloc_t: SimTime,
-    /// `None` if never freed before the end of the run.
-    pub free_t: Option<SimTime>,
     pub bytes: u64,
     pub ts: Timestamp,
-    pub producer: IterKey,
-    /// Times/consumers of every `Get` on this item.
-    pub gets: Vec<(SimTime, IterKey)>,
+    /// Was the item consumed on a path that reached a sink output?
+    pub used: bool,
+    /// A row can exist without an `Alloc` (a hole between ids).
+    allocated: bool,
+    freed: bool,
+    /// Some useful `Get` belongs to this record; the next two fields are
+    /// its latest useful `Get` and the latest end of a useful consumer.
+    got: bool,
+    free_t: SimTime,
+    last_useful_get: SimTime,
+    ideal_release: SimTime,
+    /// Interned producer iteration.
+    producer: u32,
+    /// Length of the `Get` list at the (latest) `Alloc`: earlier `Get`s on
+    /// this id still propagate usefulness but are not this record's.
+    gets_from: u32,
+}
+
+impl ItemRecord {
+    /// `None` if never freed before the end of the run.
+    #[must_use]
+    pub fn free_t(&self) -> Option<SimTime> {
+        self.freed.then_some(self.free_t)
+    }
+}
+
+/// One thread-loop iteration that appears anywhere in the trace.
+#[derive(Debug, Clone, Copy)]
+pub struct IterRecord {
+    pub key: IterKey,
+    /// Busy time summed over the iteration's `IterEnd` events (zero when it
+    /// never completed).
+    pub busy: Micros,
+    /// Was the iteration on a path that reached a sink output?
+    pub used: bool,
+    /// Time of the last `IterEnd`; zero when it never completed.
+    end_t: SimTime,
+}
+
+const ABSENT: u32 = u32::MAX;
+
+/// Iterations interned to dense indices, in first-seen order.
+#[derive(Debug, Clone, Default)]
+struct IterTable {
+    slots: Vec<IterRecord>,
+    /// `by_node[node][seq]` is an index into `slots`, or `ABSENT`.
+    by_node: Vec<Vec<u32>>,
+    /// Rows `by_node` may still grow by; set from the event count so the
+    /// tables stay O(events) whatever node ids and seqs a trace carries.
+    budget: u64,
+    /// Keys the budget kept out of `by_node`.
+    spill: HashMap<IterKey, u32>,
+}
+
+impl IterTable {
+    fn index_of(&self, key: IterKey) -> Option<u32> {
+        let in_table = usize::try_from(key.seq)
+            .ok()
+            .and_then(|s| self.by_node.get(key.node.0 as usize)?.get(s))
+            .copied()
+            .filter(|&i| i != ABSENT);
+        in_table.or_else(|| self.spill.get(&key).copied())
+    }
+
+    fn intern(&mut self, key: IterKey) -> u32 {
+        if let Some(i) = self.index_of(key) {
+            return i;
+        }
+        let i = self.slots.len() as u32;
+        self.slots.push(IterRecord {
+            key,
+            busy: Micros::ZERO,
+            used: false,
+            end_t: SimTime::ZERO,
+        });
+        // Rows the tables would have to grow by to hold `key`.
+        let n = key.node.0 as usize;
+        let rows = self.by_node.get(n).map_or(0, Vec::len) as u64;
+        let grow = (n as u64 + 1)
+            .saturating_sub(self.by_node.len() as u64)
+            .saturating_add(key.seq.saturating_add(1).saturating_sub(rows));
+        if grow > self.budget {
+            self.spill.insert(key, i);
+            return i;
+        }
+        self.budget -= grow;
+        if n >= self.by_node.len() {
+            self.by_node.resize_with(n + 1, Vec::new);
+        }
+        let s = key.seq as usize;
+        if s >= self.by_node[n].len() {
+            self.by_node[n].resize(s + 1, ABSENT);
+        }
+        self.by_node[n][s] = i;
+        i
+    }
+}
+
+/// One `Get`, in trace order.
+#[derive(Clone, Copy)]
+struct GetRec {
+    t: SimTime,
+    item: u64,
+    consumer: u32,
 }
 
 /// The lineage analysis result.
@@ -52,28 +168,43 @@ pub struct ItemRecord {
 /// assert!(lin.is_item_used(used));    // reached the pipeline end
 /// assert!(!lin.is_item_used(wasted)); // never consumed → wasted
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Lineage {
-    items: HashMap<ItemId, ItemRecord>,
-    iter_busy: HashMap<IterKey, Micros>,
-    iter_end_time: HashMap<IterKey, SimTime>,
-    used_items: HashSet<ItemId>,
-    used_iters: HashSet<IterKey>,
+    items: IdTable<ItemRecord>,
+    iters: IterTable,
     sink_outputs: Vec<(SimTime, IterKey, Timestamp)>,
+    /// Items allocated / of those, useful.
+    counts: (usize, usize),
+    /// `(time, bytes)` of every useful item's allocation and of its ideal
+    /// release, each sorted by time: the ideal footprint's edges, kept so
+    /// that no report has to sort them again.
+    pub(crate) ideal_allocs: Vec<(SimTime, u64)>,
+    pub(crate) ideal_releases: Vec<(SimTime, u64)>,
 }
 
 impl Lineage {
     /// Run the analysis over a trace.
+    ///
+    /// # Panics
+    /// Panics on a trace of 2³² events or more (indices are `u32`).
     #[must_use]
     pub fn analyze(trace: &Trace) -> Lineage {
-        let mut items: HashMap<ItemId, ItemRecord> = HashMap::new();
-        let mut iter_busy: HashMap<IterKey, Micros> = HashMap::new();
-        let mut iter_end_time: HashMap<IterKey, SimTime> = HashMap::new();
-        let mut produced_by: HashMap<IterKey, Vec<ItemId>> = HashMap::new();
-        let mut consumed_by: HashMap<IterKey, Vec<ItemId>> = HashMap::new();
+        let events = trace.events();
+        assert!(
+            u32::try_from(events.len()).is_ok(),
+            "trace too long for the lineage tables"
+        );
+        let mut items: IdTable<ItemRecord> = IdTable::for_items(trace);
+        let mut iters = IterTable {
+            budget: 2 * events.len() as u64 + 1024,
+            ..IterTable::default()
+        };
+        let mut gets: Vec<GetRec> = Vec::new();
         let mut sink_outputs = Vec::new();
+        // Iterations to expand: the sink-output ones to begin with.
+        let mut worklist: Vec<u32> = Vec::new();
 
-        for ev in trace.events() {
+        for ev in events {
             match *ev {
                 TraceEvent::Alloc {
                     t,
@@ -83,36 +214,36 @@ impl Lineage {
                     producer,
                     ..
                 } => {
-                    items.insert(
-                        item,
-                        ItemRecord {
-                            alloc_t: t,
-                            free_t: None,
-                            bytes,
-                            ts,
-                            producer,
-                            gets: Vec::new(),
-                        },
-                    );
-                    produced_by.entry(producer).or_default().push(item);
+                    *items.slot(item.0) = ItemRecord {
+                        alloc_t: t,
+                        bytes,
+                        ts,
+                        producer: iters.intern(producer),
+                        gets_from: gets.len() as u32,
+                        allocated: true,
+                        ..ItemRecord::default()
+                    };
                 }
                 TraceEvent::Free { t, item } => {
-                    if let Some(rec) = items.get_mut(&item) {
-                        debug_assert!(rec.free_t.is_none(), "double free of {item:?}");
-                        rec.free_t = Some(t);
+                    if let Some(slot) = items.get_mut(item.0).filter(|s| s.allocated) {
+                        debug_assert!(!slot.freed, "double free of {item:?}");
+                        slot.free_t = t;
+                        slot.freed = true;
                     }
                 }
-                TraceEvent::Get { t, item, consumer } => {
-                    if let Some(rec) = items.get_mut(&item) {
-                        rec.gets.push((t, consumer));
-                    }
-                    consumed_by.entry(consumer).or_default().push(item);
-                }
+                TraceEvent::Get { t, item, consumer } => gets.push(GetRec {
+                    t,
+                    item: item.0,
+                    consumer: iters.intern(consumer),
+                }),
                 TraceEvent::IterEnd { t, iter, busy } => {
-                    *iter_busy.entry(iter).or_insert(Micros::ZERO) += busy;
-                    iter_end_time.insert(iter, t);
+                    let i = iters.intern(iter);
+                    let slot = &mut iters.slots[i as usize];
+                    slot.busy += busy;
+                    slot.end_t = t;
                 }
                 TraceEvent::SinkOutput { t, iter, ts } => {
+                    worklist.push(iters.intern(iter));
                     sink_outputs.push((t, iter, ts));
                 }
                 // Fault events carry no lineage: a crashed iteration never
@@ -127,57 +258,117 @@ impl Lineage {
             }
         }
 
-        // Backward reachability from sink-output iterations.
-        let mut used_iters: HashSet<IterKey> = HashSet::new();
-        let mut used_items: HashSet<ItemId> = HashSet::new();
-        let mut worklist: Vec<IterKey> = sink_outputs.iter().map(|&(_, it, _)| it).collect();
-        while let Some(iter) = worklist.pop() {
-            if !used_iters.insert(iter) {
+        // Iteration → positions of its gets (CSR), by counting sort:
+        // `order[start[c]..start[c + 1]]` are consumer `c`'s.
+        let mut start = vec![0u32; iters.slots.len() + 1];
+        for g in &gets {
+            start[g.consumer as usize + 1] += 1;
+        }
+        for c in 1..start.len() {
+            start[c] += start[c - 1];
+        }
+        let mut next = start.clone();
+        let mut order = vec![0u32; gets.len()];
+        for (p, g) in gets.iter().enumerate() {
+            let n = &mut next[g.consumer as usize];
+            order[*n as usize] = p as u32;
+            *n += 1;
+        }
+
+        // Backward reachability from the sink-output iterations. Each
+        // useful iteration is expanded once, so each of its gets is folded
+        // into the item's release times exactly once.
+        while let Some(c) = worklist.pop() {
+            let consumer = &mut iters.slots[c as usize];
+            if std::mem::replace(&mut consumer.used, true) {
                 continue;
             }
-            if let Some(consumed) = consumed_by.get(&iter) {
-                for &item in consumed {
-                    if used_items.insert(item) {
-                        if let Some(rec) = items.get(&item) {
-                            worklist.push(rec.producer);
-                        }
-                    }
+            let end_t = consumer.end_t;
+            for &p in &order[start[c as usize] as usize..start[c as usize + 1] as usize] {
+                let g = gets[p as usize];
+                let Some(slot) = items.get_mut(g.item).filter(|s| s.allocated) else {
+                    continue; // a get on an id nobody allocated: not an item
+                };
+                if !std::mem::replace(&mut slot.used, true) {
+                    worklist.push(slot.producer);
+                }
+                if p >= slot.gets_from {
+                    // The consumer holds the item until its iteration ends;
+                    // one cut off by the end of the run (`end_t` zero)
+                    // releases at the get.
+                    slot.last_useful_get = slot.last_useful_get.max(g.t);
+                    slot.ideal_release = slot.ideal_release.max(end_t).max(g.t);
+                    slot.got = true;
                 }
             }
         }
 
+        let mut counts = (0, 0);
+        let mut ideal_allocs = Vec::new();
+        let mut ideal_releases = Vec::new();
+        for (_, s) in items.iter().filter(|(_, s)| s.allocated) {
+            counts.0 += 1;
+            if s.used {
+                counts.1 += 1;
+                ideal_allocs.push((s.alloc_t, s.bytes));
+                // Useful only through gets of an earlier allocation of the
+                // id: an ideal system holds it for no time at all.
+                let release = if s.got { s.ideal_release } else { s.alloc_t };
+                ideal_releases.push((release, s.bytes));
+            }
+        }
+        // Ids are handed out in time order, so the first is all but sorted.
+        ideal_allocs.sort_unstable_by_key(|&(t, _)| t);
+        ideal_releases.sort_unstable_by_key(|&(t, _)| t);
+
         Lineage {
             items,
-            iter_busy,
-            iter_end_time,
-            used_items,
-            used_iters,
+            iters,
             sink_outputs,
+            counts,
+            ideal_allocs,
+            ideal_releases,
         }
     }
 
-    /// Was this item consumed on a path that reached a sink output?
+    /// The record of an allocated item.
+    #[must_use]
+    pub fn item(&self, item: ItemId) -> Option<&ItemRecord> {
+        self.items.get(item.0).filter(|s| s.allocated)
+    }
+
+    /// Was this item consumed on a path that reached a sink output? `false`
+    /// for an id the trace never allocates, whoever got it.
     #[must_use]
     pub fn is_item_used(&self, item: ItemId) -> bool {
-        self.used_items.contains(&item)
+        self.item(item).is_some_and(|s| s.used)
     }
 
     /// Was this iteration on a path that reached a sink output?
     #[must_use]
     pub fn is_iter_used(&self, iter: IterKey) -> bool {
-        self.used_iters.contains(&iter)
+        self.iters
+            .index_of(iter)
+            .is_some_and(|i| self.iters.slots[i as usize].used)
     }
 
-    /// All item records.
-    #[must_use]
-    pub fn items(&self) -> &HashMap<ItemId, ItemRecord> {
-        &self.items
+    /// All item records, in `ItemId` order.
+    pub fn items(&self) -> impl Iterator<Item = (ItemId, &ItemRecord)> {
+        let allocated = self.items.iter().filter(|(_, s)| s.allocated);
+        allocated.map(|(id, s)| (ItemId(id), s))
     }
 
-    /// Busy time per iteration.
+    /// The iteration that produced this item.
     #[must_use]
-    pub fn iter_busy(&self) -> &HashMap<IterKey, Micros> {
-        &self.iter_busy
+    pub fn producer(&self, item: ItemId) -> Option<IterKey> {
+        self.item(item)
+            .map(|s| self.iters.slots[s.producer as usize].key)
+    }
+
+    /// Every iteration the trace mentions, in first-seen order.
+    #[must_use]
+    pub fn iterations(&self) -> &[IterRecord] {
+        &self.iters.slots
     }
 
     /// Sink outputs in trace order: `(time, iteration, virtual timestamp)`.
@@ -191,12 +382,7 @@ impl Lineage {
     /// created it at all).
     #[must_use]
     pub fn last_useful_get(&self, item: ItemId) -> Option<SimTime> {
-        let rec = self.items.get(&item)?;
-        rec.gets
-            .iter()
-            .filter(|&&(_, c)| self.used_iters.contains(&c))
-            .map(|&(t, _)| t)
-            .max()
+        self.item(item).filter(|s| s.got).map(|s| s.last_useful_get)
     }
 
     /// The instant an ideal GC could reclaim this item: the *end* of the
@@ -206,18 +392,13 @@ impl Lineage {
     /// iteration never completed (end of run).
     #[must_use]
     pub fn ideal_release(&self, item: ItemId) -> Option<SimTime> {
-        let rec = self.items.get(&item)?;
-        rec.gets
-            .iter()
-            .filter(|&&(_, c)| self.used_iters.contains(&c))
-            .map(|&(t, c)| self.iter_end_time.get(&c).copied().unwrap_or(t).max(t))
-            .max()
+        self.item(item).filter(|s| s.got).map(|s| s.ideal_release)
     }
 
     /// Count of items / useful items.
     #[must_use]
     pub fn item_counts(&self) -> (usize, usize) {
-        (self.items.len(), self.used_items.len())
+        self.counts
     }
 }
 
@@ -273,8 +454,15 @@ mod tests {
     fn free_times_recorded() {
         let tr = sample_trace();
         let lin = Lineage::analyze(&tr);
-        assert_eq!(lin.items()[&ItemId(0)].free_t, Some(SimTime(120)));
-        assert_eq!(lin.items()[&ItemId(2)].free_t, None);
+        let free_t: Vec<_> = lin.items().map(|(id, rec)| (id, rec.free_t())).collect();
+        let expect = [Some(SimTime(120)), Some(SimTime(130)), None];
+        assert_eq!(
+            free_t,
+            [ItemId(0), ItemId(1), ItemId(2)]
+                .into_iter()
+                .zip(expect)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -325,6 +513,98 @@ mod tests {
         assert!(!lin.is_item_used(rec_b));
         assert!(lin.is_iter_used(det_a));
         assert!(!lin.is_iter_used(det_b));
+    }
+
+    /// The pinned decision for the one odd input: an id that is got but
+    /// never allocated is not an item. It is neither counted nor "used",
+    /// so the useful count can never exceed the item count — while a get
+    /// that merely *precedes* its allocation in the merged event order
+    /// (two recorder shards, equal times) still marks the item useful.
+    #[test]
+    fn get_on_a_never_allocated_id_is_not_an_item() {
+        let sink = IterKey::new(NodeId(2), 0);
+        let mut tr = Trace::from_runs(
+            vec![vec![
+                TraceEvent::Get {
+                    t: SimTime(5),
+                    item: ItemId(7),
+                    consumer: sink,
+                },
+                TraceEvent::Get {
+                    t: SimTime(5),
+                    item: ItemId(0),
+                    consumer: sink,
+                },
+            ]],
+            0,
+        );
+        let late = tr.alloc(
+            SimTime(5),
+            NodeId(1),
+            Timestamp(0),
+            10,
+            IterKey::new(NodeId(0), 0),
+        );
+        tr.sink_output(SimTime(6), sink, Timestamp(0));
+        let lin = Lineage::analyze(&tr);
+        assert_eq!(late, ItemId(0));
+        assert!(!lin.is_item_used(ItemId(7)));
+        assert!(lin.is_item_used(late));
+        assert_eq!(lin.item_counts(), (1, 1));
+        // The early get is not in the record: nothing to release on.
+        assert_eq!(lin.last_useful_get(late), None);
+        assert_eq!(lin.ideal_release(late), None);
+    }
+
+    /// Ids and seqs far outside the recorder's range take the spill side;
+    /// the answers are the same and nothing is sized by them.
+    #[test]
+    fn sparse_ids_and_seqs_spill() {
+        let src = IterKey::new(NodeId(u32::MAX), u64::MAX);
+        let sink = IterKey::new(NodeId(3), u64::MAX - 1);
+        let (far, near) = (ItemId(u64::MAX - 1), ItemId(1 << 40));
+        let alloc = |t, item, ts| TraceEvent::Alloc {
+            t: SimTime(t),
+            item,
+            buffer: NodeId(1),
+            ts: Timestamp(ts),
+            bytes: 8,
+            producer: src,
+        };
+        let tr = Trace::from_runs(
+            vec![vec![
+                alloc(0, far, u64::MAX),
+                alloc(1, near, 0),
+                TraceEvent::Get {
+                    t: SimTime(2),
+                    item: far,
+                    consumer: sink,
+                },
+                TraceEvent::SinkOutput {
+                    t: SimTime(3),
+                    iter: sink,
+                    ts: Timestamp(u64::MAX),
+                },
+                TraceEvent::IterEnd {
+                    t: SimTime(4),
+                    iter: sink,
+                    busy: Micros(1),
+                },
+                TraceEvent::Free {
+                    t: SimTime(9),
+                    item: far,
+                },
+            ]],
+            u64::MAX,
+        );
+        let lin = Lineage::analyze(&tr);
+        assert!(lin.is_item_used(far) && !lin.is_item_used(near));
+        assert!(lin.is_iter_used(src) && lin.is_iter_used(sink));
+        assert_eq!(lin.ideal_release(far), Some(SimTime(4)));
+        assert_eq!(lin.item_counts(), (2, 1));
+        let ids: Vec<ItemId> = lin.items().map(|(id, _)| id).collect();
+        assert_eq!(ids, [near, far], "id order across the spill");
+        assert!(lin.iters.by_node.len() <= 4 && lin.iters.spill.len() == 2);
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! * **Jitter** — "the standard deviation of the time difference between
 //!   successive output frames".
 
-use crate::event::TraceEvent;
+use crate::dense::IdTable;
 use crate::lineage::Lineage;
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use vtime::{OnlineStats, SimTime, Summary, Timestamp};
+use vtime::{OnlineStats, SimTime, Summary};
 
 /// Figure-10 metrics for one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -31,22 +30,20 @@ pub struct PerfReport {
 }
 
 impl PerfReport {
-    /// Compute from a trace + lineage. `t_end` bounds the run for the
-    /// throughput denominator.
+    /// Compute from a lineage. `t_end` bounds the run for the throughput
+    /// denominator. The trace parameter is unused — frame births come from
+    /// the lineage's item table — and stays for the callers that pass it.
     #[must_use]
-    pub fn compute(trace: &Trace, lineage: &Lineage, t_end: SimTime) -> PerfReport {
-        // Earliest allocation per virtual timestamp = frame birth.
-        let mut birth: HashMap<Timestamp, SimTime> = HashMap::new();
-        for ev in trace.events() {
-            if let TraceEvent::Alloc { t, ts, .. } = *ev {
-                birth
-                    .entry(ts)
-                    .and_modify(|b| {
-                        if t < *b {
-                            *b = t;
-                        }
-                    })
-                    .or_insert(t);
+    pub fn compute(_trace: &Trace, lineage: &Lineage, t_end: SimTime) -> PerfReport {
+        // Earliest allocation per virtual timestamp = frame birth. Frame
+        // numbers count up from zero, so index by them; a timestamp at or
+        // above the item count (there cannot be that many distinct ones)
+        // spills.
+        let mut birth: IdTable<Option<SimTime>> = IdTable::new(lineage.item_counts().0 as u64);
+        for (_, rec) in lineage.items() {
+            let b = birth.slot(rec.ts.raw());
+            if b.is_none_or(|b| rec.alloc_t < b) {
+                *b = Some(rec.alloc_t);
             }
         }
 
@@ -56,7 +53,7 @@ impl PerfReport {
         let mut outputs = 0usize;
         for &(t, _, ts) in lineage.sink_outputs() {
             outputs += 1;
-            if let Some(&b) = birth.get(&ts) {
+            if let Some(&Some(b)) = birth.get(ts.raw()) {
                 latency.push(t.since(b).as_micros() as f64);
             }
             if let Some(prev) = last_out {
@@ -81,6 +78,7 @@ mod tests {
     use super::*;
     use crate::event::IterKey;
     use aru_core::graph::NodeId;
+    use vtime::Timestamp;
 
     fn key(n: u32, s: u64) -> IterKey {
         IterKey::new(NodeId(n), s)

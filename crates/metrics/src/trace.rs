@@ -93,6 +93,12 @@ impl Trace {
         self.epoch_unix_us
     }
 
+    /// Exclusive upper bound of the ids this trace's recorder handed out
+    /// (hand-built traces may carry ids beyond it).
+    pub(crate) fn next_item(&self) -> u64 {
+        self.next_item
+    }
+
     /// Override the wall-clock origin (used by snapshots to carry the
     /// recorder's epoch, and by tests).
     pub fn set_epoch_unix_us(&mut self, epoch: u64) {

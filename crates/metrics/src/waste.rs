@@ -32,28 +32,29 @@ pub struct WasteReport {
 
 impl WasteReport {
     /// Compute the report from a lineage analysis. `t_end` bounds the
-    /// lifetime of items never freed during the run.
+    /// lifetime of items never freed during the run. Sums run in `ItemId`
+    /// and first-seen iteration order: a function of the trace alone.
     #[must_use]
     pub fn compute(lineage: &Lineage, t_end: SimTime) -> WasteReport {
         let mut total_bt = 0.0;
         let mut wasted_bt = 0.0;
         let mut wasted_items = 0usize;
-        for (&id, rec) in lineage.items() {
-            let free = rec.free_t.unwrap_or(t_end).min(t_end);
+        for (_, rec) in lineage.items() {
+            let free = rec.free_t().unwrap_or(t_end).min(t_end);
             let life = free.since(rec.alloc_t).as_micros() as f64;
             let bt = rec.bytes as f64 * life;
             total_bt += bt;
-            if !lineage.is_item_used(id) {
+            if !rec.used {
                 wasted_bt += bt;
                 wasted_items += 1;
             }
         }
         let mut total_comp = Micros::ZERO;
         let mut wasted_comp = Micros::ZERO;
-        for (&iter, &busy) in lineage.iter_busy() {
-            total_comp += busy;
-            if !lineage.is_iter_used(iter) {
-                wasted_comp += busy;
+        for iter in lineage.iterations() {
+            total_comp += iter.busy;
+            if !iter.used {
+                wasted_comp += iter.busy;
             }
         }
         WasteReport {
@@ -61,7 +62,7 @@ impl WasteReport {
             wasted_byte_time: wasted_bt,
             total_computation: total_comp,
             wasted_computation: wasted_comp,
-            total_items: lineage.items().len(),
+            total_items: lineage.item_counts().0,
             wasted_items,
         }
     }

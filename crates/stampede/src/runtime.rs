@@ -6,12 +6,11 @@ use crate::error::TaskResult;
 use crate::shutdown::Shutdown;
 use crate::task::TaskCtx;
 use aru_core::{AruConfig, NodeId, RetryPolicy, Topology};
-use aru_gc::{ConsumerMarks, DgcEngine, DgcResult, GcMode, IdealGc};
+use aru_gc::{ConsumerMarks, DgcEngine, DgcResult, GcMode, Postmortem};
 use aru_metrics::export::fault_report_jsonl;
 use aru_metrics::trace::wall_clock_unix_us;
 use aru_metrics::{
-    ExportSink, FaultReport, FootprintReport, JournalKind, Lineage, PerfReport, SharedTrace,
-    Telemetry, Trace, TraceEvent, WasteReport,
+    ExportSink, FaultReport, JournalKind, SharedTrace, Telemetry, Trace, TraceEvent,
 };
 use crate::sync::RwLock;
 use std::any::Any;
@@ -471,16 +470,6 @@ impl RunReport {
             .count()
     }
 
-    /// Per-thread execution statistics (named via the stored topology with
-    /// [`aru_metrics::thread_stats::render_thread_stats`]).
-    #[must_use]
-    pub fn thread_stats(
-        &self,
-    ) -> std::collections::BTreeMap<NodeId, aru_metrics::ThreadStats> {
-        let lineage = Lineage::analyze(&self.trace);
-        aru_metrics::thread_stats(&self.trace, &lineage)
-    }
-
     /// Per-channel occupancy statistics.
     #[must_use]
     pub fn channel_stats(
@@ -492,31 +481,12 @@ impl RunReport {
     /// Run the full postmortem suite.
     #[must_use]
     pub fn analyze(&self) -> RunAnalysis {
-        let lineage = Lineage::analyze(&self.trace);
-        let footprint = FootprintReport::compute(&self.trace, &lineage, self.t_end);
-        let waste = WasteReport::compute(&lineage, self.t_end);
-        let perf = PerfReport::compute(&self.trace, &lineage, self.t_end);
-        let igc = IdealGc::from_lineage(&lineage, self.t_end);
-        let faults = FaultReport::compute(&self.trace);
-        RunAnalysis {
-            footprint,
-            waste,
-            perf,
-            igc,
-            faults,
-        }
+        Postmortem::analyze(&self.trace, self.t_end)
     }
 }
 
 /// Bundled postmortem results for one run.
-#[derive(Debug, Clone)]
-pub struct RunAnalysis {
-    pub footprint: FootprintReport,
-    pub waste: WasteReport,
-    pub perf: PerfReport,
-    pub igc: IdealGc,
-    pub faults: FaultReport,
-}
+pub type RunAnalysis = Postmortem;
 
 #[cfg(test)]
 mod tests {

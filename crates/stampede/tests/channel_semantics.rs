@@ -455,7 +455,8 @@ fn bounded_channel_blocking_is_excluded_from_stp() {
         .unwrap();
     // source busy time per iteration (current-STP) must stay ~1-2 ms even
     // though wall time per iteration is ~30 ms.
-    let stats = report.thread_stats();
+    let stats =
+        aru_metrics::thread_stats(&report.trace, &aru_metrics::Lineage::analyze(&report.trace));
     let src_stats = stats
         .values()
         .find(|s| report.topo.name(s.node) == "src")

@@ -11,7 +11,9 @@ use std::time::Duration;
 /// for a video pipeline this is typically the frame number assigned by the
 /// source (digitizer) thread. Timestamps are totally ordered and sources
 /// issue them monotonically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

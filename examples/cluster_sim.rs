@@ -57,7 +57,10 @@ fn main() {
     println!(
         "\n{}",
         stampede_aru::metrics::thread_stats::render_thread_stats(
-            &report.thread_stats(),
+            &stampede_aru::metrics::thread_stats(
+                &report.trace,
+                &stampede_aru::metrics::Lineage::analyze(&report.trace),
+            ),
             &report.topo
         )
     );
