@@ -41,7 +41,6 @@
 //! the same mechanism testable with `proptest` and reusable across the two
 //! runtimes.
 
-pub mod analysis;
 pub mod backward;
 pub mod compress;
 pub mod controller;
@@ -54,7 +53,6 @@ pub mod retry;
 pub mod stp;
 pub mod summary;
 
-pub use analysis::{simulate_loop, LoopParams, LoopTrace};
 pub use backward::BackwardStpVec;
 pub use compress::CompressOp;
 pub use controller::{AruConfig, AruController, FilterSpec, IterationOutcome, PacingPolicy};

@@ -12,9 +12,9 @@
 //!   and crash counts per node, so a 1000-node sweep condenses to one line
 //!   per interesting node;
 //! * **causal chains**: each flagged pace decision is walked backwards
-//!   through the persisted Fold → Return → Deposit hops (the same value-
-//!   matching semantics as `SpanSnapshot::attribute_pace`), naming the
-//!   summary that drove it;
+//!   through the persisted Fold → Return → Deposit hops
+//!   (`aru_metrics::journal::attribute_pace`), naming the summary that
+//!   drove it;
 //! * **rule-based detectors** (the verdict dictionary in EXPERIMENTS.md):
 //!   sustained oscillation, unbounded backlog growth, law saturation at
 //!   the clamp bounds, staleness-fallback storms, crash/recovery latency
@@ -26,7 +26,9 @@
 //! chaos journal must produce `crash`, the Direct volatile-link journal
 //! must produce `oscillation`, and the Hysteresis cell must not.
 
-use aru_metrics::journal::{law_label, HopLeg, JournalKind, JournalRecord, LoadedJournal};
+use aru_metrics::journal::{
+    attribute_pace, law_label, HopLeg, JournalKind, JournalRecord, LoadedJournal, PaceChain,
+};
 use aru_metrics::json::{JsonArr, JsonObj, Raw};
 use aru_metrics::{stability, StabilitySpec};
 use std::fmt::Write as _;
@@ -108,88 +110,6 @@ pub struct NodeTimeline {
     /// series was too short to analyse).
     pub reversals: u64,
     pub oscillating_windows: u64,
-}
-
-/// A pace decision walked backwards through the persisted hop legs.
-/// Threaded journals carry all three legs; sim journals fold directly, so
-/// only the Fold leg exists there.
-#[derive(Clone, Debug, Default)]
-pub struct PaceChain {
-    pub fold: Option<JournalRecord>,
-    pub ret: Option<JournalRecord>,
-    pub deposit: Option<JournalRecord>,
-}
-
-/// Walk one pace decision backwards through the journal's hop records,
-/// with the same matching semantics as `SpanSnapshot::attribute_pace`:
-/// the latest Fold on the pace's node, then the Return whose
-/// (node, peer, value) mirror that fold, then the Deposit that carried
-/// the same summary value into that buffer. Records must be time-sorted
-/// (what `JournalSnapshot` produces).
-#[must_use]
-pub fn attribute_pace(records: &[JournalRecord], pace_idx: usize) -> PaceChain {
-    let mut chain = PaceChain::default();
-    let Some(pace) = records.get(pace_idx) else {
-        return chain;
-    };
-    let node = pace.node;
-    let mut fold_at = None;
-    for (i, r) in records.iter().enumerate().take(pace_idx).rev() {
-        if r.node == node {
-            if let JournalKind::Hop {
-                leg: HopLeg::Fold, ..
-            } = r.kind
-            {
-                chain.fold = Some(*r);
-                fold_at = Some(i);
-                break;
-            }
-        }
-    }
-    let Some(fold_i) = fold_at else { return chain };
-    let (fpeer, fvalue, ft) = match records[fold_i].kind {
-        JournalKind::Hop { peer, value, .. } => (peer, value, records[fold_i].t),
-        _ => return chain,
-    };
-    // A Return at the same timestamp may sort after the fold (different
-    // shards), so scan by time, not index.
-    let mut ret_at = None;
-    for (i, r) in records.iter().enumerate().take(pace_idx).rev() {
-        if r.t > ft || r.node != fpeer {
-            continue;
-        }
-        if let JournalKind::Hop {
-            leg: HopLeg::Return,
-            peer,
-            value,
-        } = r.kind
-        {
-            if peer == node && value == fvalue {
-                chain.ret = Some(*r);
-                ret_at = Some(i);
-                break;
-            }
-        }
-    }
-    let Some(ret_i) = ret_at else { return chain };
-    let rt = records[ret_i].t;
-    for r in records.iter().take(pace_idx).rev() {
-        if r.t > rt || r.node != fpeer {
-            continue;
-        }
-        if let JournalKind::Hop {
-            leg: HopLeg::Deposit,
-            value,
-            ..
-        } = r.kind
-        {
-            if value == fvalue {
-                chain.deposit = Some(*r);
-                break;
-            }
-        }
-    }
-    chain
 }
 
 /// The doctor's full analysis of one journal.
@@ -1061,26 +981,6 @@ mod tests {
         assert!(d.has("stale_fallback"));
         assert!(!d.has("stale_storm"));
         assert!(d.has("feedback_loss"));
-    }
-
-    #[test]
-    fn causal_chain_walks_fold_return_deposit() {
-        // Buffer node 10 between producer 1 and consumer 3.
-        let recs = journal_of(&[
-            (100, 10, JournalKind::Hop { leg: HopLeg::Deposit, peer: NodeId(1), value: Micros(80_000) }),
-            (200, 10, JournalKind::Hop { leg: HopLeg::Return, peer: NodeId(3), value: Micros(80_000) }),
-            (200, 3, JournalKind::Hop { leg: HopLeg::Fold, peer: NodeId(10), value: Micros(80_000) }),
-            (300, 3, pace(80_000)),
-        ]);
-        let recs = recs.snapshot.records;
-        let idx = recs.len() - 1;
-        let chain = attribute_pace(&recs, idx);
-        let fold = chain.fold.expect("fold leg");
-        assert_eq!(fold.node, NodeId(3));
-        let ret = chain.ret.expect("return leg");
-        assert_eq!(ret.node, NodeId(10));
-        let dep = chain.deposit.expect("deposit leg");
-        assert_eq!(dep.t, SimTime(100));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! # Recording discipline
 //!
-//! Same sharding as the trace and the span recorder: each writer owns a
+//! Same sharding as the trace: each writer owns a
 //! [`JournalShard`] and is its only writer, so recording is stores into
 //! writer-private cells — no lock, no CAS loop. A slot is a version word
 //! plus six payload words, all `AtomicU64` from the [`crate::sync`] shim
@@ -53,7 +53,7 @@ const MAX_READ_RETRIES: usize = 8;
 pub const DEFAULT_OCC_WATERMARK: u64 = 1024;
 
 /// Which leg of the backward summary propagation a [`JournalKind::Hop`]
-/// records — the persisted mirror of [`crate::spans::HopKind`].
+/// records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopLeg {
     Deposit,
@@ -132,8 +132,8 @@ pub enum JournalKind {
         clamped: bool,
     },
     /// One leg of summary-STP propagation (`node` is where the hop was
-    /// observed, `peer` the other party — same convention as
-    /// [`crate::spans::FeedbackHop`]).
+    /// observed — the buffer for `Deposit`/`Return`, the thread for `Fold`
+    /// — and `peer` the other party).
     Hop { leg: HopLeg, peer: NodeId, value: Micros },
     /// Buffer occupancy at a publish point; recorded when the length
     /// changed since the last publish or crossed the watermark.
@@ -562,6 +562,88 @@ impl JournalSnapshot {
     }
 }
 
+/// A pace decision walked backwards through the persisted hop legs.
+/// Threaded journals carry all three legs; sim journals fold directly, so
+/// only the Fold leg exists there.
+#[derive(Clone, Debug, Default)]
+pub struct PaceChain {
+    pub fold: Option<JournalRecord>,
+    pub ret: Option<JournalRecord>,
+    pub deposit: Option<JournalRecord>,
+}
+
+/// Walk one pace decision backwards through the journal's hop records —
+/// the one causal-chain walk (`repro doctor` and the runtime's telemetry
+/// tests both call it): the latest Fold on the pace's node, then the
+/// Return whose (node, peer, value) mirror that fold, then the Deposit
+/// that carried the same summary value into that buffer. Records must be
+/// time-sorted (what [`JournalSnapshot`] holds).
+#[must_use]
+pub fn attribute_pace(records: &[JournalRecord], pace_idx: usize) -> PaceChain {
+    let mut chain = PaceChain::default();
+    let Some(pace) = records.get(pace_idx) else {
+        return chain;
+    };
+    let node = pace.node;
+    let mut fold_at = None;
+    for (i, r) in records.iter().enumerate().take(pace_idx).rev() {
+        if r.node == node {
+            if let JournalKind::Hop {
+                leg: HopLeg::Fold, ..
+            } = r.kind
+            {
+                chain.fold = Some(*r);
+                fold_at = Some(i);
+                break;
+            }
+        }
+    }
+    let Some(fold_i) = fold_at else { return chain };
+    let (fpeer, fvalue, ft) = match records[fold_i].kind {
+        JournalKind::Hop { peer, value, .. } => (peer, value, records[fold_i].t),
+        _ => return chain,
+    };
+    // A Return at the same timestamp may sort after the fold (different
+    // shards), so scan by time, not index.
+    let mut ret_at = None;
+    for (i, r) in records.iter().enumerate().take(pace_idx).rev() {
+        if r.t > ft || r.node != fpeer {
+            continue;
+        }
+        if let JournalKind::Hop {
+            leg: HopLeg::Return,
+            peer,
+            value,
+        } = r.kind
+        {
+            if peer == node && value == fvalue {
+                chain.ret = Some(*r);
+                ret_at = Some(i);
+                break;
+            }
+        }
+    }
+    let Some(ret_i) = ret_at else { return chain };
+    let rt = records[ret_i].t;
+    for r in records.iter().take(pace_idx).rev() {
+        if r.t > rt || r.node != fpeer {
+            continue;
+        }
+        if let JournalKind::Hop {
+            leg: HopLeg::Deposit,
+            value,
+            ..
+        } = r.kind
+        {
+            if value == fvalue {
+                chain.deposit = Some(*r);
+                break;
+            }
+        }
+    }
+    chain
+}
+
 /// A journal read back from disk: header metadata plus the records.
 #[derive(Clone, Debug)]
 pub struct LoadedJournal {
@@ -934,5 +1016,61 @@ mod tests {
             }
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
+    }
+
+    fn hop(t: u64, node: u32, leg: HopLeg, peer: u32, value: u64) -> JournalRecord {
+        JournalRecord {
+            t: SimTime(t),
+            node: NodeId(node),
+            kind: JournalKind::Hop {
+                leg,
+                peer: NodeId(peer),
+                value: Micros(value),
+            },
+        }
+    }
+
+    fn pace_at(t: u64, node: u32, target: u64) -> JournalRecord {
+        JournalRecord {
+            t: SimTime(t),
+            node: NodeId(node),
+            kind: JournalKind::Pace {
+                law: law_code("direct"),
+                raw: Micros(target),
+                target: Micros(target),
+                sleep: Micros::ZERO,
+                clamped: false,
+            },
+        }
+    }
+
+    #[test]
+    fn causal_chain_walks_fold_return_deposit() {
+        // Buffer node 10 between consumer 1 and producer 3; a deposit with
+        // a different value in between is noise the walk must skip.
+        let recs = [
+            hop(100, 10, HopLeg::Deposit, 1, 80_000),
+            hop(200, 10, HopLeg::Return, 3, 80_000),
+            hop(200, 3, HopLeg::Fold, 10, 80_000),
+            hop(250, 10, HopLeg::Deposit, 1, 99_000),
+            pace_at(300, 3, 80_000),
+        ];
+        let chain = attribute_pace(&recs, recs.len() - 1);
+        assert_eq!(chain.fold.expect("fold leg").node, NodeId(3));
+        assert_eq!(chain.ret.expect("return leg").node, NodeId(10));
+        let dep = chain.deposit.expect("deposit leg");
+        assert_eq!(dep.t, SimTime(100), "traced to the consumer's deposit");
+    }
+
+    #[test]
+    fn causal_chain_is_partial_when_links_are_missing() {
+        // The Return/Deposit legs predate the ring (overwritten): the walk
+        // stops at the fold instead of inventing a cause.
+        let recs = [hop(3, 30, HopLeg::Fold, 10, 70_000), pace_at(5, 30, 70_000)];
+        let chain = attribute_pace(&recs, 1);
+        assert!(chain.fold.is_some());
+        assert!(chain.ret.is_none() && chain.deposit.is_none());
+        // Out of range yields an empty chain.
+        assert!(attribute_pace(&recs, 9).fold.is_none());
     }
 }

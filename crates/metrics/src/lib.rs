@@ -32,8 +32,8 @@
 //! Live telemetry (DESIGN.md §12) rides alongside the postmortem trace:
 //!
 //! * [`registry`] — lock-free sharded counters/gauges, [`hist`] —
-//!   log-bucketed mergeable histograms, [`spans`] — ring-buffered
-//!   feedback-loop hop recorder, [`export`] — Prometheus-text/JSONL
+//!   log-bucketed mergeable histograms, [`journal`] — the flight
+//!   recorder of control-plane events, [`export`] — Prometheus-text/JSONL
 //!   serialization. The bundle ([`Telemetry`]) is carried by
 //!   [`SharedTrace`], so every runtime component that can trace can also
 //!   meter.

@@ -18,7 +18,6 @@
 //! use a `BTreeMap` so exports are deterministically ordered.
 
 use crate::hist::{AtomicHist, HistSnapshot};
-use crate::spans::SpanRecorder;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use std::collections::BTreeMap;
@@ -277,13 +276,11 @@ impl RegistrySnapshot {
     }
 }
 
-/// The live-telemetry bundle the runtimes carry: metrics registry, the
-/// feedback-loop span recorder, and the flight-recorder journal. Cloning
-/// shares all three (they are handles).
+/// The live-telemetry bundle the runtimes carry: metrics registry and the
+/// flight-recorder journal. Cloning shares both (they are handles).
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
     pub registry: Registry,
-    pub spans: SpanRecorder,
     pub journal: crate::journal::Journal,
 }
 

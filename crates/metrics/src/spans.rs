@@ -1,11 +1,10 @@
-//! Feedback-loop spans: hop-by-hop tracing of summary-STP propagation.
+//! Feedback-loop span ring: bounded per-writer rings of summary-STP hops.
 //!
-//! The ARU feedback loop is invisible in an ordinary metrics dump: a
-//! source's paced period changes because, several buffers upstream in the
-//! *backward* direction, some consumer's summary STP changed. This module
-//! records the individual hops of that propagation so a pacing change at
-//! the Digitizer can be **attributed** to the downstream STP change that
-//! caused it — observability the paper never had.
+//! No runtime writes here any more — the journal's `Hop`/`Pace` records
+//! are the one record of a hop, and [`crate::journal::attribute_pace`] is
+//! the one causal-chain walk. What is left is the recorder the benchmark's
+//! micro pass times (`metrics.spans.record_ns`); it goes with ROADMAP
+//! item 1a.
 //!
 //! # Hops
 //!
@@ -24,14 +23,11 @@
 //!
 //! # Ring semantics
 //!
-//! Recording follows the per-writer-shard discipline: each writer owns a
-//! [`SpanShard`] — a fixed-capacity ring behind an uncontended mutex. When
-//! the ring is full the **oldest hop is overwritten** and a drop counter
-//! bumps; memory is bounded no matter how long the run. Writers only
-//! record a hop when the carried value *differs* from the last one they
-//! recorded for that kind, so a steady-state pipeline (summaries converged)
-//! costs one compare per op and records nothing. [`SpanRecorder::snapshot`]
-//! merges all rings into one time-ordered hop list.
+//! Each writer owns a [`SpanShard`] — a fixed-capacity ring behind an
+//! uncontended mutex. When the ring is full the **oldest hop is
+//! overwritten** and a drop counter bumps; memory is bounded no matter how
+//! long the run. [`SpanRecorder::snapshot`] merges all rings into one
+//! time-ordered hop list.
 
 use crate::sync::Mutex;
 use aru_core::graph::NodeId;
@@ -170,69 +166,6 @@ pub struct SpanSnapshot {
     pub dropped: u64,
 }
 
-impl SpanSnapshot {
-    /// Indices of `Pace` hops (candidate attribution roots), in time order.
-    #[must_use]
-    pub fn paces(&self) -> Vec<usize> {
-        self.hops
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.kind == HopKind::Pace)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Attribute a pacing decision to the hop chain that caused it.
-    ///
-    /// Walks backward from the `Pace` hop at `pace_idx`, matching on the
-    /// carried value: the latest `Fold` at the same thread with that value,
-    /// then the `Return` at the channel the fold came from, then the
-    /// `Deposit` that put the value there. Returns indices in propagation
-    /// order (`Deposit`, `Return`, `Fold`, `Pace`); the chain is shorter
-    /// when a link predates the ring (overwritten) or the value originated
-    /// locally.
-    #[must_use]
-    pub fn attribute_pace(&self, pace_idx: usize) -> Vec<usize> {
-        let Some(pace) = self.hops.get(pace_idx) else {
-            return Vec::new();
-        };
-        if pace.kind != HopKind::Pace {
-            return Vec::new();
-        }
-        let mut chain = vec![pace_idx];
-        let before = |i: usize| self.hops[..i].iter().enumerate().rev();
-
-        // Fold: same thread, same value.
-        let Some((fold_idx, fold)) = before(pace_idx)
-            .find(|(_, h)| h.kind == HopKind::Fold && h.node == pace.node && h.value == pace.value)
-        else {
-            return chain;
-        };
-        chain.push(fold_idx);
-
-        // Return: at the channel the fold names, handed to this thread.
-        let Some((ret_idx, ret)) = before(fold_idx).find(|(_, h)| {
-            h.kind == HopKind::Return
-                && h.node == fold.peer
-                && h.peer == fold.node
-                && h.value == fold.value
-        }) else {
-            chain.reverse();
-            return chain;
-        };
-        chain.push(ret_idx);
-
-        // Deposit: the consumer that left the value at that channel.
-        if let Some((dep_idx, _)) = before(ret_idx)
-            .find(|(_, h)| h.kind == HopKind::Deposit && h.node == ret.node && h.value == ret.value)
-        {
-            chain.push(dep_idx);
-        }
-        chain.reverse();
-        chain
-    }
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -273,42 +206,5 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap.hops[0].t, SimTime(5));
         assert_eq!(snap.hops[1].t, SimTime(10));
-    }
-
-    #[test]
-    fn attribution_walks_full_chain() {
-        // channel 10, consumer thread 20, producer thread 30
-        let rec = SpanRecorder::new();
-        let sh = rec.shard();
-        sh.record(hop(1, HopKind::Deposit, 10, 20, 80_000));
-        sh.record(hop(2, HopKind::Return, 10, 30, 80_000));
-        sh.record(hop(3, HopKind::Fold, 30, 10, 80_000));
-        // unrelated noise with a different value
-        sh.record(hop(4, HopKind::Deposit, 10, 20, 99_000));
-        sh.record(hop(5, HopKind::Pace, 30, 30, 80_000));
-        let snap = rec.snapshot();
-        let paces = snap.paces();
-        assert_eq!(paces.len(), 1);
-        let chain = snap.attribute_pace(paces[0]);
-        let kinds: Vec<HopKind> = chain.iter().map(|&i| snap.hops[i].kind).collect();
-        assert_eq!(
-            kinds,
-            vec![HopKind::Deposit, HopKind::Return, HopKind::Fold, HopKind::Pace]
-        );
-        assert_eq!(snap.hops[chain[0]].peer, NodeId(20), "traced to the consumer");
-    }
-
-    #[test]
-    fn attribution_is_partial_when_links_missing() {
-        let rec = SpanRecorder::new();
-        let sh = rec.shard();
-        sh.record(hop(3, HopKind::Fold, 30, 10, 70_000));
-        sh.record(hop(5, HopKind::Pace, 30, 30, 70_000));
-        let snap = rec.snapshot();
-        let chain = snap.attribute_pace(snap.paces()[0]);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(snap.hops[chain[0]].kind, HopKind::Fold);
-        // non-Pace index yields nothing
-        assert!(snap.attribute_pace(chain[0]).is_empty());
     }
 }

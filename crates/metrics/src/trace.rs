@@ -428,7 +428,7 @@ struct TraceCore {
     /// Registry of every shard ever created for this trace, in
     /// registration order (= clone order; the merge tiebreak).
     shards: Mutex<Vec<Arc<Shard>>>,
-    /// Live-telemetry bundle (metrics registry + feedback-loop spans).
+    /// Live-telemetry bundle (metrics registry + flight-recorder journal).
     /// Carried here because the trace handle already reaches every
     /// channel, queue, and task context — telemetry rides along with zero
     /// constructor churn.
@@ -669,8 +669,7 @@ impl LocalTrace {
         self.push(TraceEvent::OpTimeout { t, node });
     }
 
-    /// Next item id; identical assignment to [`alloc`](Self::alloc) —
-    /// batch and single ops interleave without id gaps or reuse.
+    /// Next item id, drawn from this writer's private block.
     fn next_id(&mut self) -> ItemId {
         if self.id_next == self.id_end {
             let start = self.core.next_item.fetch_add(ID_BLOCK, Ordering::Relaxed);
@@ -691,35 +690,6 @@ impl LocalTrace {
         }
     }
 
-    /// Batch `alloc`: record one `Alloc` event per `(ts, bytes)` spec with
-    /// a single flush check at the end. Ids are assigned exactly as a loop
-    /// of [`alloc`](Self::alloc) calls would assign them; each is handed to
-    /// `with_id` in order.
-    pub fn put_n(
-        &mut self,
-        t: SimTime,
-        buffer: NodeId,
-        producer: IterKey,
-        specs: impl IntoIterator<Item = (Timestamp, u64)>,
-        mut with_id: impl FnMut(ItemId),
-    ) {
-        let specs = specs.into_iter();
-        self.buf.reserve(specs.size_hint().0);
-        for (ts, bytes) in specs {
-            let item = self.next_id();
-            self.buf.push(TraceEvent::Alloc {
-                t,
-                item,
-                buffer,
-                ts,
-                bytes,
-                producer,
-            });
-            with_id(item);
-        }
-        self.maybe_flush();
-    }
-
     /// Batch `get`: one `Get` event per item, one flush check.
     pub fn get_n(
         &mut self,
@@ -731,24 +701,6 @@ impl LocalTrace {
         self.buf.reserve(items.size_hint().0);
         for item in items {
             self.buf.push(TraceEvent::Get { t, item, consumer });
-        }
-        self.maybe_flush();
-    }
-
-    /// Batched destructive consume: `Get` then `Free` per item in one
-    /// append pass — the exact event order a loop of single `get`/`free`
-    /// pairs records, with one flush check for the whole batch.
-    pub fn get_free_n(
-        &mut self,
-        t: SimTime,
-        consumer: IterKey,
-        items: impl IntoIterator<Item = ItemId>,
-    ) {
-        let items = items.into_iter();
-        self.buf.reserve(items.size_hint().0.saturating_mul(2));
-        for item in items {
-            self.buf.push(TraceEvent::Get { t, item, consumer });
-            self.buf.push(TraceEvent::Free { t, item });
         }
         self.maybe_flush();
     }
@@ -1018,34 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn put_n_matches_alloc_loop() {
-        // Same events, same ids, whether appended one-by-one or as a
-        // batch — including across an id-block refill boundary.
-        let n = ID_BLOCK + 5;
-        let p = IterKey::new(NodeId(0), 0);
-        let singles = SharedTrace::new();
-        let mut s = singles.local();
-        let mut ids_s = Vec::new();
-        for j in 0..n {
-            ids_s.push(s.alloc(SimTime(7), NodeId(1), Timestamp(j), j + 1, p));
-        }
-        drop(s);
-        let batched = SharedTrace::new();
-        let mut b = batched.local();
-        let mut ids_b = Vec::new();
-        b.put_n(
-            SimTime(7),
-            NodeId(1),
-            p,
-            (0..n).map(|j| (Timestamp(j), j + 1)),
-            |id| ids_b.push(id),
-        );
-        drop(b);
-        assert_eq!(ids_s, ids_b);
-        assert_eq!(singles.snapshot().events(), batched.snapshot().events());
-    }
-
-    #[test]
     fn get_n_and_free_n_match_loops_and_flush_on_chunk() {
         let tr = SharedTrace::new();
         let mut local = tr.local();
@@ -1067,23 +991,5 @@ mod tests {
         }
         drop(loop_tr);
         assert_eq!(snap.events(), loop_shared.snapshot().events());
-    }
-
-    #[test]
-    fn get_free_n_matches_interleaved_loop() {
-        let tr = SharedTrace::new();
-        let mut local = tr.local();
-        let p = IterKey::new(NodeId(2), 1);
-        local.get_free_n(SimTime(4), p, (0..9).map(ItemId));
-        local.flush();
-
-        let loop_shared = SharedTrace::new();
-        let mut loop_tr = loop_shared.local();
-        for j in 0..9 {
-            loop_tr.get(SimTime(4), ItemId(j), p);
-            loop_tr.free(SimTime(4), ItemId(j));
-        }
-        drop(loop_tr);
-        assert_eq!(tr.snapshot().events(), loop_shared.snapshot().events());
     }
 }

@@ -115,21 +115,6 @@ impl<T: ItemData> QueueOutput<T> {
         Ok(())
     }
 
-    /// Batch enqueue: whole batch in one buffer operation, one backward
-    /// feedback fold, one occupancy observation at most.
-    pub fn put_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<(), StampedeError> {
-        match &mut self.inner {
-            OutInner::Mutex(o) => o.put_batch(ctx, batch)?,
-            OutInner::LockFree(o) => o.put_batch(ctx, batch)?,
-        }
-        self.observe_occupancy(ctx);
-        Ok(())
-    }
-
     fn observe_occupancy(&mut self, ctx: &mut TaskCtx) {
         self.ops = self.ops.wrapping_add(1);
         if self.ops & (OCC_FEEDBACK - 1) == 0 {
@@ -245,26 +230,6 @@ impl<T: ItemData> QueueInput<T> {
                 ts: item.ts,
                 value: Arc::new(item.value),
             })),
-        }
-    }
-
-    /// Drain-style batch dequeue: block while empty, then pop up to `max`
-    /// items in FIFO order.
-    pub fn get_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<StampedItem<T>>, StampedeError> {
-        match &mut self.inner {
-            InInner::Mutex(i) => i.get_batch(ctx, max),
-            InInner::LockFree(i) => Ok(i
-                .get_batch(ctx, max)?
-                .into_iter()
-                .map(|item| StampedItem {
-                    ts: item.ts,
-                    value: Arc::new(item.value),
-                })
-                .collect()),
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Public construction of channels, queues, and task contexts normally
 //! goes through [`crate::builder::RuntimeBuilder`], which wires a whole
-//! task graph. The `benchmark/` micro pass and the batch-equivalence tests
+//! task graph. The `benchmark/` micro pass and the equivalence tests
 //! need *bare* components — one channel, one context, no runtime — so this
 //! module re-exposes the crate-private constructors. It is `#[doc(hidden)]`
 //! and carries no stability promise; application code must keep using the

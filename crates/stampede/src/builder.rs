@@ -197,7 +197,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// The live-telemetry bundle (metrics registry + feedback-loop spans)
+    /// The live-telemetry bundle (metrics registry + flight-recorder journal)
     /// every buffer and task context of this pipeline reports into. Clone
     /// it before `build()` to watch gauges live or snapshot after the run.
     #[must_use]

@@ -239,22 +239,17 @@ impl<T: ItemData> Channel<T> {
         if st.closed {
             return Err(StampedeError::Closed);
         }
-        self.insert_stored_locked(&mut st, now, producer, ts, value, bytes);
-        // Cached compression: a field read, recomputed only on feedback.
-        let summary = st.aru.summary();
-        if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || now);
-        }
+        let summary = self.put_locked(&mut st, now, producer, ts, value, bytes);
         drop(st);
         // New data helps consumers only — a put never opens capacity.
         self.cons.notify_all();
         Ok(summary)
     }
 
-    /// Record the alloc, insert (freeing any displaced item at the same
-    /// timestamp), and apply the dead-on-arrival check. Shared by every
-    /// put path; caller holds the state lock.
-    fn insert_stored_locked(
+    /// The local put under the state lock: record the alloc, insert, and
+    /// hand back the channel's summary-STP (the cached compression — a
+    /// field read, recomputed only on feedback).
+    fn put_locked(
         &self,
         st: &mut ChannelState<T>,
         now: SimTime,
@@ -262,9 +257,29 @@ impl<T: ItemData> Channel<T> {
         ts: Timestamp,
         value: Arc<T>,
         bytes: u64,
-    ) {
+    ) -> Option<Stp> {
         let id = st.trace.alloc(now, self.node, ts, bytes, producer);
-        if let Some(old) = st.items.insert(ts, Stored { value, id, bytes }) {
+        self.insert_locked(st, now, ts, Stored { value, id, bytes });
+        let summary = st.aru.summary();
+        if let Some(s) = summary {
+            st.tele.on_return(producer.node, s.period(), || now);
+        }
+        summary
+    }
+
+    /// The one insertion path — local puts and remote arrivals alike:
+    /// insert (freeing any displaced item at the same timestamp), apply
+    /// the dead-on-arrival check, count the put and mirror the occupancy.
+    /// Caller holds the state lock and has recorded the item's alloc.
+    fn insert_locked(
+        &self,
+        st: &mut ChannelState<T>,
+        now: SimTime,
+        ts: Timestamp,
+        stored: Stored<T>,
+    ) {
+        let bytes = stored.bytes;
+        if let Some(old) = st.items.insert(ts, stored) {
             st.live_bytes -= old.bytes;
             st.trace.free(now, old.id);
         }
@@ -275,228 +290,38 @@ impl<T: ItemData> Channel<T> {
         self.publish_obs_locked(st);
     }
 
-    /// Batch insert under one lock hold: one clock read, one batched trace
-    /// append, one wakeup. Caller holds the lock and has checked capacity.
-    fn insert_batch_locked(
-        &self,
-        st: &mut ChannelState<T>,
-        now: SimTime,
-        producer: IterKey,
-        prepared: Vec<(Timestamp, Arc<T>, u64)>,
-    ) {
-        // Ids first (batched append, identical assignment to a put loop),
-        // then the inserts under a split borrow of the state.
-        let mut ids = Vec::with_capacity(prepared.len());
-        st.trace.put_n(
-            now,
-            self.node,
-            producer,
-            prepared.iter().map(|&(ts, _, bytes)| (ts, bytes)),
-            |id| ids.push(id),
-        );
-        let reclaims = self.gc_mode.reclaims();
-        let purged_before = st.purged_before;
-        let n = prepared.len() as u64;
-        let ChannelState {
-            items,
-            trace,
-            live_bytes,
-            tele,
-            ..
-        } = &mut *st;
-        for ((ts, value, bytes), id) in prepared.into_iter().zip(ids) {
-            if let Some(old) = items.insert(ts, Stored { value, id, bytes }) {
-                *live_bytes -= old.bytes;
-                trace.free(now, old.id);
-            }
-            *live_bytes += bytes;
-            if reclaims && ts < purged_before {
-                if let Some(stored) = items.remove(ts) {
-                    *live_bytes -= stored.bytes;
-                    trace.free(now, stored.id);
-                }
-            }
-        }
-        tele.on_put(n, items.len());
-        self.publish_obs_locked(st);
-    }
-
-    /// Batch insert. The whole batch becomes visible atomically — the
-    /// state lock is taken once, the clock read once, the trace appended
-    /// once, and consumers woken once. Returns the channel's summary-STP
-    /// (the same single backward hop a lone [`Channel::put`] performs), or
-    /// `Ok(None)` without any side effect for an empty batch.
-    ///
-    /// Ignores any capacity bound, like [`Channel::put`]; task code goes
-    /// through [`Output::put_batch`].
-    pub fn put_batch(
-        &self,
-        producer: IterKey,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<Option<Stp>, StampedeError> {
-        let prepared = Self::prepare_batch(batch);
-        if prepared.is_empty() {
-            return Ok(None);
-        }
-        let now = self.clock.now();
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(StampedeError::Closed);
-        }
-        self.insert_batch_locked(&mut st, now, producer, prepared);
-        let summary = st.aru.summary();
-        if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || now);
-        }
-        drop(st);
-        self.cons.notify_all();
-        Ok(summary)
-    }
-
-    /// Size and box the payloads outside the lock — the lock hold of a
-    /// batch put covers only bookkeeping, never allocation of user data.
-    fn prepare_batch(
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Vec<(Timestamp, Arc<T>, u64)> {
-        batch
-            .into_iter()
-            .map(|(ts, value)| {
-                let bytes = value.size_bytes();
-                (ts, Arc::new(value), bytes)
-            })
-            .collect()
-    }
-
-    /// Capacity-aware batch insert (backpressure-compatible sibling of
-    /// [`Channel::put_batch`]).
-    ///
-    /// Fast path: when the channel is unbounded or the whole batch fits,
-    /// the batch is inserted atomically under one lock hold. Slow path
-    /// (bounded channel without room): items are inserted one at a time,
-    /// waiting for capacity between items — earlier items of the batch are
-    /// visible to consumers while later ones wait, exactly as a loop of
-    /// single puts would behave. A close during the slow path returns
-    /// `Err(Closed)` with the already-inserted prefix retained (again
-    /// matching the equivalent put loop).
-    pub fn put_batch_blocking(
-        &self,
-        ctx: &mut TaskCtx,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<Option<Stp>, StampedeError> {
-        let prepared = Self::prepare_batch(batch);
-        if prepared.is_empty() {
-            return Ok(None);
-        }
-        let deadline = op_deadline(ctx);
-        let now = self.clock.now();
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(StampedeError::Closed);
-        }
-        let fits = match st.capacity {
-            None => true,
-            // Conservative: counts replacements as new items.
-            Some(cap) => st.items.len() + prepared.len() <= cap,
-        };
-        if fits {
-            self.insert_batch_locked(&mut st, now, ctx.iter_key(), prepared);
-            let summary = st.aru.summary();
-            if let Some(s) = summary {
-                st.tele.on_return(ctx.node(), s.period(), || now);
-            }
-            drop(st);
-            self.cons.notify_all();
-            return Ok(summary);
-        }
-        // Slow path: per-item progress across capacity waits.
-        let producer = ctx.iter_key();
-        let mut blocked = false;
-        for (ts, value, bytes) in prepared {
-            loop {
-                if st.closed {
-                    if blocked {
-                        ctx.block_end(self.clock.now());
-                    }
-                    return Err(StampedeError::Closed);
-                }
-                let full = st
-                    .capacity
-                    .is_some_and(|cap| st.items.len() >= cap && !st.items.contains(ts));
-                if !full {
-                    if blocked {
-                        blocked = false;
-                        ctx.block_end(self.clock.now());
-                    }
-                    let now = self.clock.now();
-                    self.insert_stored_locked(&mut st, now, producer, ts, value, bytes);
-                    self.cons.notify_all();
-                    break;
-                }
-                if !blocked {
-                    blocked = true;
-                    ctx.block_begin(self.clock.now());
-                }
-                if self.wait_step(&self.prod, &mut st, deadline) {
-                    return Err(self.timed_out(&mut st, ctx, blocked));
-                }
-            }
-        }
-        let summary = st.aru.summary();
-        if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || self.clock.now());
-        }
-        Ok(summary)
-    }
-
-    /// Insert an already-shared payload (the fan-out path: N channels share
-    /// one `Arc` instead of deep-cloning the frame N times). `now` is the
-    /// fan-out's single clock read; if this channel makes the producer wait
-    /// for capacity the clock is re-read after the wait so trace times stay
+    /// [`Channel::put_blocking`] for an already-shared payload — the path
+    /// both it and the fan-out take. `now` is the fan-out's single clock
+    /// read (N channels share one `Arc` and one time instead of N deep
+    /// clones and N reads); a lone put passes `None` and the clock is read
+    /// under the lock. If this channel makes the producer wait for
+    /// capacity the clock is re-read after the wait so trace times stay
     /// monotone within the channel's event stream.
     pub(crate) fn put_arc_blocking(
         &self,
         ctx: &mut TaskCtx,
-        now: SimTime,
+        now: Option<SimTime>,
         ts: Timestamp,
         value: Arc<T>,
         bytes: u64,
     ) -> Result<Option<Stp>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        let mut now = now;
-        loop {
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
+        let mut value = Some(value);
+        let summary = self.block_until(&self.prod, ctx, |st, ctx, waited| {
             let full = st
                 .capacity
                 .is_some_and(|cap| st.items.len() >= cap && !st.items.contains(ts));
-            if !full {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                    now = self.clock.now();
-                }
-                self.insert_stored_locked(&mut st, now, ctx.iter_key(), ts, value, bytes);
-                let summary = st.aru.summary();
-                if let Some(s) = summary {
-                    st.tele.on_return(ctx.node(), s.period(), || now);
-                }
-                drop(st);
-                self.cons.notify_all();
-                return Ok(summary);
+            if full {
+                return None;
             }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.prod, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+            let now = match now {
+                Some(shared) if !waited => shared,
+                _ => self.clock.now(),
+            };
+            let value = value.take().expect("a probe completes at most once");
+            Some(self.put_locked(st, now, ctx.iter_key(), ts, value, bytes))
+        })?;
+        self.cons.notify_all();
+        Ok(summary)
     }
 
     /// Capacity-aware insert: blocks while a bounded channel is full
@@ -509,42 +334,24 @@ impl<T: ItemData> Channel<T> {
         ts: Timestamp,
         value: T,
     ) -> Result<Option<Stp>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            let full = st
-                .capacity
-                .is_some_and(|cap| st.items.len() >= cap && !st.items.contains(ts));
-            if !full {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                let bytes = value.size_bytes();
-                self.insert_stored_locked(&mut st, now, ctx.iter_key(), ts, Arc::new(value), bytes);
-                let summary = st.aru.summary();
-                if let Some(s) = summary {
-                    st.tele.on_return(ctx.node(), s.period(), || now);
-                }
-                drop(st);
-                self.cons.notify_all();
-                return Ok(summary);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.prod, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+        let bytes = value.size_bytes();
+        self.put_arc_blocking(ctx, None, ts, Arc::new(value), bytes)
+    }
+
+    /// Shared tail of every single-item get: deposit the consumer's
+    /// summary-STP, count the get, record it against the iteration.
+    fn record_get_locked(
+        &self,
+        st: &mut ChannelState<T>,
+        chan_out_index: usize,
+        ctx: &TaskCtx,
+        id: ItemId,
+    ) {
+        let now = self.clock.now();
+        self.deposit_locked(st, chan_out_index, ctx, now);
+        let len = st.items.len();
+        st.tele.on_get(1, len);
+        st.trace.get(now, id, ctx.iter_key());
     }
 
     /// Retrieve the newest item with `ts >= floor` (the *consumer's* local
@@ -564,42 +371,27 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         floor: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            // The newest item with `ts >= floor` is the newest item overall
-            // (when fresh enough) — an O(1) probe on the ring store.
-            let found = st
-                .items
-                .latest()
-                .filter(|&(ts, _)| ts >= floor)
-                .map(|(ts, stored)| (ts, Arc::clone(&stored.value), stored.id));
-            if let Some((ts, value, id)) = found {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, id, ctx.iter_key());
-                return Ok(StampedItem { ts, value });
-            }
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.cons, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+        self.block_until(&self.cons, ctx, |st, ctx, _| {
+            self.take_latest_locked(st, chan_out_index, ctx, floor)
+        })
+    }
+
+    /// The get-latest probe: the newest item with `ts >= floor` is the
+    /// newest item overall (when fresh enough) — O(1) on the ring store.
+    fn take_latest_locked(
+        &self,
+        st: &mut ChannelState<T>,
+        chan_out_index: usize,
+        ctx: &TaskCtx,
+        floor: Timestamp,
+    ) -> Option<StampedItem<T>> {
+        let (ts, value, id) = st
+            .items
+            .latest()
+            .filter(|&(ts, _)| ts >= floor)
+            .map(|(ts, stored)| (ts, Arc::clone(&stored.value), stored.id))?;
+        self.record_get_locked(st, chan_out_index, ctx, id);
+        Some(StampedItem { ts, value })
     }
 
     /// Release this consumer connection's claim on everything up to and
@@ -627,40 +419,15 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<Option<StampedItem<T>>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
+        self.block_until(&self.cons, ctx, |st, ctx, _| {
             if let Some(stored) = st.items.get(ts) {
                 let (value, id) = (Arc::clone(&stored.value), stored.id);
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, id, ctx.iter_key());
-                return Ok(Some(StampedItem { ts, value }));
+                self.record_get_locked(st, chan_out_index, ctx, id);
+                return Some(Some(StampedItem { ts, value }));
             }
             let newer_exists = st.items.latest().is_some_and(|(latest, _)| latest > ts);
-            if newer_exists || st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                if st.closed && !newer_exists {
-                    return Err(StampedeError::Closed);
-                }
-                return Ok(None);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.cons, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+            newer_exists.then_some(None)
+        })
     }
 
     /// Join get: block until the channel is non-empty, then return the
@@ -673,40 +440,15 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            let found = st
+        self.block_until(&self.cons, ctx, |st, ctx, _| {
+            let (ts, value, id) = st
                 .items
                 .latest_at_or_before(ts)
                 .or_else(|| st.items.latest())
-                .map(|(its, stored)| (its, Arc::clone(&stored.value), stored.id));
-            if let Some((its, value, id)) = found {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, id, ctx.iter_key());
-                return Ok(StampedItem { ts: its, value });
-            }
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.cons, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+                .map(|(its, stored)| (its, Arc::clone(&stored.value), stored.id))?;
+            self.record_get_locked(st, chan_out_index, ctx, id);
+            Some(StampedItem { ts, value })
+        })
     }
 
     /// Sliding-window get: block until at least one item with `ts >= floor`
@@ -724,49 +466,28 @@ impl<T: ItemData> Channel<T> {
         n: usize,
     ) -> Result<Vec<StampedItem<T>>, StampedeError> {
         assert!(n > 0, "window must be non-empty");
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            let fresh = st.items.latest().is_some_and(|(ts, _)| ts >= floor);
-            if fresh {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                // Build the window directly (newest-first, then reverse) and
-                // record the gets as one batched trace append — no per-item
-                // `trace.get` calls, no intermediate picked Vec.
-                let ChannelState { items, trace, tele, .. } = &mut *st;
-                let mut window = Vec::with_capacity(n.min(items.len()));
-                let mut ids = Vec::with_capacity(n.min(items.len()));
-                items.for_each_newest(n, |ts, stored| {
-                    window.push(StampedItem {
-                        ts,
-                        value: Arc::clone(&stored.value),
-                    });
-                    ids.push(stored.id);
+        self.block_until(&self.cons, ctx, |st, ctx, _| {
+            st.items.latest().filter(|&(ts, _)| ts >= floor)?;
+            let now = self.clock.now();
+            self.deposit_locked(st, chan_out_index, ctx, now);
+            // Build the window directly (newest-first, then reverse) and
+            // record the gets as one batched trace append — no per-item
+            // `trace.get` calls, no intermediate picked Vec.
+            let ChannelState { items, trace, tele, .. } = st;
+            let mut window = Vec::with_capacity(n.min(items.len()));
+            let mut ids = Vec::with_capacity(n.min(items.len()));
+            items.for_each_newest(n, |ts, stored| {
+                window.push(StampedItem {
+                    ts,
+                    value: Arc::clone(&stored.value),
                 });
-                tele.on_get(ids.len() as u64, items.len());
-                trace.get_n(now, ctx.iter_key(), ids);
-                window.reverse();
-                return Ok(window);
-            }
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.cons, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
+                ids.push(stored.id);
+            });
+            tele.on_get(ids.len() as u64, items.len());
+            trace.get_n(now, ctx.iter_key(), ids);
+            window.reverse();
+            Some(window)
+        })
     }
 
     /// Non-blocking variant: `Ok(None)` when nothing at or above `floor`
@@ -778,20 +499,8 @@ impl<T: ItemData> Channel<T> {
         floor: Timestamp,
     ) -> Result<Option<StampedItem<T>>, StampedeError> {
         let mut st = self.state.lock();
-        let found = st
-            .items
-            .latest()
-            .filter(|&(ts, _)| ts >= floor)
-            .map(|(ts, stored)| (ts, Arc::clone(&stored.value), stored.id));
-        match found {
-            Some((ts, value, id)) => {
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, id, ctx.iter_key());
-                Ok(Some(StampedItem { ts, value }))
-            }
+        match self.take_latest_locked(&mut st, chan_out_index, ctx, floor) {
+            Some(item) => Ok(Some(item)),
             None if st.closed => Err(StampedeError::Closed),
             None => Ok(None),
         }
@@ -801,84 +510,16 @@ impl<T: ItemData> Channel<T> {
     /// the item existed — in flight — since the sender materialized it).
     /// If the channel closed while in flight, the item is freed instead.
     pub(crate) fn insert_prealloc(&self, ts: Timestamp, value: T, id: ItemId, bytes: u64) {
+        let value = Arc::new(value);
         let now = self.clock.now();
         let mut st = self.state.lock();
         if st.closed {
             st.trace.free(now, id);
             return;
         }
-        if let Some(old) = st.items.insert(
-            ts,
-            Stored {
-                value: Arc::new(value),
-                id,
-                bytes,
-            },
-        ) {
-            st.live_bytes -= old.bytes;
-            st.trace.free(now, old.id);
-        }
-        st.live_bytes += bytes;
-        self.reclaim_if_below_floor(&mut st, ts, now);
-        self.publish_obs_locked(&st);
+        self.insert_locked(&mut st, now, ts, Stored { value, id, bytes });
         drop(st);
         self.cons.notify_all();
-    }
-
-    /// Drain-style batch get: block until at least one item with
-    /// `ts >= floor` exists, then return every such item — oldest first, up
-    /// to `max` — under a single lock hold, with one clock read, one
-    /// summary-STP deposit, and one batched trace append for the whole
-    /// batch. Reads stay non-destructive (release still happens per
-    /// connection via [`Channel::release`]); "drain" refers to taking the
-    /// entire fresh suffix in one op rather than one item per call.
-    pub fn get_batch(
-        &self,
-        chan_out_index: usize,
-        ctx: &mut TaskCtx,
-        floor: Timestamp,
-        max: usize,
-    ) -> Result<Vec<StampedItem<T>>, StampedeError> {
-        assert!(max > 0, "batch must be non-empty");
-        let deadline = op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            let fresh = st.items.latest().is_some_and(|(ts, _)| ts >= floor);
-            if fresh {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let ChannelState { items, trace, tele, .. } = &mut *st;
-                let mut batch = Vec::new();
-                let mut ids = Vec::new();
-                items.for_each_from(floor, max, |ts, stored| {
-                    batch.push(StampedItem {
-                        ts,
-                        value: Arc::clone(&stored.value),
-                    });
-                    ids.push(stored.id);
-                });
-                tele.on_get(ids.len() as u64, items.len());
-                trace.get_n(now, ctx.iter_key(), ids);
-                return Ok(batch);
-            }
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            if self.wait_step(&self.cons, &mut st, deadline) {
-                return Err(self.timed_out(&mut st, ctx, blocked));
-            }
-        }
     }
 
     fn dead_bound_locked(&self, st: &ChannelState<T>) -> Timestamp {
@@ -938,8 +579,53 @@ impl<T: ItemData> Channel<T> {
         removed
     }
 
-    /// One bounded wait on the given wait set (consumers wait on `cons`,
-    /// producers on `prod`); `true` means the op deadline passed before
+    /// The one blocking-wait loop behind every blocking get and put.
+    ///
+    /// `probe` runs under the state lock, first on entry and again after
+    /// every wakeup (`waited` = this call has parked at least once):
+    /// `Some(result)` completes the op, `None` parks on `cond` (consumers
+    /// wait on `cons`, producers on `prod`). A closed channel fails the op
+    /// with `Closed` — close drains the store and rejects inserts, so a
+    /// closed channel never holds anything a probe could find. The task's
+    /// op timeout bounds the whole call: when it passes, the timeout is
+    /// counted and traced once and the op fails with `Timeout`. Everything
+    /// from the first park to the return is recorded as blocked time,
+    /// excluded from the task's current-STP.
+    #[inline]
+    fn block_until<R>(
+        &self,
+        cond: &Condvar,
+        ctx: &mut TaskCtx,
+        mut probe: impl FnMut(&mut ChannelState<T>, &mut TaskCtx, bool) -> Option<R>,
+    ) -> Result<R, StampedeError> {
+        let deadline = op_deadline(ctx);
+        let mut st = self.state.lock();
+        let mut waited = false;
+        let res = loop {
+            if st.closed {
+                break Err(StampedeError::Closed);
+            }
+            if let Some(done) = probe(&mut st, ctx, waited) {
+                break Ok(done);
+            }
+            if !waited {
+                waited = true;
+                ctx.block_begin(self.clock.now());
+            }
+            if self.wait_step(cond, &mut st, deadline) {
+                st.tele.on_timeout();
+                st.trace.op_timeout(self.clock.now(), ctx.node());
+                break Err(StampedeError::Timeout);
+            }
+        };
+        drop(st);
+        if waited {
+            ctx.block_end(self.clock.now());
+        }
+        res
+    }
+
+    /// One bounded wait; `true` means the op deadline passed before
     /// anything woke us.
     fn wait_step(
         &self,
@@ -961,22 +647,6 @@ impl<T: ItemData> Channel<T> {
                 false
             }
         }
-    }
-
-    /// Shared exit path for a blocking op that hit its deadline: end the
-    /// blocking interval, record the timeout, hand back the error.
-    fn timed_out(
-        &self,
-        st: &mut ChannelState<T>,
-        ctx: &mut TaskCtx,
-        blocked: bool,
-    ) -> StampedeError {
-        if blocked {
-            ctx.block_end(self.clock.now());
-        }
-        st.tele.on_timeout();
-        st.trace.op_timeout(self.clock.now(), ctx.node());
-        StampedeError::Timeout
     }
 
     // ---- admin interface used by the runtime/GC driver ---------------------
@@ -1144,26 +814,6 @@ impl<T: ItemData> Output<T> {
         Ok(())
     }
 
-    /// Batch put: the whole batch goes through one lock hold / clock read /
-    /// trace append / consumer wakeup, and the channel's summary-STP is
-    /// folded into the producing thread's ARU state once (see
-    /// [`Channel::put_batch_blocking`] for the bounded-channel slow path).
-    pub fn put_batch(
-        &self,
-        ctx: &mut TaskCtx,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<(), StampedeError> {
-        let t0 = ctx.op_sample();
-        let summary = self.ch.put_batch_blocking(ctx, batch)?;
-        if let Some(stp) = summary {
-            ctx.receive_feedback_from(self.thread_out_index, stp, self.ch.node());
-        }
-        if let Some(t0) = t0 {
-            ctx.record_put_ns(t0);
-        }
-        Ok(())
-    }
-
     /// The channel this endpoint feeds.
     #[must_use]
     pub fn channel(&self) -> &Channel<T> {
@@ -1211,25 +861,6 @@ impl<T: ItemData> Input<T> {
         }
         self.took(ctx, item.ts);
         Ok(item)
-    }
-
-    /// Drain-style batch get (see [`Channel::get_batch`]): up to `max`
-    /// fresh items, oldest first, in one buffer operation. The floor
-    /// advances past the newest returned item and the whole batch is
-    /// released together at iteration end.
-    pub fn get_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<StampedItem<T>>, StampedeError> {
-        let t0 = ctx.op_sample();
-        let batch = self.ch.get_batch(self.chan_out_index, ctx, self.floor, max)?;
-        if let Some(t0) = t0 {
-            ctx.record_get_ns(t0);
-        }
-        let newest = batch.last().expect("batch is non-empty").ts;
-        self.took(ctx, newest);
-        Ok(batch)
     }
 
     /// Non-blocking get-latest.

@@ -58,7 +58,7 @@ impl<T: ItemData> FanOut<T> {
         for out in &self.outs {
             let summary = out
                 .ch
-                .put_arc_blocking(ctx, now, ts, Arc::clone(&value), bytes)?;
+                .put_arc_blocking(ctx, Some(now), ts, Arc::clone(&value), bytes)?;
             if let Some(stp) = summary {
                 ctx.receive_feedback_from_at(out.thread_out_index, stp, now, out.ch.node());
             }

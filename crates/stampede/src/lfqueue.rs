@@ -9,8 +9,7 @@
 //! * **Data plane** — items move through an `MpmcRing`: one claim CAS
 //!   plus one release store per op, payloads stored *inline* (no
 //!   `Arc::new` per item: a destructive FIFO get transfers ownership, so
-//!   there is nothing to share). Batch ops claim a contiguous slot range
-//!   with a single CAS.
+//!   there is nothing to share).
 //! * **Control plane** — the ARU controller and the deposit fold stay
 //!   behind a mutex, but the hot path only reaches it on *summary
 //!   change*: `put` reads the compressed summary-STP through a
@@ -59,11 +58,7 @@ use crate::tele::LfEndpointTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_gc::ConsumerMarks;
 use aru_metrics::journal::HopLeg;
-use aru_metrics::{
-    FeedbackHop, Gauge, HopKind, IterKey, Journal, JournalKind, JournalShard, SharedTrace,
-    SpanShard,
-};
-use std::collections::VecDeque;
+use aru_metrics::{Gauge, IterKey, Journal, JournalKind, JournalShard, SharedTrace};
 use std::sync::Arc;
 use std::time::Instant;
 use vtime::{Micros, SimTime, Timestamp};
@@ -104,15 +99,14 @@ struct ConsumerSlot {
 }
 
 /// Control-plane state: reached only on summary change and by admin ops.
-/// The span/journal shards live here so the control mutex is the single
-/// writer they require — and recording stays off the lock-free hot path
+/// The journal shard lives here so the control mutex is the single
+/// writer it requires — and recording stays off the lock-free hot path
 /// by construction (only summary *changes* reach this struct at all).
 struct LfControl {
     aru: AruController,
     /// Seqlock generation (word 0 of the summary cell), bumped per write.
     generation: u64,
     consumers: usize,
-    spans: SpanShard,
     journal: JournalShard,
     last_deposit_hop: Option<Micros>,
     last_occ: Option<(u64, bool)>,
@@ -160,7 +154,6 @@ impl<T: ItemData> LfQueue<T> {
         let labels: &[(&str, &str)] = &[("channel", name.as_str()), ("kind", "lfqueue")];
         let occupancy_gauge = r.gauge("aru_channel_occupancy_items", labels);
         let live_bytes_gauge = r.gauge("aru_channel_live_bytes", labels);
-        let spans = tele.spans.shard();
         let journal = tele.journal.shard();
         let journal_cfg = tele.journal.clone();
         LfQueue {
@@ -181,7 +174,6 @@ impl<T: ItemData> LfQueue<T> {
                 aru: AruController::new(NodeKind::Queue, 0, false, config),
                 generation: 0,
                 consumers: 0,
-                spans,
                 journal,
                 last_deposit_hop: None,
                 last_occ: None,
@@ -304,49 +296,6 @@ impl<T: ItemData> LfQueue<T> {
         Ok(self.read_summary())
     }
 
-    /// Insert a batch, claiming contiguous slot ranges (one CAS per
-    /// claimed chunk) and parking between chunks while full. The summary
-    /// is read once, after the whole batch landed — the same observable
-    /// as a put loop, one seqlock read instead of N.
-    pub fn put_batch(
-        &self,
-        _producer: IterKey,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<Option<Stp>, StampedeError> {
-        let mut pending: VecDeque<LfStored<T>> = batch
-            .into_iter()
-            .map(|(ts, value)| {
-                let bytes = value.size_bytes();
-                LfStored { ts, value, bytes }
-            })
-            .collect();
-        if pending.is_empty() {
-            return Ok(None);
-        }
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                // Like the channel's blocking batch slow path: the already-
-                // inserted prefix stays visible; the rest reports the close.
-                return Err(StampedeError::Closed);
-            }
-            let epoch = self.pop_ops.load(Ordering::SeqCst);
-            let before: u64 = pending.iter().map(|s| s.bytes).sum();
-            let n = self.ring.try_push_batch(&mut pending);
-            if n > 0 {
-                let after: u64 = pending.iter().map(|s| s.bytes).sum();
-                self.live_bytes.fetch_add(before - after, Ordering::Relaxed);
-                self.push_ops.fetch_add(n as u64, Ordering::SeqCst);
-                self.wake_consumers();
-            }
-            if pending.is_empty() {
-                return Ok(self.read_summary().1);
-            }
-            if n == 0 {
-                self.park_producer(epoch);
-            }
-        }
-    }
-
     /// Remove the oldest item, parking while empty (up to the task's op
     /// timeout). Deposits the consumer's summary-STP (change-gated) and
     /// advances its GC mark. Items already queued stay drainable after
@@ -414,62 +363,6 @@ impl<T: ItemData> LfQueue<T> {
                 Err(StampedeError::Closed)
             }
             None => Ok(None),
-        }
-    }
-
-    /// Remove up to `max` items — at least one, parking while empty —
-    /// with a single range-claim CAS when items are available.
-    pub fn get_batch(
-        &self,
-        chan_out_index: usize,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<LfItem<T>>, StampedeError> {
-        assert!(max > 0, "batch must be non-empty");
-        let deadline = op_deadline(ctx);
-        let mut blocked = false;
-        let mut popped: Vec<LfStored<T>> = Vec::new();
-        loop {
-            let epoch = self.push_ops.load(Ordering::SeqCst);
-            let n = self.ring.try_pop_batch(&mut popped, max);
-            if n > 0 {
-                if blocked {
-                    ctx.block_end(ctx.now());
-                }
-                let bytes: u64 = popped.iter().map(|s| s.bytes).sum();
-                self.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                self.pop_ops.fetch_add(n as u64, Ordering::SeqCst);
-                // One max-advance for the batch (arrival order need not be
-                // timestamp order), exactly like `Queue::get_batch`.
-                if let Some(newest) = popped.iter().map(|s| s.ts).max() {
-                    self.advance_mark(chan_out_index, newest);
-                }
-                self.deposit(chan_out_index, ctx);
-                self.wake_producers();
-                return Ok(popped
-                    .into_iter()
-                    .map(|s| LfItem {
-                        ts: s.ts,
-                        value: s.value,
-                    })
-                    .collect());
-            }
-            // Same empty-check as `get`: close with an in-flight push must
-            // not strand the item (see above).
-            if self.closed.load(Ordering::SeqCst) && self.ring.is_empty() {
-                if blocked {
-                    ctx.block_end(ctx.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(ctx.now());
-            }
-            if self.park_consumer(epoch, deadline) {
-                ctx.block_end(ctx.now());
-                return Err(StampedeError::Timeout);
-            }
         }
     }
 
@@ -553,22 +446,13 @@ impl<T: ItemData> LfQueue<T> {
         // Feedback-lineage recording (same change gate as the fold we just
         // did — we only get here when the deposited summary moved). This
         // closes the LF path's observability gap: the deposit hop lands in
-        // the span ring and flight-recorder journal exactly as the mutex
-        // buffers' `BufTele::on_deposit` does.
+        // the flight-recorder journal exactly as the mutex buffers'
+        // `BufTele::on_deposit` does.
         let value = summary.period();
         if c.last_deposit_hop != Some(value) {
             c.last_deposit_hop = Some(value);
-            let t = ctx.now();
-            c.spans.record(FeedbackHop {
-                t,
-                kind: HopKind::Deposit,
-                node: self.node,
-                peer: ctx.node(),
-                value,
-                extra: Micros::ZERO,
-            });
             c.journal.record(
-                t,
+                ctx.now(),
                 self.node,
                 JournalKind::Hop {
                     leg: HopLeg::Deposit,
@@ -716,10 +600,9 @@ pub struct LfQueueOutput<T: ItemData> {
     tele: LfEndpointTele,
     last_gen: Option<u64>,
     ops: u64,
-    // Per-endpoint recording shards: the producer endpoint is the single
+    // Per-endpoint journal shard: the producer endpoint is the single
     // writer, so the Return hop (queue summary handed back on put) can be
     // recorded without touching the queue's control mutex.
-    spans: SpanShard,
     journal: JournalShard,
     last_return: Option<Micros>,
 }
@@ -727,7 +610,6 @@ pub struct LfQueueOutput<T: ItemData> {
 impl<T: ItemData> LfQueueOutput<T> {
     pub(crate) fn new(q: Arc<LfQueue<T>>, thread_out_index: usize) -> Self {
         let tele = LfEndpointTele::output(q.telemetry(), q.name());
-        let spans = q.telemetry().spans.shard();
         let journal = q.telemetry().journal.shard();
         LfQueueOutput {
             q,
@@ -735,7 +617,6 @@ impl<T: ItemData> LfQueueOutput<T> {
             tele,
             last_gen: None,
             ops: 0,
-            spans,
             journal,
             last_return: None,
         }
@@ -744,23 +625,6 @@ impl<T: ItemData> LfQueueOutput<T> {
     pub fn put(&mut self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
         let (gen, summary) = self.q.put_with_gen(ts, value, ctx.iter_key())?;
-        let q = &self.q;
-        self.tele.on_op(1, || q.len());
-        self.fold(ctx, gen, summary);
-        if let Some(t0) = t0 {
-            ctx.record_put_ns(t0);
-        }
-        Ok(())
-    }
-
-    pub fn put_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<(), StampedeError> {
-        let t0 = ctx.op_sample();
-        let summary = self.q.put_batch(ctx.iter_key(), batch)?;
-        let (gen, _) = self.q.read_summary();
         let q = &self.q;
         self.tele.on_op(1, || q.len());
         self.fold(ctx, gen, summary);
@@ -784,17 +648,8 @@ impl<T: ItemData> LfQueueOutput<T> {
             let value = s.period();
             if self.last_return != Some(value) {
                 self.last_return = Some(value);
-                let t = ctx.now();
-                self.spans.record(FeedbackHop {
-                    t,
-                    kind: HopKind::Return,
-                    node: self.q.node(),
-                    peer: ctx.node(),
-                    value,
-                    extra: Micros::ZERO,
-                });
                 self.journal.record(
-                    t,
+                    ctx.now(),
                     self.q.node(),
                     JournalKind::Hop {
                         leg: HopLeg::Return,
@@ -857,28 +712,6 @@ impl<T: ItemData> LfQueueInput<T> {
         if matches!(&res, Ok(Some(_))) {
             let q = &self.q;
             self.tele.on_op(1, || q.len());
-        }
-        res
-    }
-
-    pub fn get_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<LfItem<T>>, StampedeError> {
-        let t0 = ctx.op_sample();
-        let res = self.q.get_batch(self.chan_out_index, ctx, max);
-        match &res {
-            Ok(got) => {
-                let n = got.len() as u64;
-                let q = &self.q;
-                self.tele.on_op(n, || q.len());
-            }
-            Err(StampedeError::Timeout) => self.tele.on_timeout(),
-            Err(_) => {}
-        }
-        if let Some(t0) = t0 {
-            ctx.record_get_ns(t0);
         }
         res
     }
@@ -994,40 +827,5 @@ mod tests {
         assert_eq!(q.get(0, &mut c).unwrap().ts, Timestamp(0));
         producer.join().unwrap();
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn batch_ops_round_trip() {
-        let q = q(16);
-        let p = IterKey::new(NodeId(0), 0);
-        let mut c = ctx();
-        q.put_batch(p, (0..10u64).map(|ts| (Timestamp(ts), vec![ts as u8; 4])))
-            .unwrap();
-        assert_eq!(q.len(), 10);
-        let batch = q.get_batch(0, &mut c, 6).unwrap();
-        assert_eq!(batch.len(), 6);
-        assert!(batch.windows(2).all(|w| w[0].ts < w[1].ts));
-        let rest = q.get_batch(0, &mut c, 64).unwrap();
-        assert_eq!(rest.len(), 4);
-        assert_eq!(q.live_bytes(), 0);
-    }
-
-    #[test]
-    fn oversized_batch_spills_across_capacity() {
-        // Batch larger than the ring: put_batch must park between chunks
-        // while a consumer drains.
-        let q = q(4);
-        let p = IterKey::new(NodeId(0), 0);
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            q2.put_batch(p, (0..32u64).map(|ts| (Timestamp(ts), vec![0u8; 4])))
-                .unwrap();
-        });
-        let mut c = ctx();
-        for ts in 0..32u64 {
-            assert_eq!(q.get(0, &mut c).unwrap().ts, Timestamp(ts));
-        }
-        producer.join().unwrap();
-        assert_eq!(q.len(), 0);
     }
 }

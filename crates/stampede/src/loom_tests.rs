@@ -242,117 +242,6 @@ fn loom_network_sim_stop_drains_then_joins() {
     });
 }
 
-/// A fitting `put_batch` is atomic: `get_batch` holds the state lock for
-/// its whole drain, so in every interleaving it sees either none of the
-/// batch (and stays parked) or all of it — never a prefix.
-#[test]
-fn loom_put_batch_is_all_or_nothing_for_get_batch() {
-    loom::model(|| {
-        let trace = SharedTrace::new();
-        let shutdown = Shutdown::new();
-        let ch = test_channel(None, &trace);
-        let p = IterKey::new(NodeId(0), 0);
-
-        let producer = {
-            let ch = Arc::clone(&ch);
-            loom::thread::spawn(move || {
-                ch.put_batch(p, vec![(Timestamp(0), vec![0u8]), (Timestamp(1), vec![1u8])])
-                    .unwrap();
-            })
-        };
-
-        let mut ctx = test_ctx(&trace, &shutdown);
-        let batch = ch.get_batch(0, &mut ctx, Timestamp::ZERO, 8).unwrap();
-        assert_eq!(
-            batch.iter().map(|it| it.ts).collect::<Vec<_>>(),
-            vec![Timestamp(0), Timestamp(1)],
-            "a visible batch must be visible whole"
-        );
-
-        producer.join().unwrap();
-    });
-}
-
-/// Satellite (d): `put_batch_blocking` on a full capacity-2 channel races
-/// a blocked `get_latest` and a watermark purge. The batch takes the slow
-/// path — each item waits for the purge to open capacity (a `prod`
-/// wakeup), and each insert must wake the parked consumer (a `cons`
-/// wakeup). A lost wakeup on either condvar, in any interleaving of the
-/// three threads, deadlocks the model.
-#[test]
-fn loom_put_batch_races_blocked_get_and_purge() {
-    loom::model(|| {
-        let trace = SharedTrace::new();
-        let shutdown = Shutdown::new();
-        let ch = test_channel(Some(2), &trace);
-        let p = IterKey::new(NodeId(0), 0);
-
-        ch.put(Timestamp(0), vec![0u8], p).unwrap();
-        ch.put(Timestamp(1), vec![1u8], p).unwrap();
-
-        let producer = {
-            let ch = Arc::clone(&ch);
-            let mut ctx = test_ctx(&trace, &shutdown);
-            loom::thread::spawn(move || {
-                ch.put_batch_blocking(
-                    &mut ctx,
-                    vec![(Timestamp(2), vec![2u8]), (Timestamp(3), vec![3u8])],
-                )
-                .unwrap();
-            })
-        };
-        let purger = {
-            let ch = Arc::clone(&ch);
-            loom::thread::spawn(move || {
-                ch.release(0, Timestamp(0));
-                ch.release(0, Timestamp(1));
-            })
-        };
-
-        let mut ctx = test_ctx(&trace, &shutdown);
-        let got = ch.get_latest(0, &mut ctx, Timestamp(2)).unwrap();
-        assert!(got.ts >= Timestamp(2));
-
-        producer.join().unwrap();
-        purger.join().unwrap();
-        assert_eq!(ch.len(), 2, "both batch items landed after the purge");
-    });
-}
-
-/// `close()` during a capacity-blocked `put_batch_blocking` must return
-/// `Err(Closed)` in every interleaving — whether the close lands before
-/// the batch takes the lock, or while it is parked waiting for capacity
-/// that will never come.
-#[test]
-fn loom_close_mid_batch_returns_closed() {
-    loom::model(|| {
-        let trace = SharedTrace::new();
-        let shutdown = Shutdown::new();
-        let ch = test_channel(Some(1), &trace);
-        let p = IterKey::new(NodeId(0), 0);
-
-        ch.put(Timestamp(0), vec![0u8], p).unwrap();
-
-        let producer = {
-            let ch = Arc::clone(&ch);
-            let mut ctx = test_ctx(&trace, &shutdown);
-            loom::thread::spawn(move || {
-                ch.put_batch_blocking(
-                    &mut ctx,
-                    vec![(Timestamp(1), vec![1u8]), (Timestamp(2), vec![2u8])],
-                )
-            })
-        };
-
-        ch.close();
-        let res = producer.join().unwrap();
-        assert!(
-            matches!(res, Err(crate::error::StampedeError::Closed)),
-            "blocked batch must observe the close"
-        );
-    });
-}
-
 /// Slot-claim protocol across a ring wrap-around: capacity 2, three items,
 /// so slot 0 is reused with a bumped sequence number while the producer
 /// parks on full and the consumer parks on empty. A slot whose sequence

@@ -187,135 +187,6 @@ impl<T: ItemData> Queue<T> {
         Ok(summary)
     }
 
-    /// Batch enqueue: one clock read, one lock hold, one batched trace
-    /// append, one summary return, one wakeup. An empty batch is a no-op
-    /// returning `Ok(None)`.
-    pub fn put_batch(
-        &self,
-        producer: IterKey,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<Option<aru_core::Stp>, StampedeError> {
-        // Box payloads outside the lock.
-        let prepared: Vec<(Timestamp, Arc<T>, u64)> = batch
-            .into_iter()
-            .map(|(ts, value)| {
-                let bytes = value.size_bytes();
-                (ts, Arc::new(value), bytes)
-            })
-            .collect();
-        if prepared.is_empty() {
-            return Ok(None);
-        }
-        let n = prepared.len();
-        let now = self.clock.now();
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(StampedeError::Closed);
-        }
-        let mut ids = Vec::with_capacity(n);
-        st.trace.put_n(
-            now,
-            self.node,
-            producer,
-            prepared.iter().map(|&(ts, _, bytes)| (ts, bytes)),
-            |id| ids.push(id),
-        );
-        for ((ts, value, bytes), id) in prepared.into_iter().zip(ids) {
-            st.items.push_back(QStored {
-                ts,
-                value,
-                id,
-                bytes,
-            });
-            st.live_bytes += bytes;
-        }
-        let len = st.items.len();
-        st.tele.on_put(n as u64, len);
-        self.publish_obs_locked(&st);
-        let summary = st.aru.summary();
-        if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || now);
-        }
-        drop(st);
-        // Destructive FIFO: one item satisfies one getter, so wake as many
-        // getters as there are new items (all of them past one).
-        if n == 1 {
-            self.cond.notify_one();
-        } else {
-            self.cond.notify_all();
-        }
-        Ok(summary)
-    }
-
-    /// Drain-style batch dequeue: block while empty, then pop up to `max`
-    /// items in FIFO order under one lock hold, with one clock read, one
-    /// summary deposit, and batched trace appends.
-    pub fn get_batch(
-        &self,
-        chan_out_index: usize,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<StampedItem<T>>, StampedeError> {
-        assert!(max > 0, "batch must be non-empty");
-        let deadline = crate::channel::op_deadline(ctx);
-        let mut st = self.state.lock();
-        let mut blocked = false;
-        loop {
-            if !st.items.is_empty() {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let take = max.min(st.items.len());
-                let mut batch = Vec::with_capacity(take);
-                let mut ids = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let stored = st.items.pop_front().expect("len checked");
-                    st.live_bytes -= stored.bytes;
-                    ids.push(stored.id);
-                    batch.push(StampedItem {
-                        ts: stored.ts,
-                        value: stored.value,
-                    });
-                }
-                // `advance` is max-only, so one advance to the newest
-                // popped timestamp equals advancing per item (arrival
-                // order need not be timestamp order).
-                let newest = batch.iter().map(|s| s.ts).max().expect("take >= 1");
-                st.marks.advance(chan_out_index, newest);
-                let len = st.items.len();
-                st.tele.on_get(take as u64, len);
-                st.trace.get_free_n(now, ctx.iter_key(), ids);
-                self.publish_obs_locked(&st);
-                return Ok(batch);
-            }
-            if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                return Err(StampedeError::Closed);
-            }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
-            }
-            match deadline {
-                None => self.cond.wait(&mut st),
-                Some(dl) => {
-                    let now = std::time::Instant::now();
-                    if now >= dl {
-                        ctx.block_end(self.clock.now());
-                        st.tele.on_timeout();
-                        st.trace.op_timeout(self.clock.now(), ctx.node());
-                        return Err(StampedeError::Timeout);
-                    }
-                    self.cond.wait_for(&mut st, dl - now);
-                }
-            }
-        }
-    }
-
     /// Dequeue the oldest item, blocking while empty (up to the task's op
     /// timeout, when one is configured).
     pub fn get(
@@ -547,24 +418,6 @@ impl<T: ItemData> MutexQueueOutput<T> {
         Ok(())
     }
 
-    /// Batch enqueue (see [`Queue::put_batch`]): whole batch in one buffer
-    /// operation, one backward feedback fold.
-    pub fn put_batch(
-        &self,
-        ctx: &mut TaskCtx,
-        batch: impl IntoIterator<Item = (Timestamp, T)>,
-    ) -> Result<(), StampedeError> {
-        let t0 = ctx.op_sample();
-        let summary = self.q.put_batch(ctx.iter_key(), batch)?;
-        if let Some(stp) = summary {
-            ctx.receive_feedback_from(self.thread_out_index, stp, self.q.node());
-        }
-        if let Some(t0) = t0 {
-            ctx.record_put_ns(t0);
-        }
-        Ok(())
-    }
-
     #[must_use]
     pub fn queue(&self) -> &Queue<T> {
         &self.q
@@ -598,20 +451,6 @@ impl<T: ItemData> MutexQueueInput<T> {
     /// Non-blocking FIFO get.
     pub fn try_get(&mut self, ctx: &mut TaskCtx) -> Result<Option<StampedItem<T>>, StampedeError> {
         self.q.try_get(self.chan_out_index, ctx)
-    }
-
-    /// Drain-style batch dequeue (see [`Queue::get_batch`]).
-    pub fn get_batch(
-        &mut self,
-        ctx: &mut TaskCtx,
-        max: usize,
-    ) -> Result<Vec<StampedItem<T>>, StampedeError> {
-        let t0 = ctx.op_sample();
-        let batch = self.q.get_batch(self.chan_out_index, ctx, max)?;
-        if let Some(t0) = t0 {
-            ctx.record_get_ns(t0);
-        }
-        Ok(batch)
     }
 
     #[must_use]

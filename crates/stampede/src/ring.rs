@@ -29,15 +29,6 @@
 //! an unbounded "wait for the other thread's store" spin would livelock;
 //! blocking on the parking condvar instead gives the model a schedulable
 //! edge.
-//!
-//! **Batch claims** reserve a contiguous position range with one CAS:
-//! scan the ready prefix of slots (free for push / full for pop), then
-//! CAS the counter forward by the prefix length. The scan stays valid at
-//! CAS time because a free slot can only leave the free state via a push
-//! that first claims its position (impossible — the counter hasn't moved
-//! past it), and a full slot can only drain via a pop that first claims
-//! its position; poppers/pushers on *other* positions only ever move
-//! slots *into* the state the scan wants.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use std::cell::UnsafeCell;
@@ -179,91 +170,6 @@ impl<T> MpmcRing<T> {
             }
         }
     }
-
-    /// Push a contiguous prefix of `items` with a single claim CAS.
-    /// Returns the number pushed (0 when full); unpushed items stay in
-    /// `items` (drained from the front).
-    pub(crate) fn try_push_batch(&self, items: &mut std::collections::VecDeque<T>) -> usize {
-        let want = items.len().min(self.slots.len()) as u64;
-        if want == 0 {
-            return 0;
-        }
-        loop {
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            // Ready prefix: every slot in [tail, tail+n) free for this lap.
-            let mut n = 0u64;
-            while n < want {
-                let pos = tail + n;
-                if self.slots[(pos & self.mask) as usize].seq.load(Ordering::Acquire) != pos {
-                    break;
-                }
-                n += 1;
-            }
-            if n == 0 {
-                return 0;
-            }
-            if self
-                .tail
-                .0
-                .compare_exchange(tail, tail + n, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                continue; // competitor advanced tail: re-scan from the new tail
-            }
-            // The scanned prefix is still free: no push could claim those
-            // positions (tail hadn't moved), and pops only free slots.
-            for i in 0..n {
-                let pos = tail + i;
-                let slot = &self.slots[(pos & self.mask) as usize];
-                let value = items.pop_front().expect("scan bounded by items.len()");
-                // SAFETY: position claimed exclusively by the CAS above.
-                unsafe { (*slot.value.get()).write(value) };
-                slot.seq.store(pos + 1, Ordering::Release);
-            }
-            return n as usize;
-        }
-    }
-
-    /// Pop up to `max` items with a single claim CAS, appending to `out`.
-    /// Returns the number popped.
-    pub(crate) fn try_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let cap = self.slots.len() as u64;
-        let want = max.min(self.slots.len()) as u64;
-        if want == 0 {
-            return 0;
-        }
-        loop {
-            let head = self.head.0.load(Ordering::Relaxed);
-            let mut n = 0u64;
-            while n < want {
-                let pos = head + n;
-                if self.slots[(pos & self.mask) as usize].seq.load(Ordering::Acquire) != pos + 1 {
-                    break;
-                }
-                n += 1;
-            }
-            if n == 0 {
-                return 0;
-            }
-            if self
-                .head
-                .0
-                .compare_exchange(head, head + n, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            for i in 0..n {
-                let pos = head + i;
-                let slot = &self.slots[(pos & self.mask) as usize];
-                // SAFETY: position claimed exclusively by the CAS above.
-                let value = unsafe { (*slot.value.get()).assume_init_read() };
-                slot.seq.store(pos + cap, Ordering::Release);
-                out.push(value);
-            }
-            return n as usize;
-        }
-    }
 }
 
 impl<T> Drop for MpmcRing<T> {
@@ -276,7 +182,6 @@ impl<T> Drop for MpmcRing<T> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
 
     #[test]
     fn fifo_order_and_capacity() {
@@ -296,21 +201,6 @@ mod tests {
             r.try_push(lap).unwrap();
             assert_eq!(r.try_pop(), Some(lap));
         }
-    }
-
-    #[test]
-    fn batch_claims_shrink_to_ready_prefix() {
-        let r: MpmcRing<u64> = MpmcRing::new(4);
-        let mut items: VecDeque<u64> = (0..6).collect();
-        assert_eq!(r.try_push_batch(&mut items), 4);
-        assert_eq!(items.len(), 2);
-        let mut out = Vec::new();
-        assert_eq!(r.try_pop_batch(&mut out, 3), 3);
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(r.try_push_batch(&mut items), 2);
-        out.clear();
-        assert_eq!(r.try_pop_batch(&mut out, 8), 3);
-        assert_eq!(out, vec![3, 4, 5]);
     }
 
     #[test]

@@ -430,7 +430,7 @@ impl Running {
         })
     }
 
-    /// The live-telemetry bundle — read gauges and span rings while the
+    /// The live-telemetry bundle — read gauges and the journal while the
     /// run is in flight (the watch mode does exactly this).
     #[must_use]
     pub fn telemetry(&self) -> &aru_metrics::Telemetry {

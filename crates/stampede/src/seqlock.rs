@@ -139,10 +139,14 @@ mod tests {
                         assert_eq!(v, g * 3, "torn read: ({g}, {v})");
                         coherent += 1;
                     }
-                    // Checked after at least one read attempt: once the
-                    // writer stops, the version is stable and the final
-                    // try_read must succeed — the counter can't be zero.
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    // Once the writer has stopped (Acquire pairs with its
+                    // Release below) the version is stable, so one more
+                    // read must succeed — the counter can't be zero, however
+                    // the reads above raced the writer.
+                    if stop.load(std::sync::atomic::Ordering::Acquire) {
+                        let (g, v) = c.try_read().expect("quiescent cell reads coherently");
+                        assert_eq!(v, g * 3, "torn read: ({g}, {v})");
+                        coherent += 1;
                         break;
                     }
                 }
@@ -152,7 +156,7 @@ mod tests {
         for g in 1..50_000u64 {
             c.write(g, g * 3);
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.store(true, std::sync::atomic::Ordering::Release);
         for r in readers {
             assert!(r.join().unwrap() > 0, "reader never got a coherent pair");
         }

@@ -52,7 +52,7 @@ pub struct TaskCtx {
     /// (consume-on-iteration-end semantics).
     releases: Vec<Box<dyn FnOnce() + Send>>,
     /// Thread-private live telemetry: STP gauges, iteration/pacing
-    /// counters, sampled op latency, feedback-span hops (DESIGN.md §12).
+    /// counters, sampled op latency, journaled feedback hops (DESIGN.md §12).
     tele: TaskTele,
 }
 
@@ -163,8 +163,8 @@ impl TaskCtx {
         self.controller.receive_feedback_at(out_index, stp, now);
     }
 
-    /// [`TaskCtx::receive_feedback`] that also records a feedback-span
-    /// `Fold` hop naming the buffer the summary came back from.
+    /// [`TaskCtx::receive_feedback`] that also journals a `Fold` hop
+    /// naming the buffer the summary came back from.
     pub(crate) fn receive_feedback_from(&mut self, out_index: usize, stp: Stp, from: NodeId) {
         let now = self.clock.now();
         self.tele.on_fold(now, self.node, from, stp.period());

@@ -15,16 +15,13 @@
 //!   the per-op budget). Per-op put/get latency is sampled 1 in
 //!   [`LAT_SAMPLE`] calls on the endpoint side.
 //!
-//! Both own a [`SpanShard`] and record feedback-loop hops **only when the
-//! carried summary value changes** — a converged pipeline pays one compare
-//! per op and records nothing (see `aru_metrics::spans`).
+//! Both own a [`JournalShard`] and journal feedback-loop hops **only when
+//! the carried summary value changes** — a converged pipeline pays one
+//! compare per op and records nothing (see `aru_metrics::journal`).
 
 use aru_core::NodeId;
 use aru_metrics::journal::{law_code, HopLeg};
-use aru_metrics::{
-    Counter, FeedbackHop, Gauge, Hist, Histogram, HopKind, Journal, JournalKind, JournalShard,
-    SpanShard, Telemetry,
-};
+use aru_metrics::{Counter, Gauge, Hist, Histogram, Journal, JournalKind, JournalShard, Telemetry};
 use std::time::Instant;
 use vtime::{Micros, SimTime};
 
@@ -53,13 +50,11 @@ pub(crate) struct BufTele {
     d_timeouts: u64,
     occ: Hist,
     seq: u64,
-    // Feedback-loop span recording (change-triggered).
-    spans: SpanShard,
+    // Flight-recorder journal (DESIGN.md §16): hop records are
+    // change-triggered; occupancy records are cut at publish cadence on
+    // length change or a watermark crossing.
     last_deposit: Option<Micros>,
     last_return: Option<Micros>,
-    // Flight-recorder journal (DESIGN.md §16): hop records ride the same
-    // change gates as the spans; occupancy records are cut at publish
-    // cadence on length change or a watermark crossing.
     journal: JournalShard,
     journal_cfg: Journal,
     last_occ: Option<(u64, bool)>,
@@ -84,7 +79,6 @@ impl BufTele {
             d_timeouts: 0,
             occ: Hist::new(),
             seq: 0,
-            spans: tele.spans.shard(),
             last_deposit: None,
             last_return: None,
             journal: tele.journal.shard(),
@@ -127,8 +121,8 @@ impl BufTele {
         self.d_timeouts += 1;
     }
 
-    /// A consumer deposited its summary-STP at this buffer. Records a
-    /// [`HopKind::Deposit`] hop when the value differs from the last one
+    /// A consumer deposited its summary-STP at this buffer. Journals a
+    /// [`HopLeg::Deposit`] hop when the value differs from the last one
     /// (the clock closure is only evaluated then).
     #[inline]
     pub(crate) fn on_deposit(
@@ -141,17 +135,8 @@ impl BufTele {
             return;
         }
         self.last_deposit = Some(value);
-        let t = now();
-        self.spans.record(FeedbackHop {
-            t,
-            kind: HopKind::Deposit,
-            node: self.node,
-            peer: consumer,
-            value,
-            extra: Micros::ZERO,
-        });
         self.journal.record(
-            t,
+            now(),
             self.node,
             JournalKind::Hop {
                 leg: HopLeg::Deposit,
@@ -162,7 +147,7 @@ impl BufTele {
     }
 
     /// This buffer's summary-STP was handed back to a producer on `put`.
-    /// Records a [`HopKind::Return`] hop on value change.
+    /// Journals a [`HopLeg::Return`] hop on value change.
     #[inline]
     pub(crate) fn on_return(
         &mut self,
@@ -174,17 +159,8 @@ impl BufTele {
             return;
         }
         self.last_return = Some(value);
-        let t = now();
-        self.spans.record(FeedbackHop {
-            t,
-            kind: HopKind::Return,
-            node: self.node,
-            peer: producer,
-            value,
-            extra: Micros::ZERO,
-        });
         self.journal.record(
-            t,
+            now(),
             self.node,
             JournalKind::Hop {
                 leg: HopLeg::Return,
@@ -331,9 +307,7 @@ pub(crate) struct TaskTele {
     prev_busy: Micros,
     prev_blocked: Micros,
     op_seq: u64,
-    spans: SpanShard,
     last_fold: Option<Micros>,
-    last_pace: Option<Micros>,
     // Flight-recorder journal: pace decisions at the law-fired gate,
     // staleness transitions, and fold hops.
     journal: JournalShard,
@@ -367,9 +341,7 @@ impl TaskTele {
             prev_busy: Micros::ZERO,
             prev_blocked: Micros::ZERO,
             op_seq: 0,
-            spans: tele.spans.shard(),
             last_fold: None,
-            last_pace: None,
             journal: tele.journal.shard(),
             law_code: law_code(law),
             was_stale: false,
@@ -377,9 +349,8 @@ impl TaskTele {
     }
 
     /// Iteration finished: publish STP gauges, iteration/pacing/staleness
-    /// counters, busy/blocked deltas, and (on summary change) a
-    /// [`HopKind::Pace`] hop tying the pacing decision to the summary that
-    /// drove it.
+    /// counters, busy/blocked deltas, and (when the law fired) the
+    /// journal's pace record.
     pub(crate) fn on_iteration(
         &mut self,
         t: SimTime,
@@ -452,42 +423,16 @@ impl TaskTele {
         );
         self.prev_busy = busy;
         self.prev_blocked = blocked;
-        if outcome.paced {
-            if let Some(s) = outcome.summary {
-                // The hop carries what the pacer actually applies — the
-                // law's target when one is active, the raw summary otherwise.
-                let value = outcome.pace_target.map_or(s.period(), |t| t.period());
-                if self.last_pace != Some(value) {
-                    self.last_pace = Some(value);
-                    self.spans.record(FeedbackHop {
-                        t,
-                        kind: HopKind::Pace,
-                        node,
-                        peer: node,
-                        value,
-                        extra: outcome.sleep,
-                    });
-                }
-            }
-        }
     }
 
     /// A `put` returned a buffer's summary-STP and the task folded it into
-    /// its controller — a [`HopKind::Fold`] hop, recorded on value change.
+    /// its controller — a [`HopLeg::Fold`] hop, journaled on value change.
     #[inline]
     pub(crate) fn on_fold(&mut self, t: SimTime, node: NodeId, from: NodeId, value: Micros) {
         if self.last_fold == Some(value) {
             return;
         }
         self.last_fold = Some(value);
-        self.spans.record(FeedbackHop {
-            t,
-            kind: HopKind::Fold,
-            node,
-            peer: from,
-            value,
-            extra: Micros::ZERO,
-        });
         self.journal.record(
             t,
             node,

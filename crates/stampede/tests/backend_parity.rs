@@ -6,7 +6,7 @@
 //! harness; this suite checks them *as the runtime actually uses them* —
 //! `RuntimeBuilder`-constructed graphs, supervised task loops, blocking
 //! endpoint wrappers, occupancy feedback — so a divergence anywhere on
-//! that path (endpoint wiring, wakeups, batching, byte accounting) trips
+//! that path (endpoint wiring, wakeups, byte accounting) trips
 //! here even if the raw queue ops agree.
 
 use aru_core::NodeId;
@@ -17,22 +17,13 @@ use vtime::Timestamp;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone)]
-struct Schedule {
-    /// Payload size per item; index is the timestamp.
-    sizes: Vec<usize>,
-    /// Producer chunk size (1 = single puts, >1 = put_batch).
-    prod_batch: usize,
-    /// Consumer `get_batch` max.
-    cons_batch: usize,
-}
-
-/// Drive one schedule through a src → queue → sink graph on `backend`.
+/// Drive one schedule (payload size per item; index is the timestamp)
+/// through a src → queue → sink graph on `backend`.
 /// Returns (received `(ts, len)` sequence, nodes that made pacing
 /// decisions, queue live_bytes observed after the sink drained all items).
 fn run_graph(
     backend: QueueBackend,
-    sched: &Schedule,
+    sizes: &[usize],
 ) -> (Vec<(u64, usize)>, Vec<NodeId>, u64) {
     let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Ref).with_queue_backend(backend);
     let q = b.queue::<Vec<u8>>("parity-q");
@@ -41,41 +32,28 @@ fn run_graph(
     let mut out = b.connect_queue_out(src, &q).unwrap();
     let mut inp = b.connect_queue_in(&q, snk).unwrap();
 
-    let items: Vec<(Timestamp, Vec<u8>)> = sched
-        .sizes
+    let items: Vec<(Timestamp, Vec<u8>)> = sizes
         .iter()
         .enumerate()
         .map(|(i, &s)| (Timestamp(i as u64), vec![(i % 251) as u8; s]))
         .collect();
     let total = items.len();
     let mut pending = items.into_iter();
-    let prod_batch = sched.prod_batch;
-    b.spawn(src, move |ctx| {
-        let chunk: Vec<_> = pending.by_ref().take(prod_batch).collect();
-        match chunk.len() {
-            0 => Ok(Step::Stop),
-            1 => {
-                let (ts, v) = chunk.into_iter().next().unwrap();
-                out.put(ctx, ts, v)?;
-                Ok(Step::Continue)
-            }
-            _ => {
-                out.put_batch(ctx, chunk)?;
-                Ok(Step::Continue)
-            }
+    b.spawn(src, move |ctx| match pending.next() {
+        None => Ok(Step::Stop),
+        Some((ts, v)) => {
+            out.put(ctx, ts, v)?;
+            Ok(Step::Continue)
         }
     });
 
     let received: Arc<Mutex<Vec<(u64, usize)>>> = Arc::default();
     let sink_rx = Arc::clone(&received);
-    let cons_batch = sched.cons_batch;
     b.spawn(snk, move |ctx| {
-        let batch = inp.get_batch(ctx, cons_batch)?;
+        let item = inp.get(ctx)?;
+        ctx.emit_output(item.ts);
         let mut rx = sink_rx.lock().unwrap();
-        for item in &batch {
-            ctx.emit_output(item.ts);
-            rx.push((item.ts.raw(), item.value.len()));
-        }
+        rx.push((item.ts.raw(), item.value.len()));
         if rx.len() >= total {
             Ok(Step::Stop)
         } else {
@@ -114,13 +92,8 @@ fn run_graph(
     (seq, pace_nodes, live)
 }
 
-fn expected(sched: &Schedule) -> Vec<(u64, usize)> {
-    sched
-        .sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (i as u64, s))
-        .collect()
+fn expected(sizes: &[usize]) -> Vec<(u64, usize)> {
+    sizes.iter().enumerate().map(|(i, &s)| (i as u64, s)).collect()
 }
 
 proptest! {
@@ -133,13 +106,10 @@ proptest! {
     #[test]
     fn backends_agree_on_random_schedules(
         sizes in prop::collection::vec(1usize..2048, 4..48),
-        prod_batch in 1usize..5,
-        cons_batch in 1usize..7,
     ) {
-        let sched = Schedule { sizes, prod_batch, cons_batch };
-        let (mx_seq, mx_pace, mx_live) = run_graph(QueueBackend::Mutex, &sched);
-        let (lf_seq, lf_pace, lf_live) = run_graph(QueueBackend::lock_free(), &sched);
-        let want = expected(&sched);
+        let (mx_seq, mx_pace, mx_live) = run_graph(QueueBackend::Mutex, &sizes);
+        let (lf_seq, lf_pace, lf_live) = run_graph(QueueBackend::lock_free(), &sizes);
+        let want = expected(&sizes);
         prop_assert_eq!(&mx_seq, &want, "mutex backend lost or reordered items");
         prop_assert_eq!(&lf_seq, &want, "lock-free backend lost or reordered items");
         prop_assert_eq!(mx_live, 0, "mutex backend leaked live bytes");
@@ -152,18 +122,13 @@ proptest! {
 }
 
 /// A fixed anchor case that always runs even if the property shrinks
-/// around it: single puts vs. batched gets, enough items to wrap the
-/// consumer batch several times.
+/// around it.
 #[test]
 fn scripted_schedule_matches_across_backends() {
-    let sched = Schedule {
-        sizes: (1..=40).map(|i| i * 13 % 512 + 1).collect(),
-        prod_batch: 3,
-        cons_batch: 4,
-    };
-    let (mx_seq, _, mx_live) = run_graph(QueueBackend::Mutex, &sched);
-    let (lf_seq, _, lf_live) = run_graph(QueueBackend::lock_free(), &sched);
-    let want = expected(&sched);
+    let sizes: Vec<usize> = (1..=40).map(|i| i * 13 % 512 + 1).collect();
+    let (mx_seq, _, mx_live) = run_graph(QueueBackend::Mutex, &sizes);
+    let (lf_seq, _, lf_live) = run_graph(QueueBackend::lock_free(), &sizes);
+    let want = expected(&sizes);
     assert_eq!(mx_seq, want);
     assert_eq!(lf_seq, want);
     assert_eq!((mx_live, lf_live), (0, 0));

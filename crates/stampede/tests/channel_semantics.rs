@@ -467,3 +467,175 @@ fn bounded_channel_blocking_is_excluded_from_stp() {
         src_stats.busy.mean
     );
 }
+
+/// One blocking entry point of the data plane, stuck on a buffer that will
+/// never become ready.
+#[derive(Clone, Copy, Debug)]
+enum BlockingOp {
+    GetLatest,
+    GetExact,
+    GetLatestAtOrBefore,
+    GetLatestWindow,
+    /// `Output::put` on a full capacity-1 channel.
+    Put,
+    /// `FanOut::put` whose second channel is full.
+    FanOutPut,
+    QueueGet(QueueBackend),
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Unblock {
+    /// `stop()` closes the buffer under the blocked op.
+    Close,
+    /// The task's op timeout passes.
+    Deadline,
+}
+
+/// A blocking op wired to its buffers, ready to run inside a task body.
+type Attempt = Box<dyn FnMut(&mut TaskCtx) -> Result<(), StampedeError> + Send>;
+
+/// Block `op` in a task of its own, unblock it by `how`, and return the
+/// error the op saw, how long it waited, that task's node, and the run
+/// report.
+fn run_blocked(
+    op: BlockingOp,
+    how: Unblock,
+) -> (StampedeError, Duration, aru_core::NodeId, RunReport) {
+    const OP_TIMEOUT_MS: u64 = 40;
+    let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::None);
+    if how == Unblock::Deadline {
+        b = b.with_op_timeout(Micros::from_millis(OP_TIMEOUT_MS));
+    }
+    if let BlockingOp::QueueGet(backend) = op {
+        b = b.with_queue_backend(backend);
+    }
+    let blocked = b.thread("blocked");
+    let peer = b.thread("peer");
+    // Everything the op needs is wired here; the peer never makes the
+    // buffer ready.
+    let mut attempt: Attempt = match op {
+        BlockingOp::Put | BlockingOp::FanOutPut => {
+            let free = b.channel_with_capacity::<Vec<u8>>("free", 1);
+            let full = b.channel_with_capacity::<Vec<u8>>("full", 1);
+            let out_free = b.connect_out(blocked, &free).unwrap();
+            let out_full = b.connect_out(blocked, &full).unwrap();
+            let _in_free = b.connect_in(&free, peer).unwrap();
+            let _in_full = b.connect_in(&full, peer).unwrap();
+            // Fill "full" from outside the task so the op blocks at once.
+            out_full
+                .channel()
+                .put(Timestamp(0), vec![0u8; 8], aru_metrics::IterKey::new(peer.node(), 0))
+                .unwrap();
+            if matches!(op, BlockingOp::Put) {
+                Box::new(move |ctx| out_full.put(ctx, Timestamp(1), vec![0u8; 8]))
+            } else {
+                let fan = FanOut::new(vec![out_free, out_full]);
+                Box::new(move |ctx| fan.put(ctx, Timestamp(1), vec![0u8; 8]))
+            }
+        }
+        BlockingOp::QueueGet(_) => {
+            let q = b.queue::<Vec<u8>>("empty");
+            let _out = b.connect_queue_out(peer, &q).unwrap();
+            let mut inp = b.connect_queue_in(&q, blocked).unwrap();
+            Box::new(move |ctx| inp.get(ctx).map(drop))
+        }
+        _ => {
+            let ch = b.channel::<Vec<u8>>("empty");
+            let _out = b.connect_out(peer, &ch).unwrap();
+            let mut inp = b.connect_in(&ch, blocked).unwrap();
+            Box::new(move |ctx| match op {
+                BlockingOp::GetLatest => inp.get_latest(ctx).map(drop),
+                BlockingOp::GetExact => inp.get_exact(ctx, Timestamp(3)).map(drop),
+                BlockingOp::GetLatestAtOrBefore => {
+                    inp.get_latest_at_or_before(ctx, Timestamp(3)).map(drop)
+                }
+                _ => inp.get_latest_window(ctx, 2).map(drop),
+            })
+        }
+    };
+    let seen: Arc<parking_lot::Mutex<Option<(StampedeError, Duration)>>> = Arc::default();
+    let seen2 = Arc::clone(&seen);
+    b.spawn(blocked, move |ctx| {
+        let t0 = std::time::Instant::now();
+        let err = attempt(ctx).expect_err("the buffer never becomes ready");
+        *seen2.lock() = Some((err, t0.elapsed()));
+        Err(err)
+    });
+    b.spawn(peer, |_| {
+        std::thread::sleep(Duration::from_millis(1));
+        Ok(Step::Continue)
+    });
+
+    let running = b.build().unwrap().start();
+    match how {
+        // Long enough that the op is parked when the close lands.
+        Unblock::Close => std::thread::sleep(Duration::from_millis(60)),
+        Unblock::Deadline => {
+            let t0 = std::time::Instant::now();
+            while seen.lock().is_none() {
+                assert!(t0.elapsed() < Duration::from_secs(10), "{op:?}: deadline never fired");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    }
+    let report = running.stop().unwrap();
+    let (err, waited) = seen.lock().take().expect("the blocked task recorded its error");
+    (err, waited, blocked.node(), report)
+}
+
+#[test]
+fn every_blocking_op_honours_close_and_deadline_the_same_way() {
+    use BlockingOp::*;
+    // (op, does the buffer trace? — the lock-free ring records no trace
+    // events, DESIGN.md §14, so its timeout is counted but not traced)
+    let table = [
+        (GetLatest, true),
+        (GetExact, true),
+        (GetLatestAtOrBefore, true),
+        (GetLatestWindow, true),
+        (Put, true),
+        (FanOutPut, true),
+        (QueueGet(QueueBackend::Mutex), true),
+        (QueueGet(QueueBackend::lock_free()), false),
+    ];
+    for (op, traces) in table {
+        for how in [Unblock::Close, Unblock::Deadline] {
+            let (err, waited, node, report) = run_blocked(op, how);
+            let case = format!("{op:?} / {how:?}");
+            let want = match how {
+                Unblock::Close => StampedeError::Closed,
+                Unblock::Deadline => StampedeError::Timeout,
+            };
+            assert_eq!(err, want, "{case}: wrong error");
+
+            let timeouts = report
+                .trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e, aru_metrics::TraceEvent::OpTimeout { node: n, .. } if *n == node))
+                .count();
+            let want_timeouts = usize::from(how == Unblock::Deadline && traces);
+            assert_eq!(timeouts, want_timeouts, "{case}: OpTimeout events");
+
+            // The wait is blocked time, not compute: the iteration's busy
+            // time (its current-STP) stays far below the time it waited.
+            let busy = report
+                .trace
+                .events()
+                .iter()
+                .rev()
+                .find_map(|e| match e {
+                    aru_metrics::TraceEvent::IterEnd { iter, busy, .. } if iter.node == node => {
+                        Some(*busy)
+                    }
+                    _ => None,
+                })
+                .expect("blocked iteration ended");
+            assert!(waited >= Duration::from_millis(30), "{case}: waited only {waited:?}");
+            assert!(
+                Duration::from(busy) < waited / 2,
+                "{case}: busy {busy} includes the {waited:?} wait"
+            );
+        }
+    }
+}

@@ -4,8 +4,7 @@
 //! mutex-based `Queue` for everything a task can see on the data path —
 //! returned items (FIFO order, payloads, timestamps), occupancy, byte
 //! accounting, consumer marks, and the summary-STP a put returns —
-//! under arbitrary interleavings of single, batch, blocking, and
-//! non-blocking ops. The mutex implementation stays compiled precisely
+//! under arbitrary interleavings of blocking and non-blocking ops. The mutex implementation stays compiled precisely
 //! to serve as this oracle.
 //!
 //! Documented divergences (module docs on `lfqueue`), pinned by tests
@@ -100,24 +99,6 @@ impl Pair {
         self.check_observables()
     }
 
-    fn put_batch(&mut self, n: usize, size: usize) -> Result<(), TestCaseError> {
-        if self.pending + n > OCCUPANCY_CAP {
-            return Ok(());
-        }
-        let batch: Vec<(Timestamp, Vec<u8>)> = (0..n)
-            .map(|_| {
-                let ts = Timestamp(self.next_ts);
-                self.next_ts += 1;
-                (ts, vec![ts.raw() as u8; size])
-            })
-            .collect();
-        self.pending += n;
-        let a = self.mx.put_batch(self.producer, batch.clone()).unwrap();
-        let b = self.lf.put_batch(self.producer, batch).unwrap();
-        prop_assert_eq!(a, b, "put_batch must return the same summary-STP");
-        self.check_observables()
-    }
-
     fn get(&mut self) -> Result<(), TestCaseError> {
         if self.pending == 0 {
             return self.try_get();
@@ -141,21 +122,6 @@ impl Pair {
             }
             (None, None) => {}
             _ => prop_assert!(false, "try_get availability must match"),
-        }
-        self.check_observables()
-    }
-
-    fn get_batch(&mut self, max: usize) -> Result<(), TestCaseError> {
-        if self.pending == 0 {
-            return self.try_get();
-        }
-        let a = self.mx.get_batch(0, &mut self.mx_ctx, max).unwrap();
-        let b = self.lf.get_batch(0, &mut self.lf_ctx, max).unwrap();
-        prop_assert_eq!(a.len(), b.len(), "batch sizes must match");
-        self.pending -= a.len();
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.ts, y.ts);
-            prop_assert_eq!(x.value.as_ref(), &y.value);
         }
         self.check_observables()
     }
@@ -191,18 +157,14 @@ proptest! {
     /// (marks, summary) agrees at the end.
     #[test]
     fn random_op_sequences_agree_with_mutex_oracle(
-        ops in prop::collection::vec((0u64..5, 1u64..9, 1u64..33), 1..200)
+        ops in prop::collection::vec((0u64..3, 1u64..33), 1..200)
     ) {
         let mut pair = Pair::new();
-        for (kind, n, size) in ops {
-            let n = n as usize;
-            let size = size as usize;
+        for (kind, size) in ops {
             match kind {
-                0 => pair.put(size)?,
-                1 => pair.put_batch(n, size)?,
-                2 => pair.try_get()?,
-                3 => pair.get()?,
-                4 => pair.get_batch(n)?,
+                0 => pair.put(size as usize)?,
+                1 => pair.try_get()?,
+                2 => pair.get()?,
                 _ => unreachable!(),
             }
         }
@@ -216,9 +178,12 @@ proptest! {
 fn scripted_mixed_ops_produce_identical_streams() {
     let mut pair = Pair::new();
     pair.put(8).unwrap();
-    pair.put_batch(5, 16).unwrap();
-    pair.get().unwrap();
-    pair.get_batch(3).unwrap();
+    for _ in 0..5 {
+        pair.put(16).unwrap();
+    }
+    for _ in 0..4 {
+        pair.get().unwrap();
+    }
     pair.put(4).unwrap();
     pair.try_get().unwrap();
     pair.try_get().unwrap();
@@ -235,7 +200,9 @@ fn scripted_mixed_ops_produce_identical_streams() {
 #[test]
 fn close_semantics_divergence_is_pinned() {
     let mut pair = Pair::new();
-    pair.put_batch(3, 8).unwrap();
+    for _ in 0..3 {
+        pair.put(8).unwrap();
+    }
 
     pair.mx.close();
     pair.lf.close();
@@ -272,14 +239,13 @@ fn close_semantics_divergence_is_pinned() {
     ));
 }
 
-/// Close racing a batch drain: a consumer looping `get_batch` while the
-/// producer is still putting (and then closes) must receive every item
-/// exactly once, in FIFO order, with no gap and no stranded tail — the
-/// same contract a batch claim has on the mutex oracle before its close
-/// frees the queue. Pins the close/`get_batch` race the single-threaded
+/// Close racing a drain: a consumer looping `get` while the producer is
+/// still putting (and then closes) must receive every item exactly once,
+/// in FIFO order, with no gap and no stranded tail — close never strands
+/// a drainable item. Pins the close/`get` race the single-threaded
 /// scripted tests above cannot reach.
 #[test]
-fn close_mid_batch_drains_contiguous_stream_then_closed() {
+fn close_mid_drain_delivers_contiguous_stream_then_closed() {
     const ITEMS: u64 = 40; // stays under CAPACITY so puts never park
     for round in 0..50 {
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
@@ -311,11 +277,8 @@ fn close_mid_batch_drains_contiguous_stream_then_closed() {
         bench_api::set_op_timeout(&mut ctx, Micros::from_millis(5_000));
         let mut seen = Vec::new();
         loop {
-            match lf.get_batch(0, &mut ctx, 8) {
-                Ok(batch) => {
-                    assert!(!batch.is_empty(), "blocking get_batch returned empty");
-                    seen.extend(batch.iter().map(|it| it.ts.raw()));
-                }
+            match lf.get(0, &mut ctx) {
+                Ok(item) => seen.push(item.ts.raw()),
                 Err(StampedeError::Closed) => break,
                 Err(e) => panic!("round {round}: unexpected error mid-drain: {e:?}"),
             }

@@ -1,10 +1,10 @@
 //! End-to-end tests of the live telemetry subsystem on the threaded
 //! runtime: the metrics registry fills in from real pipelines, and the
-//! feedback-loop span recorder attributes a source pacing decision to the
+//! flight-recorder journal attributes a source pacing decision to the
 //! full backward-propagation hop chain (Deposit → Return → Fold → Pace).
 
-use aru_metrics::journal::HopLeg;
-use aru_metrics::{HopKind, JournalKind, Telemetry};
+use aru_metrics::journal::{attribute_pace, HopLeg, JournalRecord};
+use aru_metrics::{JournalKind, Telemetry};
 use stampede::prelude::*;
 use std::time::Duration;
 use vtime::{Micros, Timestamp};
@@ -121,50 +121,83 @@ fn registry_fills_in_from_a_live_pipeline() {
     assert!(put_ns > 0, "put latency samples: {put_ns}");
 }
 
+/// `(peer, value)` of a hop record of the given leg.
+fn hop(rec: &JournalRecord, want: HopLeg) -> (aru_core::NodeId, Micros) {
+    match rec.kind {
+        JournalKind::Hop { leg, peer, value } if leg == want => (peer, value),
+        other => panic!("expected a {want:?} hop, got {other:?}"),
+    }
+}
+
+fn pace_records(telemetry: &Telemetry) -> usize {
+    telemetry
+        .journal
+        .snapshot()
+        .records
+        .iter()
+        .filter(|r| matches!(r.kind, JournalKind::Pace { .. }))
+        .count()
+}
+
+/// At least one pacing decision must attribute through the whole backward
+/// path: the sink deposited a summary at the buffer, the buffer returned
+/// it to the source with a put, the source folded it, then paced on it.
+fn assert_pace_attributes_to_full_chain(
+    telemetry: &Telemetry,
+    src_node: aru_core::NodeId,
+    snk_node: aru_core::NodeId,
+) {
+    let snap = telemetry.journal.snapshot();
+    let recs = &snap.records;
+    let paces: Vec<usize> = (0..recs.len())
+        .filter(|&i| matches!(recs[i].kind, JournalKind::Pace { .. }))
+        .collect();
+    assert!(!paces.is_empty(), "source pacing journaled no Pace records");
+
+    let (pace, deposit, ret, fold) = paces
+        .iter()
+        .find_map(|&p| {
+            let chain = attribute_pace(recs, p);
+            Some((recs[p], chain.deposit?, chain.ret?, chain.fold?))
+        })
+        .expect("no pace attributable to a full Deposit → Return → Fold chain");
+    let (dep_peer, value) = hop(&deposit, HopLeg::Deposit);
+    let (ret_peer, ret_value) = hop(&ret, HopLeg::Return);
+    let (fold_peer, fold_value) = hop(&fold, HopLeg::Fold);
+    assert!(
+        ret_value == value && fold_value == value,
+        "one value links the chain"
+    );
+    assert!(value > Micros::ZERO, "summary period is a real measurement");
+    // Topology: deposit/return observed at the buffer (same node), the
+    // deposit came from the sink, the return went to the source, and the
+    // fold/pace happened on the source thread.
+    assert_eq!(deposit.node, ret.node, "deposit and return at the buffer");
+    assert_eq!(dep_peer, snk_node, "deposit credited to the sink");
+    assert_eq!(ret_peer, src_node, "return handed to the source");
+    assert_eq!(fold.node, src_node, "fold on the source thread");
+    assert_eq!(fold_peer, ret.node, "fold names the buffer it came from");
+    assert_eq!(pace.node, src_node, "pace on the source thread");
+    // Timestamps are causally ordered along the chain.
+    let ts = [deposit.t, ret.t, fold.t, pace.t];
+    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "hops time-ordered: {ts:?}");
+    // And the pacing actually slept at some point in the run.
+    assert!(
+        recs.iter().any(|r| matches!(
+            r.kind,
+            JournalKind::Pace { sleep, .. } if r.node == src_node && sleep > Micros::ZERO
+        )),
+        "no pace record carried a nonzero sleep"
+    );
+}
+
 #[test]
 fn pace_attributes_to_deposit_return_fold_chain() {
     // Slow sink, fast source: ARU-min (SourcesOnly) must pace the source,
     // and every pacing change must be attributable hop by hop.
     let (telemetry, src_node, snk_node, report) = run_instrumented_until(1, 10, 500, 3);
     assert!(report.outputs() > 3);
-    let spans = telemetry.spans.snapshot();
-    let paces = spans.paces();
-    assert!(!paces.is_empty(), "source pacing recorded no Pace hops");
-
-    // At least one pacing decision must attribute through the whole
-    // backward path: the sink deposited a summary at the channel, the
-    // channel returned it to the source with a put, the source folded it,
-    // then paced on it.
-    let full_chain = paces
-        .iter()
-        .map(|&p| spans.attribute_pace(p))
-        .find(|chain| chain.len() == 4);
-    let chain = full_chain.expect("no pace attributable to a full 4-hop chain");
-    let hops: Vec<_> = chain.iter().map(|&i| spans.hops[i]).collect();
-    assert_eq!(
-        hops.iter().map(|h| h.kind).collect::<Vec<_>>(),
-        [HopKind::Deposit, HopKind::Return, HopKind::Fold, HopKind::Pace],
-        "hops in propagation order"
-    );
-    let value = hops[3].value;
-    assert!(hops.iter().all(|h| h.value == value), "one value links the chain");
-    assert!(value > Micros::ZERO, "summary period is a real measurement");
-    // Topology: deposit/return observed at the channel (same node), the
-    // deposit came from the sink, the return went to the source, and the
-    // fold/pace happened on the source thread.
-    assert_eq!(hops[0].node, hops[1].node, "deposit and return at the channel");
-    assert_eq!(hops[0].peer, snk_node, "deposit credited to the sink");
-    assert_eq!(hops[1].peer, src_node, "return handed to the source");
-    assert_eq!(hops[2].node, src_node, "fold on the source thread");
-    assert_eq!(hops[2].peer, hops[1].node, "fold names the channel it came from");
-    assert_eq!(hops[3].node, src_node, "pace on the source thread");
-    // Timestamps are causally ordered along the chain.
-    assert!(hops.windows(2).all(|w| w[0].t <= w[1].t), "hops time-ordered");
-    // And the pacing actually slept at some point in the run.
-    assert!(
-        spans.hops.iter().any(|h| h.kind == HopKind::Pace && h.extra > Micros::ZERO),
-        "no pace hop carried a nonzero sleep"
-    );
+    assert_pace_attributes_to_full_chain(&telemetry, src_node, snk_node);
 }
 
 /// Same pipeline as [`run_instrumented`], but the edge is a lock-free
@@ -210,64 +243,17 @@ fn run_instrumented_lockfree(
 fn lockfree_backend_pace_attributes_through_the_same_chain() {
     // The lock-free ring must not be lineage-blind: a pacing decision on
     // the LF backend has the same Deposit → Return → Fold → Pace evidence
-    // as the mutex path, both in the span rings and in the persisted
-    // flight-recorder journal.
+    // in the flight-recorder journal as the mutex path.
     let mut picked = None;
     for attempt in 0..3 {
         let r = run_instrumented_lockfree(1, 10, 500 << (2 * attempt));
-        let has_pace = !r.0.spans.snapshot().paces().is_empty();
-        if r.3.outputs() > 3 && has_pace {
-            picked = Some(r);
+        let done = r.3.outputs() > 3 && pace_records(&r.0) > 0;
+        picked = Some(r);
+        if done {
             break;
         }
-        picked = Some(r);
     }
     let (telemetry, src_node, snk_node, report) = picked.expect("at least one attempt ran");
     assert!(report.outputs() > 3);
-
-    let spans = telemetry.spans.snapshot();
-    let paces = spans.paces();
-    assert!(!paces.is_empty(), "LF source pacing recorded no Pace hops");
-    let full_chain = paces
-        .iter()
-        .map(|&p| spans.attribute_pace(p))
-        .find(|chain| chain.len() == 4)
-        .expect("no LF pace attributable to a full 4-hop chain");
-    let hops: Vec<_> = full_chain.iter().map(|&i| spans.hops[i]).collect();
-    assert_eq!(
-        hops.iter().map(|h| h.kind).collect::<Vec<_>>(),
-        [HopKind::Deposit, HopKind::Return, HopKind::Fold, HopKind::Pace],
-        "hops in propagation order"
-    );
-    let value = hops[3].value;
-    assert!(hops.iter().all(|h| h.value == value), "one value links the chain");
-    assert_eq!(hops[0].node, hops[1].node, "deposit and return at the queue");
-    assert_eq!(hops[0].peer, snk_node, "deposit credited to the sink");
-    assert_eq!(hops[1].peer, src_node, "return handed to the source");
-    assert_eq!(hops[2].node, src_node, "fold on the source thread");
-    assert_eq!(hops[3].node, src_node, "pace on the source thread");
-
-    // The journal — the durable mirror of the same chain — must carry all
-    // three hop legs plus the pace decision, with the same topology.
-    let snap = telemetry.journal.snapshot();
-    let hop = |leg: HopLeg| {
-        snap.records.iter().find_map(|r| match r.kind {
-            JournalKind::Hop { leg: l, peer, value } if l == leg => Some((r.node, peer, value)),
-            _ => None,
-        })
-    };
-    let (dep_node, dep_peer, _) = hop(HopLeg::Deposit).expect("deposit leg journaled");
-    assert_eq!(dep_peer, snk_node, "journal deposit credited to the sink");
-    let (ret_node, ret_peer, _) = hop(HopLeg::Return).expect("return leg journaled");
-    assert_eq!(ret_node, dep_node, "journal return at the same queue node");
-    assert_eq!(ret_peer, src_node, "journal return handed to the source");
-    let (fold_node, fold_peer, _) = hop(HopLeg::Fold).expect("fold leg journaled");
-    assert_eq!(fold_node, src_node, "journal fold on the source thread");
-    assert_eq!(fold_peer, dep_node, "journal fold names the queue");
-    assert!(
-        snap.records.iter().any(|r| {
-            r.node == src_node && matches!(r.kind, JournalKind::Pace { .. })
-        }),
-        "pace decision journaled on the source thread"
-    );
+    assert_pace_attributes_to_full_chain(&telemetry, src_node, snk_node);
 }

@@ -176,7 +176,9 @@ pub fn build_queue_tracker(params: &QueueTrackerParams) -> Result<QueueTracker, 
                 })
                 .collect();
             extra(d);
-            out_locs.put_batch(ctx, locs)?;
+            for (ts, loc) in locs {
+                out_locs.put(ctx, ts, loc)?;
+            }
             consumed.fetch_add(1, Ordering::Relaxed);
             Ok(Step::Continue)
         });
