@@ -50,6 +50,15 @@ pub fn configs() -> [(TrackerConfigId, &'static str); 2] {
     ]
 }
 
+/// The `config` column of the figure CSVs.
+#[must_use]
+pub(crate) fn csv_label(config: TrackerConfigId) -> &'static str {
+    match config {
+        TrackerConfigId::OneNode => "1node",
+        TrackerConfigId::FiveNodes => "5nodes",
+    }
+}
+
 /// Experiment-wide parameters.
 #[derive(Debug, Clone)]
 pub struct ExpParams {

@@ -2,11 +2,11 @@
 //! ("average statistics over successive execution runs" — we run every
 //! seed in `ExpParams::seeds` and report mean/σ across runs).
 
-use crate::config::{configs, modes, ExpParams};
+use crate::cells::PaperCells;
+use crate::config::{configs, csv_label, modes};
 use crate::tables::{paper, ShapeCheck};
 use aru_metrics::report::Table;
 use tracker::TrackerConfigId;
-use vtime::OnlineStats;
 
 /// One measured row (aggregated over seeds).
 #[derive(Debug, Clone)]
@@ -26,62 +26,30 @@ pub struct Fig10 {
     pub rows: Vec<Fig10Row>,
 }
 
-/// Run the Figure-10 experiment. Cells run concurrently; folding follows
-/// the serial loop order (see [`crate::driver`]).
-#[must_use]
-pub fn run(params: &ExpParams) -> Fig10 {
-    let duration = params.duration;
-    let mut spec = Vec::new();
-    for (config, _) in configs() {
-        for mode in modes() {
-            for &seed in &params.seeds {
-                spec.push((config, mode, seed));
-            }
-        }
-    }
-    let jobs: Vec<_> = spec
-        .iter()
-        .map(|&(config, mode, seed)| {
-            move || {
-                let a = crate::config::run_cell(mode, config, seed, duration).analyze();
-                (
-                    a.perf.throughput_fps,
-                    a.perf.latency.mean / 1000.0,
-                    a.perf.jitter_us / 1000.0,
-                )
-            }
-        })
-        .collect();
-    let results = crate::driver::run_jobs(jobs);
-
-    let mut out = Fig10::default();
-    let mut it = results.iter();
-    for (config, _) in configs() {
-        for mode in modes() {
-            let mut fps = OnlineStats::new();
-            let mut lat = OnlineStats::new();
-            let mut jit = OnlineStats::new();
-            for _ in &params.seeds {
-                let &(f, l, j) = it.next().expect("one result per cell");
-                fps.push(f);
-                lat.push(l);
-                jit.push(j);
-            }
-            out.rows.push(Fig10Row {
-                mode: mode.label(),
-                config,
-                fps_mean: fps.mean(),
-                fps_std: fps.std_dev(),
-                latency_ms_mean: lat.mean(),
-                latency_ms_std: lat.std_dev(),
-                jitter_ms: jit.mean(),
-            });
-        }
-    }
-    out
-}
-
 impl Fig10 {
+    /// Fold Figure 10 out of the cell set: mean/σ across the seeds.
+    #[must_use]
+    pub fn from_cells(cells: &PaperCells) -> Fig10 {
+        let mut out = Fig10::default();
+        for &config in cells.configs() {
+            for mode in modes() {
+                let fps = cells.stats(config, mode, |c| c.perf.throughput_fps);
+                let lat = cells.stats(config, mode, |c| c.perf.latency.mean / 1000.0);
+                let jit = cells.stats(config, mode, |c| c.perf.jitter_us / 1000.0);
+                out.rows.push(Fig10Row {
+                    mode: mode.label(),
+                    config,
+                    fps_mean: fps.mean(),
+                    fps_std: fps.std_dev(),
+                    latency_ms_mean: lat.mean(),
+                    latency_ms_std: lat.std_dev(),
+                    jitter_ms: jit.mean(),
+                });
+            }
+        }
+        out
+    }
+
     /// Render with paper values alongside.
     #[must_use]
     pub fn render(&self) -> String {
@@ -132,12 +100,9 @@ impl Fig10 {
             "config,mode,fps_mean,fps_std,latency_ms_mean,latency_ms_std,jitter_ms\n",
         );
         for row in &self.rows {
-            let cfg = match row.config {
-                TrackerConfigId::OneNode => "1node",
-                TrackerConfigId::FiveNodes => "5nodes",
-            };
             s.push_str(&format!(
-                "{cfg},{},{:.4},{:.4},{:.3},{:.3},{:.3}\n",
+                "{},{},{:.4},{:.4},{:.3},{:.3},{:.3}\n",
+                csv_label(row.config),
                 row.mode,
                 row.fps_mean,
                 row.fps_std,
@@ -204,9 +169,7 @@ mod tests {
 
     #[test]
     fn fig10_quick_run_has_paper_shape() {
-        let mut p = ExpParams::quick();
-        p.seeds = vec![2005];
-        let fig = run(&p);
+        let fig = Fig10::from_cells(crate::cells::tests::quick_cells());
         assert_eq!(fig.rows.len(), 6);
         for c in fig.shape_checks() {
             assert!(c.passed, "{} — {}", c.name, c.detail);

@@ -1,7 +1,8 @@
 //! Figure 6: memory footprint of the tracker vs the Ideal Garbage
 //! Collector, in both configurations.
 
-use crate::config::{configs, modes, ExpParams, Mode};
+use crate::cells::PaperCells;
+use crate::config::{configs, csv_label, modes, Mode};
 use crate::tables::{paper, ShapeCheck};
 use aru_metrics::report::Table;
 use tracker::TrackerConfigId;
@@ -27,81 +28,36 @@ pub struct Fig6 {
     pub igc: Vec<(TrackerConfigId, f64, f64)>,
 }
 
-/// Run the Figure-6 experiment. The paper reports "average statistics over
-/// successive execution runs": every cell is averaged over all seeds.
-///
-/// All (config, seed, mode) cells run concurrently through the parallel
-/// driver; the fold below consumes results in the serial loop's order, so
-/// the accumulated statistics are bit-identical to a serial run.
-#[must_use]
-pub fn run(params: &ExpParams) -> Fig6 {
-    use vtime::OnlineStats;
-    let duration = params.duration;
-    let mut spec = Vec::new();
-    for (config, _) in configs() {
-        for &seed in &params.seeds {
-            for mode in modes() {
-                spec.push((config, seed, mode));
-            }
-        }
-    }
-    let jobs: Vec<_> = spec
-        .iter()
-        .map(|&(config, seed, mode)| {
-            move || {
-                let analysis = crate::config::run_cell(mode, config, seed, duration).analyze();
-                let s = analysis.footprint.observed_summary();
-                let igc = (mode == Mode::NoAru).then(|| {
-                    let g = analysis.igc.summary();
-                    (g.mean / MB, g.std_dev / MB)
-                });
-                (s.mean / MB, s.std_dev / MB, igc)
-            }
-        })
-        .collect();
-    let results = crate::driver::run_jobs(jobs);
-
-    let mut out = Fig6::default();
-    let mut it = spec.iter().zip(&results);
-    for (config, _) in configs() {
-        // IGC reference from the baseline (No-ARU) runs.
-        let mut igc_mean = OnlineStats::new();
-        let mut igc_std = OnlineStats::new();
-        let mut cells: Vec<(Mode, OnlineStats, OnlineStats)> = modes()
-            .into_iter()
-            .map(|m| (m, OnlineStats::new(), OnlineStats::new()))
-            .collect();
-        for _ in &params.seeds {
-            for (mode, mean_acc, std_acc) in &mut cells {
-                let (&(c, _, m), &(mean, std, igc)) = it.next().expect("one result per cell");
-                debug_assert!(c == config && m == *mode, "fold order mismatch");
-                mean_acc.push(mean);
-                std_acc.push(std);
-                if let Some((gm, gs)) = igc {
-                    igc_mean.push(gm);
-                    igc_std.push(gs);
-                }
-            }
-        }
-        out.igc.push((config, igc_mean.mean(), igc_std.mean()));
-        for (mode, mean_acc, std_acc) in cells {
-            out.rows.push(Fig6Row {
-                mode: mode.label(),
-                config,
-                mean_mb: mean_acc.mean(),
-                std_mb: std_acc.mean(),
-                pct_wrt_igc: if igc_mean.mean() > 0.0 {
-                    100.0 * mean_acc.mean() / igc_mean.mean()
-                } else {
-                    0.0
-                },
-            });
-        }
-    }
-    out
-}
-
 impl Fig6 {
+    /// Fold Figure 6 out of the cell set. The paper reports "average
+    /// statistics over successive execution runs": every row is averaged
+    /// over all seeds, and the IGC reference is the postmortem of the
+    /// baseline (No-ARU) cells.
+    #[must_use]
+    pub fn from_cells(cells: &PaperCells) -> Fig6 {
+        let mut out = Fig6::default();
+        for &config in cells.configs() {
+            let igc_mean = cells.stats(config, Mode::NoAru, |c| c.igc.mean / MB).mean();
+            let igc_std = cells.stats(config, Mode::NoAru, |c| c.igc.std_dev / MB).mean();
+            out.igc.push((config, igc_mean, igc_std));
+            for mode in modes() {
+                let mean_mb = cells.stats(config, mode, |c| c.footprint.mean / MB).mean();
+                out.rows.push(Fig6Row {
+                    mode: mode.label(),
+                    config,
+                    mean_mb,
+                    std_mb: cells.stats(config, mode, |c| c.footprint.std_dev / MB).mean(),
+                    pct_wrt_igc: if igc_mean > 0.0 {
+                        100.0 * mean_mb / igc_mean
+                    } else {
+                        0.0
+                    },
+                });
+            }
+        }
+        out
+    }
+
     /// Render in the paper's format, with the paper's values alongside.
     #[must_use]
     pub fn render(&self) -> String {
@@ -154,20 +110,17 @@ impl Fig6 {
     pub fn to_csv(&self) -> String {
         let mut s = String::from("config,mode,std_mb,mean_mb,pct_wrt_igc\n");
         for row in &self.rows {
-            let cfg = match row.config {
-                TrackerConfigId::OneNode => "1node",
-                TrackerConfigId::FiveNodes => "5nodes",
-            };
             s.push_str(&format!(
-                "{cfg},{},{:.4},{:.4},{:.2}\n",
-                row.mode, row.std_mb, row.mean_mb, row.pct_wrt_igc
+                "{},{},{:.4},{:.4},{:.2}\n",
+                csv_label(row.config),
+                row.mode,
+                row.std_mb,
+                row.mean_mb,
+                row.pct_wrt_igc
             ));
         }
         for &(config, mean, std) in &self.igc {
-            let cfg = match config {
-                TrackerConfigId::OneNode => "1node",
-                TrackerConfigId::FiveNodes => "5nodes",
-            };
+            let cfg = csv_label(config);
             s.push_str(&format!("{cfg},IGC,{std:.4},{mean:.4},100.00\n"));
         }
         s
@@ -216,7 +169,7 @@ mod tests {
 
     #[test]
     fn fig6_quick_run_has_paper_shape() {
-        let fig = run(&ExpParams::quick());
+        let fig = Fig6::from_cells(crate::cells::tests::quick_cells());
         assert_eq!(fig.rows.len(), 6);
         assert_eq!(fig.igc.len(), 2);
         let checks = fig.shape_checks();

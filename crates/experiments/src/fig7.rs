@@ -1,6 +1,7 @@
 //! Figure 7: wasted memory footprint and wasted computation.
 
-use crate::config::{configs, modes, ExpParams};
+use crate::cells::PaperCells;
+use crate::config::{configs, csv_label, modes};
 use crate::tables::{paper, ShapeCheck};
 use aru_metrics::report::Table;
 use tracker::TrackerConfigId;
@@ -20,55 +21,29 @@ pub struct Fig7 {
     pub rows: Vec<Fig7Row>,
 }
 
-/// Run the Figure-7 experiment, averaging each cell over all seeds. Cells
-/// run concurrently; folding follows the serial loop order (see
-/// [`crate::driver`]).
-#[must_use]
-pub fn run(params: &ExpParams) -> Fig7 {
-    use vtime::OnlineStats;
-    let duration = params.duration;
-    let mut spec = Vec::new();
-    for (config, _) in configs() {
-        for mode in modes() {
-            for &seed in &params.seeds {
-                spec.push((config, mode, seed));
-            }
-        }
-    }
-    let jobs: Vec<_> = spec
-        .iter()
-        .map(|&(config, mode, seed)| {
-            move || {
-                let a = crate::config::run_cell(mode, config, seed, duration).analyze();
-                (a.waste.pct_memory_wasted(), a.waste.pct_computation_wasted())
-            }
-        })
-        .collect();
-    let results = crate::driver::run_jobs(jobs);
-
-    let mut out = Fig7::default();
-    let mut it = results.iter();
-    for (config, _) in configs() {
-        for mode in modes() {
-            let mut mem = OnlineStats::new();
-            let mut comp = OnlineStats::new();
-            for _ in &params.seeds {
-                let &(m, c) = it.next().expect("one result per cell");
-                mem.push(m);
-                comp.push(c);
-            }
-            out.rows.push(Fig7Row {
-                mode: mode.label(),
-                config,
-                pct_mem_wasted: mem.mean(),
-                pct_comp_wasted: comp.mean(),
-            });
-        }
-    }
-    out
-}
-
 impl Fig7 {
+    /// Fold Figure 7 out of the cell set, averaging each row over all
+    /// seeds.
+    #[must_use]
+    pub fn from_cells(cells: &PaperCells) -> Fig7 {
+        let mut out = Fig7::default();
+        for &config in cells.configs() {
+            for mode in modes() {
+                out.rows.push(Fig7Row {
+                    mode: mode.label(),
+                    config,
+                    pct_mem_wasted: cells
+                        .stats(config, mode, |c| c.waste.pct_memory_wasted())
+                        .mean(),
+                    pct_comp_wasted: cells
+                        .stats(config, mode, |c| c.waste.pct_computation_wasted())
+                        .mean(),
+                });
+            }
+        }
+        out
+    }
+
     /// Render with paper values alongside.
     #[must_use]
     pub fn render(&self) -> String {
@@ -109,13 +84,12 @@ impl Fig7 {
     pub fn to_csv(&self) -> String {
         let mut s = String::from("config,mode,pct_mem_wasted,pct_comp_wasted\n");
         for row in &self.rows {
-            let cfg = match row.config {
-                TrackerConfigId::OneNode => "1node",
-                TrackerConfigId::FiveNodes => "5nodes",
-            };
             s.push_str(&format!(
-                "{cfg},{},{:.3},{:.3}\n",
-                row.mode, row.pct_mem_wasted, row.pct_comp_wasted
+                "{},{},{:.3},{:.3}\n",
+                csv_label(row.config),
+                row.mode,
+                row.pct_mem_wasted,
+                row.pct_comp_wasted
             ));
         }
         s
@@ -167,7 +141,7 @@ mod tests {
 
     #[test]
     fn fig7_quick_run_has_paper_shape() {
-        let fig = run(&ExpParams::quick());
+        let fig = Fig7::from_cells(crate::cells::tests::quick_cells());
         assert_eq!(fig.rows.len(), 6);
         for c in fig.shape_checks() {
             assert!(c.passed, "{} — {}", c.name, c.detail);

@@ -5,7 +5,8 @@
 //! Output: a long-format CSV (`label,t_us,value`) plottable with any tool,
 //! plus ASCII plots for terminal inspection.
 
-use crate::config::{ExpParams, Mode};
+use crate::cells::PaperCells;
+use crate::config::Mode;
 use crate::tables::ShapeCheck;
 use aru_metrics::report::{ascii_plot, series_csv};
 use aru_metrics::IGC_LABEL;
@@ -21,42 +22,36 @@ pub struct FigSeries {
     pub t_end: SimTime,
 }
 
-/// Run Figure 8 (config 1) or Figure 9 (config 2). The three runs (the
-/// No-ARU baseline — whose trace also yields the IGC panel — plus ARU-max
-/// and ARU-min) execute concurrently.
-#[must_use]
-pub fn run(config: TrackerConfigId, params: &ExpParams) -> FigSeries {
-    let seed = params.seeds[0];
-    let duration = params.duration;
-    let jobs: Vec<_> = [Mode::NoAru, Mode::AruMax, Mode::AruMin]
-        .into_iter()
-        .map(|mode| {
-            move || {
-                let r = crate::config::run_cell(mode, config, seed, duration);
-                let a = r.analyze();
-                let igc = (mode == Mode::NoAru).then(|| a.igc.series.clone());
-                (igc, a.footprint.observed, r.t_end)
-            }
-        })
-        .collect();
-    let mut results = crate::driver::run_jobs(jobs);
-    let (_, min_obs, _) = results.pop().expect("ARU-min result");
-    let (_, max_obs, _) = results.pop().expect("ARU-max result");
-    let (base_igc, base_obs, t_end) = results.pop().expect("baseline result");
-    let panels = vec![
-        (IGC_LABEL.to_string(), base_igc.expect("baseline yields IGC")),
-        (Mode::AruMax.label().to_string(), max_obs),
-        (Mode::AruMin.label().to_string(), min_obs),
-        (Mode::NoAru.label().to_string(), base_obs),
-    ];
-    FigSeries {
-        config,
-        panels,
-        t_end,
-    }
-}
-
 impl FigSeries {
+    /// Figure 8 (config 1) or Figure 9 (config 2) out of the cell set: the
+    /// first seed's run per mode, the IGC panel from the No-ARU baseline's
+    /// trace.
+    #[must_use]
+    pub fn from_cells(cells: &PaperCells, config: TrackerConfigId) -> FigSeries {
+        // The first seed's run is the one that kept its series.
+        let run = |mode: Mode| &cells.of(config, mode)[0];
+        let series = |mode: Mode| run(mode).series.as_ref().expect("first seed keeps its series");
+        let observed = |mode: Mode| (mode.label().to_string(), series(mode).observed.clone());
+        FigSeries {
+            config,
+            panels: vec![
+                (IGC_LABEL.to_string(), series(Mode::NoAru).igc.clone()),
+                observed(Mode::AruMax),
+                observed(Mode::AruMin),
+                observed(Mode::NoAru),
+            ],
+            t_end: run(Mode::NoAru).t_end,
+        }
+    }
+
+    /// 8 or 9.
+    fn fig_no(&self) -> u32 {
+        match self.config {
+            TrackerConfigId::OneNode => 8,
+            TrackerConfigId::FiveNodes => 9,
+        }
+    }
+
     /// Long-format CSV of all four panels (downsampled to `buckets` rows
     /// per panel).
     #[must_use]
@@ -72,11 +67,7 @@ impl FigSeries {
     /// ASCII rendering of all four panels.
     #[must_use]
     pub fn render_ascii(&self, rows: usize, cols: usize) -> String {
-        let fig_no = match self.config {
-            TrackerConfigId::OneNode => 8,
-            TrackerConfigId::FiveNodes => 9,
-        };
-        let mut s = format!("Figure {fig_no} — footprint vs time (bytes)\n");
+        let mut s = format!("Figure {} — footprint vs time (bytes)\n", self.fig_no());
         for (label, series) in &self.panels {
             s.push_str(&ascii_plot(label, series, self.t_end, rows, cols));
         }
@@ -90,10 +81,7 @@ impl FigSeries {
         let mean =
             |s: &TimeWeightedSeries| s.weighted_summary(self.t_end).mean;
         let lvl: Vec<f64> = self.panels.iter().map(|(_, s)| mean(s)).collect();
-        let name = match self.config {
-            TrackerConfigId::OneNode => "fig8",
-            TrackerConfigId::FiveNodes => "fig9",
-        };
+        let name = format!("fig{}", self.fig_no());
         // Panel order is [IGC, ARU-max, ARU-min, No-ARU]. The paper's
         // visual: No-ARU towers above everything; ARU-min sits between;
         // ARU-max hugs the ideal line. (Whether ARU-max lands slightly
@@ -133,7 +121,10 @@ mod tests {
 
     #[test]
     fn fig8_quick_run_has_paper_shape() {
-        let fig = run(TrackerConfigId::OneNode, &ExpParams::quick());
+        let fig = FigSeries::from_cells(
+            crate::cells::tests::quick_cells(),
+            TrackerConfigId::OneNode,
+        );
         assert_eq!(fig.panels.len(), 4);
         for c in fig.shape_checks() {
             assert!(c.passed, "{} — {}", c.name, c.detail);

@@ -3,6 +3,7 @@
 //!
 //! | Module | Paper artifact |
 //! |---|---|
+//! | [`cells`] | The `(config, mode, seed)` cell set Figures 6–10 are folded from, each cell simulated once |
 //! | [`fig6`] | Figure 6 — mean/σ memory footprint vs IGC, both configs |
 //! | [`fig7`] | Figure 7 — % wasted memory & computation |
 //! | [`fig8_9`] | Figures 8/9 — footprint-vs-time series (4 panels each) |
@@ -19,6 +20,7 @@
 //! cargo run -p experiments --release --bin repro -- --exp all
 //! ```
 
+pub mod cells;
 pub mod chaos;
 pub mod config;
 pub mod doctor;
