@@ -17,7 +17,7 @@ use crate::schannel::{SimChannel, SimItem};
 use crate::spec::InputPolicy;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, RetryPolicy, Topology};
 use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine, DgcResult, GcMode};
-use aru_metrics::journal::{law_code, FaultClass, HopLeg};
+use aru_metrics::journal::{FaultClass, TaskGates};
 use aru_metrics::{Counter, Histogram, IterKey, JournalKind, JournalShard, Telemetry, Trace};
 use std::collections::HashMap;
 use vtime::{Micros, SimTime, Timestamp, TsStore};
@@ -120,11 +120,9 @@ struct TaskState {
     /// When the current crash happened (sim time) — taken by the restart
     /// handler to measure crash→restart recovery latency.
     crashed_at: Option<SimTime>,
-    /// Staleness edge tracker for the flight-recorder journal (enter/leave
-    /// transitions, not per-iteration area).
-    was_stale: bool,
-    /// Change gate for the journal's Fold hop records.
-    last_fold: Option<Micros>,
+    /// Gates of the journal's Stale, Pace and Fold records — the threaded
+    /// runtime's, so sim and live journals are directly comparable.
+    gates: TaskGates,
 }
 
 /// Fault-injection telemetry: how many faults took effect (by kind), how
@@ -144,12 +142,10 @@ struct SimTele {
     /// shard serves every record site (same schema as the threaded runtime
     /// — DESIGN.md §16 — making sim and live journals directly comparable).
     journal: JournalShard,
-    /// Encoded control-law label, stamped into Pace records.
-    law: u8,
 }
 
 impl SimTele {
-    fn new(law: u8) -> Self {
+    fn new() -> Self {
         let bundle = Telemetry::new();
         let reg = &bundle.registry;
         let fault = |kind: &str| reg.counter("aru_faults_injected_total", &[("kind", kind)]);
@@ -161,7 +157,6 @@ impl SimTele {
             restarts: reg.counter("aru_restarts_total", &[]),
             recovery_latency_us: reg.histogram("aru_recovery_latency_us", &[]),
             journal: bundle.journal.shard(),
-            law,
             bundle,
         }
     }
@@ -331,8 +326,7 @@ impl Sim {
                     dead: false,
                     pending_stall: Micros::ZERO,
                     crashed_at: None,
-                    was_stale: false,
-                    last_fold: None,
+                    gates: TaskGates::new(config.aru.control.label()),
                 }
             })
             .collect();
@@ -352,7 +346,7 @@ impl Sim {
             dgc_engine,
             dgc_result: DgcResult::default(),
             trace: Trace::new(),
-            tele: SimTele::new(law_code(config.aru.control.label())),
+            tele: SimTele::new(),
             now: SimTime::ZERO,
             cap: capture.then(Vec::new),
             topo,
@@ -751,21 +745,13 @@ impl Sim {
                             .journal
                             .record(now, task_graph_node, JournalKind::SummaryDropped);
                     } else {
-                        // Change-gated Fold hop, mirroring the threaded
-                        // runtime's `TaskTele::on_fold`.
-                        let value = s.period();
-                        if self.tasks[t.0].last_fold != Some(value) {
-                            self.tasks[t.0].last_fold = Some(value);
-                            self.tele.journal.record(
-                                now,
-                                task_graph_node,
-                                JournalKind::Hop {
-                                    leg: HopLeg::Fold,
-                                    peer: graph_node,
-                                    value,
-                                },
-                            );
-                        }
+                        self.tasks[t.0].gates.on_fold(
+                            &self.tele.journal,
+                            now,
+                            task_graph_node,
+                            graph_node,
+                            s.period(),
+                        );
                         self.tasks[t.0].controller.receive_feedback_at(
                             o.thread_out_index,
                             s,
@@ -786,18 +772,9 @@ impl Sim {
         if outcome.stale {
             self.trace.stale_summary(now, key);
         }
-        // Journal the staleness *transitions* (edges, not area — same
-        // discipline as the threaded `TaskTele`).
-        if outcome.stale != self.tasks[t.0].was_stale {
-            self.tasks[t.0].was_stale = outcome.stale;
-            self.tele.journal.record(
-                now,
-                key.node,
-                JournalKind::Stale {
-                    entered: outcome.stale,
-                },
-            );
-        }
+        self.tasks[t.0]
+            .gates
+            .on_iteration(&self.tele.journal, now, key.node, &outcome);
         if outcome.law_fired {
             if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
                 self.trace.pace_decision(
@@ -806,17 +783,6 @@ impl Sim {
                     raw.period(),
                     target.period(),
                     outcome.clamped,
-                );
-                self.tele.journal.record(
-                    now,
-                    key.node,
-                    JournalKind::Pace {
-                        law: self.tele.law,
-                        raw: raw.period(),
-                        target: target.period(),
-                        sleep: outcome.sleep,
-                        clamped: outcome.clamped,
-                    },
                 );
             }
         }

@@ -74,11 +74,7 @@ pub struct Chaos {
 }
 
 fn digitizer_iter_ends(r: &SimReport) -> Vec<u64> {
-    let node = r
-        .topo
-        .node_ids()
-        .find(|&n| r.topo.name(n) == "digitizer")
-        .expect("digitizer in topology");
+    let node = tracker::graph::node(&r.topo, "digitizer");
     r.trace
         .events()
         .iter()

@@ -69,15 +69,8 @@ fn all_laws() -> Vec<(&'static str, ControllerConfig)> {
     ]
 }
 
-fn digitizer_node(r: &SimReport) -> aru_core::NodeId {
-    r.topo
-        .node_ids()
-        .find(|&n| r.topo.name(n) == "digitizer")
-        .expect("digitizer in topology")
-}
-
 fn analyze(r: &SimReport, disturb_at: u64, until: u64) -> (StabilityReport, usize, usize) {
-    let node = digitizer_node(r);
+    let node = tracker::graph::node(&r.topo, "digitizer");
     let series = pace_target_series(r.trace.events(), node);
     let spec = StabilitySpec {
         disturb_at: SimTime(disturb_at),

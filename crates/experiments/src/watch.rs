@@ -15,17 +15,8 @@ use aru_metrics::{ExportSink, RegistrySnapshot, Series};
 use std::path::Path;
 use std::time::{Duration, Instant};
 use tracker::app_threaded::{build_threaded, ThreadedTrackerParams};
+use tracker::graph::TASKS;
 use vtime::Micros;
-
-/// The tracker's task-thread names (Figure 5 stages).
-const THREADS: [&str; 6] = [
-    "digitizer",
-    "change-detection",
-    "histogram",
-    "target-det-1",
-    "target-det-2",
-    "gui",
-];
 
 /// How often the runtime exporter rewrites the scrape files.
 const EXPORT_INTERVAL: Micros = Micros(100_000); // 100 ms
@@ -59,7 +50,7 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
         "threads — STP and pacing (live)",
         &["thread", "stp now", "stp summary", "iters", "paced", "skipped", "sleep ms"],
     );
-    for name in THREADS {
+    for name in TASKS {
         let l = ("thread", name);
         t.row(vec![
             name.into(),
@@ -188,7 +179,7 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
         let text = std::fs::read_to_string(out.join("telemetry.prom")).unwrap_or_default();
-        if THREADS.iter().all(|name| stage_reported(&text, name)) && any_nonzero_stp(&text, &THREADS)
+        if TASKS.iter().all(|name| stage_reported(&text, name)) && any_nonzero_stp(&text, &TASKS)
         {
             break;
         }
@@ -210,12 +201,12 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     // Every tracker stage must have iterated and scraped an STP gauge, and
     // at least one stage (the paced source at minimum) must show a nonzero
     // sustainable period.
-    for name in THREADS {
+    for name in TASKS {
         if !stage_reported(&text, name) {
             failures.push(format!("thread '{name}' never reported an STP gauge"));
         }
     }
-    if !any_nonzero_stp(&text, &THREADS) {
+    if !any_nonzero_stp(&text, &TASKS) {
         failures.push("no stage reported a nonzero STP".into());
     }
     for required in ["aru_channel_puts_total", "aru_iterations_total", "aru_epoch_unix_us"] {

@@ -32,6 +32,7 @@ use crate::json::JsonObj;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use aru_core::graph::NodeId;
+use aru_core::IterationOutcome;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -375,6 +376,92 @@ impl JournalShard {
     }
 }
 
+/// The per-task record gates the threaded runtime and the simulator share,
+/// so a sim journal and a live one differ only in what happened: staleness
+/// is journaled on its edges (the storm detector wants transitions, not
+/// area), a pace decision when the law fired and both targets exist (the
+/// trace's `PaceDecision` gate), a fold hop when the folded value changed.
+#[derive(Debug)]
+pub struct TaskGates {
+    law: u8,
+    was_stale: bool,
+    last_fold: Option<Micros>,
+}
+
+impl TaskGates {
+    /// Gates for a task paced by the control law labelled `law`.
+    #[must_use]
+    pub fn new(law: &str) -> Self {
+        TaskGates {
+            law: law_code(law),
+            was_stale: false,
+            last_fold: None,
+        }
+    }
+
+    /// `node` finished an iteration: a [`JournalKind::Stale`] edge, then the
+    /// [`JournalKind::Pace`] decision.
+    #[inline]
+    pub fn on_iteration(
+        &mut self,
+        shard: &JournalShard,
+        t: SimTime,
+        node: NodeId,
+        outcome: &IterationOutcome,
+    ) {
+        if outcome.stale != self.was_stale {
+            self.was_stale = outcome.stale;
+            shard.record(
+                t,
+                node,
+                JournalKind::Stale {
+                    entered: outcome.stale,
+                },
+            );
+        }
+        if let (true, Some(raw), Some(target)) =
+            (outcome.law_fired, outcome.raw_target, outcome.pace_target)
+        {
+            shard.record(
+                t,
+                node,
+                JournalKind::Pace {
+                    law: self.law,
+                    raw: raw.period(),
+                    target: target.period(),
+                    sleep: outcome.sleep,
+                    clamped: outcome.clamped,
+                },
+            );
+        }
+    }
+
+    /// `node` folded the summary-STP `value` that buffer `from` returned on
+    /// a put: a [`HopLeg::Fold`] hop.
+    #[inline]
+    pub fn on_fold(
+        &mut self,
+        shard: &JournalShard,
+        t: SimTime,
+        node: NodeId,
+        from: NodeId,
+        value: Micros,
+    ) {
+        if self.last_fold != Some(value) {
+            self.last_fold = Some(value);
+            shard.record(
+                t,
+                node,
+                JournalKind::Hop {
+                    leg: HopLeg::Fold,
+                    peer: from,
+                    value,
+                },
+            );
+        }
+    }
+}
+
 #[derive(Debug)]
 struct JournalCore {
     shards: Mutex<Vec<Arc<ShardCore>>>,
@@ -673,6 +760,12 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// A field the record holds as `u32` (`node`, `peer`, `attempt`): a value
+/// out of range fails the line instead of wrapping onto another node.
+fn json_u32(line: &str, key: &str) -> Option<u32> {
+    u32::try_from(json_u64(line, key)?).ok()
+}
+
 fn json_bool(line: &str, key: &str) -> Option<bool> {
     let rest = &line[field_pos(line, key)?..];
     if rest.starts_with("true") {
@@ -713,7 +806,7 @@ fn json_str(line: &str, key: &str) -> Option<String> {
 fn parse_record(line: &str) -> Option<JournalRecord> {
     let kind = json_str(line, "kind")?;
     let t = SimTime(json_u64(line, "t_us")?);
-    let node = NodeId(json_u64(line, "node")? as u32);
+    let node = NodeId(json_u32(line, "node")?);
     let kind = match kind.as_str() {
         "pace" => JournalKind::Pace {
             law: law_code(&json_str(line, "law")?),
@@ -729,7 +822,7 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
                 "fold" => HopLeg::Fold,
                 _ => return None,
             },
-            peer: NodeId(json_u64(line, "peer")? as u32),
+            peer: NodeId(json_u32(line, "peer")?),
             value: Micros(json_u64(line, "value_us")?),
         },
         "occupancy" => JournalKind::Occupancy {
@@ -741,14 +834,14 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
             entered: json_bool(line, "entered")?,
         },
         "crash" => JournalKind::Crash {
-            attempt: json_u64(line, "attempt")? as u32,
+            attempt: json_u32(line, "attempt")?,
         },
         "restart" => JournalKind::Restart {
-            attempt: json_u64(line, "attempt")? as u32,
+            attempt: json_u32(line, "attempt")?,
             backoff: Micros(json_u64(line, "backoff_us")?),
         },
         "escalate" => JournalKind::Escalate {
-            attempt: json_u64(line, "attempt")? as u32,
+            attempt: json_u32(line, "attempt")?,
         },
         "fault" => JournalKind::Fault {
             class: match json_str(line, "fault")?.as_str() {
@@ -781,7 +874,7 @@ pub fn parse_journal(text: &str) -> io::Result<LoadedJournal> {
         ));
     }
     let source = json_str(header, "source").unwrap_or_else(|| "unknown".to_string());
-    let schema = json_u64(header, "schema").unwrap_or(0) as u32;
+    let schema = json_u32(header, "schema").unwrap_or(0);
     let epoch_unix_us = json_u64(header, "epoch_unix_us").unwrap_or(0);
     let torn = json_u64(header, "torn").unwrap_or(0);
     let dropped = json_u64(header, "dropped").unwrap_or(0);
@@ -963,6 +1056,86 @@ mod tests {
         let loaded = parse_journal(text).unwrap();
         assert_eq!(loaded.snapshot.records.len(), 1, "intact prefix kept");
         assert_eq!(loaded.skipped, 1, "truncated tail counted");
+    }
+
+    /// `node`, `peer` and `attempt` are `u32` in the record; 2^32 + 5 must
+    /// not load as 5 (doctor would blame the wrong task).
+    #[test]
+    fn loader_skips_lines_whose_u32_fields_are_out_of_range() {
+        let header = "{\"kind\":\"journal_header\",\"schema\":1,\"source\":\"sim\",\
+                      \"epoch_unix_us\":0,\"torn\":0,\"dropped\":0,\"records\":4}";
+        let lines = [
+            "{\"kind\":\"stale\",\"t_us\":1,\"node\":4294967301,\"entered\":true}",
+            "{\"kind\":\"hop\",\"t_us\":2,\"node\":5,\"leg\":\"fold\",\"peer\":4294967301,\"value_us\":9}",
+            "{\"kind\":\"crash\",\"t_us\":3,\"node\":5,\"attempt\":4294967301}",
+            "{\"kind\":\"stale\",\"t_us\":4,\"node\":4294967295,\"entered\":true}",
+        ];
+        let loaded = parse_journal(&format!("{header}\n{}\n", lines.join("\n"))).unwrap();
+        assert_eq!(loaded.skipped, 3, "one bad line per field");
+        let nodes: Vec<_> = loaded.snapshot.records.iter().map(|r| r.node).collect();
+        assert_eq!(nodes, [NodeId(u32::MAX)], "the in-range line is kept");
+    }
+
+    #[test]
+    fn task_gates_record_edges_decisions_and_changes_only() {
+        use aru_core::Stp;
+        let journal = Journal::new();
+        let shard = journal.shard();
+        let mut gates = TaskGates::new("pid");
+        let quiet = IterationOutcome {
+            current_stp: Stp::from_micros(10),
+            summary: None,
+            sleep: Micros(3),
+            paced: true,
+            stale: false,
+            law_fired: false,
+            raw_target: Some(Stp::from_micros(40)),
+            pace_target: Some(Stp::from_micros(30)),
+            clamped: true,
+        };
+        let node = NodeId(2);
+        gates.on_iteration(&shard, SimTime(1), node, &quiet);
+        let stale_and_fired = IterationOutcome {
+            stale: true,
+            law_fired: true,
+            ..quiet
+        };
+        gates.on_iteration(&shard, SimTime(2), node, &stale_and_fired);
+        gates.on_iteration(&shard, SimTime(3), node, &IterationOutcome { law_fired: false, ..stale_and_fired });
+        let fired_without_target = IterationOutcome {
+            stale: false,
+            pace_target: None,
+            ..stale_and_fired
+        };
+        gates.on_iteration(&shard, SimTime(4), node, &fired_without_target);
+        for (t, value) in [(5, 7), (6, 7), (7, 8)] {
+            gates.on_fold(&shard, SimTime(t), node, NodeId(9), Micros(value));
+        }
+        let kinds: Vec<_> = journal.snapshot().records.iter().map(|r| (r.t.0, r.kind)).collect();
+        let fold = |value| JournalKind::Hop {
+            leg: HopLeg::Fold,
+            peer: NodeId(9),
+            value: Micros(value),
+        };
+        assert_eq!(
+            kinds,
+            [
+                (2, JournalKind::Stale { entered: true }),
+                (
+                    2,
+                    JournalKind::Pace {
+                        law: law_code("pid"),
+                        raw: Micros(40),
+                        target: Micros(30),
+                        sleep: Micros(3),
+                        clamped: true,
+                    }
+                ),
+                (4, JournalKind::Stale { entered: false }),
+                (5, fold(7)),
+                (7, fold(8)),
+            ]
+        );
     }
 
     #[test]

@@ -1,9 +1,15 @@
 //! Property-based tests on the postmortem analyses: randomly generated
-//! (well-formed) traces must produce internally consistent reports.
+//! (well-formed) traces must produce internally consistent reports. And on
+//! the journal loader, which takes files from disk: arbitrary text never
+//! panics it, and whatever the writer wrote it reads back.
 
 use aru_core::graph::NodeId;
 use aru_metrics::footprint::{ideal_series, observed_series};
-use aru_metrics::{IterKey, Lineage, PerfReport, Trace, WasteReport};
+use aru_metrics::journal::{parse_journal, JOURNAL_SCHEMA};
+use aru_metrics::{
+    FaultClass, HopLeg, IterKey, JournalKind, JournalRecord, JournalSnapshot, Lineage, PerfReport,
+    Trace, WasteReport,
+};
 use proptest::prelude::*;
 use vtime::{Micros, SimTime, Timestamp};
 
@@ -77,8 +83,92 @@ fn build(run: &RandomRun) -> (Trace, SimTime) {
     (tr, SimTime(t + 100))
 }
 
+/// Pieces of journal lines and of what breaks a line reader: multi-byte
+/// characters next to a key, escapes cut short, a lone surrogate, keys
+/// inside string values, numbers past `u64` and past `u32`.
+const JOURNAL_FRAGMENTS: [&str; 36] = [
+    "\"", "\\", "\\u", "\\u12", "\\ud800", "\\n", "{", "}", ":", ",", " ", "\n", "\u{8}", "é", "日", "🦀",
+    "\"kind\":", "\"journal_header\"", "\"pace\"", "\"hop\"", "\"crash\"", "\"fault\"",
+    "\"t_us\":", "\"node\":", "\"peer\":", "\"attempt\":", "\"leg\":\"fold\"", "\"law\":\"",
+    "\"source\":\"", "\"clamped\":", "true", "7", "4294967296", "18446744073709551616",
+    "\"value_us\":", "\"fault\":\"stall\"",
+];
+
+fn journal_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..JOURNAL_FRAGMENTS.len(), 0..40)
+        .prop_map(|ix| ix.into_iter().map(|i| JOURNAL_FRAGMENTS[i]).collect())
+}
+
+/// Any record the schema can hold (law codes are the persisted ones; an
+/// unknown code is written as the label of 0).
+fn record_strategy() -> impl Strategy<Value = JournalRecord> {
+    let words = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>());
+    (0u8..9, any::<u64>(), any::<u32>(), words, 0u8..5, any::<bool>()).prop_map(
+        |(tag, t, node, (a, b, c, small), law, flag)| {
+            let kind = match tag {
+                0 => JournalKind::Pace {
+                    law,
+                    raw: Micros(a),
+                    target: Micros(b),
+                    sleep: Micros(c),
+                    clamped: flag,
+                },
+                1 => JournalKind::Hop {
+                    leg: [HopLeg::Deposit, HopLeg::Return, HopLeg::Fold][law as usize % 3],
+                    peer: NodeId(small),
+                    value: Micros(a),
+                },
+                2 => JournalKind::Occupancy { len: a, watermark: b, high: flag },
+                3 => JournalKind::Stale { entered: flag },
+                4 => JournalKind::Crash { attempt: small },
+                5 => JournalKind::Restart { attempt: small, backoff: Micros(a) },
+                6 => JournalKind::Escalate { attempt: small },
+                7 => JournalKind::Fault {
+                    class: [
+                        FaultClass::Crash,
+                        FaultClass::Stall,
+                        FaultClass::DropSummaries,
+                        FaultClass::LinkSpike,
+                    ][law as usize % 4],
+                },
+                _ => JournalKind::SummaryDropped,
+            };
+            JournalRecord { t: SimTime(t), node: NodeId(node), kind }
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The loader returns — `Ok` or `Err` — whatever the bytes: as the whole
+    /// file, and as the data lines under an intact header.
+    #[test]
+    fn parse_journal_never_panics_on_arbitrary_text(text in journal_text()) {
+        let _ = parse_journal(&text);
+        let header = JournalSnapshot::default().to_jsonl("sim", 0);
+        let loaded = parse_journal(&format!("{header}{text}"));
+        prop_assert!(loaded.is_ok(), "an intact header loads, bad lines are skipped");
+    }
+
+    /// Whatever `to_jsonl` writes, `parse_journal` reads back: every record,
+    /// the loss accounting, and a source label full of quotes, escapes and
+    /// key look-alikes.
+    #[test]
+    fn journal_round_trips_through_jsonl(
+        records in prop::collection::vec(record_strategy(), 0..24),
+        source in journal_text(),
+        header in (any::<u64>(), any::<u64>(), any::<u64>()),
+    ) {
+        let (epoch, torn, dropped) = header;
+        let snap = JournalSnapshot { records, torn, dropped };
+        let loaded = parse_journal(&snap.to_jsonl(&source, epoch)).expect("own output loads");
+        prop_assert_eq!(loaded.skipped, 0);
+        prop_assert_eq!(&loaded.snapshot.records, &snap.records);
+        prop_assert_eq!((loaded.snapshot.torn, loaded.snapshot.dropped), (torn, dropped));
+        prop_assert_eq!((loaded.schema, loaded.epoch_unix_us), (JOURNAL_SCHEMA, epoch));
+        prop_assert_eq!(loaded.source, source);
+    }
 
     /// Lineage: an item is useful iff it was gotten by an iteration that
     /// emitted a sink output.

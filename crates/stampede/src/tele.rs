@@ -20,7 +20,7 @@
 //! compare per op and records nothing (see `aru_metrics::journal`).
 
 use aru_core::NodeId;
-use aru_metrics::journal::{law_code, HopLeg};
+use aru_metrics::journal::{HopLeg, TaskGates};
 use aru_metrics::{Counter, Gauge, Hist, Histogram, Journal, JournalKind, JournalShard, Telemetry};
 use std::time::Instant;
 use vtime::{Micros, SimTime};
@@ -307,12 +307,11 @@ pub(crate) struct TaskTele {
     prev_busy: Micros,
     prev_blocked: Micros,
     op_seq: u64,
-    last_fold: Option<Micros>,
     // Flight-recorder journal: pace decisions at the law-fired gate,
-    // staleness transitions, and fold hops.
+    // staleness transitions, and fold hops — gated by `TaskGates`, which the
+    // simulator shares.
     journal: JournalShard,
-    law_code: u8,
-    was_stale: bool,
+    gates: TaskGates,
 }
 
 impl TaskTele {
@@ -341,10 +340,8 @@ impl TaskTele {
             prev_busy: Micros::ZERO,
             prev_blocked: Micros::ZERO,
             op_seq: 0,
-            last_fold: None,
             journal: tele.journal.shard(),
-            law_code: law_code(law),
-            was_stale: false,
+            gates: TaskGates::new(law),
         }
     }
 
@@ -372,18 +369,6 @@ impl TaskTele {
         if outcome.stale {
             self.stale.inc();
         }
-        // Journal staleness fallback transitions (enter/leave), not every
-        // stale iteration — the storm detector wants edges, not area.
-        if outcome.stale != self.was_stale {
-            self.was_stale = outcome.stale;
-            self.journal.record(
-                t,
-                node,
-                JournalKind::Stale {
-                    entered: outcome.stale,
-                },
-            );
-        }
         if outcome.law_fired {
             self.law_fired.inc();
             if outcome.clamped {
@@ -395,22 +380,8 @@ impl TaskTele {
             if let Some(tg) = outcome.pace_target {
                 self.pace_target_us.set(tg.as_micros() as f64);
             }
-            // Same gate as the postmortem trace's PaceDecision event: the
-            // law took a decision and both targets exist.
-            if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
-                self.journal.record(
-                    t,
-                    node,
-                    JournalKind::Pace {
-                        law: self.law_code,
-                        raw: raw.period(),
-                        target: target.period(),
-                        sleep: outcome.sleep,
-                        clamped: outcome.clamped,
-                    },
-                );
-            }
         }
+        self.gates.on_iteration(&self.journal, t, node, outcome);
         let busy = meter.total_busy();
         let blocked = meter.total_blocked();
         // saturating: the meter restarts from zero after a crash recovery
@@ -429,19 +400,7 @@ impl TaskTele {
     /// its controller — a [`HopLeg::Fold`] hop, journaled on value change.
     #[inline]
     pub(crate) fn on_fold(&mut self, t: SimTime, node: NodeId, from: NodeId, value: Micros) {
-        if self.last_fold == Some(value) {
-            return;
-        }
-        self.last_fold = Some(value);
-        self.journal.record(
-            t,
-            node,
-            JournalKind::Hop {
-                leg: HopLeg::Fold,
-                peer: from,
-                value,
-            },
-        );
+        self.gates.on_fold(&self.journal, t, node, from, value);
     }
 
     /// Sample gate for endpoint op latency: `Some(start)` for 1 in

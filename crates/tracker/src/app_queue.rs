@@ -22,6 +22,7 @@
 //! ARU backlog control, and supervised restarts must hold on both.
 
 use crate::app_threaded::StageDelays;
+use crate::graph::extra;
 use crate::kernels::{build_histogram, detect_target, subtract_background};
 use crate::model::ColorModel;
 use crate::types::{Frame, TargetLocation};
@@ -32,8 +33,7 @@ use parking_lot::Mutex;
 use stampede::{BuildError, QueueBackend, Runtime, RuntimeBuilder, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use vtime::{Micros, Timestamp};
+use vtime::Timestamp;
 
 /// Parameters for a queue-backed tracker run.
 #[derive(Debug, Clone)]
@@ -91,12 +91,6 @@ impl QueueTracker {
         self.frames_produced
             .load(Ordering::Relaxed)
             .saturating_sub(self.frames_consumed.load(Ordering::Relaxed))
-    }
-}
-
-fn extra(d: Micros) {
-    if !d.is_zero() {
-        std::thread::sleep(Duration::from(d));
     }
 }
 
@@ -210,22 +204,9 @@ pub fn build_queue_tracker(params: &QueueTrackerParams) -> Result<QueueTracker, 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn check_accuracy(video: &SyntheticVideo, detections: &Mutex<Vec<TargetLocation>>) -> usize {
-        let dets = detections.lock();
-        assert!(!dets.is_empty(), "no detections reached the GUI");
-        let mut checked = 0;
-        for det in dets.iter() {
-            if det.found == 1 {
-                let gt = video.ground_truth(det.model_id as usize, det.frame_no);
-                let err =
-                    ((det.x as f64 - gt.cx).powi(2) + (det.y as f64 - gt.cy).powi(2)).sqrt();
-                assert!(err < 30.0, "detection error {err:.1}px");
-                checked += 1;
-            }
-        }
-        checked
-    }
+    use crate::video::check_accuracy;
+    use std::time::Duration;
+    use vtime::Micros;
 
     /// End-to-end on both backends: frames flow digitizer → detector →
     /// GUI exactly once and detections land near ground truth.
@@ -240,7 +221,7 @@ mod tests {
                 "{backend:?}: outputs {}",
                 report.outputs()
             );
-            let checked = check_accuracy(&tracker.video, &tracker.detections);
+            let checked = check_accuracy(&tracker.video, &tracker.detections.lock());
             assert!(checked > 0, "{backend:?}: no positive detections");
             // Exactly-once accounting: every drained frame yields one
             // detection record per color model.
@@ -306,6 +287,6 @@ mod tests {
         // than the pre-crash prefix alone could supply.
         let produced = tracker.frames_produced.load(Ordering::Relaxed);
         assert!(produced > 2, "digitizer never resumed (produced {produced})");
-        check_accuracy(&tracker.video, &tracker.detections);
+        check_accuracy(&tracker.video, &tracker.detections.lock());
     }
 }

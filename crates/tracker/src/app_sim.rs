@@ -8,12 +8,11 @@
 //! evaluation configurations mirror §5 exactly: all tasks on one node, or
 //! the five tasks on five nodes with each channel on its producer's node.
 
-use crate::graph::CHANNELS;
+use crate::graph::{producer_site, CHANNELS, STAGES};
 use aru_core::{AruConfig, RetryPolicy};
 use aru_gc::GcMode;
 use desim::{
-    CostModel, FaultPlan, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig,
-    SimReport, TaskSpec,
+    CostModel, FaultPlan, NetModel, ServiceModel, Sim, SimBuilder, SimConfig, SimReport, TaskSpec,
 };
 use vtime::Micros;
 
@@ -117,76 +116,44 @@ impl SimTrackerParams {
 }
 
 /// Build the simulated tracker; returns the ready simulation inputs.
+/// Declaration order — tasks, channels, then each stage's inputs and
+/// outputs — fixes every `NodeId` and connection index, and with them the
+/// figures.
 #[must_use]
 pub fn build_sim(params: &SimTrackerParams) -> (SimBuilder, SimConfig) {
     let mut b = SimBuilder::new();
-    // Cluster nodes: paper hardware is 8-way SMPs.
-    let nodes: Vec<_> = match params.config {
-        TrackerConfigId::OneNode => {
-            let n = b.node(8);
-            vec![n, n, n, n, n]
-        }
-        TrackerConfigId::FiveNodes => (0..5).map(|_| b.node(8)).collect(),
+    // Cluster nodes, one per site: paper hardware is 8-way SMPs.
+    let nodes = match params.config {
+        TrackerConfigId::OneNode => [b.node(8); 5],
+        TrackerConfigId::FiveNodes => [(); 5].map(|()| b.node(8)),
     };
-    let (n_dig, n_cd, n_hist, n_td, n_gui) = (nodes[0], nodes[1], nodes[2], nodes[3], nodes[4]);
-
-    let sigma = params.noise_sigma;
     let svc = &params.services;
-    let dig = b.source("digitizer", n_dig, ServiceModel::new(svc.digitizer, sigma));
-    let cd = b.task(
-        "change-detection",
-        n_cd,
-        TaskSpec::new(ServiceModel::new(svc.change_detection, sigma)),
-    );
-    let hist = b.task(
-        "histogram",
-        n_hist,
-        TaskSpec::new(ServiceModel::new(svc.histogram, sigma)),
-    );
-    let td1 = b.task(
-        "target-det-1",
-        n_td,
-        TaskSpec::new(ServiceModel::new(svc.target_detection, sigma)),
-    );
-    let td2 = b.task(
-        "target-det-2",
-        n_td,
-        TaskSpec::new(ServiceModel::new(svc.target_detection, sigma)),
-    );
-    let gui = b.task("gui", n_gui, TaskSpec::sink(ServiceModel::new(svc.gui, sigma)));
-
-    // Channels placed on their producer's node (paper §5). Item sizes from
-    // graph::CHANNELS (the §5 sizes).
-    let sz = |i: usize| CHANNELS[i].2;
-    let c1 = b.channel("C1", n_dig);
-    let c2 = b.channel("C2", n_dig);
-    let c3 = b.channel("C3", n_dig);
-    let c4 = b.channel("C4", n_cd);
-    let c5 = b.channel("C5", n_cd);
-    let c6 = b.channel("C6", n_td);
-    let c7 = b.channel("C7", n_hist);
-    let c8 = b.channel("C8", n_hist);
-    let c9 = b.channel("C9", n_td);
-
-    b.output(dig, c1, sz(0)).unwrap();
-    b.output(dig, c2, sz(1)).unwrap();
-    b.output(dig, c3, sz(2)).unwrap();
-    b.input(cd, c1, InputPolicy::DriverLatest).unwrap();
-    b.output(cd, c4, sz(3)).unwrap();
-    b.output(cd, c5, sz(4)).unwrap();
-    b.input(hist, c2, InputPolicy::DriverLatest).unwrap();
-    b.output(hist, c7, sz(6)).unwrap();
-    b.output(hist, c8, sz(7)).unwrap();
-    b.input(td1, c4, InputPolicy::DriverLatest).unwrap();
-    b.input(td1, c3, InputPolicy::JoinExact).unwrap();
-    b.input(td1, c7, InputPolicy::JoinLatestAtOrBefore).unwrap();
-    b.output(td1, c6, sz(5)).unwrap();
-    b.input(td2, c5, InputPolicy::DriverLatest).unwrap();
-    b.input(td2, c3, InputPolicy::JoinExact).unwrap();
-    b.input(td2, c8, InputPolicy::JoinLatestAtOrBefore).unwrap();
-    b.output(td2, c9, sz(8)).unwrap();
-    b.input(gui, c6, InputPolicy::DriverLatest).unwrap();
-    b.input(gui, c9, InputPolicy::LatestOpt).unwrap();
+    let services = [
+        svc.digitizer,
+        svc.change_detection,
+        svc.histogram,
+        svc.target_detection,
+        svc.gui,
+    ];
+    let tasks = STAGES.map(|s| {
+        let service = ServiceModel::new(services[s.site], params.noise_sigma);
+        let spec = if s.outputs.is_empty() {
+            TaskSpec::sink(service)
+        } else {
+            TaskSpec::new(service)
+        };
+        b.task(s.name, nodes[s.site], spec)
+    });
+    let chans: [_; CHANNELS.len()] =
+        std::array::from_fn(|c| b.channel(CHANNELS[c].0, nodes[producer_site(c)]));
+    for (stage, task) in STAGES.iter().zip(tasks) {
+        for &(c, policy) in stage.inputs {
+            b.input(task, chans[c], policy).expect("table edge");
+        }
+        for &c in stage.outputs {
+            b.output(task, chans[c], CHANNELS[c].2).expect("table edge");
+        }
+    }
 
     let mut cfg = SimConfig::new(params.aru.clone());
     cfg.gc = params.gc;

@@ -6,6 +6,7 @@
 //! CPU (the delays count as execution time, not blocking — exactly like a
 //! slower kernel).
 
+use crate::graph::{extra, C1, C2, C3, C4, C5, C6, C7, C8, C9, CHANNELS, STAGES};
 use crate::kernels::{build_histogram, detect_target, subtract_background};
 use crate::model::ColorModel;
 use crate::types::{Frame, HistModel, MotionMask, TargetLocation};
@@ -18,7 +19,6 @@ use stampede::{
     RuntimeBuilder, StampedeError, Step, TaskCtx,
 };
 use std::sync::Arc;
-use std::time::Duration;
 use vtime::{Micros, Timestamp};
 
 /// Optional per-stage extra compute delay (emulates slower hardware).
@@ -163,14 +163,10 @@ pub struct ThreadedTracker {
     pub network: Option<Arc<NetworkSim>>,
 }
 
-fn extra(d: Micros) {
-    if !d.is_zero() {
-        std::thread::sleep(Duration::from(d));
-    }
-}
-
 /// Wire the full 6-thread / 9-channel tracker (Figure 5) onto the threaded
-/// runtime.
+/// runtime. Names come from `graph::STAGES`/`CHANNELS`; the connections are
+/// typed, so they are spelled out here and `tests/wiring.rs` holds them to
+/// the table (edges and per-node order).
 pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker, BuildError> {
     let video = SyntheticVideo::two_person_scene(params.seed);
     let background = Arc::new(video.background_frame());
@@ -187,22 +183,18 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
     let network = params.distributed.map(|_| NetworkSim::start());
     let link = params.distributed;
 
-    let c1 = b.channel::<Frame>("C1");
-    let c2 = b.channel::<Frame>("C2");
-    let c3 = b.channel::<Frame>("C3");
-    let c4 = b.channel::<MotionMask>("C4");
-    let c5 = b.channel::<MotionMask>("C5");
-    let c6 = b.channel::<TargetLocation>("C6");
-    let c7 = b.channel::<HistModel>("C7");
-    let c8 = b.channel::<HistModel>("C8");
-    let c9 = b.channel::<TargetLocation>("C9");
+    let name = |c: usize| CHANNELS[c].0;
+    let c1 = b.channel::<Frame>(name(C1));
+    let c2 = b.channel::<Frame>(name(C2));
+    let c3 = b.channel::<Frame>(name(C3));
+    let c4 = b.channel::<MotionMask>(name(C4));
+    let c5 = b.channel::<MotionMask>(name(C5));
+    let c6 = b.channel::<TargetLocation>(name(C6));
+    let c7 = b.channel::<HistModel>(name(C7));
+    let c8 = b.channel::<HistModel>(name(C8));
+    let c9 = b.channel::<TargetLocation>(name(C9));
 
-    let t_dig = b.thread("digitizer");
-    let t_cd = b.thread("change-detection");
-    let t_hist = b.thread("histogram");
-    let t_td1 = b.thread("target-det-1");
-    let t_td2 = b.thread("target-det-2");
-    let t_gui = b.thread("gui");
+    let [t_dig, t_cd, t_hist, t_td1, t_td2, t_gui] = STAGES.map(|s| b.thread(s.name));
 
     // digitizer (in configuration 2 every inter-stage put crosses a link)
     let out_frames = FanSender::wrap(
@@ -330,6 +322,7 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::video::check_accuracy;
 
     /// A short real run: frames flow end-to-end and detections land near
     /// ground truth. (The detection kernel joins on matching timestamps, so
@@ -338,23 +331,12 @@ mod tests {
     fn threaded_tracker_end_to_end() {
         let params = ThreadedTrackerParams::new(AruConfig::aru_min());
         let tracker = build_threaded(&params).unwrap();
-        let video = tracker.video.clone();
         let report = tracker
             .runtime
             .run_for(Micros::from_millis(1500))
             .unwrap();
         assert!(report.outputs() > 2, "outputs {}", report.outputs());
-        let dets = tracker.detections.lock();
-        assert!(!dets.is_empty());
-        let mut checked = 0;
-        for det in dets.iter() {
-            if det.found == 1 {
-                let gt = video.ground_truth(det.model_id as usize, det.frame_no);
-                let err = ((det.x as f64 - gt.cx).powi(2) + (det.y as f64 - gt.cy).powi(2)).sqrt();
-                assert!(err < 30.0, "detection error {err:.1}px");
-                checked += 1;
-            }
-        }
+        let checked = check_accuracy(&tracker.video, &tracker.detections.lock());
         assert!(checked > 0, "no positive detections");
     }
 
@@ -380,11 +362,6 @@ mod tests {
             "ARU footprint {fp_aru:.0} !< baseline {fp_base:.0}"
         );
     }
-}
-// (distributed-mode test appended below the module's test block)
-#[cfg(test)]
-mod distributed_tests {
-    use super::*;
 
     #[test]
     fn distributed_tracker_pays_link_latency() {

@@ -22,14 +22,19 @@
 //!   motion masks), color-histogram model construction (983 kB models),
 //!   and histogram back-projection target detection (68 B location
 //!   records — all sizes as reported in §5);
-//! * [`graph`] — the 6-thread / 9-channel task graph of Figure 5;
-//! * [`app_threaded`] — the tracker wired onto the `stampede` threaded
-//!   runtime, computing for real;
-//! * [`app_queue`] — the same kernels as a FIFO work-queue pipeline,
-//!   parameterized by queue backend (mutex oracle or lock-free ring);
-//! * [`app_sim`] — the tracker wired onto the `desim` cluster simulator
+//! * [`graph`] — the 6-thread / 9-channel task graph of Figure 5, written
+//!   down once as the [`graph::STAGES`] / [`graph::CHANNELS`] tables
+//!   (names, edges and their order, join policies, item sizes, placement);
+//! * [`app_sim`] — the table lowered onto the `desim` cluster simulator
 //!   with service-time models calibrated to the paper's 2005 testbed
-//!   regime, in both evaluation configurations (1 node / 5 nodes).
+//!   regime, in both evaluation configurations (1 node / 5 nodes);
+//! * [`app_threaded`] — the tracker on the `stampede` threaded runtime,
+//!   computing for real: typed connections, names from the table,
+//!   `tests/wiring.rs` holding the edges to it and `tests/differential.rs`
+//!   the measured behaviour to the simulator's;
+//! * [`app_queue`] — the same kernels as a different, 3-stage FIFO
+//!   work-queue pipeline, parameterized by queue backend (mutex oracle or
+//!   lock-free ring).
 
 pub mod app_queue;
 pub mod app_sim;

@@ -193,6 +193,24 @@ impl SyntheticVideo {
     }
 }
 
+/// Test support for the pipeline modules: every positive detection lies
+/// within 30 px of its frame's ground truth. Returns how many were checked.
+#[cfg(test)]
+pub(crate) fn check_accuracy(
+    video: &SyntheticVideo,
+    detections: &[crate::types::TargetLocation],
+) -> usize {
+    assert!(!detections.is_empty(), "no detections reached the GUI");
+    let mut checked = 0;
+    for det in detections.iter().filter(|det| det.found == 1) {
+        let gt = video.ground_truth(det.model_id as usize, det.frame_no);
+        let err = ((det.x as f64 - gt.cx).powi(2) + (det.y as f64 - gt.cy).powi(2)).sqrt();
+        assert!(err < 30.0, "detection error {err:.1}px");
+        checked += 1;
+    }
+    checked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

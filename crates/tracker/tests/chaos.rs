@@ -27,11 +27,7 @@ fn all_laws() -> Vec<ControllerConfig> {
 /// Mean gap between consecutive iteration-ends of `task` inside `[lo, hi)`
 /// microseconds — the task's observed production period in that window.
 fn mean_period(r: &desim::SimReport, task: &str, lo: u64, hi: u64) -> f64 {
-    let node = r
-        .topo
-        .node_ids()
-        .find(|&n| r.topo.name(n) == task)
-        .expect("task exists in topology");
+    let node = tracker::graph::node(&r.topo, task);
     let ends: Vec<u64> = r
         .trace
         .events()
