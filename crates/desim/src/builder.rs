@@ -77,7 +77,7 @@ pub(crate) struct ChanDecl {
     pub graph_node: NodeId,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct InputDecl {
     pub chan: ChanId,
     pub policy: InputPolicy,
@@ -85,7 +85,7 @@ pub(crate) struct InputDecl {
     pub chan_out_index: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct OutputDecl {
     pub chan: ChanId,
     pub bytes: u64,
@@ -115,6 +115,9 @@ pub enum SimBuildError {
     UnknownNode(SimNodeId),
     /// Node speed must be finite and positive.
     BadNodeSpeed(SimNodeId),
+    /// A DGC run whose pass period is zero: the pass would reschedule
+    /// itself at the same instant forever and the clock never advance.
+    ZeroDgcInterval,
 }
 
 impl fmt::Display for SimBuildError {
@@ -131,6 +134,9 @@ impl fmt::Display for SimBuildError {
             SimBuildError::UnknownNode(n) => write!(f, "unknown cluster node {n:?}"),
             SimBuildError::BadNodeSpeed(n) => {
                 write!(f, "cluster node {n:?} needs a finite positive speed")
+            }
+            SimBuildError::ZeroDgcInterval => {
+                write!(f, "dgc_interval must be positive when the GC mode is DGC")
             }
         }
     }

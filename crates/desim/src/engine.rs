@@ -9,7 +9,7 @@
 use crate::builder::{ChanId, SimBuilder, SimBuildError, TaskDecl, TaskId};
 use crate::cost::CostModel;
 use crate::equeue::{EventQueue, EventQueueKind};
-use crate::fault::{Fault, FaultPlan};
+use crate::fault::{Fault, FaultPlan, ResolvedFaults};
 use crate::net::NetModel;
 use crate::noise::Noise;
 use crate::report::SimReport;
@@ -19,7 +19,6 @@ use aru_core::{AruConfig, AruController, NodeId, NodeKind, RetryPolicy, Topology
 use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine, DgcResult, GcMode};
 use aru_metrics::journal::{FaultClass, TaskGates};
 use aru_metrics::{Counter, Histogram, IterKey, JournalKind, JournalShard, Telemetry, Trace};
-use std::collections::HashMap;
 use vtime::{Micros, SimTime, Timestamp, TsStore};
 
 /// Configuration of one simulated run.
@@ -227,7 +226,13 @@ pub struct Sim {
     events_dispatched: u64,
     peak_pending: usize,
     dgc_engine: DgcEngine,
+    /// The latest pass's bounds; each pass refills it in place.
     dgc_result: DgcResult,
+    /// Graph node → index into `chans` (`None` for a thread), so the DGC
+    /// pass reads each channel's marks where they live.
+    chan_of_node: Vec<Option<usize>>,
+    /// `config.faults`, resolved against `tasks` once at start.
+    faults: ResolvedFaults,
     trace: Trace,
     tele: SimTele,
     now: SimTime,
@@ -269,6 +274,9 @@ impl Sim {
         capture: bool,
     ) -> Result<(SimReport, Vec<QueueOp>), SimBuildError> {
         builder.validate()?;
+        if config.gc == GcMode::Dgc && config.dgc_interval == Micros::ZERO {
+            return Err(SimBuildError::ZeroDgcInterval);
+        }
         let SimBuilder {
             topo,
             nodes,
@@ -332,6 +340,13 @@ impl Sim {
             .collect();
 
         let dgc_engine = DgcEngine::new(&topo);
+        let mut chan_of_node = vec![None; topo.node_count()];
+        for (cid, c) in sim_chans.iter().enumerate() {
+            chan_of_node[c.graph_node.0 as usize] = Some(cid);
+        }
+        let faults = config
+            .faults
+            .resolve(sim_tasks.iter().map(|t| t.decl.name.as_str()));
         let mut sim = Sim {
             node_cores: nodes.iter().map(|n| n.cores).collect(),
             node_speed: nodes.iter().map(|n| n.speed).collect(),
@@ -345,6 +360,8 @@ impl Sim {
             peak_pending: 0,
             dgc_engine,
             dgc_result: DgcResult::default(),
+            chan_of_node,
+            faults,
             trace: Trace::new(),
             tele: SimTele::new(),
             now: SimTime::ZERO,
@@ -377,12 +394,12 @@ impl Sim {
         // Window faults never fire as events, so they are counted (and
         // journaled, stamped at window start) here; point faults are
         // counted when their event actually takes effect.
-        for f in &sim.config.faults.faults {
+        for (i, f) in sim.config.faults.faults.iter().enumerate() {
             let t0 = SimTime::ZERO + f.starts_at();
             match f {
-                Fault::DropSummaries { task, .. } => {
+                Fault::DropSummaries { .. } => {
                     sim.tele.faults_drop_summaries.inc();
-                    if let Some(ti) = sim.task_by_name(task) {
+                    if let Some(ti) = sim.faults.target(i) {
                         sim.tele.journal.record(
                             t0,
                             sim.tasks[ti].decl.graph_node,
@@ -495,7 +512,7 @@ impl Sim {
                 self.start_compute(t, driver_ts);
                 return;
             }
-            let input = self.tasks[t.0].decl.inputs[step].clone();
+            let input = self.tasks[t.0].decl.inputs[step];
             let cid = input.chan.0;
             let acquired: Acquire = match input.policy {
                 InputPolicy::DriverLatest => {
@@ -690,11 +707,7 @@ impl Sim {
 
         // Release the items this iteration consumed: the channel marks
         // advance and REF/DGC may now reclaim them.
-        let releases = std::mem::take(&mut self.tasks[t.0].pending_releases);
-        for (cid, idx, ts) in releases {
-            self.chans[cid].marks.advance(idx, ts);
-            self.purge_chan(cid);
-        }
+        self.release_consumed(t.0);
 
         if !skipped {
             let out_ts = if self.tasks[t.0].is_source() {
@@ -704,14 +717,11 @@ impl Sim {
             } else {
                 driver_ts.unwrap_or(Timestamp::ZERO)
             };
-            let outputs = self.tasks[t.0].decl.outputs.clone();
             let task_node = self.tasks[t.0].decl.cluster_node;
             let task_graph_node = self.tasks[t.0].decl.graph_node;
-            let drop_fb = self
-                .config
-                .faults
-                .drops_summaries_for(&self.tasks[t.0].decl.name, now);
-            for o in &outputs {
+            let drop_fb = self.faults.drops_summaries_for(t.0, now);
+            for oi in 0..self.tasks[t.0].decl.outputs.len() {
+                let o = self.tasks[t.0].decl.outputs[oi];
                 // The item is allocated the moment the producer materializes
                 // it; a remote put only delays its *visibility* in the
                 // channel by the transfer time (it occupies memory while in
@@ -797,7 +807,7 @@ impl Sim {
     /// Interconnect transfer time with any active link-spike fault applied.
     fn net_transfer(&self, bytes: u64) -> Micros {
         let base = self.config.net.transfer(bytes);
-        let factor = self.config.faults.link_factor(self.now);
+        let factor = self.faults.link_factor(self.now);
         if factor == 1.0 {
             base
         } else {
@@ -805,17 +815,24 @@ impl Sim {
         }
     }
 
-    fn task_by_name(&self, name: &str) -> Option<usize> {
-        self.tasks.iter().position(|t| t.decl.name == name)
+    /// Advance the channel marks past everything task `ti`'s iteration
+    /// consumed, so REF/DGC may reclaim it.
+    fn release_consumed(&mut self, ti: usize) {
+        for i in 0..self.tasks[ti].pending_releases.len() {
+            let (cid, idx, ts) = self.tasks[ti].pending_releases[i];
+            self.chans[cid].marks.advance(idx, ts);
+            self.purge_chan(cid);
+        }
+        self.tasks[ti].pending_releases.clear();
     }
 
     fn handle_fault(&mut self, idx: usize) {
-        let fault = self.config.faults.faults[idx].clone();
-        match fault {
-            Fault::Crash { task, .. } => {
-                let Some(ti) = self.task_by_name(&task) else {
-                    return;
-                };
+        // A fault naming no task of this run does nothing.
+        let Some(ti) = self.faults.target(idx) else {
+            return;
+        };
+        match self.config.faults.faults[idx] {
+            Fault::Crash { .. } => {
                 if self.tasks[ti].dead || matches!(self.tasks[ti].phase, Phase::Crashed) {
                     return;
                 }
@@ -828,11 +845,7 @@ impl Sim {
                 }
                 // Release items the dying iteration had consumed so the
                 // crash cannot pin channel GC forever.
-                let releases = std::mem::take(&mut self.tasks[ti].pending_releases);
-                for (cid, cidx, ts) in releases {
-                    self.chans[cid].marks.advance(cidx, ts);
-                    self.purge_chan(cid);
-                }
+                self.release_consumed(ti);
                 let t = &mut self.tasks[ti];
                 t.attempts += 1;
                 let attempt = t.attempts;
@@ -866,18 +879,16 @@ impl Sim {
                         .record(now, graph, JournalKind::Escalate { attempt });
                 }
             }
-            Fault::Stall { task, extra, .. } => {
-                if let Some(ti) = self.task_by_name(&task) {
-                    self.tasks[ti].pending_stall += extra;
-                    self.tele.faults_stall.inc();
-                    self.tele.journal.record(
-                        self.now,
-                        self.tasks[ti].decl.graph_node,
-                        JournalKind::Fault {
-                            class: FaultClass::Stall,
-                        },
-                    );
-                }
+            Fault::Stall { extra, .. } => {
+                self.tasks[ti].pending_stall += extra;
+                self.tele.faults_stall.inc();
+                self.tele.journal.record(
+                    self.now,
+                    self.tasks[ti].decl.graph_node,
+                    JournalKind::Fault {
+                        class: FaultClass::Stall,
+                    },
+                );
             }
             Fault::DropSummaries { .. } | Fault::LinkSpike { .. } => {
                 // Window faults are consulted at their use sites.
@@ -929,11 +940,12 @@ impl Sim {
         }
         self.node_live[cluster] += bytes;
         self.purge_chan(cid);
-        let waiters = std::mem::take(&mut self.chans[cid].waiters);
-        for w in waiters {
+        for i in 0..self.chans[cid].waiters.len() {
+            let w = self.chans[cid].waiters[i];
             let gen = self.tasks[w.0].generation;
             self.schedule(now, EvKind::Wake(w, gen));
         }
+        self.chans[cid].waiters.clear();
     }
 
     fn purge_chan(&mut self, cid: usize) {
@@ -948,29 +960,31 @@ impl Sim {
             return;
         }
         let now = self.now;
-        let cluster = self.chans[cid].cluster_node.0;
-        for item in self.chans[cid].drain_below(bound) {
-            self.node_live[cluster] -= item.bytes;
-            self.trace.free(now, item.id);
-        }
+        let chan = &mut self.chans[cid];
+        let live = &mut self.node_live[chan.cluster_node.0];
+        let trace = &mut self.trace;
+        chan.purge_below(bound, |item| {
+            *live -= item.bytes;
+            trace.free(now, item.id);
+        });
     }
 
     fn handle_dgc_pass(&mut self) {
         let now = self.now;
-        let marks: HashMap<NodeId, ConsumerMarks> = self
-            .chans
-            .iter()
-            .map(|c| (c.graph_node, c.marks.clone()))
-            .collect();
-        let result = self.dgc_engine.compute(&self.topo, &marks);
+        let (chans, chan_of_node) = (&self.chans, &self.chan_of_node);
+        self.dgc_engine.compute_into(
+            |n| chan_of_node[n.0 as usize].map(|cid| &chans[cid].marks),
+            &mut self.dgc_result,
+        );
         for cid in 0..self.chans.len() {
-            let bound = result.buffer_dead_before(self.chans[cid].graph_node);
+            let bound = self
+                .dgc_result
+                .buffer_dead_before(self.chans[cid].graph_node);
             if bound > self.chans[cid].dgc_dead_before {
                 self.chans[cid].dgc_dead_before = bound;
                 self.purge_chan(cid);
             }
         }
-        self.dgc_result = result;
         let next = now + self.config.dgc_interval;
         if next <= SimTime::ZERO + self.config.duration {
             self.schedule(next, EvKind::DgcPass);

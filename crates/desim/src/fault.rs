@@ -12,6 +12,7 @@
 //! Times are offsets from the start of the run ([`SimTime::ZERO`]).
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use vtime::{Micros, SimTime};
 
 /// One scheduled fault.
@@ -210,9 +211,11 @@ impl FaultPlan {
     #[must_use]
     pub fn drops_summaries_for(&self, task: &str, now: SimTime) -> bool {
         self.faults.iter().any(|f| match f {
-            Fault::DropSummaries { task: t, from, until } => {
-                t == task && in_window(now, *from, *until)
-            }
+            Fault::DropSummaries {
+                task: t,
+                from,
+                until,
+            } => t == task && in_window(now, at(*from), at(*until)),
             _ => false,
         })
     }
@@ -224,17 +227,115 @@ impl FaultPlan {
         self.faults
             .iter()
             .filter_map(|f| match f {
-                Fault::LinkSpike { from, until, factor } if in_window(now, *from, *until) => {
-                    Some(*factor)
-                }
+                Fault::LinkSpike {
+                    from,
+                    until,
+                    factor,
+                } if in_window(now, at(*from), at(*until)) => Some(*factor),
                 _ => None,
             })
             .product()
     }
+
+    /// Resolve the plan against a run's tasks (`task_names[i]` is task
+    /// `i`'s name), once, so the engine's event handlers index instead of
+    /// comparing names against every fault.
+    #[must_use]
+    pub fn resolve<'a>(&self, task_names: impl IntoIterator<Item = &'a str>) -> ResolvedFaults {
+        let mut res = ResolvedFaults::default();
+        if self.faults.is_empty() {
+            return res;
+        }
+        let names: Vec<&str> = task_names.into_iter().collect();
+        let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+        for (i, name) in names.iter().enumerate() {
+            by_name.entry(name).or_default().push(i);
+        }
+        for f in &self.faults {
+            let named: &[usize] = match f {
+                Fault::Crash { task, .. }
+                | Fault::Stall { task, .. }
+                | Fault::DropSummaries { task, .. } => {
+                    by_name.get(task.as_str()).map_or(&[], Vec::as_slice)
+                }
+                Fault::LinkSpike { .. } => &[],
+            };
+            res.targets.push(named.first().copied());
+            match *f {
+                Fault::DropSummaries { from, until, .. } => {
+                    if res.drop_windows.is_empty() {
+                        res.drop_windows = vec![Vec::new(); names.len()];
+                    }
+                    for &t in named {
+                        res.drop_windows[t].push((at(from), at(until)));
+                    }
+                }
+                Fault::LinkSpike {
+                    from,
+                    until,
+                    factor,
+                } => res.link_spikes.push((at(from), at(until), factor)),
+                Fault::Crash { .. } | Fault::Stall { .. } => {}
+            }
+        }
+        res
+    }
 }
 
-fn in_window(now: SimTime, from: Micros, until: Micros) -> bool {
-    now >= SimTime::ZERO + from && now < SimTime::ZERO + until
+/// A [`FaultPlan`] resolved against one run's tasks: what
+/// [`FaultPlan::drops_summaries_for`] and [`FaultPlan::link_factor`] answer
+/// by scanning the plan, answered by task index. Same windows, same
+/// answers (`tests/faults.rs` holds the two together).
+#[derive(Debug, Clone, Default)]
+pub struct ResolvedFaults {
+    /// Per plan entry: the first task carrying the name it gives (`None`
+    /// for a link spike, or a name no task carries).
+    targets: Vec<Option<usize>>,
+    /// Per task: the `[from, until)` summary-drop windows naming it. Empty
+    /// when the plan drops nothing.
+    drop_windows: Vec<Vec<(SimTime, SimTime)>>,
+    /// `[from, until)` and factor of every link spike, in plan order (the
+    /// order overlapping factors are multiplied in).
+    link_spikes: Vec<(SimTime, SimTime, f64)>,
+}
+
+impl ResolvedFaults {
+    /// The task plan entry `fault` names — what a crash or stall hits. A
+    /// name shared by several tasks means the first of them.
+    #[must_use]
+    pub fn target(&self, fault: usize) -> Option<usize> {
+        self.targets.get(fault).copied().flatten()
+    }
+
+    /// Is a summary-drop window active for task `task` at `now`? A window
+    /// applies to every task carrying its name.
+    #[must_use]
+    pub fn drops_summaries_for(&self, task: usize, now: SimTime) -> bool {
+        self.drop_windows
+            .get(task)
+            .is_some_and(|w| w.iter().any(|&(from, until)| in_window(now, from, until)))
+    }
+
+    /// Combined link-latency multiplier at `now` (1.0 when no spike is
+    /// active; overlapping spikes compound).
+    #[must_use]
+    pub fn link_factor(&self, now: SimTime) -> f64 {
+        self.link_spikes
+            .iter()
+            .filter(|&&(from, until, _)| in_window(now, from, until))
+            .map(|&(_, _, factor)| factor)
+            .product()
+    }
+}
+
+/// A plan offset as an instant of the run.
+fn at(offset: Micros) -> SimTime {
+    SimTime::ZERO + offset
+}
+
+/// Windows are half-open: `[from, until)`.
+fn in_window(now: SimTime, from: SimTime, until: SimTime) -> bool {
+    now >= from && now < until
 }
 
 pub(crate) fn splitmix64(x: u64) -> u64 {

@@ -47,7 +47,7 @@ pub use builder::{ChanId, SimBuilder, SimNodeId, SpeedDist, TaskId};
 pub use cost::CostModel;
 pub use engine::{QueueOp, Sim, SimConfig};
 pub use equeue::{EventQueue, EventQueueKind};
-pub use fault::{Fault, FaultPlan};
+pub use fault::{Fault, FaultPlan, ResolvedFaults};
 pub use net::NetModel;
 pub use noise::Noise;
 pub use report::{SimAnalysis, SimReport};

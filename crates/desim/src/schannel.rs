@@ -68,15 +68,14 @@ impl SimChannel {
             .map(|(ts, &item)| (ts, item))
     }
 
-    /// Remove and return every item below `bound`.
-    pub fn drain_below(&mut self, bound: Timestamp) -> Vec<SimItem> {
-        let mut out = Vec::new();
+    /// Remove every item below `bound`, handing each to `freed` in store
+    /// order (the order the trace records the frees in).
+    pub fn purge_below(&mut self, bound: Timestamp, mut freed: impl FnMut(SimItem)) {
         let live = &mut self.live_bytes;
         self.store.purge_before(bound, |item| {
             *live -= item.bytes;
-            out.push(item);
+            freed(item);
         });
-        out
     }
 }
 
@@ -131,13 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_below_removes_and_accounts() {
+    fn purge_below_removes_and_accounts() {
         let mut c = chan();
         for i in 0..5u64 {
             c.insert(Timestamp(i), item(i, 10));
         }
-        let dead = c.drain_below(Timestamp(3));
-        assert_eq!(dead.len(), 3);
+        let mut dead = Vec::new();
+        c.purge_below(Timestamp(3), |item| dead.push(item.id));
+        assert_eq!(dead, [ItemId(0), ItemId(1), ItemId(2)]);
         assert_eq!(c.live_bytes, 20);
         assert_eq!(c.store.len(), 2);
         assert!(c.exact(Timestamp(2)).is_none());
@@ -153,8 +153,9 @@ mod tests {
         assert_eq!(c.exact(Timestamp(2)).unwrap().id, ItemId(1));
         assert_eq!(c.latest().unwrap().0, Timestamp(100));
         assert_eq!(c.latest_at_or_before(Timestamp(50)).unwrap().0, Timestamp(2));
-        let dead = c.drain_below(Timestamp(101));
-        assert_eq!(dead.len(), 2);
+        let mut dead = 0;
+        c.purge_below(Timestamp(101), |_| dead += 1);
+        assert_eq!(dead, 2);
         assert_eq!(c.live_bytes, 0);
     }
 }

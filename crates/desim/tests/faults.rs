@@ -3,14 +3,20 @@
 
 use aru_core::{AruConfig, RetryPolicy};
 use aru_metrics::TraceEvent;
+use desim::builder::SimBuildError;
 use desim::{
-    CostModel, FaultPlan, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig,
+    CostModel, Fault, FaultPlan, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig,
     SimReport, TaskSpec,
 };
-use vtime::Micros;
+use proptest::prelude::*;
+use vtime::{Micros, SimTime};
 
 /// src(2ms) -> c -> snk(20ms), ARU-min: the canonical paced pipeline.
 fn paced_pipeline(cfg_mut: impl FnOnce(&mut SimConfig)) -> SimReport {
+    try_paced_pipeline(cfg_mut).unwrap()
+}
+
+fn try_paced_pipeline(cfg_mut: impl FnOnce(&mut SimConfig)) -> Result<SimReport, SimBuildError> {
     let mut b = SimBuilder::new();
     let n = b.node(8);
     let c = b.channel("c", n);
@@ -26,7 +32,7 @@ fn paced_pipeline(cfg_mut: impl FnOnce(&mut SimConfig)) -> SimReport {
     cfg.cost = CostModel::ideal();
     cfg.duration = Micros::from_secs(20);
     cfg_mut(&mut cfg);
-    Sim::run(b, cfg).unwrap()
+    Sim::run(b, cfg)
 }
 
 fn alloc_times(r: &SimReport) -> Vec<u64> {
@@ -207,4 +213,91 @@ fn dropped_summaries_decay_to_unpaced_production() {
         after_rate < during_rate / 2.0,
         "pacing resumes when feedback returns: during {during_rate}/s, after {after_rate}/s"
     );
+}
+
+/// A DGC pass period of zero would reschedule the pass at the same instant
+/// forever: the run must be refused, not started. (Any other GC mode never
+/// schedules a pass, so the value is not looked at.)
+#[test]
+fn zero_dgc_interval_is_rejected_under_dgc_only() {
+    let run = |gc| {
+        try_paced_pipeline(|cfg| {
+            cfg.gc = gc;
+            cfg.dgc_interval = Micros::ZERO;
+            cfg.duration = Micros::from_millis(50);
+        })
+    };
+    let err = run(aru_gc::GcMode::Dgc).map(|r| r.outputs()).unwrap_err();
+    assert_eq!(err, SimBuildError::ZeroDgcInterval);
+    assert!(err.to_string().contains("dgc_interval"), "{err}");
+    assert!(run(aru_gc::GcMode::Ref).unwrap().outputs() > 0);
+}
+
+/// Tasks of the run the random plans are resolved against: "a" is carried
+/// by two tasks, and no task is called "ghost".
+const TASKS: [&str; 4] = ["a", "b", "a", "c"];
+const NAMES: [&str; 4] = ["a", "b", "c", "ghost"];
+
+/// Raw material of one fault: kind, name, window start, window length
+/// (0 = empty window), spike factor in quarters.
+type RawFault = (u8, usize, u64, u64, u8);
+
+fn plan_of(raw: &[RawFault]) -> FaultPlan {
+    raw.iter().fold(
+        FaultPlan::none(),
+        |p, &(kind, name, from, len, quarters)| {
+            let (name, from, until) = (NAMES[name], Micros(from), Micros(from + len));
+            match kind {
+                0 => p.crash(name, from),
+                1 => p.stall(name, from, Micros(len)),
+                2 => p.drop_summaries(name, from, until),
+                _ => p.link_spike(from, until, f64::from(quarters) / 4.0),
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The plan the engine indexes (`FaultPlan::resolve`) against the plan
+    /// as written (`drops_summaries_for` / `link_factor`, which scan it):
+    /// same answer for every task at every instant, bit for bit for the
+    /// link factor (overlapping spikes multiply in plan order). A drop
+    /// window reaches every task carrying its name; a crash or stall
+    /// resolves to the first; a name no task carries resolves to nothing.
+    #[test]
+    fn resolved_plan_answers_like_the_scanning_plan(
+        raw in prop::collection::vec((0u8..4, 0usize..4, 0u64..1000, 0u64..400, 1u8..40), 0..24),
+        times in prop::collection::vec(0u64..1500, 1..40),
+    ) {
+        let plan = plan_of(&raw);
+        let resolved = plan.resolve(TASKS);
+        for &t in &times {
+            let now = SimTime(t);
+            for (i, name) in TASKS.iter().enumerate() {
+                prop_assert_eq!(
+                    resolved.drops_summaries_for(i, now),
+                    plan.drops_summaries_for(name, now),
+                    "task {} ({}) at {}", i, name, t
+                );
+            }
+            prop_assert!(!resolved.drops_summaries_for(TASKS.len(), now));
+            prop_assert_eq!(
+                resolved.link_factor(now).to_bits(),
+                plan.link_factor(now).to_bits(),
+                "link factor at {}", t
+            );
+        }
+        for (i, f) in plan.faults.iter().enumerate() {
+            let want = match f {
+                Fault::Crash { task, .. }
+                | Fault::Stall { task, .. }
+                | Fault::DropSummaries { task, .. } => TASKS.iter().position(|n| n == task),
+                Fault::LinkSpike { .. } => None,
+            };
+            prop_assert_eq!(resolved.target(i), want, "fault {}: {:?}", i, f);
+        }
+        prop_assert_eq!(resolved.target(plan.faults.len()), None);
+    }
 }

@@ -27,31 +27,42 @@
 //! 6/7 reproduction shows too.
 
 use crate::marks::ConsumerMarks;
-use aru_core::graph::{NodeId, NodeKind, Topology};
+use aru_core::graph::{NodeId, Topology};
 use std::collections::HashMap;
 use vtime::Timestamp;
 
 /// The per-node guarantees computed by one DGC pass.
+///
+/// One bound per node of the task graph, indexed by [`NodeId`]: a buffer's
+/// is its dead-before, a thread's its skip-before. The graph is bipartite,
+/// so one table holds both; a node the pass never saw reads 0 ("unknown":
+/// reclaim nothing, skip nothing).
 #[derive(Debug, Clone, Default)]
 pub struct DgcResult {
-    /// For buffers: items with `ts < dead_before` may be reclaimed.
-    pub dead_before: HashMap<NodeId, Timestamp>,
-    /// For threads: inputs with `ts < skip_before` need not be processed —
-    /// everything they would produce is provably dead downstream.
-    pub skip_before: HashMap<NodeId, Timestamp>,
+    bounds: Vec<Timestamp>,
 }
 
 impl DgcResult {
-    /// Dead-before bound for buffer `b` (0 when unknown).
+    /// Dead-before bound for buffer `b`: items with `ts < dead_before` may
+    /// be reclaimed (0 when unknown).
     #[must_use]
     pub fn buffer_dead_before(&self, b: NodeId) -> Timestamp {
-        self.dead_before.get(&b).copied().unwrap_or(Timestamp::ZERO)
+        self.bound(b)
     }
 
-    /// Skip-before bound for thread `t` (0 when unknown).
+    /// Skip-before bound for thread `t`: inputs with `ts < skip_before`
+    /// need not be processed — everything they would produce is provably
+    /// dead downstream (0 when unknown).
     #[must_use]
     pub fn thread_skip_before(&self, t: NodeId) -> Timestamp {
-        self.skip_before.get(&t).copied().unwrap_or(Timestamp::ZERO)
+        self.bound(t)
+    }
+
+    fn bound(&self, n: NodeId) -> Timestamp {
+        self.bounds
+            .get(n.0 as usize)
+            .copied()
+            .unwrap_or(Timestamp::ZERO)
     }
 }
 
@@ -87,7 +98,26 @@ impl DgcResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DgcEngine {
-    reverse_topo: Vec<NodeId>,
+    /// Every node of the graph in reverse topological order, each with
+    /// where its out-edges end in `succ` (they start where the previous
+    /// node's end): the sweep walks two flat arrays, not the `Topology`.
+    order: Vec<SweepNode>,
+    succ: Vec<Succ>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct SweepNode {
+    id: NodeId,
+    is_thread: bool,
+    succ_end: u32,
+}
+
+/// One out-edge: the node it leads to, and its slot among the source's
+/// outputs (for a buffer, the consumer's slot in its marks).
+#[derive(Debug, Clone, Copy)]
+struct Succ {
+    to: u32,
+    out_index: u32,
 }
 
 impl DgcEngine {
@@ -97,56 +127,74 @@ impl DgcEngine {
     /// Panics if the topology is cyclic (validated at pipeline build time).
     #[must_use]
     pub fn new(topo: &Topology) -> Self {
-        let mut order = topo.topo_order().expect("task graph must be acyclic");
-        order.reverse();
-        DgcEngine {
-            reverse_topo: order,
-        }
+        let mut ids = topo.topo_order().expect("task graph must be acyclic");
+        ids.reverse();
+        let mut succ = Vec::with_capacity(topo.edge_count());
+        let order = ids
+            .into_iter()
+            .map(|id| {
+                succ.extend(topo.outputs(id).map(|e| Succ {
+                    to: e.to.0,
+                    out_index: e.out_index as u32,
+                }));
+                SweepNode {
+                    id,
+                    is_thread: topo.kind(id).is_thread(),
+                    succ_end: succ.len() as u32,
+                }
+            })
+            .collect();
+        DgcEngine { order, succ }
     }
 
-    /// One exact propagation pass.
+    /// One exact propagation pass over `topo`, the topology the engine was
+    /// built for.
     ///
     /// `marks` maps every buffer node to its current consumption marks
     /// (buffers absent from the map are treated as having fresh marks and
     /// yield a floor of 0, reclaiming nothing).
     #[must_use]
     pub fn compute(&self, topo: &Topology, marks: &HashMap<NodeId, ConsumerMarks>) -> DgcResult {
+        debug_assert_eq!(topo.node_count(), self.order.len(), "another topology");
         let mut res = DgcResult::default();
-        for &n in &self.reverse_topo {
-            match topo.kind(n) {
-                NodeKind::Thread => {
-                    let skip = if topo.out_degree(n) == 0 {
-                        Timestamp::ZERO // sinks never pre-declare deadness
-                    } else {
-                        topo.outputs(n)
-                            .map(|e| res.buffer_dead_before(e.to))
-                            .min()
-                            .unwrap_or(Timestamp::ZERO)
-                    };
-                    res.skip_before.insert(n, skip);
-                }
-                NodeKind::Channel | NodeKind::Queue => {
-                    let dead = if topo.out_degree(n) == 0 {
-                        // No consumer will ever read this buffer.
-                        Timestamp(u64::MAX)
-                    } else {
-                        topo.outputs(n)
-                            .map(|e| {
-                                let floor = marks
-                                    .get(&n)
-                                    .map(|m| m.floor(e.out_index))
-                                    .unwrap_or(Timestamp::ZERO);
-                                let consumer_skip = res.thread_skip_before(e.to);
-                                floor.max(consumer_skip)
-                            })
-                            .min()
-                            .unwrap_or(Timestamp::ZERO)
-                    };
-                    res.dead_before.insert(n, dead);
-                }
-            }
-        }
+        self.compute_into(|n| marks.get(&n), &mut res);
         res
+    }
+
+    /// [`DgcEngine::compute`] for a caller that runs the pass periodically:
+    /// the marks are read where they live (`marks(b)` is buffer `b`'s, or
+    /// `None` for "fresh") and `res` is cleared and refilled, so a pass
+    /// allocates nothing once `res` has grown to the graph's size.
+    pub fn compute_into<'m>(
+        &self,
+        marks: impl Fn(NodeId) -> Option<&'m ConsumerMarks>,
+        res: &mut DgcResult,
+    ) {
+        let bounds = &mut res.bounds;
+        bounds.clear();
+        bounds.resize(self.order.len(), Timestamp::ZERO);
+        let mut succ_start = 0;
+        // Reverse topological order: every bound read below was written
+        // earlier in this same pass.
+        for node in &self.order {
+            let succ = &self.succ[succ_start..node.succ_end as usize];
+            succ_start = node.succ_end as usize;
+            let bound = if node.is_thread {
+                // What is dead in every buffer the thread feeds; a sink
+                // never pre-declares deadness.
+                let dead = succ.iter().map(|s| bounds[s.to as usize]).min();
+                dead.unwrap_or(Timestamp::ZERO)
+            } else {
+                let m = marks(node.id);
+                let dead = succ.iter().map(|s| {
+                    let floor = m.map_or(Timestamp::ZERO, |m| m.floor(s.out_index as usize));
+                    floor.max(bounds[s.to as usize])
+                });
+                // No consumer will ever read a buffer without out-edges.
+                dead.min().unwrap_or(Timestamp(u64::MAX))
+            };
+            bounds[node.id.0 as usize] = bound;
+        }
     }
 }
 

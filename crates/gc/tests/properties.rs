@@ -2,8 +2,9 @@
 //! consumption states.
 
 use aru_core::{NodeId, NodeKind, Topology};
-use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine};
+use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine, DgcResult};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::collections::HashMap;
 use vtime::Timestamp;
 
@@ -57,8 +58,182 @@ fn build(g: &RandomGraph) -> (Topology, Vec<NodeId>, HashMap<NodeId, ConsumerMar
     (topo, chans, marks)
 }
 
+/// The sweep as it stood before the dense result: one `HashMap` per bound,
+/// filled node by node in reverse topological order. Kept here, and only
+/// here, as the reference `DgcEngine::compute_into` is checked against.
+#[derive(Default)]
+struct OracleResult {
+    dead_before: HashMap<NodeId, Timestamp>,
+    skip_before: HashMap<NodeId, Timestamp>,
+}
+
+impl OracleResult {
+    fn buffer_dead_before(&self, b: NodeId) -> Timestamp {
+        self.dead_before.get(&b).copied().unwrap_or(Timestamp::ZERO)
+    }
+
+    fn thread_skip_before(&self, t: NodeId) -> Timestamp {
+        self.skip_before.get(&t).copied().unwrap_or(Timestamp::ZERO)
+    }
+}
+
+fn oracle_compute(topo: &Topology, marks: &HashMap<NodeId, ConsumerMarks>) -> OracleResult {
+    let mut order = topo.topo_order().expect("acyclic");
+    order.reverse();
+    let mut res = OracleResult::default();
+    for n in order {
+        match topo.kind(n) {
+            NodeKind::Thread => {
+                let skip = if topo.out_degree(n) == 0 {
+                    Timestamp::ZERO
+                } else {
+                    topo.outputs(n)
+                        .map(|e| res.buffer_dead_before(e.to))
+                        .min()
+                        .unwrap_or(Timestamp::ZERO)
+                };
+                res.skip_before.insert(n, skip);
+            }
+            NodeKind::Channel | NodeKind::Queue => {
+                let dead = if topo.out_degree(n) == 0 {
+                    Timestamp(u64::MAX)
+                } else {
+                    topo.outputs(n)
+                        .map(|e| {
+                            let floor = marks
+                                .get(&n)
+                                .map(|m| m.floor(e.out_index))
+                                .unwrap_or(Timestamp::ZERO);
+                            floor.max(res.thread_skip_before(e.to))
+                        })
+                        .min()
+                        .unwrap_or(Timestamp::ZERO)
+                };
+                res.dead_before.insert(n, dead);
+            }
+        }
+    }
+    res
+}
+
+/// A random bipartite DAG: nodes in a fixed order, each a thread or a
+/// buffer, and edges only from an earlier node to a later one of the other
+/// kind — fan-in, fan-out, re-merging, isolated nodes, consumerless
+/// buffers and parallel edges all occur. Every buffer draws either no
+/// marks at all (absent from the map) or one raw mark per consumer slot
+/// (0 = that consumer has read nothing yet).
+#[derive(Debug, Clone)]
+struct RandomDag {
+    is_thread: Vec<bool>,
+    edges: Vec<(usize, usize)>,
+    /// Per node: 0 = absent from the marks map; the rest seeds the marks.
+    marks_raw: Vec<u64>,
+}
+
+fn dag_strategy() -> impl Strategy<Value = RandomDag> {
+    (
+        prop::collection::vec(any::<bool>(), 1..14),
+        prop::collection::vec((0usize..14, 0usize..14), 0..40),
+        prop::collection::vec(0u64..1_000_000, 14..15),
+    )
+        .prop_map(|(is_thread, edges, marks_raw)| RandomDag {
+            is_thread,
+            edges,
+            marks_raw,
+        })
+}
+
+fn build_dag(g: &RandomDag) -> (Topology, HashMap<NodeId, ConsumerMarks>) {
+    let mut topo = Topology::new();
+    let n = g.is_thread.len();
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| {
+            if g.is_thread[i] {
+                topo.add_thread(format!("t{i}"))
+            } else if i % 2 == 0 {
+                topo.add_channel(format!("c{i}"))
+            } else {
+                topo.add_queue(format!("q{i}"))
+            }
+        })
+        .collect();
+    for &(a, b) in &g.edges {
+        let (a, b) = (a % n, b % n);
+        let (from, to) = (a.min(b), a.max(b));
+        if g.is_thread[from] != g.is_thread[to] {
+            topo.connect(ids[from], ids[to]).unwrap();
+        }
+    }
+    let mut marks = HashMap::new();
+    for (i, &id) in ids.iter().enumerate() {
+        let raw = g.marks_raw[i];
+        if g.is_thread[i] || raw & 3 == 0 {
+            continue; // a quarter of the buffers stay absent: floor 0
+        }
+        let slots = topo.out_degree(id);
+        let mut m = ConsumerMarks::new(slots);
+        for slot in 0..slots {
+            // A different mark per slot; some slots never advanced.
+            let ts = (raw >> (slot % 8)) % 97;
+            if ts > 0 {
+                m.advance(slot, Timestamp(ts));
+            }
+        }
+        marks.insert(id, m);
+    }
+    (topo, marks)
+}
+
+fn assert_matches_oracle(
+    topo: &Topology,
+    marks: &HashMap<NodeId, ConsumerMarks>,
+    got: &DgcResult,
+) -> Result<(), TestCaseError> {
+    let want = oracle_compute(topo, marks);
+    for n in topo.node_ids() {
+        if topo.kind(n).is_thread() {
+            prop_assert_eq!(
+                got.thread_skip_before(n),
+                want.thread_skip_before(n),
+                "skip_before({})",
+                topo.name(n)
+            );
+        } else {
+            prop_assert_eq!(
+                got.buffer_dead_before(n),
+                want.buffer_dead_before(n),
+                "dead_before({})",
+                topo.name(n)
+            );
+        }
+    }
+    // Past the graph's last node is "unknown", whatever the buffer held
+    // before this pass.
+    for past in topo.node_count()..topo.node_count() + 16 {
+        prop_assert_eq!(got.buffer_dead_before(NodeId(past as u32)), Timestamp::ZERO);
+        prop_assert_eq!(got.thread_skip_before(NodeId(past as u32)), Timestamp::ZERO);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The dense sweep against the `HashMap` sweep it replaced, through
+    /// both entry points: `compute` (a fresh result) and `compute_into`
+    /// with one result buffer carried across two graphs of different size
+    /// — the second pass must not see anything the first left behind.
+    #[test]
+    fn dense_sweep_matches_hashmap_oracle(a in dag_strategy(), b in dag_strategy()) {
+        let mut reused = DgcResult::default();
+        for g in [&a, &b, &a] {
+            let (topo, marks) = build_dag(g);
+            let engine = DgcEngine::new(&topo);
+            assert_matches_oracle(&topo, &marks, &engine.compute(&topo, &marks))?;
+            engine.compute_into(|n| marks.get(&n), &mut reused);
+            assert_matches_oracle(&topo, &marks, &reused)?;
+        }
+    }
 
     /// DGC's bound dominates REF's bound on every buffer (cross-node
     /// knowledge can only reclaim more), and never reclaims what a

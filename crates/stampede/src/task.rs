@@ -407,9 +407,22 @@ mod tests {
             Arc::clone(&dgc),
         );
         assert!(!c.should_skip(Timestamp(5)));
-        dgc.write()
-            .skip_before
-            .insert(NodeId(3), Timestamp(10));
+        // A pass over src → in → t → out → sink with the sink at ts 9:
+        // everything `t` (node 3) would produce below 10 is dead.
+        let mut topo = aru_core::Topology::new();
+        let src = topo.add_thread("src");
+        let input = topo.add_channel("in");
+        let out = topo.add_channel("out");
+        let t = topo.add_thread("t");
+        let sink = topo.add_thread("sink");
+        assert_eq!(t, NodeId(3));
+        for (from, to) in [(src, input), (input, t), (t, out), (out, sink)] {
+            topo.connect(from, to).unwrap();
+        }
+        let mut marks = aru_gc::ConsumerMarks::new(1);
+        marks.advance(0, Timestamp(9));
+        *dgc.write() = aru_gc::DgcEngine::new(&topo)
+            .compute(&topo, &std::collections::HashMap::from([(out, marks)]));
         assert!(c.should_skip(Timestamp(5)));
         assert!(!c.should_skip(Timestamp(10)));
     }
