@@ -5,17 +5,87 @@
 //! color model; an integral image over the weight map finds the window with
 //! the highest model mass; the weighted centroid inside that window is the
 //! reported location.
+//!
+//! The window scan reads the integral image only where both coordinates are
+//! multiples of the scan stride, so only those samples are kept (DESIGN.md §2 has
+//! the argument that they are the full image's values, bit for bit).
 
 use crate::model::ColorModel;
-use crate::types::{Frame, HistModel, MotionMask, TargetLocation, FRAME_H, FRAME_W};
+use crate::types::{Frame, HistModel, MotionMask, TargetLocation, FRAME_H, FRAME_PIXELS, FRAME_W};
 
 /// Detection window half-size (matches the synthetic targets' scale).
 const WIN_HALF: usize = 32;
 /// Minimum back-projection mass for a positive detection.
 const MIN_SCORE: f32 = 0.5;
+/// Window scan stride. A mask row is walked in words of this many bytes.
+const STEP: usize = 8;
+/// Windows per row and per column of the scan: origins `0, STEP, ..` while
+/// the window's far edge stays below the frame's.
+const SCAN_W: usize = (FRAME_W - 2 * WIN_HALF).div_ceil(STEP);
+const SCAN_H: usize = (FRAME_H - 2 * WIN_HALF).div_ceil(STEP);
+/// Integral-image samples per row and per column: one per window edge.
+const GRID_W: usize = SCAN_W + 2 * WIN_HALF / STEP;
+const GRID_H: usize = SCAN_H + 2 * WIN_HALF / STEP;
+const _: () = assert!((2 * WIN_HALF).is_multiple_of(STEP) && FRAME_W.is_multiple_of(STEP));
+const _: () = assert!((GRID_W - 1) * STEP <= FRAME_W && (GRID_H - 1) * STEP <= FRAME_H);
+
+/// The integral image of the model's back-projection over the mask, sampled
+/// at multiples of [`STEP`]: `grid[j][k]` is the sum of the weights of the
+/// foreground pixels with `y < j * STEP` and `x < k * STEP`.
+///
+/// The full image obeys `I[y+1][x] = I[y][x] + prefix_y(x)`, `prefix_y` being
+/// the running `f64` sum along row `y`. `column` holds `I[y][k * STEP]` and
+/// takes the same additions in the same order. A background pixel adds
+/// `+0.0`, which changes no sum that started from `+0.0` (such a sum is
+/// never `-0.0`), so all-background words, and the whole row up to its first
+/// foreground word, are passed over; pixels at or beyond the last sample in
+/// either direction are in no sample and are not read at all.
+fn sampled_integral(
+    mask: &MotionMask,
+    hist: &HistModel,
+    model: &ColorModel,
+) -> [[f64; GRID_W]; GRID_H] {
+    let mut grid = [[0.0f64; GRID_W]; GRID_H];
+    let mut column = [0.0f64; GRID_W];
+    let rows = mask
+        .mask
+        .chunks_exact(FRAME_W)
+        .zip(hist.pixel_bins.chunks_exact(FRAME_W))
+        .take((GRID_H - 1) * STEP);
+    for (y, (mask_row, bin_row)) in rows.enumerate() {
+        let words = mask_row
+            .chunks_exact(STEP)
+            .zip(bin_row.chunks_exact(STEP))
+            .take(GRID_W - 1);
+        let mut prefix = 0.0f64;
+        let mut touched = false;
+        for (k, (word, bins)) in words.enumerate() {
+            let word: &[u8; STEP] = word.try_into().expect("chunks_exact(STEP)");
+            if u64::from_ne_bytes(*word) != 0 {
+                touched = true;
+                for (&m, &bin) in word.iter().zip(bins) {
+                    if m != 0 {
+                        prefix += model.weight(bin) as f64;
+                    }
+                }
+            }
+            if touched {
+                column[k + 1] += prefix;
+            }
+        }
+        if (y + 1) % STEP == 0 {
+            grid[(y + 1) / STEP] = column;
+        }
+    }
+    grid
+}
 
 /// Run detection for one color model on one frame's mask + histogram,
 /// sampling the joined video frame to report the detection's mean color.
+///
+/// # Panics
+/// If the frame, the mask or the histogram's bin map is not
+/// `FRAME_W x FRAME_H`.
 #[must_use]
 pub fn detect_target(
     frame: &Frame,
@@ -23,47 +93,27 @@ pub fn detect_target(
     hist: &HistModel,
     model: &ColorModel,
 ) -> TargetLocation {
+    assert_eq!(
+        (frame.rgb.len(), mask.mask.len(), hist.pixel_bins.len()),
+        (3 * FRAME_PIXELS, FRAME_PIXELS, FRAME_PIXELS),
+        "frame, mask and bin map must all be FRAME_W x FRAME_H"
+    );
     // The frame join is exact; the histogram model may legitimately lag
     // (the detector takes the freshest model at or before its mask — the
     // color model evolves slowly).
     debug_assert_eq!(mask.frame_no, frame.frame_no, "frame join mismatch");
-    let _ = hist.frame_no;
-    // Back-project: weight map over foreground pixels.
-    let mut weights = vec![0.0f32; FRAME_W * FRAME_H];
-    for (p, w) in weights.iter_mut().enumerate() {
-        if mask.mask[p] != 0 {
-            *w = model.weight(hist.pixel_bins[p]);
-        }
-    }
-    // Integral image.
-    let mut integral = vec![0.0f64; (FRAME_W + 1) * (FRAME_H + 1)];
-    for y in 0..FRAME_H {
-        let mut row = 0.0f64;
-        for x in 0..FRAME_W {
-            row += weights[y * FRAME_W + x] as f64;
-            integral[(y + 1) * (FRAME_W + 1) + (x + 1)] =
-                integral[y * (FRAME_W + 1) + (x + 1)] + row;
-        }
-    }
-    let window_sum = |x0: usize, y0: usize, x1: usize, y1: usize| -> f64 {
-        let w = FRAME_W + 1;
-        integral[y1 * w + x1] - integral[y0 * w + x1] - integral[y1 * w + x0]
-            + integral[y0 * w + x0]
-    };
-    // Scan windows on a coarse grid, then refine with the centroid.
-    let step = 8;
+    let integral = sampled_integral(mask, hist, model);
+    // Scan windows on the coarse grid, then refine with the centroid.
+    let side = 2 * WIN_HALF / STEP;
     let mut best = (0usize, 0usize, f64::MIN);
-    let mut y = 0;
-    while y + 2 * WIN_HALF < FRAME_H {
-        let mut x = 0;
-        while x + 2 * WIN_HALF < FRAME_W {
-            let s = window_sum(x, y, x + 2 * WIN_HALF, y + 2 * WIN_HALF);
+    for j in 0..SCAN_H {
+        let (top, bottom) = (&integral[j], &integral[j + side]);
+        for k in 0..SCAN_W {
+            let s = bottom[k + side] - top[k + side] - bottom[k] + top[k];
             if s > best.2 {
-                best = (x, y, s);
+                best = (k * STEP, j * STEP, s);
             }
-            x += step;
         }
-        y += step;
     }
     let (bx, by, score) = best;
     if score < MIN_SCORE as f64 {
@@ -72,9 +122,13 @@ pub fn detect_target(
     // Weighted centroid and mean frame color within the best window.
     let (mut sx, mut sy, mut sw, mut support) = (0.0f64, 0.0f64, 0.0f64, 0u32);
     let mut rgb_acc = [0.0f64; 3];
-    for y in by..(by + 2 * WIN_HALF).min(FRAME_H) {
-        for x in bx..(bx + 2 * WIN_HALF).min(FRAME_W) {
-            let w = weights[y * FRAME_W + x] as f64;
+    for y in by..by + 2 * WIN_HALF {
+        for x in bx..bx + 2 * WIN_HALF {
+            let p = y * FRAME_W + x;
+            if mask.mask[p] == 0 {
+                continue;
+            }
+            let w = model.weight(hist.pixel_bins[p]) as f64;
             if w > 0.0 {
                 sx += w * x as f64;
                 sy += w * y as f64;
@@ -118,6 +172,17 @@ mod tests {
     use super::*;
     use crate::kernels::{build_histogram, subtract_background};
     use crate::video::SyntheticVideo;
+
+    #[test]
+    #[should_panic(expected = "must all be FRAME_W x FRAME_H")]
+    fn short_mask_is_rejected() {
+        let video = SyntheticVideo::two_person_scene(5);
+        let f = video.frame(0);
+        let hist = build_histogram(&f);
+        let mut mask = subtract_background(&video.background_frame(), &f);
+        mask.mask.truncate(FRAME_PIXELS - FRAME_W);
+        let _ = detect_target(&f, &mask, &hist, &ColorModel::scene_models(&video)[0]);
+    }
 
     fn detect_frame(v: &SyntheticVideo, model_id: usize, frame_no: u64) -> TargetLocation {
         let bg = v.background_frame();

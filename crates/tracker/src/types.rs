@@ -84,12 +84,28 @@ impl ItemData for HistModel {
     }
 }
 
-/// Map an RGB triple to its histogram bin.
+/// Map an RGB triple to its histogram bin: the top three bits of each
+/// channel, red most significant.
 #[inline]
 #[must_use]
 pub fn rgb_bin(r: u8, g: u8, b: u8) -> u32 {
-    let q = |v: u8| (v as usize * HIST_BINS_PER_AXIS) >> 8;
-    (q(r) * HIST_BINS_PER_AXIS * HIST_BINS_PER_AXIS + q(g) * HIST_BINS_PER_AXIS + q(b)) as u32
+    packed_bin(u64::from(u32::from_le_bytes([r, g, b, 0])))
+}
+
+/// [`rgb_bin`] of the pixel in the low three bytes of `word` (red lowest),
+/// whatever the bytes above them hold — so a kernel can bin pixels straight
+/// off the words it loads.
+///
+/// The mask leaves the three kept bits of each channel at bits 5-7, 13-15
+/// and 21-23; multiplying by `2^22 + 2^11 + 1` lays copies of all three at
+/// three offsets, and the copies that land on bits 27-29, 24-26 and 21-23
+/// are red, green and blue in bin order. The other six copies fall on bits
+/// 5-7, 13-18, 32-37 and 43-45: no two copies share a bit, so nothing
+/// carries into the nine that are kept.
+#[inline]
+pub(crate) fn packed_bin(word: u64) -> u32 {
+    const _: () = assert!(HIST_BINS_PER_AXIS == 8);
+    ((((word & 0x00E0_E0E0) * ((1 << 22) | (1 << 11) | 1)) >> 21) & 0x1FF) as u32
 }
 
 /// A target-detection result record — exactly 68 bytes, like the paper's
@@ -180,6 +196,17 @@ mod tests {
         for (r, g, b) in [(10u8, 200u8, 30u8), (255, 0, 128), (7, 7, 7)] {
             assert!((rgb_bin(r, g, b) as usize) < HIST_BINS);
         }
+    }
+
+    #[test]
+    fn bin_is_three_bits_per_channel_red_first() {
+        assert_eq!(rgb_bin(0xFF, 0, 0), 7 << 6);
+        assert_eq!(rgb_bin(0, 0xFF, 0), 7 << 3);
+        assert_eq!(rgb_bin(0, 0, 0xFF), 7);
+        assert_eq!(rgb_bin(0x1F, 0x20, 0xDF), (1 << 3) | 6);
+        // the bytes above the pixel belong to its neighbours
+        let word = 0xA5C3_96F0_7E00_0000 | 0x00DF_201F;
+        assert_eq!(packed_bin(word), rgb_bin(0x1F, 0x20, 0xDF));
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn simulator_agrees_with_the_threaded_runtime() {
             }
         } else {
             // Unpaced, the digitizer runs at its own cost, and that differs
-            // by design: 5.0 ms simulated vs ~6.5 ms with real frame
+            // by design: 5.0 ms simulated vs ~5.7 ms with real frame
             // synthesis. Both overrun the bottleneck at least twofold.
             for r in [&sim, &real] {
                 check(
@@ -164,7 +164,7 @@ fn simulator_agrees_with_the_threaded_runtime() {
                 );
             }
         }
-        // 50 ms of delay plus ~1 ms of real detection, on a host whose
+        // 50 ms of delay plus ~0.04 ms of real detection, on a host whose
         // speed drifts by a few percent in phases of tens of seconds.
         check(
             "target-detection busy time within 8 %",
@@ -180,7 +180,7 @@ fn simulator_agrees_with_the_threaded_runtime() {
         // longer (53 of 79 outputs once in 60 runs). Their bands are wider
         // than a quiet run needs and still far inside what separates the
         // modes (waste 9 vs 86 %, footprint 4.4 vs 30 MB). Unpaced, the
-        // slower real digitizer alone wastes 4–8 points less than the
+        // slower real digitizer alone wastes 1.5–4.3 points less than the
         // simulated one.
         check(
             "memory waste within 15 points",
