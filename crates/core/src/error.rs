@@ -28,7 +28,7 @@ pub enum AruError {
     EmptyCompress,
     /// A configuration parameter is outside its valid domain.
     InvalidParam {
-        /// Which parameter (e.g. `"ewma.alpha"`, `"aimd.backoff"`).
+        /// Which parameter (e.g. `"ewma.alpha"`, `"pid.kp"`).
         what: &'static str,
         /// Why it was rejected.
         why: &'static str,

@@ -10,14 +10,10 @@
 //!
 //! A [`ControlLaw`] sits between the *raw* target (what the paper would
 //! pace to — the oracle) and the *applied* target (what the pacer gets).
-//! Four laws are provided:
+//! Three laws are provided; DESIGN.md §13 records why these three:
 //!
 //! * [`DirectLaw`] — the paper's behaviour, applied ≡ raw. The oracle the
 //!   others are measured against; byte-equivalent to the pre-law pipeline.
-//! * [`AimdLaw`] — additive step toward a faster (smaller) period,
-//!   multiplicative back-off when the raw target rises (congestion): the
-//!   TCP-style asymmetry that reacts fast to pressure and cautiously to
-//!   headroom.
 //! * [`PidLaw`] — classic discrete PID on the period error with integral
 //!   windup clamping and a hard output range.
 //! * [`HysteresisLaw`] — a dead-band around the raw target (small moves are
@@ -49,9 +45,6 @@ pub struct LawDecision {
 /// A pacing control law: maps the stream of raw summary-STP targets to the
 /// stream of applied pacing targets.
 pub trait ControlLaw: Debug + Send {
-    /// Stable label for telemetry/config round-trips.
-    fn name(&self) -> &'static str;
-
     /// Fold one raw target into the law's state and return the applied
     /// decision. Total: never panics, and the returned period is a plain
     /// `u64` microsecond count by construction (no NaN/negative).
@@ -63,12 +56,6 @@ pub trait ControlLaw: Debug + Send {
     fn pending(&self) -> bool {
         false
     }
-
-    /// Feed a buffer-occupancy observation (items currently queued
-    /// downstream). Only laws that regulate on occupancy consume it
-    /// ([`PidInput::OccupancyError`]); the default is a no-op, so callers
-    /// may report occupancy unconditionally.
-    fn observe_occupancy(&mut self, _occ: f64) {}
 
     /// Drop all internal state (staleness expiry, task restart).
     fn reset(&mut self);
@@ -83,10 +70,6 @@ pub trait ControlLaw: Debug + Send {
 pub struct DirectLaw;
 
 impl ControlLaw for DirectLaw {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
     fn decide(&mut self, raw: Stp) -> LawDecision {
         LawDecision { target: raw, clamped: false }
     }
@@ -95,135 +78,8 @@ impl ControlLaw for DirectLaw {
 }
 
 // ---------------------------------------------------------------------------
-// AIMD
-// ---------------------------------------------------------------------------
-
-/// Parameters for [`AimdLaw`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AimdParams {
-    /// Additive decrement per decision when the raw target is *faster*
-    /// (smaller period) than the applied one.
-    pub step: Micros,
-    /// Multiplicative factor (> 1) applied to the period per decision when
-    /// the raw target is *slower* (congestion back-off).
-    pub backoff: f64,
-}
-
-impl Default for AimdParams {
-    fn default() -> Self {
-        AimdParams { step: Micros::from_millis(5), backoff: 1.5 }
-    }
-}
-
-impl AimdParams {
-    /// Typed validation for parameters read from configs.
-    pub fn validate(&self) -> Result<(), AruError> {
-        if self.step.is_zero() {
-            return Err(AruError::InvalidParam { what: "aimd.step", why: "must be > 0" });
-        }
-        if !self.backoff.is_finite() || self.backoff <= 1.0 {
-            return Err(AruError::InvalidParam {
-                what: "aimd.backoff",
-                why: "must be finite and > 1",
-            });
-        }
-        Ok(())
-    }
-
-    /// Clamp out-of-domain values to the nearest safe ones (degenerate
-    /// configs degrade, they don't panic a supervised task).
-    #[must_use]
-    fn sanitized(self) -> Self {
-        AimdParams {
-            step: if self.step.is_zero() { Micros(1) } else { self.step },
-            backoff: if self.backoff.is_finite() && self.backoff > 1.0 {
-                self.backoff
-            } else {
-                AimdParams::default().backoff
-            },
-        }
-    }
-}
-
-/// Additive-increase (of rate) / multiplicative-decrease guardrail on the
-/// pacing period. See the module docs.
-#[derive(Debug, Clone)]
-pub struct AimdLaw {
-    params: AimdParams,
-    applied: Option<f64>,
-    pending: bool,
-}
-
-impl AimdLaw {
-    #[must_use]
-    pub fn new(params: AimdParams) -> Self {
-        AimdLaw { params: params.sanitized(), applied: None, pending: false }
-    }
-}
-
-impl ControlLaw for AimdLaw {
-    fn name(&self) -> &'static str {
-        "aimd"
-    }
-
-    fn decide(&mut self, raw: Stp) -> LawDecision {
-        let r = raw.as_micros() as f64;
-        let next = match self.applied {
-            // First target: anchor at the oracle (like Direct) so the law
-            // guards *changes*, not cold start.
-            None => r,
-            Some(a) if r > a => {
-                // Congestion: back off multiplicatively toward the slower
-                // target; `a + 1` guarantees progress from a ≈ 0.
-                (a * self.params.backoff).max(a + 1.0).min(r)
-            }
-            Some(a) if r < a => {
-                // Headroom: approach the faster target additively.
-                (a - self.params.step.as_micros() as f64).max(r)
-            }
-            Some(a) => a,
-        };
-        self.applied = Some(next);
-        let target = Stp::from_micros(next.round() as u64);
-        self.pending = target != raw;
-        LawDecision { target, clamped: target != raw }
-    }
-
-    fn pending(&self) -> bool {
-        self.pending
-    }
-
-    fn reset(&mut self) {
-        self.applied = None;
-        self.pending = false;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PID
 // ---------------------------------------------------------------------------
-
-/// Error-signal source for [`PidLaw`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PidInput {
-    /// Classic: the error is the period gap `raw − applied`, the same
-    /// signal the other laws regulate.
-    #[default]
-    SummaryError,
-    /// Regulate downstream buffer occupancy instead (fed through
-    /// [`ControlLaw::observe_occupancy`]): the error is
-    /// `(occupancy − setpoint) × gain_us`. A backlog above the setpoint
-    /// produces a positive error and raises the applied period (slow
-    /// down); occupancy below it speeds back up. Until the first
-    /// observation arrives the error is zero — the law holds rather than
-    /// steering on a guess.
-    OccupancyError {
-        /// Items the regulated buffer should hold at equilibrium.
-        setpoint: f64,
-        /// Microseconds of period correction per item of occupancy error.
-        gain_us: f64,
-    },
-}
 
 /// Parameters for [`PidLaw`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,8 +96,6 @@ pub struct PidParams {
     pub min_period: Micros,
     /// Hard ceiling on the applied period.
     pub max_period: Micros,
-    /// Which error signal drives the loop (period gap by default).
-    pub input: PidInput,
 }
 
 impl Default for PidParams {
@@ -260,7 +114,6 @@ impl Default for PidParams {
             integral_limit: Micros::from_secs(5),
             min_period: Micros::ZERO,
             max_period: Micros::from_secs(3600),
-            input: PidInput::SummaryError,
         }
     }
 }
@@ -285,20 +138,6 @@ impl PidParams {
                 why: "must be <= max_period",
             });
         }
-        if let PidInput::OccupancyError { setpoint, gain_us } = self.input {
-            if !setpoint.is_finite() || setpoint < 0.0 {
-                return Err(AruError::InvalidParam {
-                    what: "pid.input.setpoint",
-                    why: "must be finite and >= 0",
-                });
-            }
-            if !gain_us.is_finite() || gain_us <= 0.0 {
-                return Err(AruError::InvalidParam {
-                    what: "pid.input.gain_us",
-                    why: "must be finite and > 0",
-                });
-            }
-        }
         Ok(())
     }
 
@@ -313,7 +152,6 @@ impl PidParams {
             integral_limit: self.integral_limit,
             min_period: self.min_period,
             max_period: self.max_period,
-            input: self.input,
         };
         if p.kp == 0.0 && p.ki == 0.0 {
             p.kp = d.kp;
@@ -321,21 +159,12 @@ impl PidParams {
         if p.min_period > p.max_period {
             p.max_period = p.min_period;
         }
-        if let PidInput::OccupancyError { setpoint, gain_us } = p.input {
-            // Degenerate occupancy parameters fall back to the classic
-            // input rather than steering on NaN/zero-gain error signals.
-            if !setpoint.is_finite() || setpoint < 0.0 || !gain_us.is_finite() || gain_us <= 0.0 {
-                p.input = PidInput::SummaryError;
-            }
-        }
         p
     }
 }
 
-/// Discrete PID with integral windup clamping and a hard output range.
-/// The error signal is the period gap by default, or a scaled occupancy
-/// error when configured with [`PidInput::OccupancyError`]. See the
-/// module docs.
+/// Discrete PID on the period gap `raw − applied`, with integral windup
+/// clamping and a hard output range. See the module docs.
 #[derive(Debug, Clone)]
 pub struct PidLaw {
     params: PidParams,
@@ -343,7 +172,6 @@ pub struct PidLaw {
     integral: f64,
     prev_err: f64,
     pending: bool,
-    last_occ: Option<f64>,
 }
 
 impl PidLaw {
@@ -355,28 +183,11 @@ impl PidLaw {
             integral: 0.0,
             prev_err: 0.0,
             pending: false,
-            last_occ: None,
-        }
-    }
-
-    /// Current error signal in µs, per the configured input source.
-    fn error(&self, r: f64, a: f64) -> f64 {
-        match self.params.input {
-            PidInput::SummaryError => r - a,
-            PidInput::OccupancyError { setpoint, gain_us } => {
-                // No observation yet means no evidence of imbalance:
-                // hold instead of steering on a guess.
-                (self.last_occ.unwrap_or(setpoint) - setpoint) * gain_us
-            }
         }
     }
 }
 
 impl ControlLaw for PidLaw {
-    fn name(&self) -> &'static str {
-        "pid"
-    }
-
     fn decide(&mut self, raw: Stp) -> LawDecision {
         let r = raw.as_micros() as f64;
         let Some(a) = self.applied else {
@@ -387,15 +198,7 @@ impl ControlLaw for PidLaw {
             self.pending = false;
             return LawDecision { target: raw, clamped: false };
         };
-        let e = self.error(r, a);
-        if e == 0.0 && matches!(self.params.input, PidInput::OccupancyError { .. }) {
-            // Occupancy at the setpoint: hold the (integral-held) period
-            // offset rather than letting a non-zero integral keep walking
-            // the output with no error driving it.
-            self.pending = false;
-            let target = Stp::from_micros(a.round().max(0.0) as u64);
-            return LawDecision { target, clamped: target != raw };
-        }
+        let e = r - a;
         let lim = self.params.integral_limit.as_micros() as f64;
         self.integral = (self.integral + e).clamp(-lim, lim);
         let d = e - self.prev_err;
@@ -410,13 +213,7 @@ impl ControlLaw for PidLaw {
         next = next.clamp(lo, hi);
         self.applied = Some(next);
         let target = Stp::from_micros(next.round().max(0.0) as u64);
-        self.pending = match self.params.input {
-            PidInput::SummaryError => target != raw,
-            // Occupancy regulation settles when the error does, not when
-            // the output matches the raw oracle (a standing offset is the
-            // point of the integral term).
-            PidInput::OccupancyError { .. } => true,
-        };
+        self.pending = target != raw;
         LawDecision { target, clamped: target != raw }
     }
 
@@ -424,24 +221,11 @@ impl ControlLaw for PidLaw {
         self.pending
     }
 
-    fn observe_occupancy(&mut self, occ: f64) {
-        if !occ.is_finite() {
-            return;
-        }
-        self.last_occ = Some(occ);
-        if let PidInput::OccupancyError { setpoint, .. } = self.params.input {
-            if occ != setpoint {
-                self.pending = true;
-            }
-        }
-    }
-
     fn reset(&mut self) {
         self.applied = None;
         self.integral = 0.0;
         self.prev_err = 0.0;
         self.pending = false;
-        self.last_occ = None;
     }
 }
 
@@ -540,10 +324,6 @@ impl HysteresisLaw {
 }
 
 impl ControlLaw for HysteresisLaw {
-    fn name(&self) -> &'static str {
-        "hysteresis"
-    }
-
     fn decide(&mut self, raw: Stp) -> LawDecision {
         let r = raw.as_micros() as f64;
         let Some(a) = self.applied else {
@@ -593,8 +373,6 @@ pub enum ControllerConfig {
     /// the raw summary-STP.
     #[default]
     Direct,
-    /// AIMD guardrail.
-    Aimd(AimdParams),
     /// PID guardrail.
     Pid(PidParams),
     /// Dead-band + slew-rate guardrail.
@@ -607,7 +385,6 @@ impl ControllerConfig {
     pub fn label(&self) -> &'static str {
         match self {
             ControllerConfig::Direct => "direct",
-            ControllerConfig::Aimd(_) => "aimd",
             ControllerConfig::Pid(_) => "pid",
             ControllerConfig::Hysteresis(_) => "hysteresis",
         }
@@ -617,7 +394,6 @@ impl ControllerConfig {
     pub fn validate(&self) -> Result<(), AruError> {
         match self {
             ControllerConfig::Direct => Ok(()),
-            ControllerConfig::Aimd(p) => p.validate(),
             ControllerConfig::Pid(p) => p.validate(),
             ControllerConfig::Hysteresis(p) => p.validate(),
         }
@@ -630,7 +406,6 @@ impl ControllerConfig {
     pub fn build(&self) -> Box<dyn ControlLaw> {
         match self {
             ControllerConfig::Direct => Box::new(DirectLaw),
-            ControllerConfig::Aimd(p) => Box::new(AimdLaw::new(*p)),
             ControllerConfig::Pid(p) => Box::new(PidLaw::new(*p)),
             ControllerConfig::Hysteresis(p) => Box::new(HysteresisLaw::new(*p)),
         }
@@ -654,7 +429,7 @@ mod tests {
             }
             d = law.decide(raw);
         }
-        panic!("{} did not settle on {raw} within {max_iters} decisions", law.name());
+        panic!("{law:?} did not settle on {raw} within {max_iters} decisions");
     }
 
     #[test]
@@ -666,50 +441,6 @@ mod tests {
             assert!(!d.clamped);
             assert!(!law.pending());
         }
-    }
-
-    #[test]
-    fn aimd_first_target_anchors_at_oracle() {
-        let mut law = AimdLaw::new(AimdParams::default());
-        let d = law.decide(us(300_000));
-        assert_eq!(d.target, us(300_000));
-        assert!(!d.clamped);
-        assert!(!law.pending());
-    }
-
-    #[test]
-    fn aimd_backs_off_multiplicatively_on_congestion() {
-        let mut law = AimdLaw::new(AimdParams::default());
-        law.decide(us(100_000));
-        // Raw target doubles: first response is ×1.5, not the full jump.
-        let d = law.decide(us(200_000));
-        assert_eq!(d.target, us(150_000));
-        assert!(d.clamped);
-        assert!(law.pending());
-        let d2 = law.decide(us(200_000));
-        assert_eq!(d2.target, us(200_000), "second step caps at the target");
-        assert!(!law.pending());
-    }
-
-    #[test]
-    fn aimd_steps_down_additively() {
-        let mut law = AimdLaw::new(AimdParams::default());
-        law.decide(us(100_000));
-        // Raw target halves: approach in 5 ms steps.
-        let d = law.decide(us(50_000));
-        assert_eq!(d.target, us(95_000));
-        assert!(law.pending());
-        let settled = settle(&mut law, us(50_000), 20);
-        assert_eq!(settled.target, us(50_000));
-    }
-
-    #[test]
-    fn aimd_converges_to_direct_fixed_point() {
-        let mut law = AimdLaw::new(AimdParams::default());
-        law.decide(us(500));
-        let d = settle(&mut law, us(2_000_000), 100);
-        assert_eq!(d.target, us(2_000_000));
-        assert!(!d.clamped);
     }
 
     #[test]
@@ -742,81 +473,6 @@ mod tests {
             let d = law.decide(us(0));
             assert!(d.target.as_micros() >= 50, "floor respected: {}", d.target);
         }
-    }
-
-    fn occ_params(setpoint: f64, gain_us: f64) -> PidParams {
-        PidParams {
-            input: PidInput::OccupancyError { setpoint, gain_us },
-            ..PidParams::default()
-        }
-    }
-
-    #[test]
-    fn pid_occupancy_backlog_raises_period_and_drain_lowers_it() {
-        let mut law = PidLaw::new(occ_params(8.0, 100.0));
-        law.decide(us(10_000)); // anchor
-        law.observe_occupancy(16.0);
-        assert!(law.pending(), "occupancy off the setpoint arms a decision");
-        let d = law.decide(us(10_000));
-        assert!(
-            d.target.as_micros() > 10_000,
-            "backlog above the setpoint slows the producer: {}",
-            d.target
-        );
-        assert!(d.clamped, "a standing offset from raw is reported as clamped");
-
-        let high = law.decide(us(10_000)).target;
-        law.observe_occupancy(2.0);
-        let mut cur = high;
-        for _ in 0..50 {
-            cur = law.decide(us(10_000)).target;
-        }
-        assert!(cur < high, "draining below the setpoint speeds back up: {cur} vs {high}");
-    }
-
-    #[test]
-    fn pid_occupancy_without_observation_holds_at_anchor() {
-        let mut law = PidLaw::new(occ_params(8.0, 100.0));
-        law.decide(us(10_000));
-        // No occupancy evidence yet: the error is zero, the law holds the
-        // anchor and reports settled rather than steering on a guess.
-        let d = law.decide(us(10_000));
-        assert_eq!(d.target, us(10_000));
-        assert!(!d.clamped);
-        assert!(!law.pending());
-    }
-
-    #[test]
-    fn pid_occupancy_at_setpoint_holds_integral_offset() {
-        let mut law = PidLaw::new(occ_params(8.0, 100.0));
-        law.decide(us(10_000));
-        law.observe_occupancy(20.0);
-        for _ in 0..10 {
-            law.decide(us(10_000));
-        }
-        law.observe_occupancy(8.0);
-        let held = law.decide(us(10_000));
-        assert!(!law.pending(), "zero error settles the law");
-        let held2 = law.decide(us(10_000));
-        assert_eq!(
-            held.target, held2.target,
-            "at the setpoint the integral-held offset stays put instead of drifting"
-        );
-    }
-
-    #[test]
-    fn pid_occupancy_params_validate_and_sanitize() {
-        assert!(occ_params(8.0, 100.0).validate().is_ok());
-        assert!(occ_params(f64::NAN, 100.0).validate().is_err());
-        assert!(occ_params(-1.0, 100.0).validate().is_err());
-        assert!(occ_params(8.0, 0.0).validate().is_err());
-        assert!(occ_params(8.0, f64::INFINITY).validate().is_err());
-        // Degenerate occupancy parameters fall back to the classic input.
-        assert_eq!(occ_params(8.0, -5.0).sanitized().input, PidInput::SummaryError);
-        assert_eq!(
-            occ_params(4.0, 250.0).sanitized().input,
-            PidInput::OccupancyError { setpoint: 4.0, gain_us: 250.0 }
-        );
     }
 
     #[test]
@@ -861,7 +517,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_state() {
-        let mut law = AimdLaw::new(AimdParams::default());
+        let mut law = HysteresisLaw::new(HysteresisParams::default());
         law.decide(us(100_000));
         law.decide(us(900_000));
         assert!(law.pending());
@@ -873,8 +529,7 @@ mod tests {
 
     #[test]
     fn degenerate_params_are_sanitized_not_fatal() {
-        let laws: [Box<dyn ControlLaw>; 3] = [
-            Box::new(AimdLaw::new(AimdParams { step: Micros::ZERO, backoff: f64::NAN })),
+        let laws: [Box<dyn ControlLaw>; 2] = [
             Box::new(PidLaw::new(PidParams {
                 kp: f64::NAN,
                 ki: -1.0,
@@ -891,7 +546,7 @@ mod tests {
             law.decide(us(100_000));
             for _ in 0..100 {
                 let d = law.decide(us(1_000));
-                assert!(d.target.as_micros() <= 100_000, "{}: {}", law.name(), d.target);
+                assert!(d.target.as_micros() <= 100_000, "{law:?}: {}", d.target);
             }
         }
     }
@@ -899,11 +554,11 @@ mod tests {
     #[test]
     fn validate_reports_typed_errors() {
         assert!(ControllerConfig::Direct.validate().is_ok());
-        assert!(ControllerConfig::Aimd(AimdParams::default()).validate().is_ok());
-        let bad = ControllerConfig::Aimd(AimdParams { step: Micros::ZERO, backoff: 1.5 });
+        assert!(ControllerConfig::Pid(PidParams::default()).validate().is_ok());
+        let bad = ControllerConfig::Pid(PidParams { kp: -1.0, ..PidParams::default() });
         assert!(matches!(
             bad.validate(),
-            Err(AruError::InvalidParam { what: "aimd.step", .. })
+            Err(AruError::InvalidParam { what: "pid.kp", .. })
         ));
         let bad = ControllerConfig::Hysteresis(HysteresisParams {
             band: f64::NAN,
@@ -915,7 +570,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(ControllerConfig::Direct.label(), "direct");
-        assert_eq!(ControllerConfig::Aimd(AimdParams::default()).label(), "aimd");
         assert_eq!(ControllerConfig::Pid(PidParams::default()).label(), "pid");
         assert_eq!(
             ControllerConfig::Hysteresis(HysteresisParams::default()).label(),

@@ -26,7 +26,7 @@
 //!   §3.3.2 and §6, implemented here and evaluated in an ablation bench.
 //! * **Control laws** ([`law`]): pluggable guardrails between the
 //!   propagated summary-STP and the pacer — `Direct` (the paper's law and
-//!   the default), AIMD, PID with anti-windup, and a hysteresis dead-band —
+//!   the default), PID with anti-windup, and a hysteresis dead-band —
 //!   invoked event-style on summary-STP changes rather than every
 //!   iteration (DESIGN.md §13).
 //! * **Controller** ([`controller::AruController`]): the per-node state
@@ -60,8 +60,8 @@ pub use error::AruError;
 pub use filter::{EwmaFilter, IdentityFilter, MedianFilter, StpFilter};
 pub use graph::{ConnId, NodeId, NodeKind, Topology};
 pub use law::{
-    AimdLaw, AimdParams, ControlLaw, ControllerConfig, DirectLaw, HysteresisLaw,
-    HysteresisParams, LawDecision, PidInput, PidLaw, PidParams,
+    ControlLaw, ControllerConfig, DirectLaw, HysteresisLaw, HysteresisParams, LawDecision,
+    PidLaw, PidParams,
 };
 pub use pacing::Pacer;
 pub use retry::{Backoff, RetryPolicy};

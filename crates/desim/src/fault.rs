@@ -156,7 +156,7 @@ impl FaultPlan {
     /// scenario the stability experiment paces against: the oracle
     /// summary-STP oscillates with the link, and a control law must either
     /// follow it (Direct), smooth it (Hysteresis), or approach it gradually
-    /// (AIMD/PID). See DESIGN.md §13.
+    /// (PID). See DESIGN.md §13.
     #[must_use]
     pub fn volatile_link(
         mut self,

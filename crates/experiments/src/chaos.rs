@@ -8,7 +8,9 @@
 //!    killed mid-run and restarted by the supervisor under the default
 //!    retry policy. Because ARU keeps no state outside the channels, the
 //!    digitizer's paced production period must re-converge to its pre-fault
-//!    steady state.
+//!    steady state. This run ([`crash_sim`] under `Direct`) is also the
+//!    stability matrix's `(direct, chaos)` cell, so `repro` simulates it
+//!    once and hands it to both experiments.
 //! 2. **Feedback loss** — every summary to the digitizer is dropped for a
 //!    window, with a staleness horizon configured. The source must decay
 //!    back to un-paced production (instead of freezing on the last pacing
@@ -16,7 +18,7 @@
 
 use crate::config::ExpParams;
 use crate::tables::ShapeCheck;
-use aru_core::{AruConfig, RetryPolicy};
+use aru_core::{AruConfig, ControllerConfig, RetryPolicy};
 use aru_metrics::export::{fault_report_jsonl, jsonl_line, ExportSink};
 use aru_metrics::report::Table;
 use aru_metrics::trace::wall_clock_unix_us;
@@ -98,17 +100,27 @@ fn rate_per_sec(ends: &[u64], lo: u64, hi: u64) -> f64 {
     n as f64 / ((hi - lo) as f64 / 1e6)
 }
 
-/// Scenario 1: crash change detection at the midpoint.
-fn run_crash(seed: u64, duration: Micros) -> CrashRecovery {
-    let dur = duration.as_micros();
+/// Scenario 1's simulation under `control`: config 1 with ARU-min, change
+/// detection crashed at the midpoint and restarted under the default retry
+/// policy.
+#[must_use]
+pub fn crash_sim(control: ControllerConfig, seed: u64, duration: Micros) -> SimReport {
+    let p = SimTrackerParams::new(
+        AruConfig::aru_min().with_control(control),
+        TrackerConfigId::OneNode,
+    )
+    .with_seed(seed)
+    .with_duration(duration)
+    .with_faults(FaultPlan::none().crash("change-detection", Micros(duration.as_micros() / 2)))
+    .with_retry(RetryPolicy::default());
+    tracker::app_sim::run_sim(&p)
+}
+
+/// Scenario 1's verdict, read from the [`crash_sim`] run `r`.
+fn crash_recovery(r: &SimReport) -> CrashRecovery {
+    let dur = r.t_end.as_micros();
     let crash_at = dur / 2;
-    let p = SimTrackerParams::new(AruConfig::aru_min(), TrackerConfigId::OneNode)
-        .with_seed(seed)
-        .with_duration(duration)
-        .with_faults(FaultPlan::none().crash("change-detection", Micros(crash_at)))
-        .with_retry(RetryPolicy::default());
-    let r = tracker::app_sim::run_sim(&p);
-    let ends = digitizer_iter_ends(&r);
+    let ends = digitizer_iter_ends(r);
     let last_output_us = r
         .trace
         .events()
@@ -127,7 +139,7 @@ fn run_crash(seed: u64, duration: Micros) -> CrashRecovery {
         last_output_us,
         duration_us: dur,
         epoch_unix_us: r.trace.epoch_unix_us(),
-        telemetry: r.telemetry,
+        telemetry: r.telemetry.clone(),
     }
 }
 
@@ -157,28 +169,15 @@ fn run_loss(seed: u64, duration: Micros) -> FeedbackLoss {
     }
 }
 
-/// Run both chaos scenarios (config 1, first seed). The two scenarios are
-/// independent simulations and run concurrently.
+/// Both chaos scenarios (config 1, first seed): the crash-recovery verdict
+/// is read from `crash`, the `Direct` [`crash_sim`] run; the feedback-loss
+/// scenario is simulated here.
 #[must_use]
-pub fn run(params: &ExpParams) -> Chaos {
-    enum Scenario {
-        Crash(CrashRecovery),
-        Loss(FeedbackLoss),
+pub fn run(params: &ExpParams, crash: &SimReport) -> Chaos {
+    Chaos {
+        crash: crash_recovery(crash),
+        loss: run_loss(params.seeds[0], params.duration),
     }
-    let seed = params.seeds[0];
-    let duration = params.duration;
-    let jobs: Vec<Box<dyn FnOnce() -> Scenario + Send>> = vec![
-        Box::new(move || Scenario::Crash(run_crash(seed, duration))),
-        Box::new(move || Scenario::Loss(run_loss(seed, duration))),
-    ];
-    let mut results = crate::driver::run_jobs(jobs);
-    let Some(Scenario::Loss(loss)) = results.pop() else {
-        unreachable!("second job is the loss scenario");
-    };
-    let Some(Scenario::Crash(crash)) = results.pop() else {
-        unreachable!("first job is the crash scenario");
-    };
-    Chaos { crash, loss }
 }
 
 impl Chaos {
@@ -262,7 +261,7 @@ impl Chaos {
     }
 
     /// Persist each scenario's flight-recorder journal (DESIGN.md §16)
-    /// next to the CSVs, for `repro doctor` and CI's doctor-smoke lane.
+    /// next to the CSVs, for `repro doctor` and CI's chaos lane.
     pub fn write_journals(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
         let crash = dir.join("chaos_crash.journal.jsonl");
         self.crash
@@ -323,7 +322,9 @@ mod tests {
 
     #[test]
     fn chaos_quick_shape_holds() {
-        let chaos = run(&ExpParams::quick());
+        let p = ExpParams::quick();
+        let crash = crash_sim(ControllerConfig::Direct, p.seeds[0], p.duration);
+        let chaos = run(&p, &crash);
         for check in chaos.shape_checks() {
             assert!(check.passed, "{}: {}", check.name, check.detail);
         }

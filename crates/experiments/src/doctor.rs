@@ -22,9 +22,9 @@
 //! * a human verdict plus a machine-readable JSON report, and `--baseline`
 //!   to diff two journals (did the fix actually remove the oscillation?).
 //!
-//! CI's `doctor-smoke` lane drives the `--expect`/`--forbid` flags: the
-//! chaos journal must produce `crash`, the Direct volatile-link journal
-//! must produce `oscillation`, and the Hysteresis cell must not.
+//! CI's chaos and stability-smoke lanes drive the `--expect`/`--forbid`
+//! flags: the chaos journal must produce `crash`, the Direct volatile-link
+//! journal must produce `oscillation`, and the Hysteresis cell must not.
 
 use aru_metrics::journal::{
     attribute_pace, law_label, HopLeg, JournalKind, JournalRecord, LoadedJournal, PaceChain,
@@ -920,7 +920,7 @@ mod tests {
     #[test]
     fn saturation_needs_majority_clamped() {
         let clamped = JournalKind::Pace {
-            law: law_code("aimd"),
+            law: law_code("pid"),
             raw: Micros(10),
             target: Micros(5_000),
             sleep: Micros(0),

@@ -19,6 +19,7 @@
 //! ordering and the aggregated statistics are independent of completion
 //! order (set `ARU_EXP_THREADS=1` to force serial execution).
 
+use aru_core::ControllerConfig;
 use aru_metrics::ExportSink;
 use experiments::config::{configs, ExpParams};
 use experiments::fig10::Fig10;
@@ -207,26 +208,31 @@ fn main() {
     if want("sweep") {
         emit!(sweep::run(&args.params), "sweep_sensitivity.csv");
     }
-    if want("chaos") {
-        let fig = chaos::run(&args.params);
-        emit!(fig, "chaos_faults.csv");
-        fig.export_jsonl(&fresh_jsonl_sink(args.out.join("chaos_telemetry.jsonl")))
-            .expect("write chaos telemetry jsonl");
-        // Flight-recorder journals for `repro doctor` (one per scenario).
-        for p in fig.write_journals(&args.out).expect("write chaos journals") {
-            println!("chaos journal written to {}", p.display());
+    // The chaos crash scenario is also the stability matrix's
+    // `(direct, chaos)` cell: simulated once, read by both.
+    if want("chaos") || want("stability") {
+        let crash = chaos::crash_sim(ControllerConfig::Direct, seeds[0], *duration);
+        if want("chaos") {
+            let fig = chaos::run(&args.params, &crash);
+            emit!(fig, "chaos_faults.csv");
+            fig.export_jsonl(&fresh_jsonl_sink(args.out.join("chaos_telemetry.jsonl")))
+                .expect("write chaos telemetry jsonl");
+            // Flight-recorder journals for `repro doctor` (one per scenario).
+            for p in fig.write_journals(&args.out).expect("write chaos journals") {
+                println!("chaos journal written to {}", p.display());
+            }
         }
-    }
-    if want("stability") {
-        let fig = stability::run(&args.params);
-        emit!(fig, "stability_laws.csv");
-        fig.export_jsonl(&fresh_jsonl_sink(args.out.join("stability_telemetry.jsonl")))
-            .expect("write stability telemetry jsonl");
-        // Per-cell flight-recorder journals for `repro doctor`.
-        let journals = fig
-            .write_journals(&args.out)
-            .expect("write stability journals");
-        println!("{} stability journals written to {}", journals.len(), args.out.display());
+        if want("stability") {
+            let fig = stability::run(&args.params, &crash);
+            emit!(fig, "stability_laws.csv");
+            fig.export_jsonl(&fresh_jsonl_sink(args.out.join("stability_telemetry.jsonl")))
+                .expect("write stability telemetry jsonl");
+            // Per-cell flight-recorder journals for `repro doctor`.
+            let journals = fig
+                .write_journals(&args.out)
+                .expect("write stability journals");
+            println!("{} stability journals written to {}", journals.len(), args.out.display());
+        }
     }
     if want("scale") {
         let fig = scale::run(&args.params);

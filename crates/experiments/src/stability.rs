@@ -1,11 +1,13 @@
 //! Stability experiment (extension beyond the paper): compare the pacing
 //! control laws (DESIGN.md §13) under induced congestion.
 //!
-//! A 4 × 2 matrix — {Direct, AIMD, PID, Hysteresis} × two scenarios:
+//! A 3 × 2 matrix — {Direct, PID, Hysteresis} × two scenarios:
 //!
 //! 1. **chaos** — config 1, the Motion-Mask stage (change detection) is
 //!    crashed at the midpoint and restarted by the supervisor; the
-//!    digitizer's pacing target collapses and must re-converge.
+//!    digitizer's pacing target collapses and must re-converge. This is
+//!    the chaos experiment's crash scenario ([`crate::chaos::crash_sim`]),
+//!    and its `Direct` cell is that experiment's run, simulated once.
 //! 2. **volatile_link** — config 2 (5 nodes), the interconnect's transfer
 //!    times follow a square wave ([`desim::FaultPlan::volatile_link`])
 //!    while periodic bursts eat the summary feedback
@@ -23,9 +25,7 @@
 
 use crate::config::ExpParams;
 use crate::tables::ShapeCheck;
-use aru_core::{
-    AimdParams, AruConfig, ControllerConfig, HysteresisParams, PidParams, RetryPolicy,
-};
+use aru_core::{AruConfig, ControllerConfig, HysteresisParams, PidParams};
 use aru_metrics::export::{jsonl_line, ExportSink};
 use aru_metrics::report::Table;
 use aru_metrics::stability::{pace_target_series, stability, StabilityReport, StabilitySpec};
@@ -57,15 +57,11 @@ pub struct Stability {
     pub epoch_unix_us: u64,
 }
 
-fn all_laws() -> Vec<(&'static str, ControllerConfig)> {
-    vec![
-        ("direct", ControllerConfig::Direct),
-        ("aimd", ControllerConfig::Aimd(AimdParams::default())),
-        ("pid", ControllerConfig::Pid(PidParams::default())),
-        (
-            "hysteresis",
-            ControllerConfig::Hysteresis(HysteresisParams::default()),
-        ),
+fn all_laws() -> [ControllerConfig; 3] {
+    [
+        ControllerConfig::Direct,
+        ControllerConfig::Pid(PidParams::default()),
+        ControllerConfig::Hysteresis(HysteresisParams::default()),
     ]
 }
 
@@ -99,37 +95,23 @@ fn analyze(r: &SimReport, disturb_at: u64, until: u64) -> (StabilityReport, usiz
     (report, decisions, clamped)
 }
 
-/// Scenario 1: crash-recovery congestion on config 1.
-fn run_chaos_cell(law: &'static str, control: ControllerConfig, seed: u64, dur: Micros) -> StabilityCell {
-    let d = dur.as_micros();
-    let crash_at = d / 2;
-    let p = SimTrackerParams::new(
-        AruConfig::aru_min().with_control(control),
-        TrackerConfigId::OneNode,
-    )
-    .with_seed(seed)
-    .with_duration(dur)
-    .with_faults(FaultPlan::none().crash("change-detection", Micros(crash_at)))
-    .with_retry(RetryPolicy::default());
-    let r = tracker::app_sim::run_sim(&p);
-    let (report, decisions, clamped) = analyze(&r, crash_at, d);
+/// Scenario 1: crash-recovery congestion on config 1, scored from the
+/// [`crate::chaos::crash_sim`] run `r`.
+fn chaos_cell(control: ControllerConfig, r: &SimReport) -> StabilityCell {
+    let d = r.t_end.as_micros();
+    let (report, decisions, clamped) = analyze(r, d / 2, d);
     StabilityCell {
-        law,
+        law: control.label(),
         scenario: "chaos",
         report,
         decisions,
         clamped,
-        telemetry: r.telemetry,
+        telemetry: r.telemetry.clone(),
     }
 }
 
 /// Scenario 2: volatile link + feedback-drop bursts on config 2.
-fn run_volatile_cell(
-    law: &'static str,
-    control: ControllerConfig,
-    seed: u64,
-    dur: Micros,
-) -> StabilityCell {
+fn run_volatile_cell(control: ControllerConfig, seed: u64, dur: Micros) -> StabilityCell {
     let d = dur.as_micros();
     let from = d / 4;
     let p = SimTrackerParams::new(
@@ -154,7 +136,7 @@ fn run_volatile_cell(
     let r = tracker::app_sim::run_sim(&p);
     let (report, decisions, clamped) = analyze(&r, from, d);
     StabilityCell {
-        law,
+        law: control.label(),
         scenario: "volatile_link",
         report,
         decisions,
@@ -163,17 +145,20 @@ fn run_volatile_cell(
     }
 }
 
-/// Run the full 4 × 2 matrix (first seed); the eight simulations are
+/// Run the full 3 × 2 matrix (first seed). `direct_chaos` is the `Direct`
+/// [`crate::chaos::crash_sim`] run; the other five simulations are
 /// independent and run concurrently.
 #[must_use]
-pub fn run(params: &ExpParams) -> Stability {
+pub fn run(params: &ExpParams, direct_chaos: &SimReport) -> Stability {
     let seed = params.seeds[0];
     let dur = params.duration;
-    let mut jobs: Vec<Box<dyn FnOnce() -> StabilityCell + Send>> = Vec::new();
-    for (label, control) in all_laws() {
-        let c = control;
-        jobs.push(Box::new(move || run_chaos_cell(label, c, seed, dur)));
-        jobs.push(Box::new(move || run_volatile_cell(label, control, seed, dur)));
+    let mut jobs: Vec<Box<dyn FnOnce() -> StabilityCell + Send + '_>> = Vec::new();
+    for control in all_laws() {
+        jobs.push(Box::new(move || match control {
+            ControllerConfig::Direct => chaos_cell(control, direct_chaos),
+            _ => chaos_cell(control, &crate::chaos::crash_sim(control, seed, dur)),
+        }));
+        jobs.push(Box::new(move || run_volatile_cell(control, seed, dur)));
     }
     let cells = crate::driver::run_jobs(jobs);
     Stability {
@@ -284,7 +269,7 @@ impl Stability {
 
     /// Persist each cell's flight-recorder journal (DESIGN.md §16) as
     /// `stability_<law>_<scenario>.journal.jsonl`, for `repro doctor` and
-    /// CI's doctor-smoke lane (Direct must oscillate under the volatile
+    /// CI's stability-smoke lane (Direct must oscillate under the volatile
     /// link; Hysteresis must stay clean).
     pub fn write_journals(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
         let mut paths = Vec::new();
@@ -303,7 +288,8 @@ impl Stability {
     pub fn shape_checks(&self) -> Vec<ShapeCheck> {
         let direct = &self.cell("direct", "volatile_link").report;
         let hyst = &self.cell("hysteresis", "volatile_link").report;
-        let mut checks = vec![
+        let pid = &self.cell("pid", "chaos").report;
+        vec![
             ShapeCheck::new(
                 "stability: direct chases the volatile oracle (oscillates)",
                 direct.oscillating_windows > 0,
@@ -325,27 +311,23 @@ impl Stability {
                 hyst.reversals < direct.reversals,
                 format!("{} vs {} reversals", hyst.reversals, direct.reversals),
             ),
-        ];
-        for law in ["aimd", "pid"] {
-            let c = &self.cell(law, "chaos").report;
-            checks.push(ShapeCheck::new(
-                format!("stability: {law} re-converges after the crash"),
-                c.convergence.is_some(),
-                match c.convergence {
+            ShapeCheck::new(
+                "stability: pid re-converges after the crash",
+                pid.convergence.is_some(),
+                match pid.convergence {
                     Some(m) => format!("{:.2} s after disturbance", m.as_micros() as f64 / 1e6),
                     None => "never converged".into(),
                 },
-            ));
-        }
-        checks.push(ShapeCheck::new(
-            "stability: every cell recorded pacing decisions",
-            self.cells.iter().all(|c| c.decisions > 0),
-            format!(
-                "min decisions {}",
-                self.cells.iter().map(|c| c.decisions).min().unwrap_or(0)
             ),
-        ));
-        checks
+            ShapeCheck::new(
+                "stability: every cell recorded pacing decisions",
+                self.cells.iter().all(|c| c.decisions > 0),
+                format!(
+                    "min decisions {}",
+                    self.cells.iter().map(|c| c.decisions).min().unwrap_or(0)
+                ),
+            ),
+        ]
     }
 }
 
@@ -355,13 +337,15 @@ mod tests {
 
     #[test]
     fn stability_quick_shape_holds() {
-        let fig = run(&ExpParams::quick());
-        assert_eq!(fig.cells.len(), 8, "4 laws x 2 scenarios");
+        let p = ExpParams::quick();
+        let crash = crate::chaos::crash_sim(ControllerConfig::Direct, p.seeds[0], p.duration);
+        let fig = run(&p, &crash);
+        assert_eq!(fig.cells.len(), 6, "3 laws x 2 scenarios");
         for check in fig.shape_checks() {
             assert!(check.passed, "{}: {}", check.name, check.detail);
         }
         let csv = fig.to_csv();
-        assert_eq!(csv.lines().count(), 9, "header + 8 cells");
+        assert_eq!(csv.lines().count(), 7, "header + 6 cells");
         assert!(csv.contains("hysteresis,volatile_link"));
 
         let dir =
@@ -380,7 +364,7 @@ mod tests {
         // Direct volatile-link cell must be diagnosed as oscillating and
         // the Hysteresis cell must come back clean.
         let paths = fig.write_journals(&dir).unwrap();
-        assert_eq!(paths.len(), 8);
+        assert_eq!(paths.len(), 6);
         let find = |law: &str| {
             let p = dir.join(format!("stability_{law}_volatile_link.journal.jsonl"));
             crate::doctor::diagnose(&aru_metrics::load_journal(&p).unwrap())

@@ -96,7 +96,9 @@ impl FaultClass {
 }
 
 /// Control-law code carried by [`JournalKind::Pace`] records. Codes are
-/// part of the persisted schema; `0` is "unknown".
+/// part of the persisted schema; `0` is "unknown". Code 2 belongs to the
+/// retired AIMD law: no controller writes it any more, and it stays
+/// reserved and decodable so older journals still load.
 #[must_use]
 pub fn law_code(label: &str) -> u8 {
     match label {
@@ -1043,6 +1045,55 @@ mod tests {
         assert_eq!(loaded.source, "threaded");
         assert_eq!(loaded.snapshot.records.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every law a controller can run journals under a code that decodes
+    /// back to its `ControllerConfig::label`, the one name the telemetry,
+    /// desim's gates and the doctor share.
+    #[test]
+    fn every_controller_label_roundtrips_through_its_law_code() {
+        use aru_core::{ControllerConfig, HysteresisParams, PidParams};
+        // Exhaustive on purpose: a new law does not compile until it is
+        // listed here, and so until it has a code.
+        let listed = |c: ControllerConfig| match c {
+            ControllerConfig::Direct
+            | ControllerConfig::Pid(_)
+            | ControllerConfig::Hysteresis(_) => c,
+        };
+        for law in [
+            ControllerConfig::Direct,
+            ControllerConfig::Pid(PidParams::default()),
+            ControllerConfig::Hysteresis(HysteresisParams::default()),
+        ]
+        .map(listed)
+        {
+            let code = law_code(law.label());
+            assert_ne!(code, 0, "{} has no journal code", law.label());
+            assert_eq!(law_label(code), law.label());
+        }
+    }
+
+    /// A pace line written while AIMD was still a law loads with its
+    /// reserved code.
+    #[test]
+    fn retired_aimd_pace_line_still_loads_as_code_2() {
+        let text = "{\"kind\":\"journal_header\",\"schema\":1,\"source\":\"sim\",\
+                    \"epoch_unix_us\":0,\"torn\":0,\"dropped\":0,\"records\":1}\n\
+                    {\"kind\":\"pace\",\"t_us\":5,\"node\":1,\"law\":\"aimd\",\
+                    \"raw_us\":200000,\"target_us\":150000,\"sleep_us\":0,\"clamped\":true}";
+        let loaded = parse_journal(text).unwrap();
+        assert_eq!(loaded.skipped, 0);
+        assert_eq!(
+            loaded.snapshot.records[0].kind,
+            JournalKind::Pace {
+                law: 2,
+                raw: Micros(200_000),
+                target: Micros(150_000),
+                sleep: Micros(0),
+                clamped: true,
+            }
+        );
+        assert_eq!(law_label(2), "aimd");
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! `connect_queue_out`/`connect_queue_in` hand to task bodies — one type
 //! regardless of backend, so the same task code runs on both and the
 //! backend parity suite (`tests/backend_parity.rs`) can drive identical
-//! schedules through each. Both also feed the occupancy observation the
-//! PID law's `PidInput::OccupancyError` consumes: every
-//! `OCC_FEEDBACK`-th put samples the queue's lock-free `len()` into
-//! [`TaskCtx::observe_occupancy`].
+//! schedules through each.
 
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
@@ -34,11 +31,6 @@ use vtime::Timestamp;
 /// that ARU pacing (not ring backpressure) governs steady state, small
 /// enough that a runaway producer is bounded.
 pub const DEFAULT_LF_CAPACITY: usize = 1024;
-
-/// Producer-side occupancy-feedback cadence (power of two): every N-th
-/// put samples `len()` into the task controller for
-/// `PidInput::OccupancyError`.
-const OCC_FEEDBACK: u64 = 16;
 
 /// Which queue implementation [`crate::RuntimeBuilder`] constructs for a
 /// declared queue node.
@@ -83,43 +75,27 @@ pub(crate) enum OutInner<T: ItemData> {
 /// works over the mutex and the lock-free backend.
 pub struct QueueOutput<T: ItemData> {
     inner: OutInner<T>,
-    /// Put counter for the sampled occupancy observation.
-    ops: u64,
 }
 
 impl<T: ItemData> QueueOutput<T> {
     pub(crate) fn from_mutex(out: MutexQueueOutput<T>) -> Self {
         QueueOutput {
             inner: OutInner::Mutex(out),
-            ops: 0,
         }
     }
 
     pub(crate) fn from_lock_free(out: LfQueueOutput<T>) -> Self {
         QueueOutput {
             inner: OutInner::LockFree(out),
-            ops: 0,
         }
     }
 
     /// Enqueue an item, folding the queue's summary-STP back into the
-    /// producing thread and (every `OCC_FEEDBACK`-th put) feeding the
-    /// queue occupancy to the task controller for
-    /// `PidInput::OccupancyError`.
+    /// producing thread.
     pub fn put(&mut self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         match &mut self.inner {
-            OutInner::Mutex(o) => o.put(ctx, ts, value)?,
-            OutInner::LockFree(o) => o.put(ctx, ts, value)?,
-        }
-        self.observe_occupancy(ctx);
-        Ok(())
-    }
-
-    fn observe_occupancy(&mut self, ctx: &mut TaskCtx) {
-        self.ops = self.ops.wrapping_add(1);
-        if self.ops & (OCC_FEEDBACK - 1) == 0 {
-            let occ = self.len();
-            ctx.observe_occupancy(occ);
+            OutInner::Mutex(o) => o.put(ctx, ts, value),
+            OutInner::LockFree(o) => o.put(ctx, ts, value),
         }
     }
 

@@ -8,7 +8,7 @@
 //! and carries no stability promise; application code must keep using the
 //! builder.
 
-use crate::channel::{BufferAdmin, Channel, Input, Output};
+use crate::channel::{BufferAdmin, Channel, Output};
 use crate::item::ItemData;
 use crate::lfqueue::{LfQueue, LfQueueInput, LfQueueOutput};
 use crate::queue::{MutexQueueInput, MutexQueueOutput, Queue};
@@ -19,7 +19,7 @@ use aru_core::{AruConfig, NodeId, Stp};
 use aru_gc::{DgcResult, GcMode};
 use aru_metrics::SharedTrace;
 use std::sync::Arc;
-use vtime::{Clock, Micros, Timestamp};
+use vtime::{Clock, Micros};
 
 /// A standalone channel with `consumers` consumer slots configured.
 // Mirrors `Channel::new`'s parameter list so benches read the same as runtime wiring.
@@ -113,16 +113,6 @@ pub fn output<T: ItemData>(ch: &Arc<Channel<T>>, thread_out_index: usize) -> Out
     }
 }
 
-/// Consumer endpoint for the channel's consumer slot `chan_out_index`.
-#[must_use]
-pub fn input<T: ItemData>(ch: &Arc<Channel<T>>, chan_out_index: usize) -> Input<T> {
-    Input {
-        ch: Arc::clone(ch),
-        chan_out_index,
-        floor: Timestamp::ZERO,
-    }
-}
-
 /// Producer endpoint for a mutex queue (the oracle side of the
 /// differential suites; graph code gets the backend-agnostic
 /// `backend::QueueOutput` from the builder instead).
@@ -176,9 +166,4 @@ pub fn set_op_timeout(ctx: &mut TaskCtx, timeout: Micros) {
 /// Publish a channel's buffered trace events (tests snapshot after this).
 pub fn flush_channel_trace<T: ItemData>(ch: &Channel<T>) {
     BufferAdmin::flush_trace(ch);
-}
-
-/// Publish a queue's buffered trace events.
-pub fn flush_queue_trace<T: ItemData>(q: &Queue<T>) {
-    BufferAdmin::flush_trace(q);
 }

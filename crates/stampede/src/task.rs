@@ -140,14 +140,6 @@ impl TaskCtx {
         self.controller.summary()
     }
 
-    /// Report downstream buffer occupancy (items) to the control law.
-    /// A no-op unless the task is configured with an occupancy-regulating
-    /// law (`PidInput::OccupancyError`); producers can call it after every
-    /// put with the buffer's lock-free `len()`.
-    pub fn observe_occupancy(&mut self, occ: usize) {
-        self.controller.observe_occupancy(occ as f64);
-    }
-
     // ---- hooks used by channel/queue endpoints ------------------------------
 
     pub(crate) fn block_begin(&mut self, now: SimTime) {

@@ -5,7 +5,7 @@
 //! `lockfree_equivalence.rs` checks the two queues op-for-op from a test
 //! harness; this suite checks them *as the runtime actually uses them* —
 //! `RuntimeBuilder`-constructed graphs, supervised task loops, blocking
-//! endpoint wrappers, occupancy feedback — so a divergence anywhere on
+//! endpoint wrappers, summary feedback — so a divergence anywhere on
 //! that path (endpoint wiring, wakeups, byte accounting) trips
 //! here even if the raw queue ops agree.
 

@@ -159,6 +159,10 @@ pub fn build_queue_tracker(params: &QueueTrackerParams) -> Result<QueueTracker, 
         let d = params.delays.target_detection;
         b.spawn(t_det, move |ctx| {
             let frame = in_frames.get(ctx)?;
+            // Counted as drained before either record is put: a stop that
+            // lands between the two puts must not leave a delivered record
+            // without its frame.
+            consumed.fetch_add(1, Ordering::Relaxed);
             let mask = subtract_background(&background, &frame.value);
             let hist = build_histogram(&frame.value);
             let locs: Vec<(Timestamp, TargetLocation)> = models
@@ -173,7 +177,6 @@ pub fn build_queue_tracker(params: &QueueTrackerParams) -> Result<QueueTracker, 
             for (ts, loc) in locs {
                 out_locs.put(ctx, ts, loc)?;
             }
-            consumed.fetch_add(1, Ordering::Relaxed);
             Ok(Step::Continue)
         });
     }
