@@ -122,9 +122,6 @@ pub fn run_watch(duration: Micros, out: &Path) {
         );
         println!("{}", render_snapshot(&snap));
     }
-    if let Some(net) = &app.network {
-        net.stop();
-    }
     let report = running.stop().expect("tracker run completes");
     println!(
         "{}",
@@ -184,9 +181,6 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
             break;
         }
         std::thread::sleep(Duration::from_millis(250));
-    }
-    if let Some(net) = &app.network {
-        net.stop();
     }
     running.stop().expect("tracker run completes");
 

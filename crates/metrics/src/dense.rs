@@ -1,7 +1,7 @@
 //! Id-indexed table for the postmortem analyses: a dense `Vec` plus spill.
 //!
 //! Recorder ids are almost dense: a [`Trace`] hands out `0, 1, 2, …` and a
-//! [`crate::SharedTrace`] hands them out in per-writer blocks, so every id
+//! [`crate::LocalTrace`] hands them out in per-writer blocks, so every id
 //! is below `Trace::next_item` and the holes are at most one block per
 //! writer. The analyses therefore index by id instead of hashing it. What
 //! keeps memory O(events) rather than O(largest id) is the bound fixed at

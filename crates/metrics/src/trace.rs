@@ -331,8 +331,8 @@ fn merge_two_sorted(left: Vec<TraceEvent>, right: Vec<TraceEvent>) -> Vec<TraceE
 const SHARD_CHUNK: usize = 1024;
 
 /// Item ids are reserved from the shared counter in blocks of this size,
-/// one block at a time per shard: the `alloc` hot path then bumps a
-/// shard-private counter instead of contending on one shared cache line
+/// one block at a time per [`LocalTrace`]: the `alloc` hot path then bumps
+/// a writer-private counter instead of contending on one shared cache line
 /// (measured ~8× slower under 4 producers). Ids stay globally unique —
 /// blocks never overlap — but are not globally dense; analyses key on
 /// identity, never on density.
@@ -347,13 +347,6 @@ struct ShardBuf {
     full: Vec<Vec<TraceEvent>>,
     /// The chunk currently being filled.
     cur: Vec<TraceEvent>,
-    /// Shard-private id block `[id_next, id_end)`, refilled from the
-    /// shared counter when exhausted (see `ID_BLOCK`). Plain integers:
-    /// they live under the shard mutex that `alloc` already takes to
-    /// record the event, so id generation adds no atomics to the hot
-    /// path.
-    id_next: u64,
-    id_end: u64,
 }
 
 /// One clone-private append buffer of a [`SharedTrace`].
@@ -368,34 +361,11 @@ struct Shard {
 impl Shard {
     fn push(&self, ev: TraceEvent) {
         let mut b = self.buf.lock();
-        Self::push_locked(&mut b, ev);
-    }
-
-    fn push_locked(b: &mut ShardBuf, ev: TraceEvent) {
         b.cur.push(ev);
         if b.cur.len() == SHARD_CHUNK {
             let sealed = std::mem::replace(&mut b.cur, Vec::with_capacity(SHARD_CHUNK));
             b.full.push(sealed);
         }
-    }
-
-    /// Take the next item id and record `make_event(id)`, under one lock
-    /// acquisition.
-    ///
-    /// Uniqueness across shards: a refill's `start` comes from the shared
-    /// counter, which is always past every block ever reserved — blocks
-    /// are disjoint, and within a block the mutex serializes the bump.
-    fn alloc(&self, core: &TraceCore, make_event: impl FnOnce(u64) -> TraceEvent) -> u64 {
-        let mut b = self.buf.lock();
-        if b.id_next == b.id_end {
-            let start = core.next_item.fetch_add(ID_BLOCK, Ordering::Relaxed);
-            b.id_next = start;
-            b.id_end = start + ID_BLOCK;
-        }
-        let id = b.id_next;
-        b.id_next += 1;
-        Self::push_locked(&mut b, make_event(id));
-        id
     }
 
     /// Hand over a whole pre-filled chunk (a [`LocalTrace`] flush). The
@@ -439,11 +409,11 @@ struct TraceCore {
 
 /// Thread-safe sharded trace handle for the threaded runtime.
 ///
-/// Cloning registers a fresh shard: give each task context and each buffer
-/// its own clone and appends never contend (see the module docs). Item ids
-/// are unique across all handles but handed out from per-shard blocks
-/// under the shard's own lock, so `alloc` never serializes two producers
-/// on id generation either.
+/// Cloning registers a fresh shard: give each task context its own clone
+/// and appends never contend (see the module docs). The handle writes the
+/// task-loop and supervisor records; items are allocated, read and freed
+/// only inside buffers, through each buffer's [`LocalTrace`], which is
+/// the one source of item ids.
 #[derive(Debug)]
 pub struct SharedTrace {
     core: Arc<TraceCore>,
@@ -495,32 +465,6 @@ impl SharedTrace {
         self.core.epoch_unix_us
     }
 
-    pub fn alloc(
-        &self,
-        t: SimTime,
-        buffer: NodeId,
-        ts: Timestamp,
-        bytes: u64,
-        producer: IterKey,
-    ) -> ItemId {
-        ItemId(self.shard.alloc(&self.core, |id| TraceEvent::Alloc {
-            t,
-            item: ItemId(id),
-            buffer,
-            ts,
-            bytes,
-            producer,
-        }))
-    }
-
-    pub fn free(&self, t: SimTime, item: ItemId) {
-        self.shard.push(TraceEvent::Free { t, item });
-    }
-
-    pub fn get(&self, t: SimTime, item: ItemId, consumer: IterKey) {
-        self.shard.push(TraceEvent::Get { t, item, consumer });
-    }
-
     pub fn iter_end(&self, t: SimTime, iter: IterKey, busy: Micros) {
         self.shard.push(TraceEvent::IterEnd { t, iter, busy });
     }
@@ -542,16 +486,8 @@ impl SharedTrace {
         });
     }
 
-    pub fn op_timeout(&self, t: SimTime, node: NodeId) {
-        self.shard.push(TraceEvent::OpTimeout { t, node });
-    }
-
     pub fn stale_summary(&self, t: SimTime, iter: IterKey) {
         self.shard.push(TraceEvent::StaleSummary { t, iter });
-    }
-
-    pub fn summary_dropped(&self, t: SimTime, node: NodeId) {
-        self.shard.push(TraceEvent::SummaryDropped { t, node });
     }
 
     pub fn pace_decision(&self, t: SimTime, node: NodeId, raw: Micros, target: Micros, clamped: bool) {
@@ -831,47 +767,40 @@ mod tests {
     }
 
     #[test]
-    fn shared_trace_concurrent_allocs_are_unique() {
+    fn shared_trace_concurrent_clones_merge_in_time_order() {
+        // Each clone crosses a chunk seal on its own shard.
         let tr = SharedTrace::new();
-        let mut handles = Vec::new();
-        for i in 0..4 {
-            let tr = tr.clone();
-            handles.push(std::thread::spawn(move || {
-                let p = IterKey::new(NodeId(i), 0);
-                (0..100)
-                    .map(|j| tr.alloc(SimTime(j), NodeId(9), Timestamp(j), 1, p))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<ItemId> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), 400, "item ids collided");
+        let per = SHARD_CHUNK as u64 + 100;
+        std::thread::scope(|s| {
+            for i in 0..4 {
+                let tr = tr.clone();
+                s.spawn(move || {
+                    for j in 0..per {
+                        tr.iter_end(SimTime(j), IterKey::new(NodeId(i), j), Micros(1));
+                    }
+                });
+            }
+        });
         let snap = tr.snapshot();
-        assert_eq!(snap.len(), 400);
-        // snapshot is time-sorted
+        assert_eq!(snap.len() as u64, 4 * per);
         let times: Vec<_> = snap.events().iter().map(TraceEvent::time).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted);
+        assert!(times.is_sorted(), "snapshot is time-sorted");
     }
 
     #[test]
     fn shard_chunk_sealing_loses_nothing() {
         // Cross several chunk boundaries on one handle.
         let tr = SharedTrace::new();
+        let p = IterKey::new(NodeId(0), 0);
         let n = (SHARD_CHUNK * 3 + 17) as u64;
         for j in 0..n {
-            tr.free(SimTime(j), ItemId(j));
+            tr.iter_end(SimTime(j), p, Micros(1));
         }
         let snap = tr.snapshot();
         assert_eq!(snap.len(), n as usize);
         assert_eq!(snap.last_time(), SimTime(n - 1));
         // a later snapshot still sees everything plus newer events
-        tr.free(SimTime(n), ItemId(n));
+        tr.iter_end(SimTime(n), p, Micros(1));
         assert_eq!(tr.snapshot().len(), n as usize + 1);
     }
 
@@ -913,8 +842,8 @@ mod tests {
 
     #[test]
     fn local_trace_ids_unique_across_writers() {
-        // Mixed writers — two buffered locals plus the shared handle —
-        // must never hand out the same item id.
+        // Two buffered writers, each crossing an id-block refill, must
+        // never hand out the same item id.
         let tr = SharedTrace::new();
         let p = IterKey::new(NodeId(0), 0);
         let mut a = tr.local();
@@ -923,7 +852,6 @@ mod tests {
         for j in 0..(ID_BLOCK + 10) {
             ids.push(a.alloc(SimTime(j), NodeId(1), Timestamp(j), 1, p));
             ids.push(b.alloc(SimTime(j), NodeId(1), Timestamp(j), 1, p));
-            ids.push(tr.alloc(SimTime(j), NodeId(1), Timestamp(j), 1, p));
         }
         let n = ids.len();
         ids.sort();

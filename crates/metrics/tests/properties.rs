@@ -1,14 +1,16 @@
 //! Property-based tests on the postmortem analyses: randomly generated
 //! (well-formed) traces must produce internally consistent reports. And on
-//! the journal loader, which takes files from disk: arbitrary text never
-//! panics it, and whatever the writer wrote it reads back.
+//! the two text formats the system writes and reads back: arbitrary text
+//! never panics the journal loader or the Prometheus validator, and
+//! whatever the writers write, the readers accept.
 
 use aru_core::graph::NodeId;
+use aru_metrics::export::{prometheus_text, validate_prometheus_text};
 use aru_metrics::footprint::{ideal_series, observed_series};
 use aru_metrics::journal::{parse_journal, JOURNAL_SCHEMA};
 use aru_metrics::{
     FaultClass, HopLeg, IterKey, JournalKind, JournalRecord, JournalSnapshot, Lineage, PerfReport,
-    Trace, WasteReport,
+    Registry, Trace, WasteReport,
 };
 use proptest::prelude::*;
 use vtime::{Micros, SimTime, Timestamp};
@@ -85,10 +87,11 @@ fn build(run: &RandomRun) -> (Trace, SimTime) {
 
 /// Pieces of journal lines and of what breaks a line reader: multi-byte
 /// characters next to a key, escapes cut short, a lone surrogate, keys
-/// inside string values, numbers past `u64` and past `u32`.
-const JOURNAL_FRAGMENTS: [&str; 36] = [
-    "\"", "\\", "\\u", "\\u12", "\\ud800", "\\n", "{", "}", ":", ",", " ", "\n", "\u{8}", "é", "日", "🦀",
-    "\"kind\":", "\"journal_header\"", "\"pace\"", "\"hop\"", "\"crash\"", "\"fault\"",
+/// inside string values, numbers past `u64` and past `u32`. The same
+/// pieces are what breaks a Prometheus label value.
+const JOURNAL_FRAGMENTS: [&str; 37] = [
+    "\"", "\\", "\\u", "\\u12", "\\ud800", "\\n", "{", "}", ":", ",", "=", " ", "\n", "\u{8}", "é",
+    "日", "🦀", "\"kind\":", "\"journal_header\"", "\"pace\"", "\"hop\"", "\"crash\"", "\"fault\"",
     "\"t_us\":", "\"node\":", "\"peer\":", "\"attempt\":", "\"leg\":\"fold\"", "\"law\":\"",
     "\"source\":\"", "\"clamped\":", "true", "7", "4294967296", "18446744073709551616",
     "\"value_us\":", "\"fault\":\"stall\"",
@@ -168,6 +171,33 @@ proptest! {
         prop_assert_eq!((loaded.snapshot.torn, loaded.snapshot.dropped), (torn, dropped));
         prop_assert_eq!((loaded.schema, loaded.epoch_unix_us), (JOURNAL_SCHEMA, epoch));
         prop_assert_eq!(loaded.source, source);
+    }
+
+    /// The scrape validator returns — `Ok` or `Err` — whatever the text:
+    /// unbalanced braces, lone quotes and backslashes, multi-byte
+    /// characters, alone and after a sample line.
+    #[test]
+    fn validate_prometheus_text_never_panics(text in journal_text()) {
+        let _ = validate_prometheus_text(&text);
+        let _ = validate_prometheus_text(&format!("aru_x{{k=\"v\"}} 1\naru_y{text} 2\n"));
+    }
+
+    /// Whatever label values the series carry, the exporter's text passes
+    /// the validator: every counter, gauge and histogram line is escaped.
+    #[test]
+    fn prometheus_text_validates_for_arbitrary_label_values(
+        values in prop::collection::vec(journal_text(), 1..6),
+        n in any::<u64>(),
+    ) {
+        let reg = Registry::new();
+        for (i, v) in values.iter().enumerate() {
+            let labels = [("thread", v.as_str()), ("k", "x")];
+            reg.counter("aru_test_total", &labels).add(n);
+            reg.gauge("aru_test_gauge", &labels).set(i as f64);
+            reg.histogram("aru_test_us", &labels).record(n % 1_000_000);
+        }
+        let text = prometheus_text(&reg.snapshot(), n, n);
+        prop_assert!(validate_prometheus_text(&text).is_ok(), "{:?}", validate_prometheus_text(&text));
     }
 
     /// Lineage: an item is useful iff it was gotten by an iteration that

@@ -138,56 +138,42 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
             |t, k, ts| coarse.lock().unwrap().sink_output(t, k, ts),
         );
 
-        let sharded = SharedTrace::new();
-        apply(
-            &ops,
-            |t, ts, bytes, p| sharded.alloc(t, buf, ts, bytes, p),
-            |t, id, c| sharded.get(t, id, c),
-            |t, id| sharded.free(t, id),
-            |t, k, busy| sharded.iter_end(t, k, busy),
-            |t, k, ts| sharded.sink_output(t, k, ts),
-        );
-
         // The buffered hot-path writer, with the low-frequency events going
         // through the shared handle — the runtime's exact split. (RefCell
         // only because `apply` takes one closure per op; the runtime owns
         // its LocalTrace behind the channel-state mutex.)
-        let shared2 = SharedTrace::new();
-        let local = std::cell::RefCell::new(shared2.local());
+        let shared = SharedTrace::new();
+        let local = std::cell::RefCell::new(shared.local());
         apply(
             &ops,
             |t, ts, bytes, p| local.borrow_mut().alloc(t, buf, ts, bytes, p),
             |t, id, c| local.borrow_mut().get(t, id, c),
             |t, id| local.borrow_mut().free(t, id),
-            |t, k, busy| shared2.iter_end(t, k, busy),
-            |t, k, ts| shared2.sink_output(t, k, ts),
+            |t, k, busy| shared.iter_end(t, k, busy),
+            |t, k, ts| shared.sink_output(t, k, ts),
         );
         drop(local);
 
-        let base = reports(&coarse.into_inner().unwrap());
         assert_eq!(
-            base,
-            reports(&sharded.snapshot()),
-            "seed {seed}: sharded reports diverge from coarse"
-        );
-        assert_eq!(
-            base,
-            reports(&shared2.snapshot()),
+            reports(&coarse.into_inner().unwrap()),
+            reports(&shared.snapshot()),
             "seed {seed}: buffered-writer reports diverge from coarse"
         );
     }
 }
 
 #[test]
-fn coarse_and_sharded_agree_on_event_multiset() {
+fn coarse_and_local_agree_on_event_multiset() {
     let mut coarse = Trace::new();
-    let sharded = SharedTrace::new();
+    let shared = SharedTrace::new();
+    let mut local = shared.local();
     let p = IterKey::new(NodeId(0), 0);
     for j in 0..10u64 {
         coarse.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
-        sharded.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
+        local.alloc(SimTime(j), NodeId(1), Timestamp(j), 5, p);
     }
-    let snap = sharded.snapshot();
+    drop(local);
+    let snap = shared.snapshot();
     assert_eq!(coarse.events(), snap.events());
     assert_eq!(coarse.last_time(), snap.last_time());
 }

@@ -99,7 +99,6 @@ pub struct RuntimeBuilder {
     topo: Topology,
     config: AruConfig,
     gc_mode: GcMode,
-    gc_interval: Micros,
     clock: Arc<dyn Clock>,
     trace: SharedTrace,
     buffers: HashMap<NodeId, Arc<dyn Any + Send + Sync>>,
@@ -125,7 +124,6 @@ impl RuntimeBuilder {
             topo: Topology::new(),
             config,
             gc_mode,
-            gc_interval: Micros::from_millis(2),
             clock: Arc::new(WallClock::new()),
             trace: SharedTrace::new(),
             buffers: HashMap::new(),
@@ -144,13 +142,6 @@ impl RuntimeBuilder {
     #[must_use]
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// How often the DGC driver recomputes cross-graph guarantees.
-    #[must_use]
-    pub fn with_gc_interval(mut self, interval: Micros) -> Self {
-        self.gc_interval = interval;
         self
     }
 
@@ -445,7 +436,6 @@ impl RuntimeBuilder {
             self.topo,
             self.config,
             self.gc_mode,
-            self.gc_interval,
             self.clock,
             self.trace,
             self.admins,

@@ -246,9 +246,11 @@ impl<T: ItemData> Channel<T> {
         Ok(summary)
     }
 
-    /// The local put under the state lock: record the alloc, insert, and
-    /// hand back the channel's summary-STP (the cached compression — a
-    /// field read, recomputed only on feedback).
+    /// The one insertion path, under the state lock: record the alloc,
+    /// insert (freeing any displaced item at the same timestamp), apply the
+    /// dead-on-arrival check, count the put, mirror the occupancy, and hand
+    /// back the channel's summary-STP (the cached compression — a field
+    /// read, recomputed only on feedback).
     fn put_locked(
         &self,
         st: &mut ChannelState<T>,
@@ -259,27 +261,7 @@ impl<T: ItemData> Channel<T> {
         bytes: u64,
     ) -> Option<Stp> {
         let id = st.trace.alloc(now, self.node, ts, bytes, producer);
-        self.insert_locked(st, now, ts, Stored { value, id, bytes });
-        let summary = st.aru.summary();
-        if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || now);
-        }
-        summary
-    }
-
-    /// The one insertion path — local puts and remote arrivals alike:
-    /// insert (freeing any displaced item at the same timestamp), apply
-    /// the dead-on-arrival check, count the put and mirror the occupancy.
-    /// Caller holds the state lock and has recorded the item's alloc.
-    fn insert_locked(
-        &self,
-        st: &mut ChannelState<T>,
-        now: SimTime,
-        ts: Timestamp,
-        stored: Stored<T>,
-    ) {
-        let bytes = stored.bytes;
-        if let Some(old) = st.items.insert(ts, stored) {
+        if let Some(old) = st.items.insert(ts, Stored { value, id, bytes }) {
             st.live_bytes -= old.bytes;
             st.trace.free(now, old.id);
         }
@@ -288,6 +270,11 @@ impl<T: ItemData> Channel<T> {
         let len = st.items.len();
         st.tele.on_put(1, len);
         self.publish_obs_locked(st);
+        let summary = st.aru.summary();
+        if let Some(s) = summary {
+            st.tele.on_return(producer.node, s.period(), || now);
+        }
+        summary
     }
 
     /// [`Channel::put_blocking`] for an already-shared payload — the path
@@ -504,22 +491,6 @@ impl<T: ItemData> Channel<T> {
             None if st.closed => Err(StampedeError::Closed),
             None => Ok(None),
         }
-    }
-
-    /// Insert an item whose allocation was already recorded (a remote put:
-    /// the item existed — in flight — since the sender materialized it).
-    /// If the channel closed while in flight, the item is freed instead.
-    pub(crate) fn insert_prealloc(&self, ts: Timestamp, value: T, id: ItemId, bytes: u64) {
-        let value = Arc::new(value);
-        let now = self.clock.now();
-        let mut st = self.state.lock();
-        if st.closed {
-            st.trace.free(now, id);
-            return;
-        }
-        self.insert_locked(&mut st, now, ts, Stored { value, id, bytes });
-        drop(st);
-        self.cons.notify_all();
     }
 
     fn dead_bound_locked(&self, st: &ChannelState<T>) -> Timestamp {
@@ -751,8 +722,9 @@ pub(crate) trait BufferAdmin: Send + Sync {
     fn apply_dead_before(&self, bound: Timestamp);
     fn close(&self);
     fn live_bytes(&self) -> u64;
-    /// Publish any buffered trace events (the runtime calls this after
-    /// joining the task threads, before it snapshots the trace).
+    /// Publish any buffered trace events (the runtime calls this before
+    /// every snapshot it takes: the exporter's fault report and the run
+    /// report after joining the task threads).
     fn flush_trace(&self);
     /// Drain the buffer's telemetry accumulators into the shared metrics
     /// registry and refresh the occupancy gauges (exporter tick / stop).

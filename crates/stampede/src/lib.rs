@@ -25,6 +25,10 @@
 //!   output is recorded into an [`aru_metrics::Trace`] for the paper's
 //!   postmortem analyses.
 //!
+//! Every task runs in one process, which is the paper's configuration 1.
+//! Configuration 2 (five cluster nodes over Gigabit Ethernet) is reproduced
+//! by the simulator, `desim`, whose `NetModel` is the one model of the link.
+//!
 //! # Quick example
 //!
 //! ```
@@ -63,7 +67,6 @@ pub mod error;
 pub mod fanout;
 pub mod item;
 pub mod lfqueue;
-pub mod net;
 pub mod queue;
 mod ring;
 pub mod runtime;
@@ -83,7 +86,6 @@ pub use fanout::FanOut;
 pub use error::{Step, StampedeError, TaskResult};
 pub use item::{ItemData, Record, StampedItem};
 pub use lfqueue::{LfItem, LfQueue, LfQueueInput, LfQueueOutput};
-pub use net::{LinkModel, NetworkSim, RemoteOutput};
 pub use queue::{MutexQueueInput, MutexQueueOutput, Queue};
 pub use runtime::{BoxedJoinError, RunAnalysis, RunReport, Running, Runtime};
 pub use task::TaskCtx;

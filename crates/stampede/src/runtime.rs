@@ -19,9 +19,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 use vtime::{Clock, Micros, SimTime};
 
 type Body = Box<dyn FnMut(&mut TaskCtx) -> TaskResult + Send>;
+
+/// Cadence of the DGC driver's cross-graph pass. Fixed and positive: a zero
+/// interval would make `sleep_until` return at once, a busy loop.
+const DGC_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Render a panic payload (the `Box<dyn Any>` from `catch_unwind`/`join`)
 /// as best we can: panics raised via `panic!("…")` carry a `String` or
@@ -60,7 +65,6 @@ pub struct Runtime {
     topo: Topology,
     config: AruConfig,
     gc_mode: GcMode,
-    gc_interval: Micros,
     clock: Arc<dyn Clock>,
     trace: SharedTrace,
     admins: Vec<Arc<dyn BufferAdmin>>,
@@ -78,7 +82,6 @@ impl Runtime {
         topo: Topology,
         config: AruConfig,
         gc_mode: GcMode,
-        gc_interval: Micros,
         clock: Arc<dyn Clock>,
         trace: SharedTrace,
         admins: Vec<Arc<dyn BufferAdmin>>,
@@ -93,7 +96,6 @@ impl Runtime {
             topo,
             config,
             gc_mode,
-            gc_interval,
             clock,
             trace,
             admins,
@@ -226,7 +228,6 @@ impl Runtime {
             let admins: Vec<Arc<dyn BufferAdmin>> = self.admins.clone();
             let sd = shutdown.clone();
             let shared = Arc::clone(&dgc_shared);
-            let interval = self.gc_interval;
             Some(
                 std::thread::Builder::new()
                     .name("dgc-driver".into())
@@ -249,7 +250,7 @@ impl Runtime {
                                 a.apply_dead_before(result.buffer_dead_before(a.node()));
                             }
                             *shared.write() = result;
-                            next_tick += std::time::Duration::from(interval);
+                            next_tick += DGC_INTERVAL;
                             if sd.sleep_until(next_tick) {
                                 break;
                             }
@@ -289,7 +290,7 @@ impl Runtime {
                         {
                             failures += 1;
                         }
-                        next_tick += std::time::Duration::from(interval);
+                        next_tick += Duration::from(interval);
                         if sd.sleep_until(next_tick) {
                             break;
                         }
@@ -298,9 +299,15 @@ impl Runtime {
                     // on supervisor escalation, so a crashed run still
                     // leaves its last snapshot behind. A run that recorded
                     // faults additionally appends the fault report as a
-                    // JSONL line next to the snapshots.
+                    // JSONL line next to the snapshots. The buffers' trace
+                    // writers are flushed first: op timeouts are recorded
+                    // inside channels and queues, and would otherwise still
+                    // be buffered when the report is computed.
                     let _ = catch_unwind(AssertUnwindSafe(|| {
                         export_tick(&admins, &telemetry, &sink, epoch, clock.now());
+                        for a in &admins {
+                            a.flush_trace();
+                        }
                         let faults = FaultReport::compute(&trace.snapshot());
                         if faults.any() {
                             let line =
@@ -490,6 +497,7 @@ pub type RunAnalysis = Postmortem;
 
 #[cfg(test)]
 mod tests {
+    use super::RunReport;
     use crate::builder::RuntimeBuilder;
     use crate::error::{StampedeError, Step};
     use aru_core::{AruConfig, RetryPolicy};
@@ -674,10 +682,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn blocked_get_times_out_when_configured() {
-        let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::None)
-            .with_op_timeout(Micros::from_millis(5));
+    /// Run a sink whose `get_latest` on a never-fed channel times out once
+    /// (5 ms op deadline), then stops; `with` adds to the builder.
+    fn run_sink_that_times_out_once(
+        with: impl FnOnce(RuntimeBuilder) -> RuntimeBuilder,
+    ) -> RunReport {
+        let mut b = with(
+            RuntimeBuilder::new(AruConfig::aru_min(), GcMode::None)
+                .with_op_timeout(Micros::from_millis(5)),
+        );
         let sink = b.thread("sink");
         let ch = b.channel::<Vec<u8>>("never-fed");
         let mut input = b.connect_in(&ch, sink).unwrap();
@@ -695,10 +708,34 @@ mod tests {
         });
         let running = b.build().unwrap().start();
         wait_until(|| saw_timeout.load(Ordering::SeqCst), "op timeout");
-        let report = running.stop().expect("timeout is not a crash");
-        assert!(saw_timeout.load(Ordering::SeqCst));
-        let faults = report.analyze().faults;
+        running.stop().expect("timeout is not a crash")
+    }
+
+    #[test]
+    fn blocked_get_times_out_when_configured() {
+        let faults = run_sink_that_times_out_once(|b| b).analyze().faults;
         assert_eq!(faults.timeouts, 1);
         assert!(faults.any());
+    }
+
+    /// The exporter's final `fault_report` line sees op timeouts that are
+    /// still buffered in the channel's trace writer when it runs.
+    #[test]
+    fn exporter_fault_report_counts_buffered_timeouts() {
+        let dir = std::env::temp_dir().join(format!("aru-export-timeout-{}", std::process::id()));
+        let jsonl = dir.join("telemetry.jsonl");
+        std::fs::remove_dir_all(&dir).ok();
+        let files = aru_metrics::ExportSink {
+            prometheus_path: None,
+            jsonl_path: Some(jsonl.clone()),
+        };
+        run_sink_that_times_out_once(|b| b.with_export(files, Micros::from_millis(10)));
+        let text = std::fs::read_to_string(&jsonl).expect("exporter wrote JSONL");
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"kind\":\"fault_report\""))
+            .expect("fault_report line written");
+        assert!(line.contains("\"timeouts\":1"), "{line}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,7 @@
 //! Normally the types are re-exports of `parking_lot` (the production
 //! path). Under `RUSTFLAGS="--cfg loom"` they are thin parking_lot-shaped
 //! wrappers over `loom`'s model-checked primitives instead, so `Channel`,
-//! `Queue`, `NetworkSim`, and `Shutdown` compile unchanged against the
+//! `Queue`, `LfQueue`, and `Shutdown` compile unchanged against the
 //! loom scheduler and their lock/condvar protocols can be exhaustively
 //! explored by the tests in `loom_tests.rs` (run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p stampede --lib loom_`).

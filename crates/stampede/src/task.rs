@@ -204,12 +204,6 @@ impl TaskCtx {
         self.releases.push(release);
     }
 
-    /// Trace recorder (crate-internal: used by the network layer to record
-    /// allocations at send time).
-    pub(crate) fn trace(&self) -> &SharedTrace {
-        &self.trace
-    }
-
     // ---- loop driver --------------------------------------------------------
 
     /// Run the task loop to completion. Returns the number of iterations.

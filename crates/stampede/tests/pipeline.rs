@@ -6,7 +6,7 @@
 //! so every test completes in well under a second.
 
 use stampede::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vtime::{Micros, Timestamp};
@@ -448,91 +448,6 @@ fn aru_max_wastes_less_than_baseline() {
         w_max < w_base,
         "ARU-max waste {w_max:.1}% !< baseline {w_base:.1}%"
     );
-}
-
-#[test]
-fn remote_output_adds_transfer_latency() {
-    use stampede::{LinkModel, NetworkSim, Output, RemoteOutput};
-
-    enum Sender {
-        Local(Output<Vec<u8>>),
-        Remote(RemoteOutput<Vec<u8>>),
-    }
-
-    /// Returns (mean latency, `aru_channel_puts_total`, items the source sent).
-    fn run(link: Option<LinkModel>) -> (f64, u64, u64) {
-        let net = NetworkSim::start();
-        let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Dgc);
-        let ch = b.channel::<Vec<u8>>("c");
-        let src = b.thread("src");
-        let snk = b.thread("snk");
-        let out = b.connect_out(src, &ch).unwrap();
-        let sender = match link {
-            Some(l) => Sender::Remote(RemoteOutput::new(out, Arc::clone(&net), l)),
-            None => Sender::Local(out),
-        };
-        let mut inp = b.connect_in(&ch, snk).unwrap();
-        let producing = Arc::new(AtomicBool::new(true));
-        let idle = Arc::new(AtomicBool::new(false));
-        let sent = Arc::new(AtomicU64::new(0));
-        let (producing2, idle2, sent2) =
-            (Arc::clone(&producing), Arc::clone(&idle), Arc::clone(&sent));
-        let mut ts = Timestamp::ZERO;
-        b.spawn(src, move |ctx| {
-            std::thread::sleep(Duration::from_millis(5));
-            if !producing2.load(Ordering::SeqCst) {
-                idle2.store(true, Ordering::SeqCst);
-                return Ok(Step::Continue);
-            }
-            match &sender {
-                Sender::Local(o) => o.put(ctx, ts, vec![0u8; 125_000])?,
-                Sender::Remote(r) => r.put(ctx, ts, vec![0u8; 125_000])?,
-            }
-            sent2.fetch_add(1, Ordering::SeqCst);
-            ts = ts.next();
-            Ok(Step::Continue)
-        });
-        b.spawn(snk, move |ctx| {
-            let item = inp.get_latest(ctx)?;
-            std::thread::sleep(Duration::from_millis(10));
-            ctx.emit_output(item.ts);
-            Ok(Step::Continue)
-        });
-        let telemetry = b.telemetry().clone();
-        let running = b.build().unwrap().start();
-        std::thread::sleep(Duration::from_millis(400));
-        // Quiesce before closing: the source stops sending, the link
-        // drains, and `net.stop()` joins the delivery thread — so every
-        // item sent has arrived at the channel, none is dropped at close.
-        producing.store(false, Ordering::SeqCst);
-        while !idle.load(Ordering::SeqCst) || net.in_flight() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        net.stop();
-        let report = running.stop().unwrap();
-        let puts = telemetry
-            .registry
-            .snapshot()
-            .counter("aru_channel_puts_total", &[("channel", "c"), ("kind", "channel")]);
-        (report.analyze().perf.latency.mean, puts, sent.load(Ordering::SeqCst))
-    }
-
-    let (local, local_puts, local_sent) = run(None);
-    // 20 ms latency + 1 ms serialization link
-    let (remote, remote_puts, remote_sent) = run(Some(LinkModel {
-        latency: Micros::from_millis(20),
-        bandwidth_bytes_per_us: 125.0,
-    }));
-    assert!(local > 0.0 && remote > 0.0);
-    assert!(
-        remote > local + 10_000.0,
-        "remote latency {remote:.0}us should exceed local {local:.0}us by ~20ms"
-    );
-    // A remote arrival is a put like any other: it counts in the channel's
-    // telemetry exactly as a local put does.
-    assert!(local_sent > 0 && remote_sent > 0);
-    assert_eq!(local_puts, local_sent, "local puts counted");
-    assert_eq!(remote_puts, remote_sent, "remote arrivals counted as puts");
 }
 
 #[test]

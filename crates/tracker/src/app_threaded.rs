@@ -14,10 +14,7 @@ use crate::video::SyntheticVideo;
 use aru_core::AruConfig;
 use aru_gc::GcMode;
 use parking_lot::Mutex;
-use stampede::{
-    BuildError, FanOut, ItemData, LinkModel, NetworkSim, Output, RemoteOutput, Runtime,
-    RuntimeBuilder, StampedeError, Step, TaskCtx,
-};
+use stampede::{BuildError, FanOut, Runtime, RuntimeBuilder, Step};
 use std::sync::Arc;
 use vtime::{Micros, Timestamp};
 
@@ -38,10 +35,6 @@ pub struct ThreadedTrackerParams {
     pub gc: GcMode,
     pub seed: u64,
     pub delays: StageDelays,
-    /// `Some(link)` runs the paper's configuration 2 on real threads: every
-    /// cross-stage channel put goes through a simulated link of this model
-    /// (the five tasks live on five "nodes"). `None` is configuration 1.
-    pub distributed: Option<LinkModel>,
     /// `Some((sink, interval))` enables the runtime's periodic telemetry
     /// exporter (Prometheus text + JSONL) for this run.
     pub export: Option<(aru_metrics::ExportSink, Micros)>,
@@ -58,17 +51,9 @@ impl ThreadedTrackerParams {
             gc: GcMode::Dgc,
             seed: 1,
             delays: StageDelays::default(),
-            distributed: None,
             export: None,
             journal: None,
         }
-    }
-
-    /// Configuration 2: distribute the stages over a simulated link.
-    #[must_use]
-    pub fn with_link(mut self, link: LinkModel) -> Self {
-        self.distributed = Some(link);
-        self
     }
 
     /// Enable the runtime's periodic telemetry exporter.
@@ -86,70 +71,6 @@ impl ThreadedTrackerParams {
     }
 }
 
-/// A producer endpoint that is either node-local or behind a simulated
-/// link, so the same task body serves both configurations.
-enum Sender<T: ItemData> {
-    Local(Output<T>),
-    Remote(RemoteOutput<T>),
-}
-
-impl<T: ItemData> Sender<T> {
-    fn wrap(out: Output<T>, net: &Option<Arc<NetworkSim>>, link: Option<LinkModel>) -> Self {
-        match (net, link) {
-            (Some(net), Some(link)) => Sender::Remote(RemoteOutput::new(out, Arc::clone(net), link)),
-            _ => Sender::Local(out),
-        }
-    }
-
-    fn put(
-        &self,
-        ctx: &mut TaskCtx,
-        ts: Timestamp,
-        value: T,
-    ) -> Result<(), StampedeError> {
-        match self {
-            Sender::Local(o) => o.put(ctx, ts, value),
-            Sender::Remote(r) => r.put(ctx, ts, value),
-        }
-    }
-}
-
-/// A broadcast endpoint for the stages that fan one result out to several
-/// channels. Node-local fan-outs go through [`FanOut`] — one `Arc`, one
-/// clock read, one feedback time for the whole bundle, instead of a deep
-/// clone and a full put per channel. Distributed fan-outs keep per-link
-/// puts (each link materializes its own copy in flight anyway).
-enum FanSender<T: ItemData> {
-    Local(FanOut<T>),
-    Remote(Vec<RemoteOutput<T>>),
-}
-
-impl<T: ItemData + Clone> FanSender<T> {
-    fn wrap(outs: Vec<Output<T>>, net: &Option<Arc<NetworkSim>>, link: Option<LinkModel>) -> Self {
-        match (net, link) {
-            (Some(net), Some(link)) => FanSender::Remote(
-                outs.into_iter()
-                    .map(|o| RemoteOutput::new(o, Arc::clone(net), link))
-                    .collect(),
-            ),
-            _ => FanSender::Local(FanOut::new(outs)),
-        }
-    }
-
-    fn put(&self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
-        match self {
-            FanSender::Local(f) => f.put(ctx, ts, value),
-            FanSender::Remote(outs) => {
-                let (last, rest) = outs.split_last().expect("fan-out is non-empty");
-                for r in rest {
-                    r.put(ctx, ts, value.clone())?;
-                }
-                last.put(ctx, ts, value)
-            }
-        }
-    }
-}
-
 /// A built tracker pipeline plus live observation hooks.
 pub struct ThreadedTracker {
     /// The ready-to-run pipeline.
@@ -158,15 +79,16 @@ pub struct ThreadedTracker {
     pub detections: Arc<Mutex<Vec<TargetLocation>>>,
     /// The video source (for ground-truth comparison).
     pub video: SyntheticVideo,
-    /// The simulated interconnect (configuration 2 only); stop it after the
-    /// run.
-    pub network: Option<Arc<NetworkSim>>,
 }
 
 /// Wire the full 6-thread / 9-channel tracker (Figure 5) onto the threaded
-/// runtime. Names come from `graph::STAGES`/`CHANNELS`; the connections are
-/// typed, so they are spelled out here and `tests/wiring.rs` holds them to
-/// the table (edges and per-node order).
+/// runtime: the paper's configuration 1, every task in one process
+/// (configuration 2 is `build_sim`'s). Names come from
+/// `graph::STAGES`/`CHANNELS`; the connections are typed, so they are
+/// spelled out here and `tests/wiring.rs` holds them to the table (edges
+/// and per-node order). The stages that broadcast one result to several
+/// channels put through a [`FanOut`]: one `Arc`, one clock read and one
+/// feedback time for the whole bundle.
 pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker, BuildError> {
     let video = SyntheticVideo::two_person_scene(params.seed);
     let background = Arc::new(video.background_frame());
@@ -180,9 +102,6 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
     if let Some(path) = params.journal.clone() {
         b = b.with_journal(path);
     }
-    let network = params.distributed.map(|_| NetworkSim::start());
-    let link = params.distributed;
-
     let name = |c: usize| CHANNELS[c].0;
     let c1 = b.channel::<Frame>(name(C1));
     let c2 = b.channel::<Frame>(name(C2));
@@ -196,16 +115,12 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 
     let [t_dig, t_cd, t_hist, t_td1, t_td2, t_gui] = STAGES.map(|s| b.thread(s.name));
 
-    // digitizer (in configuration 2 every inter-stage put crosses a link)
-    let out_frames = FanSender::wrap(
-        vec![
-            b.connect_out(t_dig, &c1)?,
-            b.connect_out(t_dig, &c2)?,
-            b.connect_out(t_dig, &c3)?,
-        ],
-        &network,
-        link,
-    );
+    // digitizer
+    let out_frames = FanOut::new(vec![
+        b.connect_out(t_dig, &c1)?,
+        b.connect_out(t_dig, &c2)?,
+        b.connect_out(t_dig, &c3)?,
+    ]);
     {
         let video = video.clone();
         let d = params.delays.digitizer;
@@ -221,11 +136,7 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 
     // change detection
     let mut in_c1 = b.connect_in(&c1, t_cd)?;
-    let out_masks = FanSender::wrap(
-        vec![b.connect_out(t_cd, &c4)?, b.connect_out(t_cd, &c5)?],
-        &network,
-        link,
-    );
+    let out_masks = FanOut::new(vec![b.connect_out(t_cd, &c4)?, b.connect_out(t_cd, &c5)?]);
     {
         let background = Arc::clone(&background);
         let d = params.delays.change_detection;
@@ -243,11 +154,10 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 
     // histogram
     let mut in_c2 = b.connect_in(&c2, t_hist)?;
-    let out_hists = FanSender::wrap(
-        vec![b.connect_out(t_hist, &c7)?, b.connect_out(t_hist, &c8)?],
-        &network,
-        link,
-    );
+    let out_hists = FanOut::new(vec![
+        b.connect_out(t_hist, &c7)?,
+        b.connect_out(t_hist, &c8)?,
+    ]);
     {
         let d = params.delays.histogram;
         b.spawn(t_hist, move |ctx| {
@@ -270,7 +180,7 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
         let mut in_mask = b.connect_in(mask_ch, thread)?;
         let mut in_frame = b.connect_in(&c3, thread)?;
         let mut in_model = b.connect_in(model_ch, thread)?;
-        let out_loc = Sender::wrap(b.connect_out(thread, loc_ch)?, &network, link);
+        let out_loc = b.connect_out(thread, loc_ch)?;
         let d = params.delays.target_detection;
         b.spawn(thread, move |ctx| {
             let mask = in_mask.get_latest(ctx)?;
@@ -315,7 +225,6 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
         runtime: b.build()?,
         detections,
         video,
-        network,
     })
 }
 
@@ -360,38 +269,6 @@ mod tests {
         assert!(
             fp_aru < fp_base,
             "ARU footprint {fp_aru:.0} !< baseline {fp_base:.0}"
-        );
-    }
-
-    #[test]
-    fn distributed_tracker_pays_link_latency() {
-        let run = |link: Option<LinkModel>| {
-            let mut params = ThreadedTrackerParams::new(AruConfig::aru_min());
-            if let Some(l) = link {
-                params = params.with_link(l);
-            }
-            let tracker = build_threaded(&params).unwrap();
-            let report = tracker
-                .runtime
-                .run_for(Micros::from_millis(1500))
-                .unwrap();
-            if let Some(net) = &tracker.network {
-                net.stop();
-            }
-            let a = report.analyze();
-            (a.perf.latency.mean, report.outputs())
-        };
-        let (local_lat, local_out) = run(None);
-        // A fat link: 30 ms latency, slow bandwidth (frame ≈ 30+6 ms).
-        let (dist_lat, dist_out) = run(Some(LinkModel {
-            latency: Micros::from_millis(30),
-            bandwidth_bytes_per_us: 125.0,
-        }));
-        assert!(local_out > 0 && dist_out > 0);
-        // The pipeline crosses ≥3 links end to end: ≥90 ms extra latency.
-        assert!(
-            dist_lat > local_lat + 60_000.0,
-            "distributed latency {dist_lat:.0}us vs local {local_lat:.0}us"
         );
     }
 }

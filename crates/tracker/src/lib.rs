@@ -29,7 +29,8 @@
 //!   with service-time models calibrated to the paper's 2005 testbed
 //!   regime, in both evaluation configurations (1 node / 5 nodes);
 //! * [`app_threaded`] — the tracker on the `stampede` threaded runtime,
-//!   computing for real: typed connections, names from the table,
+//!   computing for real in configuration 1: typed connections, names from
+//!   the table,
 //!   `tests/wiring.rs` holding the edges to it and `tests/differential.rs`
 //!   the measured behaviour to the simulator's;
 //! * [`app_queue`] — the same kernels as a different, 3-stage FIFO
