@@ -273,11 +273,6 @@ impl AruController {
         self.kind
     }
 
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Latest summary-STP to piggyback upstream; `None` until the node knows
     /// anything (or forever, when ARU is disabled).
     #[must_use]

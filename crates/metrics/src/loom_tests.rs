@@ -1,4 +1,5 @@
-//! Model-checked concurrency tests for the sharded trace recorder.
+//! Model-checked concurrency tests for the sharded trace recorder, the
+//! registry and the journal ring.
 //!
 //! These only compile under `RUSTFLAGS="--cfg loom"`; run them with
 //!
@@ -12,8 +13,11 @@
 //! explores every bounded interleaving of the shard mutexes and the shared
 //! `next_item` atomic, so a torn refill (two writers handed overlapping
 //! blocks) or a flush that loses a sealed chunk would fail deterministically.
+//! `JOURNAL_CAP` shrinks to 4 the same way, so a journal writer wraps its
+//! ring while a snapshot races it.
 
 use crate::event::{IterKey, TraceEvent};
+use crate::journal::{Journal, JournalKind, JOURNAL_CAP};
 use crate::registry::Registry;
 use crate::trace::SharedTrace;
 use aru_core::graph::NodeId;
@@ -124,5 +128,51 @@ fn loom_registry_snapshot_races_record() {
         }
         let done = reg.snapshot().counter("ops_total", &[]);
         assert_eq!(done, 4, "acknowledged increments lost");
+    });
+}
+
+/// A journal snapshot racing a writer that wraps its ring (6 records,
+/// `JOURNAL_CAP` = 4 under loom). Record `i` carries `t = i`, so a
+/// snapshot that took the shard lock after `n` records must hold exactly
+/// records `n - kept .. n`, oldest first, with the rest counted in
+/// `dropped`: contiguous, no duplicate, and `records.len() + dropped == n`.
+#[test]
+fn loom_journal_snapshot_races_record_across_wrap() {
+    const WRITES: u64 = 6;
+    fn check(records: &[crate::journal::JournalRecord], dropped: u64) -> u64 {
+        let written = records.len() as u64 + dropped;
+        assert!(written <= WRITES);
+        assert_eq!(
+            records.len() as u64,
+            written.min(JOURNAL_CAP as u64),
+            "dropped before full"
+        );
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(
+                r.t,
+                SimTime(dropped + i as u64),
+                "not oldest-first and contiguous"
+            );
+        }
+        written
+    }
+    loom::model(|| {
+        let journal = Journal::new();
+        let shard = journal.shard();
+        let writer = loom::thread::spawn(move || {
+            for i in 0..WRITES {
+                shard.record(SimTime(i), NodeId(1), JournalKind::SummaryDropped);
+            }
+        });
+        let first = journal.snapshot();
+        let second = journal.snapshot();
+        assert!(
+            check(&first.records, first.dropped) <= check(&second.records, second.dropped),
+            "a later snapshot saw fewer records"
+        );
+        writer.join().unwrap();
+        let done = journal.snapshot();
+        assert_eq!(check(&done.records, done.dropped), WRITES, "records lost");
+        assert_eq!(done.torn, 0);
     });
 }

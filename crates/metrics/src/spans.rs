@@ -23,13 +23,15 @@
 //!
 //! # Ring semantics
 //!
-//! Each writer owns a [`SpanShard`] — a fixed-capacity ring behind an
-//! uncontended mutex. When the ring is full the **oldest hop is
-//! overwritten** and a drop counter bumps; memory is bounded no matter how
-//! long the run. [`SpanRecorder::snapshot`] merges all rings into one
-//! time-ordered hop list.
+//! Each writer owns a [`SpanShard`]: the journal's ring (at most
+//! [`crate::journal::JOURNAL_CAP`] hops) behind an uncontended mutex.
+//! When the ring is full the **oldest hop is overwritten** and a drop
+//! counter bumps; memory is bounded no matter how long the run.
+//! [`SpanRecorder::snapshot`] merges all rings into one time-ordered hop
+//! list. The ring lives in `journal.rs`, so deleting this file deletes
+//! only the span types.
 
-use crate::sync::Mutex;
+use crate::journal::{Rings, SharedRing};
 use aru_core::graph::NodeId;
 use std::sync::Arc;
 use vtime::{Micros, SimTime};
@@ -62,70 +64,25 @@ pub struct FeedbackHop {
     pub extra: Micros,
 }
 
-/// Hops kept per ring. Shrunk under loom so a model-checked test can cross
-/// the wrap boundary within the preemption budget.
-pub const RING_CAP: usize = if cfg!(loom) { 4 } else { 4096 };
-
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<FeedbackHop>,
-    /// Overwrite cursor once `buf` reached capacity.
-    next: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            buf: Vec::new(),
-            next: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, hop: FeedbackHop) {
-        if self.buf.len() < RING_CAP {
-            self.buf.push(hop);
-        } else {
-            self.buf[self.next] = hop;
-            self.next = (self.next + 1) % RING_CAP;
-            self.dropped += 1;
-        }
-    }
-
-    /// Contents oldest-first.
-    fn collect(&self) -> Vec<FeedbackHop> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-}
-
 /// A writer-private span ring. The mutex exists for the snapshotting
 /// reader; the owning writer is the only other holder, so hot-path locking
 /// is uncontended (and only happens when a summary value changed at all).
 #[derive(Debug)]
 pub struct SpanShard {
-    inner: Arc<Mutex<Ring>>,
+    ring: SharedRing<FeedbackHop>,
 }
 
 impl SpanShard {
     pub fn record(&self, hop: FeedbackHop) {
-        self.inner.lock().push(hop);
+        self.ring.lock().push(hop);
     }
-}
-
-#[derive(Debug, Default)]
-struct SpanCore {
-    shards: Mutex<Vec<Arc<Mutex<Ring>>>>,
 }
 
 /// Shared handle to the span recorder (cheap to clone; all clones see the
 /// same shards).
 #[derive(Clone, Debug, Default)]
 pub struct SpanRecorder {
-    core: Arc<SpanCore>,
+    rings: Arc<Rings<FeedbackHop>>,
 }
 
 impl SpanRecorder {
@@ -137,24 +94,15 @@ impl SpanRecorder {
     /// Open a new writer-private ring.
     #[must_use]
     pub fn shard(&self) -> SpanShard {
-        let inner = Arc::new(Mutex::new(Ring::new()));
-        self.core.shards.lock().push(Arc::clone(&inner));
-        SpanShard { inner }
+        SpanShard {
+            ring: self.rings.open(),
+        }
     }
 
     /// Merge all rings into one time-ordered hop list. Non-destructive.
     #[must_use]
     pub fn snapshot(&self) -> SpanSnapshot {
-        let shards: Vec<Arc<Mutex<Ring>>> = self.core.shards.lock().clone();
-        let mut hops = Vec::new();
-        let mut dropped = 0u64;
-        for s in &shards {
-            let r = s.lock();
-            hops.extend(r.collect());
-            dropped += r.dropped;
-        }
-        // Stable: ties keep shard registration order, like the trace merge.
-        hops.sort_by_key(|h| h.t);
+        let (hops, dropped) = self.rings.collect(|h| h.t);
         SpanSnapshot { hops, dropped }
     }
 }
@@ -179,21 +127,6 @@ mod tests {
             value: Micros(value),
             extra: Micros(0),
         }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let rec = SpanRecorder::new();
-        let sh = rec.shard();
-        for t in 0..(RING_CAP as u64 + 3) {
-            sh.record(hop(t, HopKind::Pace, 0, 0, t));
-        }
-        let snap = rec.snapshot();
-        assert_eq!(snap.hops.len(), RING_CAP);
-        assert_eq!(snap.dropped, 3);
-        // oldest-first, the 3 earliest overwritten
-        assert_eq!(snap.hops[0].t, SimTime(3));
-        assert_eq!(snap.hops.last().unwrap().t, SimTime(RING_CAP as u64 + 2));
     }
 
     #[test]

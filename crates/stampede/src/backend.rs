@@ -4,12 +4,14 @@
 //! either queue implementation:
 //!
 //! * [`QueueBackend::Mutex`] — the mutex+condvar [`Queue`]:
-//!   unbounded, full per-item lineage tracing, DGC purge. The default,
-//!   and the semantic oracle the differential suites compare against.
-//! * [`QueueBackend::LockFree`] — the bounded [`LfQueue`]
-//!   MPMC ring with epoch parking: the 7 ns/op put path, change-gated
-//!   summary folds, per-endpoint telemetry shards. Accepted divergences
-//!   (no per-item trace events, no DGC purge, capacity backpressure) are
+//!   unbounded, full per-item lineage tracing, DGC purge; its occupancy
+//!   and summary are read under its state lock. The default, and the
+//!   semantic oracle the differential suites compare against.
+//! * [`QueueBackend::LockFree`] — the bounded
+//!   [`LfQueue`](crate::LfQueue) MPMC ring with epoch parking: the
+//!   7 ns/op put path, change-gated summary folds read through a seqlock
+//!   cell, per-endpoint telemetry shards. Accepted divergences (no
+//!   per-item trace events, no DGC purge, capacity backpressure) are
 //!   documented in DESIGN.md §14 and pinned by
 //!   `tests/lockfree_equivalence.rs`.
 //!
@@ -17,11 +19,13 @@
 //! `connect_queue_out`/`connect_queue_in` hand to task bodies — one type
 //! regardless of backend, so the same task code runs on both and the
 //! backend parity suite (`tests/backend_parity.rs`) can drive identical
-//! schedules through each.
+//! schedules through each. They carry put/get and `node` only; the
+//! differential tests reach the mutex queue behind an output through
+//! [`QueueOutput::mutex_queue`].
 
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
-use crate::lfqueue::{LfQueue, LfQueueInput, LfQueueOutput};
+use crate::lfqueue::{LfQueueInput, LfQueueOutput};
 use crate::queue::{MutexQueueInput, MutexQueueOutput, Queue};
 use crate::task::TaskCtx;
 use std::sync::Arc;
@@ -40,7 +44,7 @@ pub enum QueueBackend {
     /// lineage tracing, DGC purge. The default and the semantic oracle.
     #[default]
     Mutex,
-    /// Lock-free [`LfQueue`]: bounded MPMC ring + epoch
+    /// Lock-free [`LfQueue`](crate::LfQueue): bounded MPMC ring + epoch
     /// parking. Puts block at `capacity` (backpressure); no per-item
     /// trace events; DGC purge is a no-op (accepted divergences,
     /// DESIGN.md §14).
@@ -107,51 +111,13 @@ impl<T: ItemData> QueueOutput<T> {
         }
     }
 
-    /// Items currently queued (lock-free read on both backends).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            OutInner::Mutex(o) => o.queue().len(),
-            OutInner::LockFree(o) => o.queue().len(),
-        }
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes currently held (lock-free read on both backends).
-    #[must_use]
-    pub fn live_bytes(&self) -> u64 {
-        match &self.inner {
-            OutInner::Mutex(o) => o.queue().live_bytes(),
-            OutInner::LockFree(o) => o.queue().live_bytes(),
-        }
-    }
-
-    #[must_use]
-    pub fn is_lock_free(&self) -> bool {
-        matches!(self.inner, OutInner::LockFree(_))
-    }
-
     /// The underlying mutex queue, when this endpoint runs on the mutex
-    /// backend (monitoring / differential tests).
+    /// backend (differential tests probe it).
     #[must_use]
     pub fn mutex_queue(&self) -> Option<Arc<Queue<T>>> {
         match &self.inner {
             OutInner::Mutex(o) => Some(o.queue_arc()),
             OutInner::LockFree(_) => None,
-        }
-    }
-
-    /// The underlying lock-free queue, when this endpoint runs on the
-    /// lock-free backend.
-    #[must_use]
-    pub fn lf_queue(&self) -> Option<Arc<LfQueue<T>>> {
-        match &self.inner {
-            OutInner::Mutex(_) => None,
-            OutInner::LockFree(o) => Some(o.queue_arc()),
         }
     }
 }
@@ -215,10 +181,5 @@ impl<T: ItemData> QueueInput<T> {
             InInner::Mutex(i) => i.queue().node(),
             InInner::LockFree(i) => i.queue().node(),
         }
-    }
-
-    #[must_use]
-    pub fn is_lock_free(&self) -> bool {
-        matches!(self.inner, InInner::LockFree(_))
     }
 }

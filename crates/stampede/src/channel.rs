@@ -28,10 +28,15 @@
 //! cached compression ([`AruController::summary`] is a field read;
 //! recompression happens only when a consumer deposits feedback), so the
 //! put path never recomputes the backward-vector compression.
+//!
+//! Observers ([`Channel::len`], [`Channel::live_bytes`],
+//! [`Channel::occupancy`], [`Channel::summary`]) take the state lock.
+//! Nothing on the data path calls them (the exporter publishes from inside
+//! the lock it already holds), so a lock-free copy would cost every op a
+//! write for no reader.
 
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
-use crate::seqlock::{decode_summary, encode_summary, SeqCell};
 use crate::task::TaskCtx;
 use crate::tele::BufTele;
 use aru_core::{AruConfig, AruController, NodeKind, Stp};
@@ -81,10 +86,6 @@ struct ChannelState<T> {
     /// sampled occupancy histogram, recorded under this mutex and drained
     /// to the shared registry only on exporter ticks.
     tele: BufTele,
-    /// Last summary published to the lock-free cell (encoded) and the
-    /// cell's generation counter — the change gate for republishing.
-    published_summary: u64,
-    summary_gen: u64,
 }
 
 /// A timestamped, multi-consumer, get-latest buffer.
@@ -98,16 +99,6 @@ pub struct Channel<T: ItemData> {
     cons: Condvar,
     /// Producers blocked in a bounded put, waiting for capacity.
     prod: Condvar,
-    /// Lock-free read-side observables (DESIGN.md §14): `(len,
-    /// live_bytes)` mirrored as one coherent seqlock pair at the end of
-    /// every mutating locked section (two independent atomics would let a
-    /// sampler pair a new `len` with stale `bytes`), plus the summary-STP
-    /// behind its own seqlock. `len`/`live_bytes`/`summary` stay off the
-    /// state lock unless the bounded seqlock retry keeps colliding with
-    /// writers; monitors and exporters stop contending with the data
-    /// path.
-    obs_cell: SeqCell,
-    summary_cell: SeqCell,
 }
 
 impl<T: ItemData> Channel<T> {
@@ -140,40 +131,14 @@ impl<T: ItemData> Channel<T> {
                 closed: false,
                 live_bytes: 0,
                 tele,
-                published_summary: 0,
-                summary_gen: 0,
             }),
             cons: Condvar::new(),
             prod: Condvar::new(),
-            obs_cell: SeqCell::new(0, 0),
-            summary_cell: SeqCell::new(0, 0),
-        }
-    }
-
-    /// Mirror the occupancy observables into the lock-free cell as one
-    /// coherent `(len, live_bytes)` pair. Called at the end of every
-    /// locked section that moved items (the seqlock writer invariant:
-    /// writers are serialized by the state mutex), so readers of
-    /// [`Channel::len`]/[`Channel::live_bytes`] rarely touch the lock.
-    fn publish_obs_locked(&self, st: &ChannelState<T>) {
-        self.obs_cell.write(st.items.len() as u64, st.live_bytes);
-    }
-
-    /// Republish the summary seqlock cell when the controller's
-    /// compression changed (callers hold the state mutex — the seqlock
-    /// writer invariant).
-    fn republish_summary_locked(&self, st: &mut ChannelState<T>) {
-        let enc = encode_summary(st.aru.summary());
-        if enc != st.published_summary {
-            st.published_summary = enc;
-            st.summary_gen += 1;
-            self.summary_cell.write(st.summary_gen, enc);
         }
     }
 
     /// Shared deposit path for every get: fold the consumer's summary-STP
-    /// into the channel controller, record the hop, republish the
-    /// lock-free summary cell on change.
+    /// into the channel controller and record the hop.
     fn deposit_locked(
         &self,
         st: &mut ChannelState<T>,
@@ -184,7 +149,6 @@ impl<T: ItemData> Channel<T> {
         if let Some(summary) = ctx.summary() {
             st.aru.receive_feedback(chan_out_index, summary);
             st.tele.on_deposit(ctx.node(), summary.period(), || now);
-            self.republish_summary_locked(st);
         }
     }
 
@@ -197,8 +161,6 @@ impl<T: ItemData> Channel<T> {
         st.marks = ConsumerMarks::new(n);
         st.purged_before = Timestamp::ZERO;
         st.aru.ensure_outputs(n);
-        self.republish_summary_locked(&mut st);
-        self.publish_obs_locked(&st);
     }
 
     #[must_use]
@@ -248,8 +210,8 @@ impl<T: ItemData> Channel<T> {
 
     /// The one insertion path, under the state lock: record the alloc,
     /// insert (freeing any displaced item at the same timestamp), apply the
-    /// dead-on-arrival check, count the put, mirror the occupancy, and hand
-    /// back the channel's summary-STP (the cached compression — a field
+    /// dead-on-arrival check, count the put, and hand back the channel's
+    /// summary-STP (the cached compression — a field
     /// read, recomputed only on feedback).
     fn put_locked(
         &self,
@@ -269,7 +231,6 @@ impl<T: ItemData> Channel<T> {
         self.reclaim_if_below_floor(st, ts, now);
         let len = st.items.len();
         st.tele.on_put(1, len);
-        self.publish_obs_locked(st);
         let summary = st.aru.summary();
         if let Some(s) = summary {
             st.tele.on_return(producer.node, s.period(), || now);
@@ -546,7 +507,6 @@ impl<T: ItemData> Channel<T> {
             removed += 1;
         });
         st.tele.on_purged(removed as u64);
-        self.publish_obs_locked(st);
         removed
     }
 
@@ -654,7 +614,6 @@ impl<T: ItemData> Channel<T> {
         st.items.drain(|stored| freed.push(stored.id));
         st.live_bytes = 0;
         st.trace.free_n(now, freed);
-        self.publish_obs_locked(&st);
         drop(st);
         // Close unblocks everyone, whichever side they wait on.
         self.cons.notify_all();
@@ -662,43 +621,29 @@ impl<T: ItemData> Channel<T> {
     }
 
     /// The channel's current summary-STP (the value a put would return).
-    /// Served from the seqlock cell — lock-free unless the bounded retry
-    /// window keeps colliding with in-flight deposits, in which case the
-    /// reader falls back to the state mutex (whose holder is the only
-    /// possible writer).
     #[must_use]
     pub fn summary(&self) -> Option<Stp> {
-        match self.summary_cell.try_read() {
-            Some((_gen, enc)) => decode_summary(enc),
-            None => self.state.lock().aru.summary(),
-        }
+        self.state.lock().aru.summary()
     }
 
-    /// Bytes currently held (lock-free mirror, exact at op boundaries).
+    /// Bytes currently held.
     #[must_use]
     pub fn live_bytes(&self) -> u64 {
         self.occupancy().1
     }
 
-    /// Items currently held (lock-free mirror, exact at op boundaries).
+    /// Items currently held.
     #[must_use]
     pub fn len(&self) -> usize {
         self.occupancy().0
     }
 
-    /// A coherent `(len, live_bytes)` snapshot: both values come from the
-    /// same op boundary. Lock-free unless the bounded seqlock retry keeps
-    /// colliding with in-flight ops, in which case the reader falls back
-    /// to the state mutex (whose holder is the only possible writer).
+    /// A coherent `(len, live_bytes)` snapshot: both values are read under
+    /// one hold of the state lock, so they come from the same op boundary.
     #[must_use]
     pub fn occupancy(&self) -> (usize, u64) {
-        match self.obs_cell.try_read() {
-            Some((len, bytes)) => (len as usize, bytes),
-            None => {
-                let st = self.state.lock();
-                (st.items.len(), st.live_bytes)
-            }
-        }
+        let st = self.state.lock();
+        (st.items.len(), st.live_bytes)
     }
 
     #[must_use]

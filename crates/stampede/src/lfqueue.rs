@@ -57,8 +57,8 @@ use crate::task::TaskCtx;
 use crate::tele::LfEndpointTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_gc::ConsumerMarks;
-use aru_metrics::journal::HopLeg;
-use aru_metrics::{Gauge, IterKey, Journal, JournalKind, JournalShard, SharedTrace};
+use aru_metrics::journal::{HopLeg, DEFAULT_OCC_WATERMARK};
+use aru_metrics::{Gauge, IterKey, JournalKind, JournalShard, SharedTrace};
 use std::sync::Arc;
 use std::time::Instant;
 use vtime::{Micros, SimTime, Timestamp};
@@ -137,8 +137,6 @@ pub struct LfQueue<T: ItemData> {
     trace: SharedTrace,
     occupancy_gauge: Gauge,
     live_bytes_gauge: Gauge,
-    /// Shared journal handle — read for the occupancy watermark config.
-    journal_cfg: Journal,
 }
 
 impl<T: ItemData> LfQueue<T> {
@@ -155,7 +153,6 @@ impl<T: ItemData> LfQueue<T> {
         let occupancy_gauge = r.gauge("aru_channel_occupancy_items", labels);
         let live_bytes_gauge = r.gauge("aru_channel_live_bytes", labels);
         let journal = tele.journal.shard();
-        let journal_cfg = tele.journal.clone();
         LfQueue {
             node,
             name,
@@ -186,7 +183,6 @@ impl<T: ItemData> LfQueue<T> {
             trace,
             occupancy_gauge,
             live_bytes_gauge,
-            journal_cfg,
         }
     }
 
@@ -572,8 +568,7 @@ impl<T: ItemData> BufferAdmin for LfQueue<T> {
         // Occupancy journal record on change / watermark crossing —
         // exporter-tick cadence only, so locking the control mutex for
         // its journal shard is off the hot path.
-        let watermark = self.journal_cfg.occ_watermark();
-        let high = len >= watermark;
+        let high = len >= DEFAULT_OCC_WATERMARK;
         let mut c = self.control.lock();
         if c.last_occ != Some((len, high)) {
             c.last_occ = Some((len, high));
@@ -582,7 +577,7 @@ impl<T: ItemData> BufferAdmin for LfQueue<T> {
                 self.node,
                 JournalKind::Occupancy {
                     len,
-                    watermark,
+                    watermark: DEFAULT_OCC_WATERMARK,
                     high,
                 },
             );

@@ -373,12 +373,11 @@ fn loom_lfqueue_close_never_strands_drainable_item() {
     });
 }
 
-/// The `(len, live_bytes)` read-side mirror publishes as one seqlock
-/// pair: a sampler racing two puts of 7-byte items must always see
-/// `bytes == len * 7` (or hit the bounded-retry lock fallback, which is
-/// coherent by construction). With the pair as two independent atomics
-/// this assert fails on the schedule "store len=2 → sample → store
-/// bytes=14".
+/// `occupancy()` returns a coherent `(len, live_bytes)` pair: a sampler
+/// racing two puts of 7-byte items must always see `bytes == len * 7`.
+/// Both values are read under one hold of the state lock the puts
+/// mutate under; a read-side mirror kept as two independent atomics
+/// failed this on the schedule "store len=2 → sample → store bytes=14".
 #[test]
 fn loom_channel_obs_pair_never_tears() {
     loom::model(|| {

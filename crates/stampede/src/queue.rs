@@ -9,11 +9,15 @@
 //! Under DGC a queue can also drop queued items whose timestamps are
 //! provably dead downstream (`apply_dead_before`), which is the queue
 //! analogue of channel reclamation.
+//!
+//! Observers (`len`, `live_bytes`, `occupancy`, `summary`) take the state
+//! lock, for the reason the [`crate::channel`] docs give. The lock-free
+//! backend ([`crate::lfqueue::LfQueue`]) is where a summary is read
+//! without a lock.
 
 use crate::channel::BufferAdmin;
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
-use crate::seqlock::{decode_summary, encode_summary, SeqCell};
 use crate::task::TaskCtx;
 use crate::tele::BufTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind};
@@ -42,10 +46,6 @@ struct QueueState<T> {
     live_bytes: u64,
     /// Live-telemetry accumulator (see `crate::tele::BufTele`).
     tele: BufTele,
-    /// Last summary published to the lock-free cell (encoded) and the
-    /// cell's generation counter — the change gate for republishing.
-    published_summary: u64,
-    summary_gen: u64,
 }
 
 /// A FIFO buffer of timestamped items.
@@ -59,15 +59,6 @@ pub struct Queue<T: ItemData> {
     /// (`notify_one`): an item is consumed destructively by one consumer,
     /// so waking more would just stampede them back to sleep.
     cond: Condvar,
-    /// Lock-free read-side observables (DESIGN.md §14), mirrored at the
-    /// end of every mutating locked section. `(len, live_bytes)` live in
-    /// one seqlock cell so samplers always see a coherent pair — two
-    /// independent atomics let a reader pair a new `len` with stale
-    /// `bytes` (or vice versa). Reads are lock-free unless the bounded
-    /// retry window keeps colliding with writers (then they fall back to
-    /// the state lock, like `summary`).
-    obs_cell: SeqCell,
-    summary_cell: SeqCell,
 }
 
 impl<T: ItemData> Queue<T> {
@@ -91,12 +82,8 @@ impl<T: ItemData> Queue<T> {
                 closed: false,
                 live_bytes: 0,
                 tele,
-                published_summary: 0,
-                summary_gen: 0,
             }),
             cond: Condvar::new(),
-            obs_cell: SeqCell::new(0, 0),
-            summary_cell: SeqCell::new(0, 0),
         }
     }
 
@@ -104,32 +91,10 @@ impl<T: ItemData> Queue<T> {
         let mut st = self.state.lock();
         st.marks = ConsumerMarks::new(n);
         st.aru.ensure_outputs(n);
-        self.republish_summary_locked(&mut st);
-        self.publish_obs_locked(&st);
-    }
-
-    /// Mirror the occupancy observables into the lock-free cell as one
-    /// coherent `(len, live_bytes)` pair. Called at the end of every
-    /// locked section that moved items (the seqlock writer invariant:
-    /// writers are serialized by the state mutex).
-    fn publish_obs_locked(&self, st: &QueueState<T>) {
-        self.obs_cell.write(st.items.len() as u64, st.live_bytes);
-    }
-
-    /// Republish the summary seqlock cell when the controller's
-    /// compression changed (callers hold the state mutex — the seqlock
-    /// writer invariant).
-    fn republish_summary_locked(&self, st: &mut QueueState<T>) {
-        let enc = encode_summary(st.aru.summary());
-        if enc != st.published_summary {
-            st.published_summary = enc;
-            st.summary_gen += 1;
-            self.summary_cell.write(st.summary_gen, enc);
-        }
     }
 
     /// Shared deposit path for every get variant: fold the consumer's
-    /// summary-STP, record the hop, republish the lock-free summary cell.
+    /// summary-STP and record the hop.
     fn deposit_locked(
         &self,
         st: &mut QueueState<T>,
@@ -140,7 +105,6 @@ impl<T: ItemData> Queue<T> {
         if let Some(summary) = ctx.summary() {
             st.aru.receive_feedback(chan_out_index, summary);
             st.tele.on_deposit(ctx.node(), summary.period(), || now);
-            self.republish_summary_locked(st);
         }
     }
 
@@ -177,7 +141,6 @@ impl<T: ItemData> Queue<T> {
         st.live_bytes += bytes;
         let len = st.items.len();
         st.tele.on_put(1, len);
-        self.publish_obs_locked(&st);
         let summary = st.aru.summary();
         if let Some(s) = summary {
             st.tele.on_return(producer.node, s.period(), || now);
@@ -210,7 +173,6 @@ impl<T: ItemData> Queue<T> {
                 st.tele.on_get(1, len);
                 st.trace.get(now, stored.id, ctx.iter_key());
                 st.trace.free(now, stored.id);
-                self.publish_obs_locked(&st);
                 return Ok(StampedItem {
                     ts: stored.ts,
                     value: stored.value,
@@ -259,7 +221,6 @@ impl<T: ItemData> Queue<T> {
                 st.tele.on_get(1, len);
                 st.trace.get(now, stored.id, ctx.iter_key());
                 st.trace.free(now, stored.id);
-                self.publish_obs_locked(&st);
                 Ok(Some(StampedItem {
                     ts: stored.ts,
                     value: stored.value,
@@ -270,7 +231,7 @@ impl<T: ItemData> Queue<T> {
         }
     }
 
-    /// Items currently queued (lock-free mirror, exact at op boundaries).
+    /// Items currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
         self.occupancy().0
@@ -281,35 +242,24 @@ impl<T: ItemData> Queue<T> {
         self.len() == 0
     }
 
-    /// Bytes currently held (lock-free mirror, exact at op boundaries).
+    /// Bytes currently held.
     #[must_use]
     pub fn live_bytes(&self) -> u64 {
         self.occupancy().1
     }
 
-    /// A coherent `(len, live_bytes)` snapshot: both values come from the
-    /// same op boundary. Lock-free unless the bounded seqlock retry keeps
-    /// colliding with in-flight ops.
+    /// A coherent `(len, live_bytes)` snapshot: both values are read under
+    /// one hold of the state lock, so they come from the same op boundary.
     #[must_use]
     pub fn occupancy(&self) -> (usize, u64) {
-        match self.obs_cell.try_read() {
-            Some((len, bytes)) => (len as usize, bytes),
-            None => {
-                let st = self.state.lock();
-                (st.items.len(), st.live_bytes)
-            }
-        }
+        let st = self.state.lock();
+        (st.items.len(), st.live_bytes)
     }
 
-    /// The queue's current summary-STP (the value a put would return),
-    /// served from the seqlock cell — lock-free unless the bounded retry
-    /// window keeps colliding with in-flight deposits.
+    /// The queue's current summary-STP (the value a put would return).
     #[must_use]
     pub fn summary(&self) -> Option<aru_core::Stp> {
-        match self.summary_cell.try_read() {
-            Some((_gen, enc)) => decode_summary(enc),
-            None => self.state.lock().aru.summary(),
-        }
+        self.state.lock().aru.summary()
     }
 
     /// Snapshot the consumer marks (for DGC).
@@ -344,7 +294,6 @@ impl<T: ItemData> Queue<T> {
         }
         st.items = kept;
         st.tele.on_purged(dropped);
-        self.publish_obs_locked(&st);
     }
 
     /// Close: wake blocked getters; free queued items.
@@ -359,7 +308,6 @@ impl<T: ItemData> Queue<T> {
             st.trace.free(now, stored.id);
         }
         st.live_bytes = 0;
-        self.publish_obs_locked(&st);
         drop(st);
         self.cond.notify_all();
     }

@@ -1,10 +1,14 @@
-//! Seqlock cell for the compressed summary-STP (DESIGN.md §14).
+//! Seqlock cell for the lock-free queue's compressed summary-STP
+//! (DESIGN.md §14).
 //!
-//! The control plane publishes a two-word payload (generation counter +
-//! encoded summary) through a versioned even/odd counter so the data
-//! plane reads it with two or three loads and no lock:
+//! [`crate::lfqueue::LfQueue`] is the one user: its control plane
+//! publishes a two-word payload (generation counter + encoded summary)
+//! through a versioned even/odd counter so every `put` reads it with two
+//! or three loads and no lock, and the producer endpoint folds only when
+//! the generation moved. The mutex `Channel` and `Queue` read their
+//! summary under the state lock they already hold and keep no cell.
 //!
-//! * **Writer** (serialized externally — callers hold the buffer's
+//! * **Writer** (serialized externally — callers hold the queue's
 //!   control mutex, which is the documented invariant making the
 //!   odd-version window single-writer): bump `version` to odd, store the
 //!   payload words, bump to the next even value.

@@ -112,13 +112,6 @@ impl TaskCtx {
         IterKey::new(self.node, self.seq)
     }
 
-    /// Has the runtime requested shutdown? Long-running bodies should poll
-    /// this and return [`Step::Stop`].
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.shutdown.is_set()
-    }
-
     /// DGC computation elimination (paper §4): is virtual time `ts` already
     /// dead in every buffer this thread feeds? If so, processing an input
     /// with that timestamp is provably wasted and the body should skip it.

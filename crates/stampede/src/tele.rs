@@ -20,8 +20,8 @@
 //! compare per op and records nothing (see `aru_metrics::journal`).
 
 use aru_core::NodeId;
-use aru_metrics::journal::{HopLeg, TaskGates};
-use aru_metrics::{Counter, Gauge, Hist, Histogram, Journal, JournalKind, JournalShard, Telemetry};
+use aru_metrics::journal::{HopLeg, TaskGates, DEFAULT_OCC_WATERMARK};
+use aru_metrics::{Counter, Gauge, Hist, Histogram, JournalKind, JournalShard, Telemetry};
 use std::time::Instant;
 use vtime::{Micros, SimTime};
 
@@ -56,7 +56,6 @@ pub(crate) struct BufTele {
     last_deposit: Option<Micros>,
     last_return: Option<Micros>,
     journal: JournalShard,
-    journal_cfg: Journal,
     last_occ: Option<(u64, bool)>,
 }
 
@@ -82,7 +81,6 @@ impl BufTele {
             last_deposit: None,
             last_return: None,
             journal: tele.journal.shard(),
-            journal_cfg: tele.journal.clone(),
             last_occ: None,
         }
     }
@@ -173,7 +171,7 @@ impl BufTele {
     /// Drain accumulated deltas into the shared registry and refresh the
     /// point-in-time gauges. Called by the exporter tick and at shutdown —
     /// never from a put/get. Journals an occupancy record when the length
-    /// changed since the last publish or crossed the configured watermark.
+    /// changed since the last publish or crossed the watermark.
     pub(crate) fn publish(&mut self, now: SimTime, len: usize, live_bytes: u64) {
         self.puts.add(std::mem::take(&mut self.d_puts));
         self.gets.add(std::mem::take(&mut self.d_gets));
@@ -183,8 +181,7 @@ impl BufTele {
         self.occupancy.set(len as f64);
         self.live_bytes.set(live_bytes as f64);
         let len = len as u64;
-        let watermark = self.journal_cfg.occ_watermark();
-        let high = len >= watermark;
+        let high = len >= DEFAULT_OCC_WATERMARK;
         if self.last_occ != Some((len, high)) {
             self.last_occ = Some((len, high));
             self.journal.record(
@@ -192,7 +189,7 @@ impl BufTele {
                 self.node,
                 JournalKind::Occupancy {
                     len,
-                    watermark,
+                    watermark: DEFAULT_OCC_WATERMARK,
                     high,
                 },
             );

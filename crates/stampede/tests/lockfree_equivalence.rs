@@ -296,9 +296,10 @@ fn close_mid_drain_delivers_contiguous_stream_then_closed() {
 
 /// The occupancy pair `(len, live_bytes)` must never tear: with every
 /// item the same size, any snapshot a concurrent observer takes satisfies
-/// `bytes == len * size` exactly. Hammers the seqlock-published mirror on
-/// the mutex queue from a racing reader (the loom suite pins the same
-/// invariant on the channel under exhaustive interleavings).
+/// `bytes == len * size` exactly. Hammers the mutex queue's `occupancy()`
+/// from a racing reader; both values are read under one hold of the state
+/// lock (the loom suite pins the same invariant on the channel under
+/// exhaustive interleavings).
 #[test]
 fn occupancy_pair_never_tears_under_concurrent_ops() {
     const SIZE: usize = 7;

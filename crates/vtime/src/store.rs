@@ -34,8 +34,8 @@
 //! 4. `purge_before(b)` leaves no item with `ts < b` on either side.
 //!
 //! The store is not synchronized: the threaded channel keeps it inside its
-//! state mutex and mirrors the occupancy counts into atomics for lock-free
-//! observers (DESIGN.md §14); the simulator is single-threaded.
+//! state mutex, and its observers read the occupancy under that lock; the
+//! simulator is single-threaded.
 
 use crate::Timestamp;
 use std::collections::{BTreeMap, VecDeque};
