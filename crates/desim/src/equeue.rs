@@ -148,9 +148,7 @@ impl<T> HeapQueue<T> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.heap
-            .pop()
-            .map(|Reverse(e)| (e.time, e.seq, e.payload))
+        self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.payload))
     }
 }
 
@@ -605,7 +603,11 @@ mod tests {
             let n_push = 1 + step(4);
             for _ in 0..n_push {
                 seq += 1;
-                let dt = if step(50) == 0 { step(100_000) } else { step(500) };
+                let dt = if step(50) == 0 {
+                    step(100_000)
+                } else {
+                    step(500)
+                };
                 let t = SimTime(now + dt);
                 cal.push(t, seq, ());
                 heap.push(t, seq, ());

@@ -101,12 +101,7 @@ impl FaultPlan {
 
     /// Drop summary feedback to `task` during `[from, until)`.
     #[must_use]
-    pub fn drop_summaries(
-        mut self,
-        task: impl Into<String>,
-        from: Micros,
-        until: Micros,
-    ) -> Self {
+    pub fn drop_summaries(mut self, task: impl Into<String>, from: Micros, until: Micros) -> Self {
         self.faults.push(Fault::DropSummaries {
             task: task.into(),
             from,
@@ -118,7 +113,11 @@ impl FaultPlan {
     /// Multiply link transfer times by `factor` during `[from, until)`.
     #[must_use]
     pub fn link_spike(mut self, from: Micros, until: Micros, factor: f64) -> Self {
-        self.faults.push(Fault::LinkSpike { from, until, factor });
+        self.faults.push(Fault::LinkSpike {
+            from,
+            until,
+            factor,
+        });
         self
     }
 
@@ -372,12 +371,8 @@ mod tests {
     #[test]
     fn volatile_link_is_a_square_wave() {
         // 1 s period over 3 s: spikes at [0,0.5s), [1,1.5s), [2,2.5s).
-        let p = FaultPlan::none().volatile_link(
-            Micros(0),
-            Micros(3_000_000),
-            Micros(1_000_000),
-            4.0,
-        );
+        let p =
+            FaultPlan::none().volatile_link(Micros(0), Micros(3_000_000), Micros(1_000_000), 4.0);
         assert_eq!(p.faults.len(), 3);
         assert_eq!(p.link_factor(SimTime(250_000)), 4.0);
         assert_eq!(p.link_factor(SimTime(750_000)), 1.0);
@@ -409,7 +404,10 @@ mod tests {
         assert_eq!(a, b, "same seed, same schedule");
         for f in &a.faults {
             let at = f.starts_at();
-            assert!(at >= Micros(1000) && at < Micros(5000), "{at} out of window");
+            assert!(
+                at >= Micros(1000) && at < Micros(5000),
+                "{at} out of window"
+            );
         }
         let c = FaultPlan::none().seeded_crashes("t", 8, Micros(1000), Micros(5000), 8);
         assert_ne!(a, c, "different seed perturbs the schedule");

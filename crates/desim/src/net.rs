@@ -49,8 +49,7 @@ impl NetModel {
     /// Time for `bytes` to become visible on the remote side.
     #[must_use]
     pub fn transfer(&self, bytes: u64) -> Micros {
-        let ser = if self.bandwidth_bytes_per_us.is_finite() && self.bandwidth_bytes_per_us > 0.0
-        {
+        let ser = if self.bandwidth_bytes_per_us.is_finite() && self.bandwidth_bytes_per_us > 0.0 {
             Micros((bytes as f64 / self.bandwidth_bytes_per_us) as u64)
         } else {
             Micros::ZERO

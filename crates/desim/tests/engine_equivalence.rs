@@ -131,7 +131,11 @@ fn assert_reports_identical(sc: &Scenario) {
     );
     let fh = heap.analyze().footprint.observed_summary();
     let fc = cal.analyze().footprint.observed_summary();
-    assert_eq!(fh.mean.to_bits(), fc.mean.to_bits(), "footprint not bit-exact");
+    assert_eq!(
+        fh.mean.to_bits(),
+        fc.mean.to_bits(),
+        "footprint not bit-exact"
+    );
 }
 
 #[test]

@@ -30,8 +30,10 @@ fn aru_adapts_to_load_step() {
     let snk = b.task(
         "snk",
         n,
-        TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(20)))
-            .with_load_step(SimTime(10_000_000), ServiceModel::fixed(Micros::from_millis(60))),
+        TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(20))).with_load_step(
+            SimTime(10_000_000),
+            ServiceModel::fixed(Micros::from_millis(60)),
+        ),
     );
     b.output(src, c, 1000).unwrap();
     b.input(snk, c, InputPolicy::DriverLatest).unwrap();
@@ -140,8 +142,10 @@ fn aru_speeds_up_when_load_drops() {
     let snk = b.task(
         "snk",
         n,
-        TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(60)))
-            .with_load_step(SimTime(10_000_000), ServiceModel::fixed(Micros::from_millis(15))),
+        TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(60))).with_load_step(
+            SimTime(10_000_000),
+            ServiceModel::fixed(Micros::from_millis(15)),
+        ),
     );
     b.output(src, c, 1000).unwrap();
     b.input(snk, c, InputPolicy::DriverLatest).unwrap();

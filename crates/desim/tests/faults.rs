@@ -60,7 +60,10 @@ fn crashes_are_counted_and_recovered() {
     assert_eq!(f.restarts, 2, "{f}");
     // The pipeline keeps producing after both recoveries.
     let last = *alloc_times(&r).last().unwrap();
-    assert!(last > 15_000_000, "production resumed after restarts: {last}");
+    assert!(
+        last > 15_000_000,
+        "production resumed after restarts: {last}"
+    );
 }
 
 #[test]
@@ -70,13 +73,9 @@ fn fault_runs_are_deterministic() {
             cfg.faults = FaultPlan::none()
                 .seeded_crashes("snk", 3, Micros::from_secs(2), Micros::from_secs(18), 42)
                 .stall("snk", Micros::from_secs(1), Micros::from_millis(200));
-            cfg.retry = RetryPolicy::exponential(
-                5,
-                Micros::from_millis(10),
-                Micros::from_secs(1),
-            )
-            .with_seed(7)
-            .with_jitter(0.2);
+            cfg.retry = RetryPolicy::exponential(5, Micros::from_millis(10), Micros::from_secs(1))
+                .with_seed(7)
+                .with_jitter(0.2);
         })
     };
     let a = run();
@@ -86,8 +85,16 @@ fn fault_runs_are_deterministic() {
         b.trace.events().len(),
         "identical event counts"
     );
-    assert_eq!(a.analyze().faults, b.analyze().faults, "identical fault reports");
-    assert_eq!(alloc_times(&a), alloc_times(&b), "identical alloc schedules");
+    assert_eq!(
+        a.analyze().faults,
+        b.analyze().faults,
+        "identical fault reports"
+    );
+    assert_eq!(
+        alloc_times(&a),
+        alloc_times(&b),
+        "identical alloc schedules"
+    );
 }
 
 #[test]
@@ -110,15 +117,17 @@ fn exhausted_retry_budget_kills_the_task_forever() {
         })
         .max()
         .unwrap();
-    assert!(last_out <= 5_000_000, "sink died at 5s, last output {last_out}");
+    assert!(
+        last_out <= 5_000_000,
+        "sink died at 5s, last output {last_out}"
+    );
 }
 
 #[test]
 fn stall_delays_without_crashing() {
     let baseline = paced_pipeline(|_| {});
     let stalled = paced_pipeline(|cfg| {
-        cfg.faults =
-            FaultPlan::none().stall("snk", Micros::from_secs(5), Micros::from_secs(2));
+        cfg.faults = FaultPlan::none().stall("snk", Micros::from_secs(5), Micros::from_secs(2));
     });
     let f = stalled.analyze().faults;
     assert_eq!(f.crashes, 0, "a stall is not a crash: {f}");
@@ -155,11 +164,7 @@ fn link_spike_slows_remote_pipeline() {
         Sim::run(b, cfg).unwrap()
     };
     let clean = run(FaultPlan::none());
-    let spiked = run(FaultPlan::none().link_spike(
-        Micros::ZERO,
-        Micros::from_secs(10),
-        20.0,
-    ));
+    let spiked = run(FaultPlan::none().link_spike(Micros::ZERO, Micros::from_secs(10), 20.0));
     assert!(
         spiked.outputs() < clean.outputs(),
         "20x slower link costs throughput: {} !< {}",
@@ -178,11 +183,7 @@ fn dropped_summaries_decay_to_unpaced_production() {
     let drop_until = 16_000_000u64;
     let r = paced_pipeline(|cfg| {
         cfg.aru = AruConfig::aru_min().with_staleness(Micros::from_millis(500));
-        cfg.faults = FaultPlan::none().drop_summaries(
-            "src",
-            Micros(drop_from),
-            Micros(drop_until),
-        );
+        cfg.faults = FaultPlan::none().drop_summaries("src", Micros(drop_from), Micros(drop_until));
     });
     let f = r.analyze().faults;
     assert!(f.summaries_dropped > 0, "drop window saw traffic: {f}");

@@ -1,11 +1,10 @@
 //! End-to-end simulator tests: pipeline dynamics, ARU behaviour under the
 //! virtual clock, network/cost models, and determinism.
 
-use desim::{
-    CostModel, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig, SimReport,
-    TaskSpec,
-};
 use aru_core::AruConfig;
+use desim::{
+    CostModel, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig, SimReport, TaskSpec,
+};
 use vtime::Micros;
 
 /// src(10ms) → C → sink(50ms), single node, no noise.
@@ -122,7 +121,11 @@ fn deterministic_replay() {
 fn noise_creates_jitter() {
     let quiet = linear(AruConfig::disabled(), 7, 0.0).analyze();
     let noisy = linear(AruConfig::disabled(), 7, 0.25).analyze();
-    assert!(quiet.perf.jitter_us < 1.0, "quiet jitter {}", quiet.perf.jitter_us);
+    assert!(
+        quiet.perf.jitter_us < 1.0,
+        "quiet jitter {}",
+        quiet.perf.jitter_us
+    );
     assert!(
         noisy.perf.jitter_us > quiet.perf.jitter_us + 100.0,
         "noisy jitter {} vs quiet {}",
@@ -217,12 +220,25 @@ fn join_exact_pairs_streams() {
     let c_masks = b.channel("masks", n);
     let c_out = b.channel("out", n);
     let src = b.source("src", n, ServiceModel::fixed(Micros::from_millis(5)));
-    let mid = b.task("mid", n, TaskSpec::new(ServiceModel::fixed(Micros::from_millis(15))));
-    let td = b.task("td", n, TaskSpec::new(ServiceModel::fixed(Micros::from_millis(25))));
-    let gui = b.task("gui", n, TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(5))));
+    let mid = b.task(
+        "mid",
+        n,
+        TaskSpec::new(ServiceModel::fixed(Micros::from_millis(15))),
+    );
+    let td = b.task(
+        "td",
+        n,
+        TaskSpec::new(ServiceModel::fixed(Micros::from_millis(25))),
+    );
+    let gui = b.task(
+        "gui",
+        n,
+        TaskSpec::sink(ServiceModel::fixed(Micros::from_millis(5))),
+    );
     b.output(src, c_frames_mid, 10_000).unwrap();
     b.output(src, c_frames_td, 10_000).unwrap();
-    b.input(mid, c_frames_mid, InputPolicy::DriverLatest).unwrap();
+    b.input(mid, c_frames_mid, InputPolicy::DriverLatest)
+        .unwrap();
     b.output(mid, c_masks, 3_000).unwrap();
     b.input(td, c_masks, InputPolicy::DriverLatest).unwrap();
     b.input(td, c_frames_td, InputPolicy::JoinExact).unwrap();

@@ -74,7 +74,13 @@ pub fn lfqueue<T: ItemData>(
     trace: SharedTrace,
     consumers: usize,
 ) -> Arc<LfQueue<T>> {
-    let q = Arc::new(LfQueue::new(node, name.to_string(), config, capacity, trace));
+    let q = Arc::new(LfQueue::new(
+        node,
+        name.to_string(),
+        config,
+        capacity,
+        trace,
+    ));
     BufferAdmin::configure_consumers(&*q, consumers);
     q
 }

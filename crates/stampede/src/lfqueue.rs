@@ -438,7 +438,8 @@ impl<T: ItemData> LfQueue<T> {
         let folded = c.aru.summary();
         c.generation += 1;
         // Seqlock writer invariant: we hold the control mutex.
-        self.summary_cell.write(c.generation, encode_summary(folded));
+        self.summary_cell
+            .write(c.generation, encode_summary(folded));
         // Feedback-lineage recording (same change gate as the fold we just
         // did — we only get here when the deposited summary moved). This
         // closes the LF path's observability gap: the deposit hop lands in

@@ -82,8 +82,8 @@ mod loom_tests;
 pub use backend::{QueueBackend, QueueInput, QueueOutput};
 pub use builder::{BuildError, ChannelRef, QueueRef, RuntimeBuilder, ThreadRef};
 pub use channel::{Channel, Input, Output};
+pub use error::{StampedeError, Step, TaskResult};
 pub use fanout::FanOut;
-pub use error::{Step, StampedeError, TaskResult};
 pub use item::{ItemData, Record, StampedItem};
 pub use lfqueue::{LfItem, LfQueue, LfQueueInput, LfQueueOutput};
 pub use queue::{MutexQueueInput, MutexQueueOutput, Queue};
@@ -95,8 +95,8 @@ pub mod prelude {
     pub use crate::backend::{QueueBackend, QueueInput, QueueOutput};
     pub use crate::builder::{ChannelRef, QueueRef, RuntimeBuilder, ThreadRef};
     pub use crate::channel::{Input, Output};
+    pub use crate::error::{StampedeError, Step, TaskResult};
     pub use crate::fanout::FanOut;
-    pub use crate::error::{Step, StampedeError, TaskResult};
     pub use crate::item::{ItemData, Record, StampedItem};
     pub use crate::lfqueue::{LfItem, LfQueueInput, LfQueueOutput};
     pub use crate::runtime::{RunAnalysis, RunReport, Runtime};

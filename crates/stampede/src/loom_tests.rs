@@ -37,11 +37,11 @@
 use crate::channel::Channel;
 use crate::queue::Queue;
 use crate::shutdown::Shutdown;
+use crate::sync::RwLock;
 use crate::task::TaskCtx;
 use aru_core::{AruConfig, NodeId};
 use aru_gc::{DgcResult, GcMode};
 use aru_metrics::{IterKey, SharedTrace};
-use crate::sync::RwLock;
 use std::sync::Arc;
 use vtime::{ManualClock, Micros, Timestamp};
 
@@ -413,8 +413,7 @@ fn loom_shutdown_set_always_wakes_sleeper() {
     loom::model(|| {
         let s = Shutdown::new();
         let s2 = s.clone();
-        let sleeper =
-            loom::thread::spawn(move || s2.sleep(Micros::from_secs(3600)));
+        let sleeper = loom::thread::spawn(move || s2.sleep(Micros::from_secs(3600)));
         s.set();
         assert!(
             sleeper.join().unwrap(),

@@ -18,12 +18,12 @@
 use crate::channel::BufferAdmin;
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
+use crate::sync::{Condvar, Mutex};
 use crate::task::TaskCtx;
 use crate::tele::BufTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind};
 use aru_gc::ConsumerMarks;
 use aru_metrics::{ItemId, IterKey, LocalTrace, SharedTrace};
-use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vtime::{Clock, SimTime, Timestamp};

@@ -4,6 +4,7 @@
 use crate::channel::BufferAdmin;
 use crate::error::TaskResult;
 use crate::shutdown::Shutdown;
+use crate::sync::RwLock;
 use crate::task::TaskCtx;
 use aru_core::{AruConfig, NodeId, RetryPolicy, Topology};
 use aru_gc::{ConsumerMarks, DgcEngine, DgcResult, GcMode, Postmortem};
@@ -12,7 +13,6 @@ use aru_metrics::trace::wall_clock_unix_us;
 use aru_metrics::{
     ExportSink, FaultReport, JournalKind, SharedTrace, Telemetry, Trace, TraceEvent,
 };
-use crate::sync::RwLock;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -205,8 +205,7 @@ impl Runtime {
                                     // (tmp + rename); IO errors swallowed
                                     // like the exporter's.
                                     if let Some(p) = &crash_path {
-                                        let _ =
-                                            journal.write_snapshot_file(p, "threaded", epoch);
+                                        let _ = journal.write_snapshot_file(p, "threaded", epoch);
                                     }
                                     sd.set();
                                     for a in &admins {
@@ -310,8 +309,7 @@ impl Runtime {
                         }
                         let faults = FaultReport::compute(&trace.snapshot());
                         if faults.any() {
-                            let line =
-                                fault_report_jsonl(&faults, epoch, wall_clock_unix_us());
+                            let line = fault_report_jsonl(&faults, epoch, wall_clock_unix_us());
                             let _ = sink.append_jsonl(&line);
                         }
                     }));
@@ -353,7 +351,11 @@ pub struct BoxedJoinError {
 
 impl std::fmt::Display for BoxedJoinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task '{}' failed permanently: {}", self.task, self.payload)
+        write!(
+            f,
+            "task '{}' failed permanently: {}",
+            self.task, self.payload
+        )
     }
 }
 
@@ -388,7 +390,12 @@ impl Running {
             let name = h.thread().name().unwrap_or("<task>").to_string();
             match h.join() {
                 Ok(Ok(_iters)) => {}
-                Ok(Err(payload)) => return Err(BoxedJoinError { task: name, payload }),
+                Ok(Err(payload)) => {
+                    return Err(BoxedJoinError {
+                        task: name,
+                        payload,
+                    })
+                }
                 // The supervisor itself panicked (shouldn't happen): the
                 // join error is the raw payload.
                 Err(p) => {
@@ -479,9 +486,7 @@ impl RunReport {
 
     /// Per-channel occupancy statistics.
     #[must_use]
-    pub fn channel_stats(
-        &self,
-    ) -> std::collections::BTreeMap<NodeId, aru_metrics::ChannelStats> {
+    pub fn channel_stats(&self) -> std::collections::BTreeMap<NodeId, aru_metrics::ChannelStats> {
         aru_metrics::channel_stats(&self.trace, self.t_end)
     }
 
@@ -543,7 +548,10 @@ mod tests {
         let faults = report.analyze().faults;
         assert_eq!(faults.crashes, 1);
         assert_eq!(faults.restarts, 1);
-        assert!(n.load(Ordering::SeqCst) > 5, "task kept running after restart");
+        assert!(
+            n.load(Ordering::SeqCst) > 5,
+            "task kept running after restart"
+        );
     }
 
     #[test]
@@ -585,7 +593,10 @@ mod tests {
             }
         });
         let running = b.build().unwrap().start();
-        wait_until(|| !running.is_running(), "escalation to shut the runtime down");
+        wait_until(
+            || !running.is_running(),
+            "escalation to shut the runtime down",
+        );
         wait_until(
             || sink_unblocked.load(Ordering::SeqCst),
             "escalation to close buffers and unblock the sink",
@@ -658,7 +669,10 @@ mod tests {
             panic!("kaboom");
         });
         let running = b.build().unwrap().start();
-        wait_until(|| !running.is_running(), "escalation to shut the runtime down");
+        wait_until(
+            || !running.is_running(),
+            "escalation to shut the runtime down",
+        );
         running.stop().expect_err("permanent failure is reported");
         // The escalating supervisor dumped the journal *before* requesting
         // shutdown — the evidence survives even though the run died.

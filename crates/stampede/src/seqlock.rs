@@ -61,7 +61,10 @@ impl SeqCell {
     /// odd-version window single-writer.
     pub(crate) fn write(&self, w0: u64, w1: u64) {
         let v = self.version.load(Ordering::SeqCst);
-        debug_assert!(v.is_multiple_of(2), "seqlock writer saw an in-flight write; writers must hold the control mutex");
+        debug_assert!(
+            v.is_multiple_of(2),
+            "seqlock writer saw an in-flight write; writers must hold the control mutex"
+        );
         self.version.store(v + 1, Ordering::SeqCst);
         self.words[0].store(w0, Ordering::SeqCst);
         self.words[1].store(w1, Ordering::SeqCst);

@@ -111,9 +111,15 @@ mod tests {
         let s = Shutdown::new();
         let t0 = Instant::now();
         assert!(!s.sleep_until(t0 - Duration::from_millis(50)));
-        assert!(t0.elapsed() < Duration::from_millis(20), "no wait on a lapsed deadline");
+        assert!(
+            t0.elapsed() < Duration::from_millis(20),
+            "no wait on a lapsed deadline"
+        );
         s.set();
-        assert!(s.sleep_until(Instant::now() + Duration::from_secs(10)), "already set: immediate");
+        assert!(
+            s.sleep_until(Instant::now() + Duration::from_secs(10)),
+            "already set: immediate"
+        );
     }
 
     #[test]

@@ -18,11 +18,11 @@
 
 use crate::error::{Step, TaskResult};
 use crate::shutdown::Shutdown;
+use crate::sync::RwLock;
 use crate::tele::TaskTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_gc::DgcResult;
 use aru_metrics::{IterKey, SharedTrace};
-use crate::sync::RwLock;
 use std::sync::Arc;
 use vtime::{Clock, Micros, SimTime, Timestamp};
 
@@ -232,8 +232,13 @@ impl TaskCtx {
             }
             if outcome.law_fired {
                 if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
-                    self.trace
-                        .pace_decision(t1, self.node, raw.period(), target.period(), outcome.clamped);
+                    self.trace.pace_decision(
+                        t1,
+                        self.node,
+                        raw.period(),
+                        target.period(),
+                        outcome.clamped,
+                    );
                 }
             }
             self.seq += 1;
@@ -426,7 +431,10 @@ mod tests {
         let snap = trace.snapshot();
         assert!(matches!(
             snap.events()[0],
-            aru_metrics::TraceEvent::SinkOutput { ts: Timestamp(4), .. }
+            aru_metrics::TraceEvent::SinkOutput {
+                ts: Timestamp(4),
+                ..
+            }
         ));
     }
 

@@ -13,18 +13,15 @@ use aru_core::NodeId;
 use aru_metrics::TraceEvent;
 use proptest::prelude::*;
 use stampede::prelude::*;
-use vtime::Timestamp;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use vtime::Timestamp;
 
 /// Drive one schedule (payload size per item; index is the timestamp)
 /// through a src → queue → sink graph on `backend`.
 /// Returns (received `(ts, len)` sequence, nodes that made pacing
 /// decisions, queue live_bytes observed after the sink drained all items).
-fn run_graph(
-    backend: QueueBackend,
-    sizes: &[usize],
-) -> (Vec<(u64, usize)>, Vec<NodeId>, u64) {
+fn run_graph(backend: QueueBackend, sizes: &[usize]) -> (Vec<(u64, usize)>, Vec<NodeId>, u64) {
     let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Ref).with_queue_backend(backend);
     let q = b.queue::<Vec<u8>>("parity-q");
     let src = b.thread("src");
@@ -93,7 +90,11 @@ fn run_graph(
 }
 
 fn expected(sizes: &[usize]) -> Vec<(u64, usize)> {
-    sizes.iter().enumerate().map(|(i, &s)| (i as u64, s)).collect()
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (i as u64, s))
+        .collect()
 }
 
 proptest! {

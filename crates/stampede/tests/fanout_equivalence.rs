@@ -70,13 +70,18 @@ fn fanout_put_matches_clone_put_loop() {
         if fan_out {
             let fan = FanOut::new(outs);
             for ts in 1..40u64 {
-                fan.put(&mut pctx, Timestamp(ts), vec![ts as u8; 32]).unwrap();
+                fan.put(&mut pctx, Timestamp(ts), vec![ts as u8; 32])
+                    .unwrap();
             }
         } else {
             for ts in 1..40u64 {
                 let frame = vec![ts as u8; 32];
-                outs[0].put(&mut pctx, Timestamp(ts), frame.clone()).unwrap();
-                outs[1].put(&mut pctx, Timestamp(ts), frame.clone()).unwrap();
+                outs[0]
+                    .put(&mut pctx, Timestamp(ts), frame.clone())
+                    .unwrap();
+                outs[1]
+                    .put(&mut pctx, Timestamp(ts), frame.clone())
+                    .unwrap();
                 outs[2].put(&mut pctx, Timestamp(ts), frame).unwrap();
             }
         }
@@ -109,7 +114,11 @@ fn dense_stream_never_spills() {
     for ts in 0..300u64 {
         ch.put(Timestamp(ts), vec![ts as u8; 8], p).unwrap();
     }
-    assert_eq!(ch.store_depths(), (300, 0), "(ring, spill) of an in-order stream");
+    assert_eq!(
+        ch.store_depths(),
+        (300, 0),
+        "(ring, spill) of an in-order stream"
+    );
     // A put far behind the ring span is the case the spill side exists for.
     ch.put(Timestamp(5000), vec![3; 8], p).unwrap();
     ch.put(Timestamp(400), vec![4; 8], p).unwrap();

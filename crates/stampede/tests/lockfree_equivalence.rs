@@ -250,8 +250,14 @@ fn close_mid_drain_delivers_contiguous_stream_then_closed() {
     for round in 0..50 {
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let trace = SharedTrace::new();
-        let lf =
-            bench_api::lfqueue::<Vec<u8>>(NodeId(1), "lf-close", &cfg(), CAPACITY, trace.clone(), 1);
+        let lf = bench_api::lfqueue::<Vec<u8>>(
+            NodeId(1),
+            "lf-close",
+            &cfg(),
+            CAPACITY,
+            trace.clone(),
+            1,
+        );
         let producer = IterKey::new(NodeId(7), 0);
         let prod = {
             let lf = Arc::clone(&lf);
@@ -306,7 +312,14 @@ fn occupancy_pair_never_tears_under_concurrent_ops() {
     const ITEMS: u64 = 4_000;
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let trace = SharedTrace::new();
-    let q = bench_api::queue::<Vec<u8>>(NodeId(1), "obs-q", &cfg(), Arc::clone(&clock), trace.clone(), 1);
+    let q = bench_api::queue::<Vec<u8>>(
+        NodeId(1),
+        "obs-q",
+        &cfg(),
+        Arc::clone(&clock),
+        trace.clone(),
+        1,
+    );
     let producer = IterKey::new(NodeId(7), 0);
     let prod = {
         let q = Arc::clone(&q);

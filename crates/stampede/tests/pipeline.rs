@@ -130,7 +130,11 @@ fn aru_reduces_footprint_vs_baseline() {
 
 #[test]
 fn observed_footprint_dominates_ideal() {
-    for cfg in [AruConfig::disabled(), AruConfig::aru_min(), AruConfig::aru_max()] {
+    for cfg in [
+        AruConfig::disabled(),
+        AruConfig::aru_min(),
+        AruConfig::aru_max(),
+    ] {
         let (report, _) = run_two_stage(cfg, GcMode::Dgc, 2, 10, 200);
         let a = report.analyze();
         let obs = a.footprint.observed_summary().mean;
@@ -422,11 +426,7 @@ fn shutdown_unblocks_starved_consumer() {
         Ok(Step::Continue)
     });
     let t0 = std::time::Instant::now();
-    let report = b
-        .build()
-        .unwrap()
-        .run_for(Micros::from_millis(50))
-        .unwrap();
+    let report = b.build().unwrap().run_for(Micros::from_millis(50)).unwrap();
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "stop() hung on a blocked consumer"

@@ -180,7 +180,10 @@ fn assert_pace_attributes_to_full_chain(
     assert_eq!(pace.node, src_node, "pace on the source thread");
     // Timestamps are causally ordered along the chain.
     let ts = [deposit.t, ret.t, fold.t, pace.t];
-    assert!(ts.windows(2).all(|w| w[0] <= w[1]), "hops time-ordered: {ts:?}");
+    assert!(
+        ts.windows(2).all(|w| w[0] <= w[1]),
+        "hops time-ordered: {ts:?}"
+    );
     // And the pacing actually slept at some point in the run.
     assert!(
         recs.iter().any(|r| matches!(
