@@ -1,8 +1,9 @@
 //! Declarative construction of a simulated pipeline and cluster.
 
-use crate::spec::{InputPolicy, ServiceModel, TaskSpec};
+use crate::spec::{ServiceModel, TaskSpec};
 use aru_core::graph::TopologyError;
 use aru_core::{NodeId, Topology};
+use aru_gc::InputPolicy;
 use std::fmt;
 use vtime::Micros;
 

@@ -20,9 +20,10 @@
 //! * **Tasks** are state machines: gather inputs (blocking excluded from
 //!   STP, exactly as in §3.3.1) → compute (sampled service time × node
 //!   slowdown) → produce outputs → `periodicity_sync` → pacing sleep.
-//! * **Channels** have Stampede semantics: ts-indexed, non-destructive,
-//!   get-latest with per-consumer marks, REF-floor purging plus periodic
-//!   cross-graph DGC passes with computation elimination.
+//! * **Channels** have Stampede semantics — the threaded runtime's own
+//!   [`aru_gc::BufferCore`]: ts-indexed, non-destructive, get-latest with
+//!   per-consumer marks, REF-floor purging plus periodic cross-graph DGC
+//!   passes with computation elimination.
 //! * **Cluster nodes** have a core count, a CPU-contention coefficient and
 //!   a memory-pressure coefficient ([`cost::CostModel`]); channels are
 //!   placed on their producer's node (as in the paper's configuration 2).
@@ -43,6 +44,7 @@ pub mod report;
 pub mod schannel;
 pub mod spec;
 
+pub use aru_gc::InputPolicy;
 pub use builder::{ChanId, SimBuilder, SimNodeId, SpeedDist, TaskId};
 pub use cost::CostModel;
 pub use engine::{QueueOp, Sim, SimConfig};
@@ -52,4 +54,4 @@ pub use net::NetModel;
 pub use noise::Noise;
 pub use report::{SimAnalysis, SimReport};
 pub use schannel::SimItem;
-pub use spec::{InputPolicy, ServiceModel, TaskSpec};
+pub use spec::{ServiceModel, TaskSpec};

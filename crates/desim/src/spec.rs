@@ -9,44 +9,6 @@
 use serde::{Deserialize, Serialize};
 use vtime::Micros;
 
-/// How a task reads one of its input channels each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum InputPolicy {
-    /// The iteration driver: block until an item *newer* than everything
-    /// this connection has consumed exists, then take the newest (Stampede
-    /// get-latest — skipping stale items).
-    DriverLatest,
-    /// The iteration driver with **queue semantics**: consume every
-    /// timestamp in order, blocking until the next one arrives, never
-    /// skipping. This models total-consumption pipelines (classic bounded-
-    /// queue backpressure systems) for comparison against ARU's
-    /// skip-and-pace model; without ARU the buffer grows without bound when
-    /// the producer outruns this consumer.
-    FifoNext,
-    /// Join at exactly the driver's timestamp (e.g. target detection pairs
-    /// the motion mask with the video frame of the same frame number).
-    /// Blocks if the timestamp has not arrived yet; if it can no longer
-    /// arrive (newer items exist but not this one), the iteration is
-    /// abandoned (counts as a skip).
-    JoinExact,
-    /// Take the newest item at or before the driver's timestamp (e.g. the
-    /// freshest color-histogram model no newer than the frame being
-    /// analyzed); falls back to the newest available; blocks only while the
-    /// channel is empty.
-    JoinLatestAtOrBefore,
-    /// Take the newest available item if any, without blocking and without
-    /// a freshness requirement (e.g. the GUI's second location stream).
-    LatestOpt,
-}
-
-impl InputPolicy {
-    /// Is this the (single) driving input?
-    #[must_use]
-    pub fn is_driver(self) -> bool {
-        matches!(self, InputPolicy::DriverLatest | InputPolicy::FifoNext)
-    }
-}
-
 /// Service-time model for one task: `base · lognormal(σ)`, plus the cost
 /// model's per-byte output charge applied by the engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -214,13 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn driver_detection() {
-        assert!(InputPolicy::DriverLatest.is_driver());
-        assert!(!InputPolicy::JoinExact.is_driver());
-        assert!(!InputPolicy::LatestOpt.is_driver());
-    }
-
-    #[test]
     fn service_model_construction() {
         let s = ServiceModel::fixed(Micros(100));
         assert_eq!(s.base, Micros(100));
@@ -233,11 +188,6 @@ mod tests {
     fn sink_flag() {
         assert!(!TaskSpec::new(ServiceModel::fixed(Micros(1))).is_sink_reporter);
         assert!(TaskSpec::sink(ServiceModel::fixed(Micros(1))).is_sink_reporter);
-    }
-
-    #[test]
-    fn fifo_is_a_driver() {
-        assert!(InputPolicy::FifoNext.is_driver());
     }
 
     #[test]

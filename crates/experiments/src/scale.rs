@@ -1,7 +1,7 @@
 //! Cluster-scale sweep (`repro --exp scale`): the simulator itself as the
 //! system under test.
 //!
-//! The paper validates ARU on a 5-node cluster; ROADMAP item 5 asks
+//! The paper validates ARU on a 5-node cluster; the question here is
 //! whether the *policies* hold at 100–1000 nodes with heterogeneous
 //! hardware and non-stationary load — which is first of all a simulator
 //! throughput question. This sweep drives the calendar-queue engine

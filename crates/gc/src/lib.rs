@@ -17,8 +17,10 @@
 //!
 //! Everything is expressed as pure functions over consumption marks and the
 //! task-graph [`Topology`](aru_core::graph::Topology), so the threaded
-//! runtime and the simulator drive identical logic.
+//! runtime and the simulator drive identical logic. [`BufferCore`]
+//! ([`buffer`]) is the one channel built on them that both substrates wrap.
 
+pub mod buffer;
 pub mod dgc;
 pub mod igc;
 pub mod marks;
@@ -26,6 +28,7 @@ pub mod policy;
 pub mod postmortem;
 pub mod refcount;
 
+pub use buffer::{Acquire, BufferCore, Footprint, InputPolicy};
 pub use dgc::{DgcEngine, DgcResult};
 pub use igc::IdealGc;
 pub use marks::ConsumerMarks;

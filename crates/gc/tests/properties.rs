@@ -1,12 +1,15 @@
 //! Property-based tests of the GC algorithms over random topologies and
 //! consumption states.
 
-use aru_core::{NodeId, NodeKind, Topology};
-use aru_gc::{ref_dead_before, ConsumerMarks, DgcEngine, DgcResult};
+use aru_core::{AruConfig, NodeId, NodeKind, Topology};
+use aru_gc::{
+    ref_dead_before, Acquire, BufferCore, ConsumerMarks, DgcEngine, DgcResult, Footprint, GcMode,
+    InputPolicy,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use std::collections::HashMap;
-use vtime::Timestamp;
+use std::collections::{BTreeMap, HashMap};
+use vtime::{Timestamp, TsStore};
 
 /// A random alternating pipeline with optional fan-out at each stage:
 /// thread → {1..3 channels} → thread → … , ending in sink threads.
@@ -315,5 +318,207 @@ proptest! {
         }
         let want = raw.iter().map(|&r| if r > 0 { r + 1 } else { 0 }).min().unwrap();
         prop_assert_eq!(ref_dead_before(&m), Timestamp(want));
+    }
+}
+
+/// An item of the `BufferCore` model test: its id, and bytes derived from
+/// it so a replacement changes the live-byte count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Item(u64);
+
+impl Footprint for Item {
+    fn bytes(&self) -> u64 {
+        1 + self.0 % 7
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum BufOp {
+    Insert(u64),
+    Lookup(InputPolicy, u64, u64),
+    Release(usize, u64),
+    RaiseDgc(u64),
+    Drain,
+}
+
+const POLICIES: [InputPolicy; 5] = [
+    InputPolicy::DriverLatest,
+    InputPolicy::FifoNext,
+    InputPolicy::JoinExact,
+    InputPolicy::JoinLatestAtOrBefore,
+    InputPolicy::LatestOpt,
+];
+
+fn buf_op_strategy() -> impl Strategy<Value = BufOp> {
+    (0u8..40, 0u64..60, 0u64..60, 0usize..5).prop_map(|(k, a, b, i)| match k {
+        0..=17 => BufOp::Insert(a), // small range: replacements are common
+        18..=27 => BufOp::Lookup(POLICIES[i], a, b),
+        28..=33 => BufOp::Release(i, a),
+        34..=38 => BufOp::RaiseDgc(a),
+        _ => BufOp::Drain,
+    })
+}
+
+/// The buffer semantics spelled out over a `BTreeMap`: REF floor = min
+/// consumer floor (everything, with no consumers), DGC raises it, and items
+/// below the bound are gone the moment it moves.
+struct BufModel {
+    gc: GcMode,
+    items: BTreeMap<Timestamp, Item>,
+    marks: Vec<Option<u64>>,
+    dgc: Timestamp,
+    purged: Timestamp,
+}
+
+impl BufModel {
+    fn bound(&self) -> Timestamp {
+        let floor = |m: &Option<u64>| m.map_or(0, |t| t + 1);
+        let ref_floor = Timestamp(self.marks.iter().map(floor).min().unwrap_or(u64::MAX));
+        match self.gc {
+            GcMode::None => Timestamp::ZERO,
+            GcMode::Ref => ref_floor,
+            GcMode::Dgc => ref_floor.max(self.dgc),
+        }
+    }
+
+    /// Purge if the bound moved; the freed items, in timestamp order.
+    fn purge(&mut self) -> Vec<Item> {
+        let bound = self.bound();
+        if bound <= self.purged {
+            return Vec::new();
+        }
+        self.purged = bound;
+        let keep = self.items.split_off(&bound);
+        std::mem::replace(&mut self.items, keep)
+            .into_values()
+            .collect()
+    }
+
+    fn lookup(
+        &self,
+        policy: InputPolicy,
+        floor: Timestamp,
+        driver: Timestamp,
+    ) -> Acquire<'_, Item> {
+        let newest = self.items.iter().next_back();
+        let found = match policy {
+            InputPolicy::DriverLatest | InputPolicy::LatestOpt => {
+                newest.filter(|(&ts, _)| ts >= floor)
+            }
+            InputPolicy::FifoNext => self.items.get_key_value(&floor),
+            InputPolicy::JoinExact => self.items.get_key_value(&driver),
+            InputPolicy::JoinLatestAtOrBefore => self.items.range(..=driver).next_back().or(newest),
+        };
+        match (found, policy) {
+            (Some((&ts, item)), _) => Acquire::Got(ts, item),
+            (None, InputPolicy::LatestOpt) => Acquire::Skip,
+            (None, InputPolicy::JoinExact) if newest.is_some_and(|(&ts, _)| ts > driver) => {
+                Acquire::Abandon
+            }
+            (None, _) => Acquire::Block,
+        }
+    }
+}
+
+/// The frees of one core op, in the order the core handed them over, and
+/// the same items as the model frees them (timestamp order, which the
+/// store's order need not be), compared as a set; the order itself is
+/// checked against a shadow `TsStore` holding the same items.
+fn check_frees(
+    got: &[Item],
+    want: Vec<Item>,
+    shadow_order: Vec<Item>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, &shadow_order[..], "freed out of store order");
+    let mut got = got.to_vec();
+    got.sort_unstable_by_key(|i| i.0);
+    let mut want = want;
+    want.sort_unstable_by_key(|i| i.0);
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `BufferCore` against the model, under every GC mode and consumer
+    /// count: each lookup's result, the exact items each op frees (a
+    /// replacement's displaced item, a dead-on-arrival insert, a purge, a
+    /// drain), the live bytes, and a dead bound that never moves backwards.
+    #[test]
+    fn buffer_core_matches_model(
+        mode in 0u8..3,
+        consumers in 0usize..3,
+        ops in prop::collection::vec(buf_op_strategy(), 1..100),
+    ) {
+        let gc = [GcMode::None, GcMode::Ref, GcMode::Dgc][mode as usize];
+        let mut core = BufferCore::new(gc, &AruConfig::aru_min());
+        prop_assert_eq!(core.configure(consumers, |_| {}), 0);
+        let mut model = BufModel {
+            gc,
+            items: BTreeMap::new(),
+            marks: vec![None; consumers],
+            dgc: Timestamp::ZERO,
+            purged: Timestamp::ZERO,
+        };
+        model.purge(); // configure moves the watermark to the bound
+        let mut shadow: TsStore<Item> = TsStore::new();
+        let mut next_id = 0;
+        let mut last_bound = core.dead_before();
+        for op in ops {
+            let mut freed = Vec::new();
+            match op {
+                BufOp::Insert(t) => {
+                    let (ts, item) = (Timestamp(t), Item(next_id));
+                    next_id += 1;
+                    core.insert(ts, item, |v| freed.push(v));
+                    let want = if ts < model.purged {
+                        vec![item]
+                    } else {
+                        shadow.insert(ts, item);
+                        model.items.insert(ts, item).into_iter().collect()
+                    };
+                    prop_assert_eq!(freed, want);
+                }
+                BufOp::Lookup(policy, floor, driver) => {
+                    let (floor, driver) = (Timestamp(floor), Timestamp(driver));
+                    prop_assert_eq!(
+                        core.lookup(policy, floor, Some(driver)),
+                        model.lookup(policy, floor, driver)
+                    );
+                }
+                BufOp::Release(i, t) if consumers > 0 => {
+                    let idx = i % consumers;
+                    let n = core.release(idx, Timestamp(t), |v| freed.push(v));
+                    prop_assert_eq!(n, freed.len());
+                    let mark = &mut model.marks[idx];
+                    *mark = Some(mark.map_or(t, |m| m.max(t)));
+                    let mut order = Vec::new();
+                    shadow.purge_before(core.dead_before(), |v| order.push(v));
+                    check_frees(&freed, model.purge(), order)?;
+                }
+                BufOp::Release(..) => {}
+                BufOp::RaiseDgc(t) => {
+                    let n = core.raise_dgc(Timestamp(t), |v| freed.push(v));
+                    prop_assert_eq!(n, freed.len());
+                    model.dgc = model.dgc.max(Timestamp(t));
+                    let mut order = Vec::new();
+                    shadow.purge_before(core.dead_before(), |v| order.push(v));
+                    check_frees(&freed, model.purge(), order)?;
+                }
+                BufOp::Drain => {
+                    core.drain(|v| freed.push(v));
+                    let mut order = Vec::new();
+                    shadow.drain(|v| order.push(v));
+                    check_frees(&freed, std::mem::take(&mut model.items).into_values().collect(), order)?;
+                }
+            }
+            let bound = core.dead_before();
+            prop_assert_eq!(bound, model.bound());
+            prop_assert!(bound >= last_bound, "dead bound moved back: {:?} -> {:?}", last_bound, bound);
+            last_bound = bound;
+            prop_assert_eq!(core.store().len(), model.items.len());
+            prop_assert_eq!(core.live_bytes(), model.items.values().map(Footprint::bytes).sum::<u64>());
+        }
     }
 }

@@ -5,8 +5,9 @@
 //! `ts, ts+1, ts+2, …` with occasional short gaps where a frame was
 //! dropped. A `BTreeMap<Timestamp, _>` pays O(log n) pointer-chasing on
 //! every put, lookup, and purge for a workload that is morally a `VecDeque`.
-//! The threaded runtime's channels (`stampede::Channel`) and the simulated
-//! ones (`desim::SimChannel`) both hold their items in this one structure.
+//! It is the item store of `aru_gc::BufferCore`, the one channel core the
+//! threaded runtime (`stampede::Channel`) and the simulator
+//! (`desim::SimChannel`) both wrap.
 //!
 //! [`TsStore`] keeps two sides:
 //!
