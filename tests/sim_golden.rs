@@ -6,10 +6,14 @@
 //! counts; an engine change that is meant to be invisible passes this file
 //! unmodified, and one that is not has to say so by editing a constant.
 //! The constants were recorded at 4cd30af, before the DGC pass, the fault
-//! plan and the release/purge paths were rewritten.
+//! plan and the release/purge paths were rewritten; `GOLDEN_TIES` at
+//! 805da3c, before the DGC pass left the event queue.
 
 use aru_core::{AruConfig, RetryPolicy};
-use desim::{FaultPlan, SimReport};
+use desim::{
+    CostModel, FaultPlan, InputPolicy, NetModel, ServiceModel, Sim, SimBuilder, SimConfig,
+    SimReport, TaskSpec,
+};
 use experiments::scale;
 use std::fmt::Write;
 use tracker::app_sim::run_sim;
@@ -100,6 +104,70 @@ fn tracker_config2_under_every_fault_kind() {
     assert_eq!(fingerprint(&run_sim(&params)), GOLDEN_CHAOS);
 }
 
+/// Same-instant ties between the DGC pass and the events it runs beside:
+/// no noise, no contention, and every service time, skip and link latency
+/// a multiple of the pass period, so passes land on the instants where
+/// items arrive and computes finish. Only `(time, seq)` order separates
+/// them.
+#[test]
+fn dgc_pass_ties_on_a_10ms_grid() {
+    let grid = SimConfig::new(AruConfig::aru_min()).dgc_interval;
+    let every = |k: u64| Micros(grid.0 * k);
+    let spec = |k: u64, sink: bool| {
+        let service = ServiceModel::new(every(k), 0.0);
+        let mut s = if sink {
+            TaskSpec::sink(service)
+        } else {
+            TaskSpec::new(service)
+        };
+        s.skip_overhead = grid;
+        s
+    };
+    // Two sources ticking timestamps at different rates: `fuse` reads the
+    // slow one without driving on it, so its skip bound (in the fast one's
+    // timestamps) lets DGC free `sweeps` ahead of reference counting, and
+    // when a pass runs decides what is left for `fuse` to read.
+    let mut b = SimBuilder::new();
+    let (near, far) = (b.node(2), b.node(2));
+    let frames = b.channel("frames", far);
+    let masks = b.channel("masks", far);
+    let sweeps = b.channel("sweeps", far);
+    let tracks = b.channel("tracks", near);
+    let camera = b.task("camera", near, spec(1, false));
+    let radar = b.task("radar", far, spec(5, false));
+    let detect = b.task("detect", far, spec(3, false));
+    let fuse = b.task("fuse", far, spec(2, false));
+    let plot = b.task("plot", far, spec(2, false));
+    let gui = b.task("gui", near, spec(4, true));
+    for (task, chan, bytes) in [
+        (camera, frames, 64_000),
+        (radar, sweeps, 4_000),
+        (detect, masks, 8_000),
+        (fuse, tracks, 500),
+    ] {
+        b.output(task, chan, bytes).expect("output is valid");
+    }
+    for (task, chan, policy) in [
+        (detect, frames, InputPolicy::DriverLatest),
+        (fuse, masks, InputPolicy::DriverLatest),
+        (fuse, frames, InputPolicy::JoinExact),
+        (fuse, sweeps, InputPolicy::LatestOpt),
+        (plot, sweeps, InputPolicy::DriverLatest),
+        (gui, tracks, InputPolicy::DriverLatest),
+    ] {
+        b.input(task, chan, policy).expect("input is valid");
+    }
+    let mut cfg = SimConfig::new(AruConfig::disabled());
+    cfg.cost = CostModel::ideal();
+    cfg.net = NetModel {
+        latency: every(2),
+        bandwidth_bytes_per_us: f64::INFINITY,
+    };
+    cfg.duration = Micros::from_secs(3);
+    let r = Sim::run(b, cfg).expect("cell is valid");
+    assert_eq!(fingerprint(&r), GOLDEN_TIES);
+}
+
 const GOLDEN_TRACKER: Golden = (10631506002979642605, 4713643754787937410, 3733, 3397, 7, 81);
 const GOLDEN_SCALE: Golden = (
     11909040125667504664,
@@ -117,3 +185,4 @@ const GOLDEN_CHAOS: Golden = (
     13,
     30,
 );
+const GOLDEN_TIES: Golden = (1671526787416243467, 4010521411438766087, 2333, 2238, 10, 72);
