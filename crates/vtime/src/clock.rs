@@ -62,7 +62,11 @@ impl ManualClock {
     /// backwards — the simulator must only advance.
     pub fn set(&self, t: SimTime) {
         let prev = self.micros.swap(t.0, Ordering::Release);
-        debug_assert!(prev <= t.0, "ManualClock moved backwards: {prev} -> {}", t.0);
+        debug_assert!(
+            prev <= t.0,
+            "ManualClock moved backwards: {prev} -> {}",
+            t.0
+        );
     }
 
     /// Advance by `d` and return the new time.

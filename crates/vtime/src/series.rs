@@ -136,7 +136,11 @@ impl TimeWeightedSeries {
         let pts = &self.points;
         (0..pts.len()).filter_map(move |i| {
             let (t, v) = pts[i];
-            let next = if i + 1 < pts.len() { pts[i + 1].0 } else { t_end };
+            let next = if i + 1 < pts.len() {
+                pts[i + 1].0
+            } else {
+                t_end
+            };
             let next = next.min(t_end);
             if next <= t {
                 return None;
@@ -191,11 +195,18 @@ impl TimeWeightedSeries {
         out
     }
 
-    fn windows_bounded(&self, t_end: SimTime) -> impl Iterator<Item = (SimTime, SimTime, f64)> + '_ {
+    fn windows_bounded(
+        &self,
+        t_end: SimTime,
+    ) -> impl Iterator<Item = (SimTime, SimTime, f64)> + '_ {
         let pts = &self.points;
         (0..pts.len()).filter_map(move |i| {
             let (t, v) = pts[i];
-            let next = if i + 1 < pts.len() { pts[i + 1].0 } else { t_end };
+            let next = if i + 1 < pts.len() {
+                pts[i + 1].0
+            } else {
+                t_end
+            };
             let next = next.min(t_end);
             (next > t).then_some((t, next, v))
         })
@@ -292,7 +303,10 @@ mod tests {
         assert!(ds.len() <= 51);
         // bucket means, equally weighted, approximate the global mean
         let approx: f64 = ds.iter().map(|&(_, v)| v).sum::<f64>() / ds.len() as f64;
-        assert!((approx - exact).abs() < 0.5, "approx {approx} vs exact {exact}");
+        assert!(
+            (approx - exact).abs() < 0.5,
+            "approx {approx} vs exact {exact}"
+        );
     }
 
     #[test]

@@ -111,11 +111,7 @@ fn min_vs_max_demo() {
             Ok(Step::Continue)
         });
 
-        let report = b
-            .build()
-            .unwrap()
-            .run_for(Micros::from_secs(2))
-            .unwrap();
+        let report = b.build().unwrap().run_for(Micros::from_secs(2)).unwrap();
         println!(
             "  ARU-{name}: producer made {:>4} items in 2s  ({})",
             produced.load(Ordering::Relaxed),

@@ -34,8 +34,7 @@ fn main() {
             ("ARU-min", AruConfig::aru_min()),
             ("ARU-max", AruConfig::aru_max()),
         ] {
-            let params = SimTrackerParams::new(aru, config)
-                .with_duration(Micros::from_secs(secs));
+            let params = SimTrackerParams::new(aru, config).with_duration(Micros::from_secs(secs));
             let report = tracker::app_sim::run_sim(&params);
             let a = report.analyze();
             println!(

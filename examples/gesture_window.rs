@@ -62,11 +62,7 @@ fn run(label: &str, aru: AruConfig) {
         Ok(Step::Continue)
     });
 
-    let report = b
-        .build()
-        .unwrap()
-        .run_for(Micros::from_secs(2))
-        .unwrap();
+    let report = b.build().unwrap().run_for(Micros::from_secs(2)).unwrap();
     let a = report.analyze();
     println!("--- {label} ---");
     println!(

@@ -34,10 +34,7 @@ fn main() {
                 label = "ARU-max";
             }
             "--secs" => {
-                secs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--secs N");
+                secs = args.next().and_then(|v| v.parse().ok()).expect("--secs N");
             }
             other => {
                 eprintln!("unknown arg {other}; use --no-aru|--min|--max, --secs N");

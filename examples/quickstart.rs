@@ -93,9 +93,15 @@ fn run(label: &str, aru: AruConfig) {
 
 fn main() {
     println!("ARU quickstart: camera -> analyzer -> display\n");
-    run("No ARU (baseline: producer floods the pipeline)", AruConfig::disabled());
+    run(
+        "No ARU (baseline: producer floods the pipeline)",
+        AruConfig::disabled(),
+    );
     println!();
-    run("ARU-min (production paced by summary-STP feedback)", AruConfig::aru_min());
+    run(
+        "ARU-min (production paced by summary-STP feedback)",
+        AruConfig::aru_min(),
+    );
     println!("\nWith ARU the camera produces only what downstream can use:");
     println!("wasted resources collapse while throughput is preserved.");
 }

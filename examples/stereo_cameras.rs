@@ -60,11 +60,7 @@ fn run(label: &str, aru: AruConfig) {
         Ok(Step::Continue)
     });
 
-    let report = b
-        .build()
-        .unwrap()
-        .run_for(Micros::from_secs(2))
-        .unwrap();
+    let report = b.build().unwrap().run_for(Micros::from_secs(2)).unwrap();
     let a = report.analyze();
     println!("--- {label} ---");
     println!(
@@ -82,9 +78,15 @@ fn run(label: &str, aru: AruConfig) {
 
 fn main() {
     println!("Stereo pipeline: two cameras (2 ms / 5 ms) -> exact-timestamp matcher (25 ms)\n");
-    run("No ARU (cameras free-run at different rates)", AruConfig::disabled());
+    run(
+        "No ARU (cameras free-run at different rates)",
+        AruConfig::disabled(),
+    );
     println!();
-    run("ARU-min (one feedback loop paces both cameras)", AruConfig::aru_min());
+    run(
+        "ARU-min (one feedback loop paces both cameras)",
+        AruConfig::aru_min(),
+    );
     println!(
         "\nWith ARU both cameras converge on the matcher's sustainable period,\n\
          so 'corresponding timestamps' arrive together instead of drifting apart."

@@ -71,7 +71,10 @@ fn both_runtimes_agree_on_the_headline() {
     assert!(sw_base > sw_aru, "sim: {sw_base:.1}% !> {sw_aru:.1}%");
     assert!(tw_base > 40.0 && sw_base > 40.0, "baselines waste heavily");
     // ARU must not collapse throughput (allow generous scheduling slack).
-    assert!(to_aru * 3 > to_base, "threaded outputs {to_aru} vs {to_base}");
+    assert!(
+        to_aru * 3 > to_base,
+        "threaded outputs {to_aru} vs {to_base}"
+    );
     assert!(so_aru * 3 > so_base, "sim outputs {so_aru} vs {so_base}");
 }
 

@@ -3,8 +3,8 @@
 //! implementation. (Table/figure-level reproduction lives in the
 //! `experiments` crate; these are the *prose* claims.)
 
-use stampede_aru::prelude::*;
 use desim::{CostModel, InputPolicy, ServiceModel, Sim, SimBuilder, SimConfig, TaskSpec};
+use stampede_aru::prelude::*;
 use tracker::{SimTrackerParams, TrackerConfigId};
 
 /// §4: "the summary-STP values that are piggy backed with each item are
@@ -55,7 +55,11 @@ fn claim_reaction_time_is_about_one_latency() {
     let c1 = b.channel("c1", n);
     let c2 = b.channel("c2", n);
     let src = b.source("src", n, ServiceModel::fixed(Micros::from_millis(1)));
-    let mid = b.task("mid", n, TaskSpec::new(ServiceModel::fixed(Micros::from_millis(10))));
+    let mid = b.task(
+        "mid",
+        n,
+        TaskSpec::new(ServiceModel::fixed(Micros::from_millis(10))),
+    );
     let snk = b.task(
         "snk",
         n,
@@ -221,7 +225,10 @@ fn claim_adjusting_beats_dropping() {
         waste_aru < waste_base / 3.0,
         "comp waste {waste_aru:.1}% !< a third of {waste_base:.1}%"
     );
-    assert!(out_aru >= out_base, "outputs preserved: {out_aru} vs {out_base}");
+    assert!(
+        out_aru >= out_base,
+        "outputs preserved: {out_aru} vs {out_base}"
+    );
 }
 
 /// §3.3.2: the paper paces *source threads only* and lets the adjustment
