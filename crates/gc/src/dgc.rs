@@ -37,7 +37,7 @@ use vtime::Timestamp;
 /// is its dead-before, a thread's its skip-before. The graph is bipartite,
 /// so one table holds both; a node the pass never saw reads 0 ("unknown":
 /// reclaim nothing, skip nothing).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DgcResult {
     bounds: Vec<Timestamp>,
 }
