@@ -289,7 +289,10 @@ mod tests {
         // Frames from both sides of the crash made it through: more frames
         // than the pre-crash prefix alone could supply.
         let produced = tracker.frames_produced.load(Ordering::Relaxed);
-        assert!(produced > 2, "digitizer never resumed (produced {produced})");
+        assert!(
+            produced > 2,
+            "digitizer never resumed (produced {produced})"
+        );
         check_accuracy(&tracker.video, &tracker.detections.lock());
     }
 }

@@ -240,10 +240,7 @@ mod tests {
     fn threaded_tracker_end_to_end() {
         let params = ThreadedTrackerParams::new(AruConfig::aru_min());
         let tracker = build_threaded(&params).unwrap();
-        let report = tracker
-            .runtime
-            .run_for(Micros::from_millis(1500))
-            .unwrap();
+        let report = tracker.runtime.run_for(Micros::from_millis(1500)).unwrap();
         assert!(report.outputs() > 2, "outputs {}", report.outputs());
         let checked = check_accuracy(&tracker.video, &tracker.detections.lock());
         assert!(checked > 0, "no positive detections");

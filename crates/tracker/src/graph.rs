@@ -93,13 +93,21 @@ pub const STAGES: [Stage; 6] = [
     Stage {
         name: "target-det-1",
         site: 3,
-        inputs: &[(C4, DriverLatest), (C3, JoinExact), (C7, JoinLatestAtOrBefore)],
+        inputs: &[
+            (C4, DriverLatest),
+            (C3, JoinExact),
+            (C7, JoinLatestAtOrBefore),
+        ],
         outputs: &[C6],
     },
     Stage {
         name: "target-det-2",
         site: 3,
-        inputs: &[(C5, DriverLatest), (C3, JoinExact), (C8, JoinLatestAtOrBefore)],
+        inputs: &[
+            (C5, DriverLatest),
+            (C3, JoinExact),
+            (C8, JoinLatestAtOrBefore),
+        ],
         outputs: &[C9],
     },
     Stage {
@@ -222,11 +230,20 @@ mod tests {
     fn table_names_and_channel_ends() {
         assert_eq!(
             TASKS,
-            ["digitizer", "change-detection", "histogram", "target-det-1", "target-det-2", "gui"]
+            [
+                "digitizer",
+                "change-detection",
+                "histogram",
+                "target-det-1",
+                "target-det-2",
+                "gui"
+            ]
         );
         for (c, (name, _, _)) in CHANNELS.iter().enumerate() {
             let producers = STAGES.iter().filter(|s| s.outputs.contains(&c)).count();
-            let consumers = STAGES.iter().filter(|s| s.inputs.iter().any(|&(i, _)| i == c));
+            let consumers = STAGES
+                .iter()
+                .filter(|s| s.inputs.iter().any(|&(i, _)| i == c));
             assert_eq!(producers, 1, "{name}");
             assert!(consumers.count() >= 1, "{name}");
         }

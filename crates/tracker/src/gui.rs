@@ -46,7 +46,8 @@ impl AsciiCanvas {
     /// Character at frame coordinates (for tests).
     #[must_use]
     pub fn at(&self, x: f32, y: f32) -> Option<u8> {
-        self.cell_of(x, y).map(|(cx, cy)| self.cells[cy * self.cols + cx])
+        self.cell_of(x, y)
+            .map(|(cx, cy)| self.cells[cy * self.cols + cx])
     }
 
     /// Render to a multi-line string.
@@ -151,7 +152,10 @@ mod tests {
             .enumerate()
             .find_map(|(r, l)| l.find('1').map(|c| (r, c)))
             .expect("detection rendered");
-        assert!(pos.0 > 8 && pos.1 > 32, "detection at {pos:?} — stale position used");
+        assert!(
+            pos.0 > 8 && pos.1 > 32,
+            "detection at {pos:?} — stale position used"
+        );
     }
 
     #[test]

@@ -124,8 +124,8 @@ impl SyntheticVideo {
     pub fn ground_truth(&self, i: usize, frame_no: u64) -> GroundTruth {
         let t = &self.targets[i];
         let ft = frame_no as f64;
-        let cx = (FRAME_W as f64 / 2.0)
-            + (FRAME_W as f64 / 2.0 - 80.0) * (t.fx * ft + t.phase).sin();
+        let cx =
+            (FRAME_W as f64 / 2.0) + (FRAME_W as f64 / 2.0 - 80.0) * (t.fx * ft + t.phase).sin();
         let cy = (FRAME_H as f64 / 2.0)
             + (FRAME_H as f64 / 2.0 - 70.0) * (t.fy * ft + t.phase * 0.7).cos();
         GroundTruth { cx, cy }
@@ -182,7 +182,11 @@ impl SyntheticVideo {
 /// with a checker texture (so background differencing has real work).
 #[inline]
 fn background_pixel(x: usize, y: usize) -> (u8, u8, u8) {
-    let checker = if ((x >> 4) + (y >> 4)) & 1 == 0 { 18 } else { 0 };
+    let checker = if ((x >> 4) + (y >> 4)) & 1 == 0 {
+        18
+    } else {
+        0
+    };
     let r = (40 + (x * 40 / FRAME_W) + checker) as u8;
     let g = (60 + (y * 40 / FRAME_H) + checker) as u8;
     let b = (90 + ((x + y) * 30 / (FRAME_W + FRAME_H)) + checker) as u8;
@@ -448,7 +452,11 @@ mod tests {
         let gt = v.ground_truth(0, 5);
         // far corner should match the background exactly (no noise)
         let far = (
-            if gt.cx > (FRAME_W / 2) as f64 { 5 } else { FRAME_W - 5 },
+            if gt.cx > (FRAME_W / 2) as f64 {
+                5
+            } else {
+                FRAME_W - 5
+            },
             3usize,
         );
         assert_eq!(f.pixel(far.0, far.1), bg.pixel(far.0, far.1));

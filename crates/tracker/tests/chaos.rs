@@ -9,8 +9,8 @@
 
 use aru_core::{AruConfig, ControllerConfig, HysteresisParams, PidParams, RetryPolicy};
 use aru_metrics::TraceEvent;
-use tracker::app_sim::{run_sim, SimTrackerParams, TrackerConfigId};
 use desim::FaultPlan;
+use tracker::app_sim::{run_sim, SimTrackerParams, TrackerConfigId};
 use vtime::Micros;
 
 /// Every control law (DESIGN.md §13), for the law × scenario matrix below.
@@ -36,7 +36,11 @@ fn mean_period(r: &desim::SimReport, task: &str, lo: u64, hi: u64) -> f64 {
         })
         .filter(|&t| (lo..hi).contains(&t))
         .collect();
-    assert!(ends.len() > 2, "{task} produced in [{lo},{hi}): {}", ends.len());
+    assert!(
+        ends.len() > 2,
+        "{task} produced in [{lo},{hi}): {}",
+        ends.len()
+    );
     (ends[ends.len() - 1] - ends[0]) as f64 / (ends.len() - 1) as f64
 }
 
@@ -83,7 +87,10 @@ fn every_law_reconverges_after_change_detection_crash() {
             })
             .max()
             .unwrap();
-        assert!(last_out > 110_000_000, "[{label}] pipeline alive to the end: {last_out}");
+        assert!(
+            last_out > 110_000_000,
+            "[{label}] pipeline alive to the end: {last_out}"
+        );
         // The law actually ran: decisions were recorded for the digitizer.
         let decisions = r
             .trace

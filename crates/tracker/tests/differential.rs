@@ -96,7 +96,12 @@ fn simulated(aru: &AruConfig) -> Reading {
         gui,
     };
     let report = run_sim(&params);
-    reading(&report.trace, &report.topo, &report.analyze(), report.outputs())
+    reading(
+        &report.trace,
+        &report.topo,
+        &report.analyze(),
+        report.outputs(),
+    )
 }
 
 fn threaded(aru: &AruConfig) -> Reading {
@@ -111,8 +116,16 @@ fn threaded(aru: &AruConfig) -> Reading {
         gui,
     };
     let tracker = build_threaded(&params).expect("threaded tracker builds");
-    let report = tracker.runtime.run_for(RUN).expect("threaded run completes");
-    reading(&report.trace, &report.topo, &report.analyze(), report.outputs())
+    let report = tracker
+        .runtime
+        .run_for(RUN)
+        .expect("threaded run completes");
+    reading(
+        &report.trace,
+        &report.topo,
+        &report.analyze(),
+        report.outputs(),
+    )
 }
 
 /// `|a - b|` as a share of `b`.
@@ -138,7 +151,9 @@ fn simulator_agrees_with_the_threaded_runtime() {
         println!("{mode}\n  sim      {sim:?}\n  threaded {real:?}");
         let mut check = |what: &str, ok: bool| {
             if !ok {
-                failures.push(format!("{mode}: {what}\n  sim      {sim:?}\n  threaded {real:?}"));
+                failures.push(format!(
+                    "{mode}: {what}\n  sim      {sim:?}\n  threaded {real:?}"
+                ));
             }
         };
         if let Some(band) = pace_band {
@@ -186,7 +201,10 @@ fn simulator_agrees_with_the_threaded_runtime() {
             "memory waste within 15 points",
             (real.waste_pct - sim.waste_pct).abs() < 15.0,
         );
-        check("sink outputs within 40 %", rel(real.outputs, sim.outputs) < 0.40);
+        check(
+            "sink outputs within 40 %",
+            rel(real.outputs, sim.outputs) < 0.40,
+        );
         // Paced, the pipeline holds about six items, three of them 737 kB
         // frames: one frame kept a period longer is 15 % of the footprint.
         // σ = 0 locks the simulator's phases into one such arrangement (4.4

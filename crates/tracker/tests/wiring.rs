@@ -36,7 +36,11 @@ fn assert_is_the_table(t: &Topology, what: &str) {
         edges.extend(s.outputs.iter().map(|&c| (s.name, chan(c))));
     }
     assert_eq!(edges.len(), 19, "table edges are unique");
-    let built: BTreeSet<_> = t.edges().iter().map(|e| (t.name(e.from), t.name(e.to))).collect();
+    let built: BTreeSet<_> = t
+        .edges()
+        .iter()
+        .map(|e| (t.name(e.from), t.name(e.to)))
+        .collect();
     assert_eq!(built, edges, "{what}: edges");
     assert_eq!(t.edge_count(), edges.len(), "{what}: duplicate edge");
 
@@ -82,7 +86,11 @@ fn the_table_orders_joins_as_figure_5_does() {
     let sinks: Vec<_> = t.sink_threads().map(|n| t.name(n)).collect();
     assert_eq!((sources, sinks), (vec!["digitizer"], vec!["gui"]));
     // Detectors: mask (driver) → frame → model; GUI: C6 (driver) then C9.
-    let inputs = |name| t.inputs(node(&t, name)).map(|e| t.name(e.from)).collect::<Vec<_>>();
+    let inputs = |name| {
+        t.inputs(node(&t, name))
+            .map(|e| t.name(e.from))
+            .collect::<Vec<_>>()
+    };
     assert_eq!(inputs("target-det-1"), ["C4", "C3", "C7"]);
     assert_eq!(inputs("target-det-2"), ["C5", "C3", "C8"]);
     assert_eq!(inputs("gui"), ["C6", "C9"]);
