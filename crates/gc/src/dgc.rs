@@ -153,6 +153,10 @@ impl DgcEngine {
     /// `marks` maps every buffer node to its current consumption marks
     /// (buffers absent from the map are treated as having fresh marks and
     /// yield a floor of 0, reclaiming nothing).
+    ///
+    /// Neither runtime calls this: both sweep with
+    /// [`DgcEngine::compute_into`]. It stays because the benchmark's
+    /// `aru_gc.dgc.pass_us` cell times it, and that cell is frozen.
     #[must_use]
     pub fn compute(&self, topo: &Topology, marks: &HashMap<NodeId, ConsumerMarks>) -> DgcResult {
         debug_assert_eq!(topo.node_count(), self.order.len(), "another topology");

@@ -13,10 +13,9 @@ use crate::item::ItemData;
 use crate::lfqueue::{LfQueue, LfQueueInput, LfQueueOutput};
 use crate::queue::{MutexQueueInput, MutexQueueOutput, Queue};
 use crate::shutdown::Shutdown;
-use crate::sync::RwLock;
 use crate::task::TaskCtx;
 use aru_core::{AruConfig, NodeId, Stp};
-use aru_gc::{DgcResult, GcMode};
+use aru_gc::GcMode;
 use aru_metrics::SharedTrace;
 use std::sync::Arc;
 use vtime::{Clock, Micros};
@@ -85,7 +84,8 @@ pub fn lfqueue<T: ItemData>(
     q
 }
 
-/// A standalone task context (its own shutdown flag, empty DGC result).
+/// A standalone task context (its own shutdown flag; it runs no DGC pass
+/// and skips nothing).
 #[must_use]
 pub fn task_ctx(
     node: NodeId,
@@ -105,7 +105,7 @@ pub fn task_ctx(
         clock,
         trace,
         Shutdown::new(),
-        Arc::new(RwLock::new(DgcResult::default())),
+        None,
     )
 }
 

@@ -10,7 +10,7 @@ use crate::channel::{BufferAdmin, Channel, Input, Output};
 use crate::error::TaskResult;
 use crate::lfqueue::{LfQueue, LfQueueInput, LfQueueOutput};
 use crate::queue::{MutexQueueInput, MutexQueueOutput, Queue};
-use crate::runtime::Runtime;
+use crate::runtime::{DgcPass, Runtime};
 use crate::task::TaskCtx;
 use aru_core::graph::TopologyError;
 use aru_core::{AruConfig, NodeId, RetryPolicy, Topology};
@@ -432,20 +432,22 @@ impl RuntimeBuilder {
             .filter(|&n| self.topo.kind(n).is_thread())
             .map(|n| (n, self.topo.name(n).to_string()))
             .collect();
-        Ok(Runtime::new(
-            self.topo,
-            self.config,
-            self.gc_mode,
-            self.clock,
-            self.trace,
-            self.admins,
+        let dgc = (self.gc_mode == GcMode::Dgc)
+            .then(|| Arc::new(DgcPass::new(&self.topo, self.admins.clone())));
+        Ok(Runtime {
+            topo: self.topo,
+            config: self.config,
+            dgc,
+            clock: self.clock,
+            trace: self.trace,
+            admins: self.admins,
             tasks,
             bodies,
-            self.retry,
-            self.op_timeout,
-            self.export,
-            self.journal_path,
-        ))
+            retry: self.retry,
+            op_timeout: self.op_timeout,
+            export: self.export,
+            journal_path: self.journal_path,
+        })
     }
 }
 

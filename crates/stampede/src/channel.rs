@@ -510,13 +510,7 @@ impl<T: ItemData> Channel<T> {
         }
     }
 
-    // ---- admin interface used by the runtime/GC driver ---------------------
-
-    /// Snapshot of the per-consumer marks (for the cross-graph DGC pass).
-    #[must_use]
-    pub fn marks_snapshot(&self) -> ConsumerMarks {
-        self.state.lock().core.marks().clone()
-    }
+    // ---- admin interface used by the runtime's DGC pass --------------------
 
     /// Raise the DGC dead-before bound (monotone) and purge.
     pub fn apply_dead_before(&self, bound: Timestamp) {
@@ -580,11 +574,12 @@ impl<T: ItemData> Channel<T> {
     }
 }
 
-/// Type-erased admin view the runtime's GC driver uses.
+/// Type-erased admin view the runtime's DGC pass and exporter use.
 pub(crate) trait BufferAdmin: Send + Sync {
     fn node(&self) -> aru_core::NodeId;
     fn configure_consumers(&self, n: usize);
-    fn marks_snapshot(&self) -> ConsumerMarks;
+    /// Copy the per-consumer marks into `into`, reusing its allocation.
+    fn copy_marks(&self, into: &mut ConsumerMarks);
     fn apply_dead_before(&self, bound: Timestamp);
     fn close(&self);
     fn live_bytes(&self) -> u64;
@@ -606,8 +601,8 @@ impl<T: ItemData> BufferAdmin for Channel<T> {
     fn configure_consumers(&self, n: usize) {
         Channel::configure_consumers(self, n)
     }
-    fn marks_snapshot(&self) -> ConsumerMarks {
-        Channel::marks_snapshot(self)
+    fn copy_marks(&self, into: &mut ConsumerMarks) {
+        into.clone_from(self.state.lock().core.marks());
     }
     fn apply_dead_before(&self, bound: Timestamp) {
         Channel::apply_dead_before(self, bound)

@@ -366,14 +366,8 @@ impl<T: ItemData> LfQueue<T> {
     /// slots; the control lock is taken only to read the consumer count).
     #[must_use]
     pub fn marks_snapshot(&self) -> ConsumerMarks {
-        let n = self.control.lock().consumers;
-        let mut marks = ConsumerMarks::new(n);
-        for (i, slot) in self.slots.iter().take(n).enumerate() {
-            let enc = slot.mark.load(Ordering::SeqCst);
-            if enc > 0 {
-                marks.advance(i, Timestamp(enc - 1));
-            }
-        }
+        let mut marks = ConsumerMarks::new(self.control.lock().consumers);
+        BufferAdmin::copy_marks(self, &mut marks);
         marks
     }
 
@@ -536,8 +530,16 @@ impl<T: ItemData> BufferAdmin for LfQueue<T> {
         c.aru.ensure_outputs(n);
     }
 
-    fn marks_snapshot(&self) -> ConsumerMarks {
-        LfQueue::marks_snapshot(self)
+    fn copy_marks(&self, into: &mut ConsumerMarks) {
+        // Slot marks only move forward, so raising an earlier copy to them
+        // brings it up to date in place.
+        let n = self.control.lock().consumers;
+        for (i, slot) in self.slots.iter().take(n).enumerate() {
+            let enc = slot.mark.load(Ordering::SeqCst);
+            if enc > 0 {
+                into.advance(i, Timestamp(enc - 1));
+            }
+        }
     }
 
     fn apply_dead_before(&self, _bound: Timestamp) {

@@ -17,10 +17,11 @@
 //!   `put`/`get` exactly as in §3.3.2: a consumer hands its summary to the
 //!   channel on `get`; the channel hands its compressed summary back to the
 //!   producer as the return value of `put`; source threads pace themselves;
-//! * **garbage collection** ([`runtime`]'s GC driver) — inline REF-floor
-//!   purging on every operation plus a periodic Dead-Timestamp GC pass that
-//!   propagates guarantees across the whole task graph and feeds the
-//!   computation-elimination hook [`task::TaskCtx::should_skip`];
+//! * **garbage collection** — inline REF-floor purging on every operation
+//!   plus a Dead-Timestamp GC pass, which a task runs at the end of an
+//!   iteration once it is due ([`runtime`]), that propagates guarantees
+//!   across the whole task graph and feeds the computation-elimination
+//!   hook [`task::TaskCtx::should_skip`];
 //! * **measurement** — every allocation, free, get, iteration and sink
 //!   output is recorded into an [`aru_metrics::Trace`] for the paper's
 //!   postmortem analyses.

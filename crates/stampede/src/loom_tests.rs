@@ -33,17 +33,22 @@
 //!   the epoch-parking handoff between a parked consumer and a completing
 //!   put — each would deadlock (lost wakeup) or assert (torn/duplicated
 //!   item) under a broken ordering.
+//! * **The DGC pass without a thread** ([`crate::runtime::DgcPass`]): two
+//!   tasks reach a due iteration end together while a third releases.
+//!   One sweeps, the other goes on without waiting for the claim, and no
+//!   bound moves back.
 
-use crate::channel::Channel;
+use crate::channel::{BufferAdmin, Channel};
 use crate::queue::Queue;
+use crate::runtime::DgcPass;
 use crate::shutdown::Shutdown;
-use crate::sync::RwLock;
+use crate::sync::{Condvar, Mutex};
 use crate::task::TaskCtx;
-use aru_core::{AruConfig, NodeId};
-use aru_gc::{DgcResult, GcMode};
+use aru_core::{AruConfig, NodeId, Topology};
+use aru_gc::{ConsumerMarks, GcMode};
 use aru_metrics::{IterKey, SharedTrace};
 use std::sync::Arc;
-use vtime::{ManualClock, Micros, Timestamp};
+use vtime::{ManualClock, Micros, SimTime, Timestamp};
 
 fn test_ctx(trace: &SharedTrace, shutdown: &Shutdown) -> TaskCtx {
     TaskCtx::new(
@@ -55,7 +60,7 @@ fn test_ctx(trace: &SharedTrace, shutdown: &Shutdown) -> TaskCtx {
         Arc::new(ManualClock::new()),
         trace.clone(),
         shutdown.clone(),
-        Arc::new(RwLock::new(DgcResult::default())),
+        None,
     )
 }
 
@@ -420,5 +425,117 @@ fn loom_shutdown_set_always_wakes_sleeper() {
             "sleeper missed a shutdown that was set"
         );
         assert!(s.is_set());
+    });
+}
+
+/// A buffer whose marks cannot be copied until `open` is set: the task
+/// that sweeps waits inside the pass, holding the claim, until the other
+/// task has come back from its own attempt.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock() = true;
+        self.cond.notify_all();
+    }
+}
+
+impl BufferAdmin for Gate {
+    fn node(&self) -> NodeId {
+        NodeId(5)
+    }
+    fn configure_consumers(&self, _n: usize) {}
+    fn copy_marks(&self, _into: &mut ConsumerMarks) {
+        let mut open = self.open.lock();
+        while !*open {
+            self.cond.wait(&mut open);
+        }
+    }
+    fn apply_dead_before(&self, _bound: Timestamp) {}
+    fn close(&self) {}
+    fn live_bytes(&self) -> u64 {
+        0
+    }
+    fn flush_trace(&self) {}
+    fn publish_telemetry(&self, _now: SimTime) {}
+}
+
+/// Two tasks reach a due iteration end together while a third releases
+/// ts 5 from B, on `src → A → mid → B → sink` plus the [`Gate`] fed by
+/// src. Exactly one of the two sweeps. The other returns while the
+/// sweeper still holds the claim, or the model deadlocks: a claim that
+/// waits for the lock would never let the gate open. A later pass sees
+/// the release, and no bound it publishes is below the first pass's.
+#[test]
+fn loom_dgc_pass_has_one_sweeper_that_no_task_waits_for() {
+    loom::model(|| {
+        let mut topo = Topology::new();
+        let src = topo.add_thread("src");
+        let a = topo.add_channel("A");
+        let mid = topo.add_thread("mid");
+        let b = topo.add_channel("B");
+        let sink = topo.add_thread("sink");
+        let g = topo.add_channel("G");
+        for (from, to) in [(src, a), (a, mid), (mid, b), (b, sink), (src, g)] {
+            topo.connect(from, to).unwrap();
+        }
+        let trace = SharedTrace::new();
+        let channel = |node| {
+            let ch = Arc::new(Channel::<Vec<u8>>::new(
+                node,
+                "ch".into(),
+                &AruConfig::aru_min(),
+                GcMode::Dgc,
+                None,
+                Arc::new(ManualClock::new()),
+                trace.clone(),
+            ));
+            ch.configure_consumers(1);
+            ch
+        };
+        let (ch_a, ch_b) = (channel(a), channel(b));
+        let p = IterKey::new(src, 0);
+        ch_a.put(Timestamp(3), vec![0u8], p).unwrap();
+        ch_b.put(Timestamp(5), vec![0u8], p).unwrap();
+        let gate = Arc::new(Gate::default());
+        let buffers: Vec<Arc<dyn BufferAdmin>> = vec![ch_a.clone(), ch_b.clone(), gate.clone()];
+        let pass = Arc::new(DgcPass::new(&topo, buffers));
+
+        let tasks: Vec<_> = (0..2)
+            .map(|_| {
+                let (pass, gate) = (Arc::clone(&pass), Arc::clone(&gate));
+                loom::thread::spawn(move || {
+                    let swept = pass.run_if_due(SimTime(0));
+                    gate.open();
+                    swept
+                })
+            })
+            .collect();
+        let releaser = {
+            let ch_b = Arc::clone(&ch_b);
+            loom::thread::spawn(move || ch_b.release(0, Timestamp(5)))
+        };
+        let swept = tasks
+            .into_iter()
+            .filter(|_| true)
+            .map(|t| t.join().unwrap());
+        assert_eq!(swept.filter(|&s| s).count(), 1, "exactly one task sweeps");
+        releaser.join().unwrap();
+
+        let first = pass.result.read().clone();
+        assert!(
+            pass.run_if_due(SimTime(2_000)),
+            "the next pass is due at 2 ms"
+        );
+        let second = pass.result.read().clone();
+        for n in [a, b] {
+            assert!(second.buffer_dead_before(n) >= first.buffer_dead_before(n));
+            assert_eq!(second.buffer_dead_before(n), Timestamp(6));
+        }
+        assert_eq!(ch_a.len(), 0, "ts 3 in A is dead once B is consumed to 5");
     });
 }

@@ -262,7 +262,7 @@ impl<T: ItemData> Queue<T> {
         self.state.lock().aru.summary()
     }
 
-    /// Snapshot the consumer marks (for DGC).
+    /// Snapshot the consumer marks.
     #[must_use]
     pub fn marks_snapshot(&self) -> ConsumerMarks {
         self.state.lock().marks.clone()
@@ -320,8 +320,8 @@ impl<T: ItemData> BufferAdmin for Queue<T> {
     fn configure_consumers(&self, n: usize) {
         Queue::configure_consumers(self, n)
     }
-    fn marks_snapshot(&self) -> ConsumerMarks {
-        Queue::marks_snapshot(self)
+    fn copy_marks(&self, into: &mut ConsumerMarks) {
+        into.clone_from(&self.state.lock().marks);
     }
     fn apply_dead_before(&self, bound: Timestamp) {
         Queue::apply_dead_before(self, bound)

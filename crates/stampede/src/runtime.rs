@@ -1,13 +1,14 @@
-//! The running pipeline: thread spawning, the DGC driver, shutdown, and
-//! run reports.
+//! The running pipeline: thread spawning, the cross-graph DGC pass that
+//! the task threads run between iterations, shutdown, and run reports.
 
 use crate::channel::BufferAdmin;
 use crate::error::TaskResult;
 use crate::shutdown::Shutdown;
-use crate::sync::RwLock;
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{Mutex, RwLock};
 use crate::task::TaskCtx;
 use aru_core::{AruConfig, NodeId, RetryPolicy, Topology};
-use aru_gc::{ConsumerMarks, DgcEngine, DgcResult, GcMode, Postmortem};
+use aru_gc::{ConsumerMarks, DgcEngine, DgcResult, Postmortem};
 use aru_metrics::export::fault_report_jsonl;
 use aru_metrics::trace::wall_clock_unix_us;
 use aru_metrics::{
@@ -24,9 +25,72 @@ use vtime::{Clock, Micros, SimTime};
 
 type Body = Box<dyn FnMut(&mut TaskCtx) -> TaskResult + Send>;
 
-/// Cadence of the DGC driver's cross-graph pass. Fixed and positive: a zero
-/// interval would make `sleep_until` return at once, a busy loop.
-const DGC_INTERVAL: Duration = Duration::from_millis(2);
+/// Least time between two cross-graph DGC passes. desim's default is
+/// 10 ms (`SimConfig::dgc_interval`); each value is what its substrate's
+/// figures and footprints were recorded with (DESIGN.md §3).
+const DGC_INTERVAL: Micros = Micros(2_000);
+
+/// The cross-graph DGC pass (paper §4) of a `GcMode::Dgc` run. It has no
+/// thread: a task runs a due pass at the end of an iteration, after its
+/// releases, when it holds no buffer lock ([`TaskCtx::run`]).
+pub(crate) struct DgcPass {
+    engine: DgcEngine,
+    buffers: Vec<Arc<dyn BufferAdmin>>,
+    /// `NodeId` → index into `buffers` and the scratch marks.
+    slot: Vec<usize>,
+    /// Clock reading (µs) at or after which the next pass may run.
+    next_due: AtomicU64,
+    /// Each buffer's marks, copied in place, and the sweep's output. The
+    /// task that holds this lock is the one running the pass.
+    scratch: Mutex<(Vec<ConsumerMarks>, DgcResult)>,
+    /// The last pass's bounds, which every task's `should_skip` reads.
+    pub(crate) result: RwLock<DgcResult>,
+}
+
+impl DgcPass {
+    /// A pass over `topo`'s `buffers`, due at the first iteration end.
+    pub(crate) fn new(topo: &Topology, buffers: Vec<Arc<dyn BufferAdmin>>) -> Self {
+        let mut slot = vec![usize::MAX; topo.node_count()];
+        for (i, b) in buffers.iter().enumerate() {
+            slot[b.node().0 as usize] = i;
+        }
+        DgcPass {
+            engine: DgcEngine::new(topo),
+            scratch: Mutex::default(),
+            buffers,
+            slot,
+            next_due: AtomicU64::new(0),
+            result: RwLock::default(),
+        }
+    }
+
+    /// Run the pass if it is due at `now` and no other task is running it.
+    /// Never waits: a task that loses the claim goes on. Returns whether
+    /// this call swept.
+    pub(crate) fn run_if_due(&self, now: SimTime) -> bool {
+        let due = || now.0 >= self.next_due.load(Ordering::Relaxed);
+        // Re-checked once claimed: another task may have swept in between.
+        let claim = if due() { self.scratch.try_lock() } else { None };
+        let Some(mut scratch) = claim.filter(|_| due()) else {
+            return false;
+        };
+        self.next_due
+            .store(now.0 + DGC_INTERVAL.0, Ordering::Relaxed);
+        let (marks, res) = &mut *scratch;
+        marks.resize(self.buffers.len(), ConsumerMarks::default());
+        for (b, m) in self.buffers.iter().zip(marks.iter_mut()) {
+            b.copy_marks(m);
+        }
+        self.engine
+            .compute_into(|n| marks.get(self.slot[n.0 as usize]), res);
+        for b in &self.buffers {
+            b.apply_dead_before(res.buffer_dead_before(b.node()));
+        }
+        // Publish; the previous result becomes the next pass's output.
+        std::mem::swap(res, &mut *self.result.write());
+        true
+    }
+}
 
 /// Render a panic payload (the `Box<dyn Any>` from `catch_unwind`/`join`)
 /// as best we can: panics raised via `panic!("…")` carry a `String` or
@@ -62,52 +126,22 @@ fn export_tick(
 /// A frozen, ready-to-run pipeline (produced by
 /// [`RuntimeBuilder::build`](crate::builder::RuntimeBuilder::build)).
 pub struct Runtime {
-    topo: Topology,
-    config: AruConfig,
-    gc_mode: GcMode,
-    clock: Arc<dyn Clock>,
-    trace: SharedTrace,
-    admins: Vec<Arc<dyn BufferAdmin>>,
-    tasks: Vec<(NodeId, String)>,
-    bodies: HashMap<NodeId, Body>,
-    retry: RetryPolicy,
-    op_timeout: Option<Micros>,
-    export: Option<(ExportSink, Micros)>,
-    journal_path: Option<PathBuf>,
+    pub(crate) topo: Topology,
+    pub(crate) config: AruConfig,
+    /// The cross-graph pass the tasks share; `Some` only under `GcMode::Dgc`.
+    pub(crate) dgc: Option<Arc<DgcPass>>,
+    pub(crate) clock: Arc<dyn Clock>,
+    pub(crate) trace: SharedTrace,
+    pub(crate) admins: Vec<Arc<dyn BufferAdmin>>,
+    pub(crate) tasks: Vec<(NodeId, String)>,
+    pub(crate) bodies: HashMap<NodeId, Body>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) op_timeout: Option<Micros>,
+    pub(crate) export: Option<(ExportSink, Micros)>,
+    pub(crate) journal_path: Option<PathBuf>,
 }
 
 impl Runtime {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        topo: Topology,
-        config: AruConfig,
-        gc_mode: GcMode,
-        clock: Arc<dyn Clock>,
-        trace: SharedTrace,
-        admins: Vec<Arc<dyn BufferAdmin>>,
-        tasks: Vec<(NodeId, String)>,
-        bodies: HashMap<NodeId, Body>,
-        retry: RetryPolicy,
-        op_timeout: Option<Micros>,
-        export: Option<(ExportSink, Micros)>,
-        journal_path: Option<PathBuf>,
-    ) -> Self {
-        Runtime {
-            topo,
-            config,
-            gc_mode,
-            clock,
-            trace,
-            admins,
-            tasks,
-            bodies,
-            retry,
-            op_timeout,
-            export,
-            journal_path,
-        }
-    }
-
     /// The frozen task graph.
     #[must_use]
     pub fn topology(&self) -> &Topology {
@@ -121,12 +155,11 @@ impl Runtime {
         self.trace.telemetry()
     }
 
-    /// Start every task thread (plus the DGC driver when the GC mode calls
-    /// for it) and return a handle for stopping the run.
+    /// Start every task thread (plus the exporter when one is configured)
+    /// and return a handle for stopping the run.
     #[must_use]
     pub fn start(mut self) -> Running {
         let shutdown = Shutdown::new();
-        let dgc_shared = Arc::new(RwLock::new(DgcResult::default()));
 
         let mut handles = Vec::with_capacity(self.tasks.len());
         for (node, name) in &self.tasks {
@@ -140,7 +173,7 @@ impl Runtime {
                 Arc::clone(&self.clock),
                 self.trace.clone(),
                 shutdown.clone(),
-                Arc::clone(&dgc_shared),
+                self.dgc.clone(),
             );
             ctx.set_op_timeout(self.op_timeout);
             let node = *node;
@@ -221,46 +254,6 @@ impl Runtime {
             handles.push(handle);
         }
 
-        let gc_handle = if self.gc_mode == GcMode::Dgc {
-            let engine = DgcEngine::new(&self.topo);
-            let topo = self.topo.clone();
-            let admins: Vec<Arc<dyn BufferAdmin>> = self.admins.clone();
-            let sd = shutdown.clone();
-            let shared = Arc::clone(&dgc_shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("dgc-driver".into())
-                    .spawn(move || {
-                        // Fixed cadence: the next deadline advances by the
-                        // interval from the previous one, so a slow GC pass
-                        // shrinks the following sleep instead of pushing
-                        // the whole schedule out.
-                        let mut next_tick = std::time::Instant::now();
-                        loop {
-                            if sd.is_set() {
-                                break;
-                            }
-                            let marks: HashMap<NodeId, ConsumerMarks> = admins
-                                .iter()
-                                .map(|a| (a.node(), a.marks_snapshot()))
-                                .collect();
-                            let result = engine.compute(&topo, &marks);
-                            for a in &admins {
-                                a.apply_dead_before(result.buffer_dead_before(a.node()));
-                            }
-                            *shared.write() = result;
-                            next_tick += DGC_INTERVAL;
-                            if sd.sleep_until(next_tick) {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn dgc driver"),
-            )
-        } else {
-            None
-        };
-
         let export_handle = self.export.take().map(|(sink, interval)| {
             let admins: Vec<Arc<dyn BufferAdmin>> = self.admins.clone();
             let telemetry = self.trace.telemetry().clone();
@@ -324,7 +317,6 @@ impl Runtime {
             admins: self.admins,
             shutdown,
             handles,
-            gc_handle,
             export_handle,
             journal_path: self.journal_path,
         }
@@ -369,7 +361,6 @@ pub struct Running {
     admins: Vec<Arc<dyn BufferAdmin>>,
     shutdown: Shutdown,
     handles: Vec<JoinHandle<Result<u64, String>>>,
-    gc_handle: Option<JoinHandle<()>>,
     export_handle: Option<JoinHandle<()>>,
     journal_path: Option<PathBuf>,
 }
@@ -405,12 +396,6 @@ impl Running {
                     })
                 }
             }
-        }
-        if let Some(h) = self.gc_handle {
-            h.join().map_err(|p| BoxedJoinError {
-                task: "dgc-driver".into(),
-                payload: panic_message(p.as_ref()),
-            })?;
         }
         if let Some(h) = self.export_handle {
             h.join().map_err(|p| BoxedJoinError {

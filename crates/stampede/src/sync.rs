@@ -71,6 +71,13 @@ mod loom_shim {
             }
         }
 
+        /// `None` when another thread holds the lock (loom's `try_lock`
+        /// reports a poisoned lock as held by no one).
+        pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+            let g = self.inner.try_lock().ok()?;
+            Some(MutexGuard { inner: Some(g) })
+        }
+
         pub fn into_inner(self) -> T {
             self.inner
                 .into_inner()

@@ -6,6 +6,8 @@
 //! loop {
 //!     iteration_begin                  // clock read
 //!     body(ctx)                        // gets (may block) → compute → puts
+//!     release consumed inputs          // the channels' GC marks advance
+//!     DGC pass, if due                 // one task at a time, never waits
 //!     periodicity_sync                 // current-STP, summary-STP, pacing
 //!     sleep(pacing residual)           // sources only, by default
 //! }
@@ -17,11 +19,10 @@
 //! loop" — here the runtime calls it for you).
 
 use crate::error::{Step, TaskResult};
+use crate::runtime::DgcPass;
 use crate::shutdown::Shutdown;
-use crate::sync::RwLock;
 use crate::tele::TaskTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
-use aru_gc::DgcResult;
 use aru_metrics::{IterKey, SharedTrace};
 use std::sync::Arc;
 use vtime::{Clock, Micros, SimTime, Timestamp};
@@ -29,8 +30,8 @@ use vtime::{Clock, Micros, SimTime, Timestamp};
 /// Per-task context handed to the body on every iteration.
 ///
 /// It carries the thread's ARU controller (STP meter, backward vector,
-/// pacer), the trace recorder, the shutdown signal and the live DGC result
-/// for computation elimination.
+/// pacer), the trace recorder, the shutdown signal and, in a DGC run, the
+/// cross-graph pass it shares with the other tasks.
 pub struct TaskCtx {
     node: NodeId,
     name: String,
@@ -47,7 +48,8 @@ pub struct TaskCtx {
     clock: Arc<dyn Clock>,
     trace: SharedTrace,
     shutdown: Shutdown,
-    dgc: Arc<RwLock<DgcResult>>,
+    /// `None` outside `GcMode::Dgc`: nothing is skipped, no pass runs.
+    dgc: Option<Arc<DgcPass>>,
     /// Deferred channel releases, flushed when the iteration ends
     /// (consume-on-iteration-end semantics).
     releases: Vec<Box<dyn FnOnce() + Send>>,
@@ -67,7 +69,7 @@ impl TaskCtx {
         clock: Arc<dyn Clock>,
         trace: SharedTrace,
         shutdown: Shutdown,
-        dgc: Arc<RwLock<DgcResult>>,
+        dgc: Option<Arc<DgcPass>>,
     ) -> Self {
         let tele = TaskTele::new(trace.telemetry(), &name, config.control.label());
         TaskCtx {
@@ -117,7 +119,9 @@ impl TaskCtx {
     /// with that timestamp is provably wasted and the body should skip it.
     #[must_use]
     pub fn should_skip(&self, ts: Timestamp) -> bool {
-        ts < self.dgc.read().thread_skip_before(self.node)
+        self.dgc
+            .as_ref()
+            .is_some_and(|d| ts < d.result.read().thread_skip_before(self.node))
     }
 
     /// Record that this (sink) task emitted a pipeline output for frame
@@ -222,6 +226,9 @@ impl TaskCtx {
                 release();
             }
             let t1 = self.clock.now();
+            if let Some(dgc) = &self.dgc {
+                dgc.run_if_due(t1);
+            }
             let outcome = self.controller.iteration_end(t1);
             self.tele
                 .on_iteration(t1, self.node, &outcome, self.controller.meter());
@@ -293,7 +300,7 @@ mod tests {
             Arc::new(clock),
             SharedTrace::new(),
             Shutdown::new(),
-            Arc::new(RwLock::new(DgcResult::default())),
+            None,
         )
     }
 
@@ -334,7 +341,7 @@ mod tests {
             Arc::new(clock),
             SharedTrace::new(),
             shutdown.clone(),
-            Arc::new(RwLock::new(DgcResult::default())),
+            None,
         );
         shutdown.set();
         let iters = c.run(&mut |_: &mut TaskCtx| Ok(Step::Continue));
@@ -354,7 +361,7 @@ mod tests {
             Arc::new(clock.clone()),
             trace.clone(),
             Shutdown::new(),
-            Arc::new(RwLock::new(DgcResult::default())),
+            None,
         );
         let mut n = 0;
         c.run(&mut move |ctx: &mut TaskCtx| {
@@ -376,42 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn should_skip_consults_dgc() {
-        let clock = ManualClock::new();
-        let dgc = Arc::new(RwLock::new(DgcResult::default()));
-        let c = TaskCtx::new(
-            NodeId(3),
-            "t".into(),
-            1,
-            false,
-            &AruConfig::aru_min(),
-            Arc::new(clock),
-            SharedTrace::new(),
-            Shutdown::new(),
-            Arc::clone(&dgc),
-        );
-        assert!(!c.should_skip(Timestamp(5)));
-        // A pass over src → in → t → out → sink with the sink at ts 9:
-        // everything `t` (node 3) would produce below 10 is dead.
-        let mut topo = aru_core::Topology::new();
-        let src = topo.add_thread("src");
-        let input = topo.add_channel("in");
-        let out = topo.add_channel("out");
-        let t = topo.add_thread("t");
-        let sink = topo.add_thread("sink");
-        assert_eq!(t, NodeId(3));
-        for (from, to) in [(src, input), (input, t), (t, out), (out, sink)] {
-            topo.connect(from, to).unwrap();
-        }
-        let mut marks = aru_gc::ConsumerMarks::new(1);
-        marks.advance(0, Timestamp(9));
-        *dgc.write() = aru_gc::DgcEngine::new(&topo)
-            .compute(&topo, &std::collections::HashMap::from([(out, marks)]));
-        assert!(c.should_skip(Timestamp(5)));
-        assert!(!c.should_skip(Timestamp(10)));
-    }
-
-    #[test]
     fn emit_output_traces_sink_event() {
         let clock = ManualClock::new();
         clock.set(SimTime(50));
@@ -425,7 +396,7 @@ mod tests {
             Arc::new(clock),
             trace.clone(),
             Shutdown::new(),
-            Arc::new(RwLock::new(DgcResult::default())),
+            None,
         );
         c.emit_output(Timestamp(4));
         let snap = trace.snapshot();
@@ -451,7 +422,7 @@ mod tests {
             Arc::new(vtime::WallClock::new()),
             SharedTrace::new(),
             shutdown.clone(),
-            Arc::new(RwLock::new(DgcResult::default())),
+            None,
         );
         c.receive_feedback(0, Stp(Micros::from_secs(3600)));
         let s2 = shutdown.clone();
