@@ -71,8 +71,8 @@ mod loom_shim {
             }
         }
 
-        /// `None` when another thread holds the lock (loom's `try_lock`
-        /// reports a poisoned lock as held by no one).
+        /// `None` when another thread holds the lock; like `lock`, it hands
+        /// out a poisoned lock's guard.
         pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
             let g = self.inner.try_lock().ok()?;
             Some(MutexGuard { inner: Some(g) })
