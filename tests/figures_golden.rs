@@ -3,8 +3,9 @@
 //!
 //! `sim_golden.rs` pins the trace the figures fold; this file pins the
 //! folds themselves — `Lineage`, `WasteReport`, footprint/IGC and
-//! `PerfReport` as the Figure 6–10 CSVs print them, and `repro doctor
-//! --json` over the two journals CI's chaos and stability lanes diagnose.
+//! `PerfReport` as the Figure 6–10 CSVs print them, `repro doctor
+//! --json` over the two journals CI's chaos and stability lanes diagnose,
+//! and every control law's trajectory in the stability matrix.
 //! A postmortem or recording change that is meant to be invisible passes
 //! this file unmodified; one that is not has to say so by editing a
 //! constant, in a commit that says why. The constants were recorded at
@@ -20,6 +21,7 @@ use experiments::fig8_9::FigSeries;
 use experiments::{cells, chaos, doctor, stability};
 use std::fmt::Write;
 use std::path::Path;
+use std::sync::OnceLock;
 use tracker::TrackerConfigId;
 
 /// FNV-1a over the bytes a figure or report writes.
@@ -83,15 +85,25 @@ fn doctor_json(dir: &Path, name: &str, telemetry: &Telemetry, expect: &str) -> u
     fnv(&std::fs::read(&json).expect("doctor wrote its report"))
 }
 
+/// The `--smoke` chaos crash run and the stability matrix built on it,
+/// simulated once for the two tests that read them.
+fn smoke_matrix() -> &'static (Telemetry, stability::Stability) {
+    static RUN: OnceLock<(Telemetry, stability::Stability)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let mut smoke = ExpParams::quick();
+        smoke.seeds.truncate(1);
+        let crash = chaos::crash_sim(ControllerConfig::Direct, smoke.seeds[0], smoke.duration);
+        let matrix = stability::run(&smoke, &crash);
+        (crash.telemetry, matrix)
+    })
+}
+
 /// The doctor on what CI's lanes diagnose at `--smoke`: the chaos crash
 /// journal (crash and faults flagged) and the Direct law's volatile-link
 /// journal (oscillation flagged).
 #[test]
 fn doctor_reports_are_pinned() {
-    let mut smoke = ExpParams::quick();
-    smoke.seeds.truncate(1);
-    let crash = chaos::crash_sim(ControllerConfig::Direct, smoke.seeds[0], smoke.duration);
-    let matrix = stability::run(&smoke, &crash);
+    let (crash, matrix) = smoke_matrix();
     let volatile = matrix
         .cells
         .iter()
@@ -100,12 +112,7 @@ fn doctor_reports_are_pinned() {
     let dir = std::env::temp_dir().join(format!("aru-figures-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let got = [
-        doctor_json(
-            &dir,
-            "chaos_crash",
-            &crash.telemetry,
-            "crash,fault_injection",
-        ),
+        doctor_json(&dir, "chaos_crash", crash, "crash,fault_injection"),
         doctor_json(
             &dir,
             "stability_direct_volatile_link",
@@ -117,6 +124,31 @@ fn doctor_reports_are_pinned() {
     assert_eq!(got, GOLDEN_DOCTOR);
 }
 
+/// Every control law's trajectory in the `--smoke` stability matrix:
+/// `stability_laws.csv`, each cell's `StabilityReport` at full precision
+/// with its decision and clamped counts, and each cell's journal (epoch
+/// 0) — every pace decision the law took, in order. A law rewrite meant
+/// to be invisible passes this unmodified.
+#[test]
+fn stability_matrix_is_pinned() {
+    let (_, matrix) = smoke_matrix();
+    let mut reports = String::new();
+    for c in &matrix.cells {
+        writeln!(
+            reports,
+            "{} {} {:?} {} {}",
+            c.law, c.scenario, c.report, c.decisions, c.clamped
+        )
+        .unwrap();
+    }
+    let mut got = vec![fnv(matrix.to_csv().as_bytes()), fnv(reports.as_bytes())];
+    for c in &matrix.cells {
+        let jsonl = c.telemetry.journal.snapshot().to_jsonl("sim", 0);
+        got.push(fnv(jsonl.as_bytes()));
+    }
+    assert_eq!(got, GOLDEN_STABILITY);
+}
+
 const GOLDEN_FIGURES: [u64; 6] = [
     14590919992168433529,
     17664614703705367339,
@@ -126,3 +158,13 @@ const GOLDEN_FIGURES: [u64; 6] = [
     3259710142154462698,
 ];
 const GOLDEN_DOCTOR: [u64; 2] = [4841508166720960872, 18066418795252540774];
+const GOLDEN_STABILITY: [u64; 8] = [
+    2079859906591136434,
+    6471054725552500948,
+    9321812978692810944,
+    7286699754829032659,
+    15692149912190115084,
+    17545051534134838892,
+    16616030128574292634,
+    11165435553036151910,
+];
