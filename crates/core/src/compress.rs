@@ -57,7 +57,10 @@ impl CompressOp {
             CompressOp::Max => known.iter().copied().reduce(Stp::max),
             CompressOp::Custom(f) => {
                 let v = f(known);
-                debug_assert!(v.is_some(), "custom compress returned None on non-empty input");
+                debug_assert!(
+                    v.is_some(),
+                    "custom compress returned None on non-empty input"
+                );
                 // Guardrail (release builds): a broken custom operator must
                 // not erase real consumer knowledge — fall back to the
                 // conservative default instead of reporting "no feedback".
@@ -148,7 +151,12 @@ mod tests {
     #[test]
     fn single_value_is_identity_for_all_ops() {
         let v = stps(&[250]);
-        for op in [CompressOp::Min, CompressOp::Max, CompressOp::mean(), CompressOp::kth_smallest(3)] {
+        for op in [
+            CompressOp::Min,
+            CompressOp::Max,
+            CompressOp::mean(),
+            CompressOp::kth_smallest(3),
+        ] {
             assert_eq!(op.compress(&v), Some(Stp::from_micros(250)), "{op:?}");
         }
     }
@@ -156,9 +164,18 @@ mod tests {
     #[test]
     fn kth_smallest_orders() {
         let v = stps(&[500, 100, 300]);
-        assert_eq!(CompressOp::kth_smallest(0).compress(&v), Some(Stp::from_micros(100)));
-        assert_eq!(CompressOp::kth_smallest(1).compress(&v), Some(Stp::from_micros(300)));
-        assert_eq!(CompressOp::kth_smallest(9).compress(&v), Some(Stp::from_micros(500)));
+        assert_eq!(
+            CompressOp::kth_smallest(0).compress(&v),
+            Some(Stp::from_micros(100))
+        );
+        assert_eq!(
+            CompressOp::kth_smallest(1).compress(&v),
+            Some(Stp::from_micros(300))
+        );
+        assert_eq!(
+            CompressOp::kth_smallest(9).compress(&v),
+            Some(Stp::from_micros(500))
+        );
     }
 
     #[test]
@@ -179,7 +196,10 @@ mod tests {
     #[test]
     fn try_compress_types_the_empty_case() {
         use crate::error::AruError;
-        assert_eq!(CompressOp::Min.try_compress(&[]), Err(AruError::EmptyCompress));
+        assert_eq!(
+            CompressOp::Min.try_compress(&[]),
+            Err(AruError::EmptyCompress)
+        );
         assert_eq!(
             CompressOp::Min.try_compress(&stps(&[250])),
             Ok(Stp::from_micros(250))

@@ -65,7 +65,11 @@ mod tests {
             "block_end without block_begin"
         );
         assert_eq!(
-            AruError::InvalidParam { what: "ewma.alpha", why: "must be in (0, 1]" }.to_string(),
+            AruError::InvalidParam {
+                what: "ewma.alpha",
+                why: "must be in (0, 1]"
+            }
+            .to_string(),
             "invalid parameter ewma.alpha: must be in (0, 1]"
         );
     }

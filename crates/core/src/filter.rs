@@ -58,7 +58,10 @@ impl EwmaFilter {
         if alpha.is_finite() && alpha > 0.0 && alpha <= 1.0 {
             Ok(EwmaFilter { alpha, state: None })
         } else {
-            Err(AruError::InvalidParam { what: "ewma.alpha", why: "must be in (0, 1]" })
+            Err(AruError::InvalidParam {
+                what: "ewma.alpha",
+                why: "must be in (0, 1]",
+            })
         }
     }
 }
@@ -105,9 +108,15 @@ impl MedianFilter {
     /// Typed-error [`MedianFilter::new`].
     pub fn try_new(window: usize) -> Result<Self, AruError> {
         if window > 0 {
-            Ok(MedianFilter { window, buf: VecDeque::with_capacity(window) })
+            Ok(MedianFilter {
+                window,
+                buf: VecDeque::with_capacity(window),
+            })
         } else {
-            Err(AruError::InvalidParam { what: "median.window", why: "must be > 0" })
+            Err(AruError::InvalidParam {
+                what: "median.window",
+                why: "must be > 0",
+            })
         }
     }
 }
@@ -167,7 +176,10 @@ mod tests {
             f.apply(us(100));
         }
         let spiked = f.apply(us(10_000));
-        assert!(spiked.as_micros() < 1_200, "spike barely moves output: {spiked}");
+        assert!(
+            spiked.as_micros() < 1_200,
+            "spike barely moves output: {spiked}"
+        );
     }
 
     #[test]

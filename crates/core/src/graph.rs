@@ -208,12 +208,18 @@ impl Topology {
 
     /// Output edges of `n`, in out_index order.
     pub fn outputs(&self, n: NodeId) -> impl Iterator<Item = &Edge> + '_ {
-        self.nodes[n.0 as usize].outputs.iter().map(|&c| self.edge(c))
+        self.nodes[n.0 as usize]
+            .outputs
+            .iter()
+            .map(|&c| self.edge(c))
     }
 
     /// Input edges of `n`, in in_index order.
     pub fn inputs(&self, n: NodeId) -> impl Iterator<Item = &Edge> + '_ {
-        self.nodes[n.0 as usize].inputs.iter().map(|&c| self.edge(c))
+        self.nodes[n.0 as usize]
+            .inputs
+            .iter()
+            .map(|&c| self.edge(c))
     }
 
     #[must_use]
@@ -316,12 +322,7 @@ impl Topology {
                 .outputs(n)
                 .map(|e| self.name(e.to).to_string())
                 .collect();
-            let _ = writeln!(
-                s,
-                "{k} {:<18} -> [{}]",
-                self.name(n),
-                outs.join(", ")
-            );
+            let _ = writeln!(s, "{k} {:<18} -> [{}]", self.name(n), outs.join(", "));
         }
         s
     }

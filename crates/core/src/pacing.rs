@@ -115,7 +115,10 @@ mod tests {
         // back-to-back iterations to catch up.
         assert_eq!(p.sleep_until_release(SimTime(10_000)), Micros::ZERO);
         let s = p.sleep_until_release(SimTime(10_100));
-        assert!(s.as_micros() <= 1000, "sleep bounded by one period, got {s}");
+        assert!(
+            s.as_micros() <= 1000,
+            "sleep bounded by one period, got {s}"
+        );
     }
 
     #[test]

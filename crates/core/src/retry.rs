@@ -140,8 +140,7 @@ impl Default for RetryPolicy {
     /// Three restarts, 10 ms/20 ms/40 ms exponential backoff capped at 1 s,
     /// 10% jitter — a forgiving default for transient faults.
     fn default() -> Self {
-        RetryPolicy::exponential(3, Micros::from_millis(10), Micros::from_secs(1))
-            .with_jitter(0.1)
+        RetryPolicy::exponential(3, Micros::from_millis(10), Micros::from_secs(1)).with_jitter(0.1)
     }
 }
 

@@ -165,7 +165,10 @@ impl StpMeter {
     /// Typed-error [`StpMeter::block_end`]: an unbalanced end is rejected
     /// instead of panicking the task.
     pub fn try_block_end(&mut self, now: SimTime) -> Result<(), AruError> {
-        let start = self.block_start.take().ok_or(AruError::UnbalancedBlockEnd)?;
+        let start = self
+            .block_start
+            .take()
+            .ok_or(AruError::UnbalancedBlockEnd)?;
         self.blocked += now.since(start);
         Ok(())
     }
@@ -335,14 +338,20 @@ mod tests {
     fn try_variants_report_typed_errors_without_mutating() {
         use crate::error::AruError;
         let mut m = StpMeter::new();
-        assert_eq!(m.try_block_end(SimTime(0)), Err(AruError::UnbalancedBlockEnd));
+        assert_eq!(
+            m.try_block_end(SimTime(0)),
+            Err(AruError::UnbalancedBlockEnd)
+        );
         assert_eq!(
             m.try_iteration_end(SimTime(0)),
             Err(AruError::IterationEndWithoutBegin)
         );
         m.try_iteration_begin(SimTime(0)).unwrap();
         m.try_block_begin(SimTime(10)).unwrap();
-        assert_eq!(m.try_block_begin(SimTime(20)), Err(AruError::NestedBlockBegin));
+        assert_eq!(
+            m.try_block_begin(SimTime(20)),
+            Err(AruError::NestedBlockBegin)
+        );
         assert_eq!(
             m.try_iteration_begin(SimTime(20)),
             Err(AruError::IterationWhileBlocked)

@@ -47,8 +47,14 @@ mod tests {
 
     #[test]
     fn thread_takes_max_of_compressed_and_current() {
-        assert_eq!(summary_for_thread(Some(us(300)), Some(us(100))), Some(us(300)));
-        assert_eq!(summary_for_thread(Some(us(100)), Some(us(300))), Some(us(300)));
+        assert_eq!(
+            summary_for_thread(Some(us(300)), Some(us(100))),
+            Some(us(300))
+        );
+        assert_eq!(
+            summary_for_thread(Some(us(100)), Some(us(300))),
+            Some(us(300))
+        );
     }
 
     #[test]
@@ -85,13 +91,11 @@ mod tests {
 
         // Conservative pipeline (consumers are endpoints): min → 139, but A
         // itself needs 200, so summary = 200.
-        let min_summary =
-            summary_for_thread(bv.compressed(&CompressOp::Min), current).unwrap();
+        let min_summary = summary_for_thread(bv.compressed(&CompressOp::Min), current).unwrap();
         assert_eq!(min_summary, us(200));
 
         // Aggressive pipeline (all feed one consumer G): max → 544 > 200.
-        let max_summary =
-            summary_for_thread(bv.compressed(&CompressOp::Max), current).unwrap();
+        let max_summary = summary_for_thread(bv.compressed(&CompressOp::Max), current).unwrap();
         assert_eq!(max_summary, us(544));
     }
 }

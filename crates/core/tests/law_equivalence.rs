@@ -10,8 +10,8 @@
 //! iteration must produce the same `(summary, sleep, stale)` triple.
 
 use aru_core::{
-    summary_for_thread, AruConfig, AruController, BackwardStpVec, CompressOp, FilterSpec,
-    NodeKind, Pacer, Stp, StpFilter, StpMeter,
+    summary_for_thread, AruConfig, AruController, BackwardStpVec, CompressOp, FilterSpec, NodeKind,
+    Pacer, Stp, StpFilter, StpMeter,
 };
 use vtime::{Micros, SimTime};
 
