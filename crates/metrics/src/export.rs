@@ -84,8 +84,11 @@ pub fn prometheus_text(snap: &RegistrySnapshot, epoch_unix_us: u64, now_unix_us:
 pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     fn valid_name(s: &str) -> bool {
         !s.is_empty()
-            && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && s.chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
     // Inside the quotes only `\\`, `\"` and `\n` are legal escapes, and a
     // bare `"` (which the serializer would have escaped) is malformed —
@@ -116,7 +119,10 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
                 if !valid_name(name) {
                     return err("bad metric name in TYPE");
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return err("bad kind in TYPE");
                 }
             }
@@ -326,7 +332,11 @@ mod tests {
 
     #[test]
     fn prometheus_text_round_trips_the_validator() {
-        let text = prometheus_text(&sample_snapshot(), 1_722_000_000_000_000, 1_722_000_001_000_000);
+        let text = prometheus_text(
+            &sample_snapshot(),
+            1_722_000_000_000_000,
+            1_722_000_001_000_000,
+        );
         validate_prometheus_text(&text).expect("own output must validate");
         assert!(text.contains("# TYPE aru_puts_total counter"));
         assert!(text.contains("aru_puts_total{channel=\"c1\"} 7"));
@@ -380,7 +390,8 @@ mod tests {
         // tightened validator accepts exactly that output.
         let reg = Registry::new();
         for name in ["quo\"te", "back\\slash", "new\nline", "all\\\"\n"] {
-            reg.counter("aru_iterations_total", &[("thread", name)]).inc();
+            reg.counter("aru_iterations_total", &[("thread", name)])
+                .inc();
         }
         let text = prometheus_text(&reg.snapshot(), 1, 2);
         validate_prometheus_text(&text).expect("escaped output must validate");

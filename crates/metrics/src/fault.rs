@@ -70,7 +70,11 @@ impl FaultReport {
                 }
                 TraceEvent::StaleSummary { iter, .. } => {
                     report.stale_iterations += 1;
-                    report.per_node.entry(iter.node).or_default().stale_iterations += 1;
+                    report
+                        .per_node
+                        .entry(iter.node)
+                        .or_default()
+                        .stale_iterations += 1;
                     stale_seqs.entry(iter.node).or_default().push(iter.seq);
                 }
                 _ => {}

@@ -257,18 +257,13 @@ mod tests {
 
     #[test]
     fn escapes_special_characters() {
-        let s = JsonObj::new()
-            .field("k", "a\"b\\c\nd\te\u{1}")
-            .finish();
+        let s = JsonObj::new().field("k", "a\"b\\c\nd\te\u{1}").finish();
         assert_eq!(s, r#"{"k":"a\"b\\c\nd\te\u0001"}"#);
     }
 
     #[test]
     fn nested_objects_arrays_and_numbers() {
-        let inner = JsonObj::new()
-            .field("name", "w")
-            .field("ns", 12.35)
-            .raw();
+        let inner = JsonObj::new().field("name", "w").field("ns", 12.35).raw();
         let s = JsonObj::new()
             .field("n", 3u64)
             .field("ok", true)

@@ -65,7 +65,11 @@ impl PerfReport {
         let secs = t_end.as_secs_f64();
         PerfReport {
             latency: latency.summary(),
-            throughput_fps: if secs > 0.0 { outputs as f64 / secs } else { 0.0 },
+            throughput_fps: if secs > 0.0 {
+                outputs as f64 / secs
+            } else {
+                0.0
+            },
             jitter_us: gaps.std_dev(),
             mean_output_gap_us: gaps.mean(),
             outputs,
@@ -90,13 +94,7 @@ mod tests {
         let mut tr = Trace::new();
         let sink = NodeId(2);
         for i in 0..3u64 {
-            let id = tr.alloc(
-                SimTime(i * 100),
-                NodeId(1),
-                Timestamp(i),
-                100,
-                key(0, i),
-            );
+            let id = tr.alloc(SimTime(i * 100), NodeId(1), Timestamp(i), 100, key(0, i));
             tr.get(SimTime(i * 100 + 10), id, key(2, i));
         }
         tr.sink_output(SimTime(50), key(2, 0), Timestamp(0));

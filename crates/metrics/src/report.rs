@@ -109,7 +109,11 @@ impl Table {
 /// Serialize a set of labelled time series into one long-format CSV
 /// (`label,t_us,value`) — the Figure 8/9 output format.
 #[must_use]
-pub fn series_csv(series: &[(&str, &TimeWeightedSeries)], t_end: SimTime, buckets: usize) -> String {
+pub fn series_csv(
+    series: &[(&str, &TimeWeightedSeries)],
+    t_end: SimTime,
+    buckets: usize,
+) -> String {
     let mut out = String::from("label,t_us,value\n");
     for (label, s) in series {
         for (t, v) in s.downsample(t_end, buckets) {
@@ -209,6 +213,9 @@ mod tests {
     #[test]
     fn run_header_formats_epoch_and_horizon() {
         let h = run_header(1_722_000_000_123_456, SimTime(200_000_000));
-        assert_eq!(h, "run epoch: unix 1722000000.123456 s; horizon: t=200.000s");
+        assert_eq!(
+            h,
+            "run epoch: unix 1722000000.123456 s; horizon: t=200.000s"
+        );
     }
 }

@@ -105,7 +105,14 @@ pub fn render_thread_stats(
 ) -> String {
     let mut t = crate::report::Table::new(
         "per-thread execution",
-        &["thread", "iters", "useful", "mean busy", "σ busy", "% wasted"],
+        &[
+            "thread",
+            "iters",
+            "useful",
+            "mean busy",
+            "σ busy",
+            "% wasted",
+        ],
     );
     for (node, s) in stats {
         t.row(vec![

@@ -40,9 +40,9 @@
 
 use crate::event::{ItemId, IterKey, TraceEvent};
 use crate::registry::Telemetry;
-use aru_core::graph::NodeId;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
+use aru_core::graph::NodeId;
 use std::sync::Arc;
 use vtime::{Micros, SimTime, Timestamp};
 
@@ -186,7 +186,13 @@ impl Trace {
         target: Micros,
         clamped: bool,
     ) {
-        self.push(TraceEvent::PaceDecision { t, node, raw, target, clamped });
+        self.push(TraceEvent::PaceDecision {
+            t,
+            node,
+            raw,
+            target,
+            clamped,
+        });
     }
 
     /// All events in record order (runtimes record in nondecreasing time;
@@ -490,8 +496,21 @@ impl SharedTrace {
         self.shard.push(TraceEvent::StaleSummary { t, iter });
     }
 
-    pub fn pace_decision(&self, t: SimTime, node: NodeId, raw: Micros, target: Micros, clamped: bool) {
-        self.shard.push(TraceEvent::PaceDecision { t, node, raw, target, clamped });
+    pub fn pace_decision(
+        &self,
+        t: SimTime,
+        node: NodeId,
+        raw: Micros,
+        target: Micros,
+        clamped: bool,
+    ) {
+        self.shard.push(TraceEvent::PaceDecision {
+            t,
+            node,
+            raw,
+            target,
+            clamped,
+        });
     }
 
     /// Snapshot into an owned [`Trace`] for postmortem analysis: all shards

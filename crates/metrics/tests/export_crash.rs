@@ -97,7 +97,10 @@ fn killed_exporter_never_leaves_torn_artifacts() {
     // Atomic artifacts: whatever version is on disk must be complete.
     let prom = std::fs::read_to_string(dir.join("telemetry.prom")).expect("prom exists");
     validate_prometheus_text(&prom).expect("scrape is valid after a mid-write kill");
-    assert!(prom.contains("aru_crash_test_total"), "scrape has the series");
+    assert!(
+        prom.contains("aru_crash_test_total"),
+        "scrape has the series"
+    );
 
     let j = load_journal(&dir.join("run.journal.jsonl")).expect("journal loads after kill");
     assert_eq!(j.source, "threaded");

@@ -90,11 +90,43 @@ fn build(run: &RandomRun) -> (Trace, SimTime) {
 /// inside string values, numbers past `u64` and past `u32`. The same
 /// pieces are what breaks a Prometheus label value.
 const JOURNAL_FRAGMENTS: [&str; 37] = [
-    "\"", "\\", "\\u", "\\u12", "\\ud800", "\\n", "{", "}", ":", ",", "=", " ", "\n", "\u{8}", "é",
-    "日", "🦀", "\"kind\":", "\"journal_header\"", "\"pace\"", "\"hop\"", "\"crash\"", "\"fault\"",
-    "\"t_us\":", "\"node\":", "\"peer\":", "\"attempt\":", "\"leg\":\"fold\"", "\"law\":\"",
-    "\"source\":\"", "\"clamped\":", "true", "7", "4294967296", "18446744073709551616",
-    "\"value_us\":", "\"fault\":\"stall\"",
+    "\"",
+    "\\",
+    "\\u",
+    "\\u12",
+    "\\ud800",
+    "\\n",
+    "{",
+    "}",
+    ":",
+    ",",
+    "=",
+    " ",
+    "\n",
+    "\u{8}",
+    "é",
+    "日",
+    "🦀",
+    "\"kind\":",
+    "\"journal_header\"",
+    "\"pace\"",
+    "\"hop\"",
+    "\"crash\"",
+    "\"fault\"",
+    "\"t_us\":",
+    "\"node\":",
+    "\"peer\":",
+    "\"attempt\":",
+    "\"leg\":\"fold\"",
+    "\"law\":\"",
+    "\"source\":\"",
+    "\"clamped\":",
+    "true",
+    "7",
+    "4294967296",
+    "18446744073709551616",
+    "\"value_us\":",
+    "\"fault\":\"stall\"",
 ];
 
 fn journal_text() -> impl Strategy<Value = String> {
@@ -106,8 +138,15 @@ fn journal_text() -> impl Strategy<Value = String> {
 /// unknown code is written as the label of 0).
 fn record_strategy() -> impl Strategy<Value = JournalRecord> {
     let words = (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>());
-    (0u8..9, any::<u64>(), any::<u32>(), words, 0u8..5, any::<bool>()).prop_map(
-        |(tag, t, node, (a, b, c, small), law, flag)| {
+    (
+        0u8..9,
+        any::<u64>(),
+        any::<u32>(),
+        words,
+        0u8..5,
+        any::<bool>(),
+    )
+        .prop_map(|(tag, t, node, (a, b, c, small), law, flag)| {
             let kind = match tag {
                 0 => JournalKind::Pace {
                     law,
@@ -121,10 +160,17 @@ fn record_strategy() -> impl Strategy<Value = JournalRecord> {
                     peer: NodeId(small),
                     value: Micros(a),
                 },
-                2 => JournalKind::Occupancy { len: a, watermark: b, high: flag },
+                2 => JournalKind::Occupancy {
+                    len: a,
+                    watermark: b,
+                    high: flag,
+                },
                 3 => JournalKind::Stale { entered: flag },
                 4 => JournalKind::Crash { attempt: small },
-                5 => JournalKind::Restart { attempt: small, backoff: Micros(a) },
+                5 => JournalKind::Restart {
+                    attempt: small,
+                    backoff: Micros(a),
+                },
                 6 => JournalKind::Escalate { attempt: small },
                 7 => JournalKind::Fault {
                     class: [
@@ -136,9 +182,12 @@ fn record_strategy() -> impl Strategy<Value = JournalRecord> {
                 },
                 _ => JournalKind::SummaryDropped,
             };
-            JournalRecord { t: SimTime(t), node: NodeId(node), kind }
-        },
-    )
+            JournalRecord {
+                t: SimTime(t),
+                node: NodeId(node),
+                kind,
+            }
+        })
 }
 
 proptest! {

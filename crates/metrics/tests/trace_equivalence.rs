@@ -7,8 +7,8 @@
 
 use aru_core::graph::NodeId;
 use aru_metrics::{
-    FootprintReport, ItemId, IterKey, Lineage, PerfReport, SharedTrace, Trace,
-    TraceEvent, WasteReport,
+    FootprintReport, ItemId, IterKey, Lineage, PerfReport, SharedTrace, Trace, TraceEvent,
+    WasteReport,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
