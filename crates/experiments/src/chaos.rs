@@ -88,7 +88,11 @@ fn digitizer_iter_ends(r: &SimReport) -> Vec<u64> {
 }
 
 fn mean_gap(ends: &[u64], lo: u64, hi: u64) -> f64 {
-    let w: Vec<u64> = ends.iter().copied().filter(|t| (lo..hi).contains(t)).collect();
+    let w: Vec<u64> = ends
+        .iter()
+        .copied()
+        .filter(|t| (lo..hi).contains(t))
+        .collect();
     if w.len() < 2 {
         return f64::NAN;
     }
@@ -204,7 +208,10 @@ impl Chaos {
                 l.faults.summaries_dropped, l.faults.stale_iterations
             ),
             format!("{:.1}/s paced", l.rate_before),
-            format!("{:.1}/s unpaced → {:.1}/s repaced", l.rate_during, l.rate_after),
+            format!(
+                "{:.1}/s unpaced → {:.1}/s repaced",
+                l.rate_during, l.rate_after
+            ),
             "decays, re-paces".into(),
         ]);
         t.render()
@@ -249,8 +256,18 @@ impl Chaos {
     pub fn export_jsonl(&self, sink: &ExportSink) -> std::io::Result<()> {
         let now = wall_clock_unix_us();
         let scenarios: [(&str, &Telemetry, &FaultReport, u64); 2] = [
-            ("crash_recovery", &self.crash.telemetry, &self.crash.faults, self.crash.epoch_unix_us),
-            ("feedback_loss", &self.loss.telemetry, &self.loss.faults, self.loss.epoch_unix_us),
+            (
+                "crash_recovery",
+                &self.crash.telemetry,
+                &self.crash.faults,
+                self.crash.epoch_unix_us,
+            ),
+            (
+                "feedback_loss",
+                &self.loss.telemetry,
+                &self.loss.faults,
+                self.loss.epoch_unix_us,
+            ),
         ];
         for (name, tele, faults, epoch) in scenarios {
             sink.append_jsonl(&format!("{{\"kind\":\"scenario\",\"name\":\"{name}\"}}"))?;
@@ -262,12 +279,16 @@ impl Chaos {
 
     /// Persist each scenario's flight-recorder journal (DESIGN.md §16)
     /// next to the CSVs, for `repro doctor` and CI's chaos lane.
-    pub fn write_journals(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+    pub fn write_journals(
+        &self,
+        dir: &std::path::Path,
+    ) -> std::io::Result<Vec<std::path::PathBuf>> {
         let crash = dir.join("chaos_crash.journal.jsonl");
-        self.crash
-            .telemetry
-            .journal
-            .write_snapshot_file(&crash, "sim", self.crash.epoch_unix_us)?;
+        self.crash.telemetry.journal.write_snapshot_file(
+            &crash,
+            "sim",
+            self.crash.epoch_unix_us,
+        )?;
         let loss = dir.join("chaos_loss.journal.jsonl");
         self.loss
             .telemetry
@@ -305,12 +326,18 @@ impl Chaos {
             ShapeCheck::new(
                 "chaos: stale source decays toward unpaced",
                 l.rate_during > l.rate_before * 2.0,
-                format!("{:.1}/s paced vs {:.1}/s stale", l.rate_before, l.rate_during),
+                format!(
+                    "{:.1}/s paced vs {:.1}/s stale",
+                    l.rate_before, l.rate_during
+                ),
             ),
             ShapeCheck::new(
                 "chaos: pacing resumes when feedback returns",
                 l.rate_after < l.rate_during / 2.0,
-                format!("{:.1}/s stale vs {:.1}/s repaced", l.rate_during, l.rate_after),
+                format!(
+                    "{:.1}/s stale vs {:.1}/s repaced",
+                    l.rate_during, l.rate_after
+                ),
             ),
         ]
     }
@@ -356,7 +383,11 @@ mod tests {
         assert_eq!(crash_j.source, "sim");
         let d = crate::doctor::diagnose(&crash_j);
         assert!(d.has("crash"), "doctor findings: {:?}", d.findings);
-        assert!(d.has("fault_injection"), "doctor findings: {:?}", d.findings);
+        assert!(
+            d.has("fault_injection"),
+            "doctor findings: {:?}",
+            d.findings
+        );
         let crash_finding = d.findings.iter().find(|f| f.code == "crash").unwrap();
         assert!(
             crash_finding.message.contains("recovered"),

@@ -69,12 +69,7 @@ impl Fig10 {
                     "paper jit",
                 ],
             );
-            for (mi, row) in self
-                .rows
-                .iter()
-                .filter(|r| r.config == *config)
-                .enumerate()
-            {
+            for (mi, row) in self.rows.iter().filter(|r| r.config == *config).enumerate() {
                 t.row(vec![
                     row.mode.to_string(),
                     format!("{:.2}", row.fps_mean),
@@ -96,9 +91,8 @@ impl Fig10 {
     /// Machine-readable CSV.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "config,mode,fps_mean,fps_std,latency_ms_mean,latency_ms_std,jitter_ms\n",
-        );
+        let mut s =
+            String::from("config,mode,fps_mean,fps_std,latency_ms_mean,latency_ms_std,jitter_ms\n");
         for row in &self.rows {
             s.push_str(&format!(
                 "{},{},{:.4},{:.4},{:.3},{:.3},{:.3}\n",

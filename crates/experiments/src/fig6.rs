@@ -38,7 +38,9 @@ impl Fig6 {
         let mut out = Fig6::default();
         for &config in cells.configs() {
             let igc_mean = cells.stats(config, Mode::NoAru, |c| c.igc.mean / MB).mean();
-            let igc_std = cells.stats(config, Mode::NoAru, |c| c.igc.std_dev / MB).mean();
+            let igc_std = cells
+                .stats(config, Mode::NoAru, |c| c.igc.std_dev / MB)
+                .mean();
             out.igc.push((config, igc_mean, igc_std));
             for mode in modes() {
                 let mean_mb = cells.stats(config, mode, |c| c.footprint.mean / MB).mean();
@@ -46,7 +48,9 @@ impl Fig6 {
                     mode: mode.label(),
                     config,
                     mean_mb,
-                    std_mb: cells.stats(config, mode, |c| c.footprint.std_dev / MB).mean(),
+                    std_mb: cells
+                        .stats(config, mode, |c| c.footprint.std_dev / MB)
+                        .mean(),
                     pct_wrt_igc: if igc_mean > 0.0 {
                         100.0 * mean_mb / igc_mean
                     } else {
@@ -74,12 +78,7 @@ impl Fig6 {
                     "paper %",
                 ],
             );
-            for (mi, row) in self
-                .rows
-                .iter()
-                .filter(|r| r.config == *config)
-                .enumerate()
-            {
+            for (mi, row) in self.rows.iter().filter(|r| r.config == *config).enumerate() {
                 t.row(vec![
                     row.mode.to_string(),
                     format!("{:.2}", row.std_mb),
@@ -150,7 +149,10 @@ impl Fig6 {
                 checks.push(ShapeCheck::new(
                     format!("fig6 {cname}: ARU cuts footprint by ≥ half"),
                     rows[2].mean_mb < rows[0].mean_mb / 2.0,
-                    format!("max {:.2} vs baseline {:.2} MB", rows[2].mean_mb, rows[0].mean_mb),
+                    format!(
+                        "max {:.2} vs baseline {:.2} MB",
+                        rows[2].mean_mb, rows[0].mean_mb
+                    ),
                 ));
                 checks.push(ShapeCheck::new(
                     format!("fig6 {cname}: baseline far above IGC"),

@@ -59,12 +59,7 @@ impl Fig7 {
                     "paper comp",
                 ],
             );
-            for (mi, row) in self
-                .rows
-                .iter()
-                .filter(|r| r.config == *config)
-                .enumerate()
-            {
+            for (mi, row) in self.rows.iter().filter(|r| r.config == *config).enumerate() {
                 t.row(vec![
                     row.mode.to_string(),
                     format!("{:.1}", row.pct_mem_wasted),

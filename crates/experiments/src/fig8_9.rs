@@ -30,7 +30,12 @@ impl FigSeries {
     pub fn from_cells(cells: &PaperCells, config: TrackerConfigId) -> FigSeries {
         // The first seed's run is the one that kept its series.
         let run = |mode: Mode| &cells.of(config, mode)[0];
-        let series = |mode: Mode| run(mode).series.as_ref().expect("first seed keeps its series");
+        let series = |mode: Mode| {
+            run(mode)
+                .series
+                .as_ref()
+                .expect("first seed keeps its series")
+        };
         let observed = |mode: Mode| (mode.label().to_string(), series(mode).observed.clone());
         FigSeries {
             config,
@@ -56,11 +61,8 @@ impl FigSeries {
     /// per panel).
     #[must_use]
     pub fn to_csv(&self, buckets: usize) -> String {
-        let refs: Vec<(&str, &TimeWeightedSeries)> = self
-            .panels
-            .iter()
-            .map(|(l, s)| (l.as_str(), s))
-            .collect();
+        let refs: Vec<(&str, &TimeWeightedSeries)> =
+            self.panels.iter().map(|(l, s)| (l.as_str(), s)).collect();
         series_csv(&refs, self.t_end, buckets)
     }
 
@@ -78,8 +80,7 @@ impl FigSeries {
     /// IGC <= ARU-max < ARU-min < No-ARU (the visual of Figures 8/9).
     #[must_use]
     pub fn shape_checks(&self) -> Vec<ShapeCheck> {
-        let mean =
-            |s: &TimeWeightedSeries| s.weighted_summary(self.t_end).mean;
+        let mean = |s: &TimeWeightedSeries| s.weighted_summary(self.t_end).mean;
         let lvl: Vec<f64> = self.panels.iter().map(|(_, s)| mean(s)).collect();
         let name = format!("fig{}", self.fig_no());
         // Panel order is [IGC, ARU-max, ARU-min, No-ARU]. The paper's
@@ -121,10 +122,8 @@ mod tests {
 
     #[test]
     fn fig8_quick_run_has_paper_shape() {
-        let fig = FigSeries::from_cells(
-            crate::cells::tests::quick_cells(),
-            TrackerConfigId::OneNode,
-        );
+        let fig =
+            FigSeries::from_cells(crate::cells::tests::quick_cells(), TrackerConfigId::OneNode);
         assert_eq!(fig.panels.len(), 4);
         for c in fig.shape_checks() {
             assert!(c.passed, "{} — {}", c.name, c.detail);

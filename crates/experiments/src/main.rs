@@ -66,7 +66,8 @@ fn parse_args() -> Args {
     };
     let number = |flag: &str, v: Option<String>| -> u64 {
         let v = value(flag, v);
-        v.parse().unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {v}")))
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {v}")))
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -91,7 +92,9 @@ fn parse_args() -> Args {
         }
     }
     if !EXPERIMENTS.split('|').any(|name| name == exp) {
-        usage_error(&format!("unknown experiment: {exp} (expected {EXPERIMENTS})"));
+        usage_error(&format!(
+            "unknown experiment: {exp} (expected {EXPERIMENTS})"
+        ));
     }
     let mut params = if quick || smoke {
         ExpParams::quick()
@@ -225,13 +228,19 @@ fn main() {
         if want("stability") {
             let fig = stability::run(&args.params, &crash);
             emit!(fig, "stability_laws.csv");
-            fig.export_jsonl(&fresh_jsonl_sink(args.out.join("stability_telemetry.jsonl")))
-                .expect("write stability telemetry jsonl");
+            fig.export_jsonl(&fresh_jsonl_sink(
+                args.out.join("stability_telemetry.jsonl"),
+            ))
+            .expect("write stability telemetry jsonl");
             // Per-cell flight-recorder journals for `repro doctor`.
             let journals = fig
                 .write_journals(&args.out)
                 .expect("write stability journals");
-            println!("{} stability journals written to {}", journals.len(), args.out.display());
+            println!(
+                "{} stability journals written to {}",
+                journals.len(),
+                args.out.display()
+            );
         }
     }
     if want("scale") {

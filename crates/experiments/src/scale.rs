@@ -85,8 +85,7 @@ pub fn build(sc: &ScaleScenario) -> (SimBuilder, SimConfig) {
         match sc.load {
             Load::Steady => {}
             Load::Diurnal => {
-                src_spec =
-                    src_spec.with_diurnal_load(Micros::from_secs(1), 2.5, 8, sc.duration);
+                src_spec = src_spec.with_diurnal_load(Micros::from_secs(1), 2.5, 8, sc.duration);
             }
             Load::Bursty => {
                 src_spec =
@@ -289,8 +288,17 @@ impl Scale {
         let mut t = Table::new(
             "Scale sweep — calendar-queue engine, nodes × speeds × load × faults",
             &[
-                "nodes", "speeds", "load", "crashes", "fanout", "outputs", "events",
-                "peak pend", "wall ms", "Mev/s", "waste %",
+                "nodes",
+                "speeds",
+                "load",
+                "crashes",
+                "fanout",
+                "outputs",
+                "events",
+                "peak pend",
+                "wall ms",
+                "Mev/s",
+                "waste %",
             ],
         );
         for r in &self.rows {
@@ -359,7 +367,9 @@ impl Scale {
     }
 
     fn cell(&self, nodes: usize, load: Load) -> Option<&ScaleRow> {
-        self.rows.iter().find(|r| r.nodes == nodes && r.load == load)
+        self.rows
+            .iter()
+            .find(|r| r.nodes == nodes && r.load == load)
     }
 
     /// The qualitative invariants this sweep must uphold.
@@ -377,12 +387,16 @@ impl Scale {
         // Event volume scales with the cluster (pipelines × duration):
         // the 1000-node steady cell must dispatch far more events than the
         // 10-node one even at a fifth of the virtual duration.
-        if let (Some(small), Some(big)) = (self.cell(10, Load::Steady), self.cell(1000, Load::Steady))
+        if let (Some(small), Some(big)) =
+            (self.cell(10, Load::Steady), self.cell(1000, Load::Steady))
         {
             checks.push(ShapeCheck::new(
                 "scale: events grow ~linearly with node count",
                 big.events > small.events * 5,
-                format!("{} events at 1000 nodes vs {} at 10", big.events, small.events),
+                format!(
+                    "{} events at 1000 nodes vs {} at 10",
+                    big.events, small.events
+                ),
             ));
             checks.push(ShapeCheck::new(
                 "scale: pending-event population grows with the cluster",

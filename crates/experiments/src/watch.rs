@@ -27,9 +27,7 @@ fn find<'a, V>(
     label: (&str, &str),
 ) -> Option<&'a V> {
     map.iter()
-        .find(|(s, _)| {
-            s.name == name && s.labels.iter().any(|(k, v)| k == label.0 && v == label.1)
-        })
+        .find(|(s, _)| s.name == name && s.labels.iter().any(|(k, v)| k == label.0 && v == label.1))
         .map(|(_, v)| v)
 }
 
@@ -48,7 +46,15 @@ fn counter(snap: &RegistrySnapshot, name: &str, label: (&str, &str)) -> u64 {
 pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
     let mut t = Table::new(
         "threads — STP and pacing (live)",
-        &["thread", "stp now", "stp summary", "iters", "paced", "skipped", "sleep ms"],
+        &[
+            "thread",
+            "stp now",
+            "stp summary",
+            "iters",
+            "paced",
+            "skipped",
+            "sleep ms",
+        ],
     );
     for name in TASKS {
         let l = ("thread", name);
@@ -59,7 +65,10 @@ pub fn render_snapshot(snap: &RegistrySnapshot) -> String {
             format!("{}", counter(snap, "aru_iterations_total", l)),
             format!("{}", counter(snap, "aru_pacing_taken_total", l)),
             format!("{}", counter(snap, "aru_pacing_skipped_total", l)),
-            format!("{:.0}", counter(snap, "aru_pace_sleep_us_total", l) as f64 / 1e3),
+            format!(
+                "{:.0}",
+                counter(snap, "aru_pace_sleep_us_total", l) as f64 / 1e3
+            ),
         ]);
     }
     let mut c = Table::new(
@@ -143,9 +152,10 @@ pub fn run_watch(duration: Micros, out: &Path) {
 
 fn series_value(prom_text: &str, series: &str, thread: &str) -> Option<f64> {
     let needle = format!("{series}{{thread=\"{thread}\"}} ");
-    prom_text
-        .lines()
-        .find_map(|l| l.strip_prefix(needle.as_str()).and_then(|v| v.parse::<f64>().ok()))
+    prom_text.lines().find_map(|l| {
+        l.strip_prefix(needle.as_str())
+            .and_then(|v| v.parse::<f64>().ok())
+    })
 }
 
 /// A stage counts as reporting once it has completed iterations and its
@@ -176,8 +186,7 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
         let text = std::fs::read_to_string(out.join("telemetry.prom")).unwrap_or_default();
-        if TASKS.iter().all(|name| stage_reported(&text, name)) && any_nonzero_stp(&text, &TASKS)
-        {
+        if TASKS.iter().all(|name| stage_reported(&text, name)) && any_nonzero_stp(&text, &TASKS) {
             break;
         }
         std::thread::sleep(Duration::from_millis(250));
@@ -203,7 +212,11 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     if !any_nonzero_stp(&text, &TASKS) {
         failures.push("no stage reported a nonzero STP".into());
     }
-    for required in ["aru_channel_puts_total", "aru_iterations_total", "aru_epoch_unix_us"] {
+    for required in [
+        "aru_channel_puts_total",
+        "aru_iterations_total",
+        "aru_epoch_unix_us",
+    ] {
         if !text.contains(required) {
             failures.push(format!("scrape lacks series '{required}'"));
         }
@@ -213,7 +226,10 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     if lines < 2 {
         failures.push(format!("expected >=2 JSONL snapshots, found {lines}"));
     }
-    if !jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')) {
+    if !jsonl
+        .lines()
+        .all(|l| l.starts_with('{') && l.ends_with('}'))
+    {
         failures.push("JSONL artifact has a malformed line".into());
     }
     // Clean stop must leave a loadable flight-recorder journal with the
@@ -222,7 +238,10 @@ pub fn run_smoke(out: &Path) -> Vec<String> {
     match aru_metrics::load_journal(&out.join("watch.journal.jsonl")) {
         Ok(j) => {
             if j.source != "threaded" {
-                failures.push(format!("journal source '{}', expected 'threaded'", j.source));
+                failures.push(format!(
+                    "journal source '{}', expected 'threaded'",
+                    j.source
+                ));
             }
             if j.snapshot.records.is_empty() {
                 failures.push("journal snapshot has no records".into());
@@ -256,9 +275,12 @@ mod tests {
             // The rendered watch table works off the same artifacts' source
             // registry; sanity-check the renderer on a synthetic snapshot.
             let reg = aru_metrics::Registry::new();
-            reg.gauge("aru_stp_current_us", &[("thread", "digitizer")]).set(40_000.0);
-            reg.counter("aru_channel_puts_total", &[("channel", "C1")]).add(3);
-            reg.gauge("aru_channel_occupancy_items", &[("channel", "C1")]).set(2.0);
+            reg.gauge("aru_stp_current_us", &[("thread", "digitizer")])
+                .set(40_000.0);
+            reg.counter("aru_channel_puts_total", &[("channel", "C1")])
+                .add(3);
+            reg.gauge("aru_channel_occupancy_items", &[("channel", "C1")])
+                .set(2.0);
             render_snapshot(&reg.snapshot())
         };
         assert!(snap_render.contains("digitizer"));
