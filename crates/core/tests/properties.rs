@@ -213,33 +213,16 @@ proptest! {
 // Control-law invariants (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-use aru_core::{ControlLaw, HysteresisLaw, HysteresisParams, PidLaw, PidParams};
+use aru_core::law::{BAND, KI, KP, MAX_PERIOD_US, STEP};
+use aru_core::{ControllerConfig, Law};
 
-fn raw_seq() -> impl Strategy<Value = Vec<Stp>> {
-    prop::collection::vec((0u64..50_000_000).prop_map(Stp::from_micros), 1..64)
-}
-
-fn hysteresis_params() -> impl Strategy<Value = HysteresisParams> {
-    (0.0f64..0.5, 0.01f64..0.9, 0.01f64..0.9).prop_map(|(band, up, down)| HysteresisParams {
-        band,
-        max_step_up: up,
-        max_step_down: down,
-    })
-}
-
-/// Discrete-stable PID gains (Jury conditions for the applied/integral
-/// system hold on this box: 0 < kp < 2, small ki/kd).
-fn pid_params() -> impl Strategy<Value = PidParams> {
-    (0.1f64..1.2, 0.01f64..0.4, 0.0f64..0.2).prop_map(|(kp, ki, kd)| PidParams {
-        kp,
-        ki,
-        kd,
-        ..PidParams::default()
-    })
+/// Up to 64 raw targets below `max` µs.
+fn raw_seq(max: u64) -> impl Strategy<Value = Vec<Stp>> {
+    prop::collection::vec((0..max).prop_map(Stp::from_micros), 1..64)
 }
 
 /// Drive a law with a constant raw target until `pending` clears.
-fn settle(law: &mut dyn ControlLaw, raw: Stp, max_iters: usize) -> Option<Stp> {
+fn settle(law: &mut Law, raw: Stp, max_iters: usize) -> Option<Stp> {
     let mut d = law.decide(raw);
     for _ in 0..max_iters {
         if !law.pending() {
@@ -250,6 +233,17 @@ fn settle(law: &mut dyn ControlLaw, raw: Stp, max_iters: usize) -> Option<Stp> {
     None
 }
 
+/// The PID gains lie inside the box the law proptests once sampled
+/// (kp ∈ [0.1, 1.2), ki ∈ [0.01, 0.4)), where the Jury conditions of the
+/// error/integral system `z² − (2 − kp − ki)·z + (1 − kp)` hold: ki > 0,
+/// 0 < kp < 2 and 2·kp + ki < 4.
+#[test]
+fn pid_gains_lie_inside_the_jury_box() {
+    let (kp, ki) = (KP, KI);
+    assert!((0.1..1.2).contains(&kp) && (0.01..0.4).contains(&ki));
+    assert!(ki > 0.0 && (0.0..2.0).contains(&kp) && 2.0 * kp + ki < 4.0);
+}
+
 proptest! {
     /// Hysteresis, under any raw-target sequence, produces a valid period:
     /// a plain u64 (never NaN/negative by construction) that never exceeds
@@ -257,11 +251,8 @@ proptest! {
     /// non-overshooting by design. (PID may transiently overshoot; its
     /// guarantee is the hard range, checked below.)
     #[test]
-    fn hysteresis_always_produces_valid_periods(
-        seq in raw_seq(),
-        hp in hysteresis_params(),
-    ) {
-        let mut law = HysteresisLaw::new(hp);
+    fn hysteresis_always_produces_valid_periods(seq in raw_seq(50_000_000)) {
+        let mut law = Law::new(ControllerConfig::Hysteresis);
         let hi = seq.iter().map(|s| s.as_micros()).max().unwrap_or(0);
         for &raw in &seq {
             let d = law.decide(raw);
@@ -275,39 +266,37 @@ proptest! {
     }
 
     /// Hysteresis slew clamps are always respected: a single decision never
-    /// moves the applied period by more than the configured relative step
-    /// (±1 µs of rounding/minimum-progress slack).
+    /// moves the applied period by more than `STEP` of itself (±1 µs of
+    /// rounding/minimum-progress slack).
     #[test]
-    fn hysteresis_respects_slew_clamps(
-        seq in raw_seq(),
-        hp in hysteresis_params(),
-    ) {
-        let mut law = HysteresisLaw::new(hp);
+    fn hysteresis_respects_slew_clamps(seq in raw_seq(50_000_000)) {
+        let mut law = Law::new(ControllerConfig::Hysteresis);
         let mut applied = law.decide(seq[0]).target.as_micros() as f64;
         for &raw in &seq[1..] {
             let next = law.decide(raw).target.as_micros() as f64;
-            let max_up = applied * hp.max_step_up + 1.5;
-            let max_down = applied * hp.max_step_down + 1.5;
+            let max_step = applied * STEP + 1.5;
             prop_assert!(
-                next - applied <= max_up && applied - next <= max_down,
-                "hysteresis step {applied} -> {next} breaks clamps ({hp:?})"
+                (next - applied).abs() <= max_step,
+                "hysteresis step {applied} -> {next} breaks the slew clamp"
             );
             applied = next;
         }
     }
 
     /// Hysteresis is idempotent on repeated identical inputs once settled:
-    /// the dead-band absorbs the constant signal and the target freezes.
+    /// the dead-band absorbs the constant signal and the target freezes
+    /// within `BAND` of it.
     #[test]
     fn hysteresis_dead_band_idempotent(
         first in 1u64..10_000_000,
         second in 1u64..10_000_000,
-        hp in hysteresis_params(),
     ) {
-        let mut law = HysteresisLaw::new(hp);
+        let mut law = Law::new(ControllerConfig::Hysteresis);
         law.decide(Stp::from_micros(first));
         let settled = settle(&mut law, Stp::from_micros(second), 10_000)
             .expect("hysteresis settles on a constant signal");
+        let gap = (settled.as_micros() as f64 - second as f64).abs();
+        prop_assert!(gap <= BAND * second as f64 + 0.5, "settled {settled} outside the band");
         for _ in 0..16 {
             let d = law.decide(Stp::from_micros(second));
             prop_assert_eq!(d.target, settled, "settled target drifted");
@@ -315,70 +304,50 @@ proptest! {
         }
     }
 
-    /// PID output always honours the configured hard range.
+    /// PID output always honours its hard range `[0, MAX_PERIOD_US]`, on
+    /// raw targets that reach well past the ceiling.
     #[test]
-    fn pid_respects_range_clamps(
-        seq in raw_seq(),
-        pp in pid_params(),
-        lo in 0u64..1000,
-        span in 1u64..10_000_000,
-    ) {
-        let params = PidParams {
-            min_period: Micros(lo),
-            max_period: Micros(lo + span),
-            ..pp
-        };
-        let mut law = PidLaw::new(params);
+    fn pid_respects_range_clamps(seq in raw_seq(4 * MAX_PERIOD_US as u64)) {
+        let ceiling = Stp::from_micros(MAX_PERIOD_US as u64);
+        let mut law = Law::new(ControllerConfig::Pid);
         law.decide(seq[0]); // anchor is the oracle and may sit outside range
         for &raw in &seq[1..] {
-            let t = law.decide(raw).target.as_micros();
-            prop_assert!(
-                (lo..=lo + span + 1).contains(&t),
-                "pid target {t} outside [{lo}, {}]",
-                lo + span
-            );
+            let t = law.decide(raw).target;
+            prop_assert!(t <= ceiling, "pid target {t} above the ceiling");
         }
     }
 
-    /// Anti-windup: hold a raw target far above `max_period` for `hold`
-    /// decisions, so the output saturates at the ceiling while the error
-    /// stays large, then bring the raw target back inside the range. The
-    /// integral clamp `L` caps what the saturated phase can store, so the
-    /// recovery is the same trajectory whatever the hold length (without
-    /// the clamp the integral grows ∝ hold and a longer hold pins the
-    /// output at the ceiling for longer), and the law still settles on
-    /// Direct's fixed point.
+    /// Anti-windup: hold a raw target far above the ceiling for `hold`
+    /// decisions, so the output saturates there while the error stays
+    /// large, then bring the raw target back inside the range. The integral
+    /// clamp caps what the saturated phase can store, so the recovery is
+    /// the same trajectory whatever the hold length (without the clamp the
+    /// integral grows ∝ hold and a longer hold pins the output at the
+    /// ceiling for longer), and the law still settles on Direct's fixed
+    /// point.
     #[test]
     fn pid_antiwindup_makes_recovery_independent_of_hold(
-        pp in pid_params(),
-        lim_us in 100u64..10_000,
-        max_us in 1_000u64..1_000_000,
+        anchor in 0.05f64..0.95,
         back in 0.05f64..0.95,
         hold in 3usize..128,
     ) {
-        let params = PidParams {
-            integral_limit: Micros(lim_us),
-            min_period: Micros::ZERO,
-            max_period: Micros(max_us),
-            ..pp
-        };
-        let anchor = Stp::from_micros(max_us / 2);
-        let high = Stp::from_micros(max_us * 100);
-        let inside = Stp::from_micros((max_us as f64 * back) as u64);
+        let at = |frac: f64| Stp::from_micros((MAX_PERIOD_US * frac) as u64);
+        let ceiling = at(1.0);
+        let high = at(100.0);
         let recovery = |hold: usize| {
-            let mut law = PidLaw::new(params);
-            law.decide(anchor);
+            let mut law = Law::new(ControllerConfig::Pid);
+            law.decide(at(anchor));
             for _ in 0..hold {
                 let t = law.decide(high).target;
-                assert!(t <= Stp::from_micros(max_us), "ceiling respected: {t}");
+                assert!(t <= ceiling, "ceiling respected: {t}");
             }
-            let path: Vec<Stp> = (0..64).map(|_| law.decide(inside).target).collect();
-            (path, settle(&mut law, inside, 5_000))
+            let path: Vec<Stp> = (0..64).map(|_| law.decide(at(back)).target).collect();
+            (path, settle(&mut law, at(back), 5_000))
         };
         let (short, _) = recovery(2);
         let (long, settled) = recovery(hold);
         prop_assert_eq!(&long, &short, "recovery depends on the hold length");
-        prop_assert_eq!(settled, Some(inside), "pid fixed point after windup");
+        prop_assert_eq!(settled, Some(at(back)), "pid fixed point after windup");
     }
 
     /// PID converges to Direct's fixed point — the raw target itself — on a
@@ -387,9 +356,8 @@ proptest! {
     fn pid_converges_to_direct_fixed_point(
         start in 1u64..100_000,
         target in 1u64..100_000,
-        pp in pid_params(),
     ) {
-        let mut pid = PidLaw::new(pp);
+        let mut pid = Law::new(ControllerConfig::Pid);
         pid.decide(Stp::from_micros(start));
         let fixed = settle(&mut pid, Stp::from_micros(target), 5_000);
         prop_assert_eq!(fixed, Some(Stp::from_micros(target)), "pid fixed point");

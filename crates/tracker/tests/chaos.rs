@@ -7,7 +7,7 @@
 //! operating point: the digitizer's paced production period after recovery
 //! must match its pre-fault steady state within 10%.
 
-use aru_core::{AruConfig, ControllerConfig, HysteresisParams, PidParams, RetryPolicy};
+use aru_core::{AruConfig, ControllerConfig, RetryPolicy};
 use aru_metrics::TraceEvent;
 use desim::FaultPlan;
 use tracker::app_sim::{run_sim, SimTrackerParams, TrackerConfigId};
@@ -17,8 +17,8 @@ use vtime::Micros;
 fn all_laws() -> Vec<ControllerConfig> {
     vec![
         ControllerConfig::Direct,
-        ControllerConfig::Pid(PidParams::default()),
-        ControllerConfig::Hysteresis(HysteresisParams::default()),
+        ControllerConfig::Pid,
+        ControllerConfig::Hysteresis,
     ]
 }
 
