@@ -28,17 +28,6 @@ impl BackwardStpVec {
         }
     }
 
-    /// Number of output connections tracked.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Grow to accommodate output connection `i` (connections may attach
     /// after node creation in Stampede).
     pub fn ensure_slot(&mut self, i: usize) {
@@ -52,18 +41,6 @@ impl BackwardStpVec {
     pub fn update(&mut self, i: usize, stp: Stp) {
         self.ensure_slot(i);
         self.slots[i] = Some(stp);
-    }
-
-    /// Latest value for connection `i`, if any.
-    #[must_use]
-    pub fn get(&self, i: usize) -> Option<Stp> {
-        self.slots.get(i).copied().flatten()
-    }
-
-    /// How many slots hold a value.
-    #[must_use]
-    pub fn known(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Compute the compressed-backwardSTP with the given operator over the
@@ -82,16 +59,14 @@ mod tests {
     #[test]
     fn starts_unknown() {
         let mut v = BackwardStpVec::new(3);
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.known(), 0);
         assert_eq!(v.compressed(&CompressOp::Min), None);
+        assert_eq!(v.compressed(&CompressOp::Max), None);
     }
 
     #[test]
     fn update_and_compress_partial() {
         let mut v = BackwardStpVec::new(3);
         v.update(1, Stp::from_micros(200));
-        assert_eq!(v.known(), 1);
         // unknown slots are ignored, not treated as zero
         assert_eq!(v.compressed(&CompressOp::Min), Some(Stp::from_micros(200)));
         v.update(0, Stp::from_micros(500));
@@ -104,18 +79,19 @@ mod tests {
         let mut v = BackwardStpVec::new(1);
         v.update(0, Stp::from_micros(100));
         v.update(0, Stp::from_micros(900));
-        assert_eq!(v.get(0), Some(Stp::from_micros(900)));
         assert_eq!(v.compressed(&CompressOp::Min), Some(Stp::from_micros(900)));
+        assert_eq!(v.compressed(&CompressOp::Max), Some(Stp::from_micros(900)));
     }
 
     #[test]
     fn ensure_slot_grows() {
         let mut v = BackwardStpVec::new(0);
         v.update(4, Stp::from_micros(50));
-        assert_eq!(v.len(), 5);
-        assert_eq!(v.get(4), Some(Stp::from_micros(50)));
-        assert_eq!(v.get(2), None);
-        assert_eq!(v.get(17), None);
+        // Slots 0-3 were created empty: the one known value is both bounds.
+        assert_eq!(v.compressed(&CompressOp::Min), Some(Stp::from_micros(50)));
+        assert_eq!(v.compressed(&CompressOp::Max), Some(Stp::from_micros(50)));
+        v.update(2, Stp::from_micros(80));
+        assert_eq!(v.compressed(&CompressOp::Max), Some(Stp::from_micros(80)));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! complete data-dependency between all consumer nodes, the `max` operator
 //! can be used."*
 
-use crate::error::AruError;
 use crate::stp::Stp;
 use std::fmt;
 use std::sync::Arc;
@@ -69,13 +68,6 @@ impl CompressOp {
         }
     }
 
-    /// Typed-error [`CompressOp::compress`]: an empty backward vector is an
-    /// [`AruError::EmptyCompress`] instead of `None`, for callers that treat
-    /// "no knowledge" as exceptional rather than as the pre-feedback state.
-    pub fn try_compress(&self, known: &[Stp]) -> Result<Stp, AruError> {
-        self.compress(known).ok_or(AruError::EmptyCompress)
-    }
-
     /// A custom operator computing the k-th smallest value (k is clamped to
     /// the populated length). `kth_smallest(0)` ≡ `Min`; a large `k` ≡ `Max`.
     /// Provided as a ready-made middle ground between the two built-ins.
@@ -89,7 +81,9 @@ impl CompressOp {
     }
 
     /// A custom operator returning the mean period. Smoother than min/max
-    /// under noisy consumers, used by the ablation bench.
+    /// under noisy consumers; the ablation
+    /// `compress_operators_order_production_on_a_fanout` in
+    /// `desim/tests/extensions.rs` orders it between the two.
     #[must_use]
     pub fn mean() -> CompressOp {
         CompressOp::Custom(Arc::new(|known: &[Stp]| {
@@ -190,19 +184,6 @@ mod tests {
         assert_eq!(
             CompressOp::mean().compress(&v),
             Some(Stp::from_micros(u64::MAX - 1))
-        );
-    }
-
-    #[test]
-    fn try_compress_types_the_empty_case() {
-        use crate::error::AruError;
-        assert_eq!(
-            CompressOp::Min.try_compress(&[]),
-            Err(AruError::EmptyCompress)
-        );
-        assert_eq!(
-            CompressOp::Min.try_compress(&stps(&[250])),
-            Ok(Stp::from_micros(250))
         );
     }
 

@@ -7,7 +7,9 @@
 //!
 //! * **STP measurement** ([`stp::StpMeter`]): the *Sustainable Thread Period*
 //!   is the wall time of one task-loop iteration *excluding* time spent
-//!   blocked on upstream data (paper §3.3.1, Figure 2).
+//!   blocked on upstream data (paper §3.3.1, Figure 2). The meter's hooks
+//!   are total: an unbalanced sequence (a task restarted mid-block) is
+//!   repaired, never a panic or an error.
 //! * **Backward propagation** ([`backward::BackwardStpVec`]): every node
 //!   (thread, channel or queue) keeps a vector of the most recent
 //!   summary-STP received from each downstream (output) connection
@@ -21,9 +23,11 @@
 //!   value unchanged.
 //! * **Pacing** ([`pacing::Pacer`]): source threads stretch their production
 //!   period to the propagated summary-STP by sleeping the residual.
-//! * **Filters** ([`filter`]): smoothing of noisy summary-STP streams (EWMA,
-//!   windowed median) — named as the natural extension / future work in
-//!   §3.3.2 and §6, implemented here and evaluated in an ablation bench.
+//! * **Filters** ([`filter::Filter`]): one state machine that smooths noisy
+//!   summary-STP streams (identity, EWMA, windowed median) — named as the
+//!   natural extension / future work in §3.3.2 and §6, implemented here and
+//!   evaluated by `stp_filters_cut_production_jitter_under_a_noisy_consumer`
+//!   in `desim/tests/extensions.rs`.
 //! * **Control laws** ([`law`]): guardrails between the propagated
 //!   summary-STP and the pacer — `Direct` (the paper's law and the
 //!   default), PI with anti-windup, and a hysteresis dead-band —
@@ -44,7 +48,6 @@
 pub mod backward;
 pub mod compress;
 pub mod controller;
-pub mod error;
 pub mod filter;
 pub mod graph;
 pub mod law;
@@ -55,12 +58,11 @@ pub mod summary;
 
 pub use backward::BackwardStpVec;
 pub use compress::CompressOp;
-pub use controller::{AruConfig, AruController, FilterSpec, IterationOutcome, PacingPolicy};
-pub use error::AruError;
-pub use filter::{EwmaFilter, IdentityFilter, MedianFilter, StpFilter};
+pub use controller::{AruConfig, AruController, IterationOutcome, PacingPolicy};
+pub use filter::{Filter, FilterSpec};
 pub use graph::{ConnId, NodeId, NodeKind, Topology};
 pub use law::{ControllerConfig, Law, LawDecision};
 pub use pacing::Pacer;
 pub use retry::{Backoff, RetryPolicy};
 pub use stp::{Stp, StpMeter};
-pub use summary::{summary_for_buffer, summary_for_thread};
+pub use summary::summary_for_thread;

@@ -67,11 +67,6 @@ impl Pacer {
             next.since(now)
         }
     }
-
-    /// Forget the release anchor (e.g. after a reconfiguration).
-    pub fn reset(&mut self) {
-        self.last_release = None;
-    }
 }
 
 #[cfg(test)]
@@ -138,17 +133,6 @@ mod tests {
         p.sleep_until_release(SimTime(0));
         p.set_target(None);
         assert_eq!(p.sleep_until_release(SimTime(10)), Micros::ZERO);
-    }
-
-    #[test]
-    fn reset_forgets_anchor() {
-        let mut p = Pacer::new();
-        p.set_target(Some(Stp::from_micros(1000)));
-        p.sleep_until_release(SimTime(0));
-        p.reset();
-        // After reset, the next call re-anchors at `now` as if first.
-        assert_eq!(p.sleep_until_release(SimTime(5)), Micros::ZERO);
-        assert_eq!(p.sleep_until_release(SimTime(105)), Micros(900));
     }
 
     #[test]

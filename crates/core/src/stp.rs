@@ -7,7 +7,6 @@
 //! captures the minimum time required to produce an item given present load
 //! conditions."*
 
-use crate::error::AruError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vtime::{Micros, SimTime};
@@ -42,17 +41,6 @@ impl Stp {
     #[must_use]
     pub fn period(self) -> Micros {
         self.0
-    }
-
-    /// Items per second a node with this period can sustain
-    /// (∞ is represented as `f64::INFINITY` for a zero period).
-    #[must_use]
-    pub fn rate_hz(self) -> f64 {
-        if self.0.is_zero() {
-            f64::INFINITY
-        } else {
-            1e6 / self.0.as_micros() as f64
-        }
     }
 
     #[must_use]
@@ -110,67 +98,26 @@ impl StpMeter {
         Self::default()
     }
 
-    /// Mark the start of a loop iteration.
+    /// Mark the start of a loop iteration. A blocking window left open by
+    /// an interrupted op is dropped: its time belongs to no iteration.
     pub fn iteration_begin(&mut self, now: SimTime) {
-        debug_assert!(self.block_start.is_none(), "iteration began while blocked");
+        self.block_start = None;
         self.iter_start = Some(now);
         self.blocked = Micros::ZERO;
     }
 
-    /// Typed-error [`StpMeter::iteration_begin`]: rejects (without mutating)
-    /// a begin issued while a blocking window is still open, instead of the
-    /// debug-only assert.
-    pub fn try_iteration_begin(&mut self, now: SimTime) -> Result<(), AruError> {
-        if self.block_start.is_some() {
-            return Err(AruError::IterationWhileBlocked);
-        }
-        self.iter_start = Some(now);
-        self.blocked = Micros::ZERO;
-        Ok(())
-    }
-
-    /// The thread starts waiting for upstream data.
-    ///
-    /// # Panics
-    /// Panics (debug builds) on a nested `block_begin`. Supervised runtimes
-    /// should drive [`StpMeter::try_block_begin`] instead.
+    /// The thread starts waiting for upstream data. A nested begin keeps
+    /// the open window (the earliest wait wins).
     pub fn block_begin(&mut self, now: SimTime) {
-        debug_assert!(self.block_start.is_none(), "nested block_begin");
-        self.block_start = Some(now);
+        self.block_start.get_or_insert(now);
     }
 
-    /// Typed-error [`StpMeter::block_begin`]: a nested begin is rejected and
-    /// the original window is preserved.
-    pub fn try_block_begin(&mut self, now: SimTime) -> Result<(), AruError> {
-        if self.block_start.is_some() {
-            return Err(AruError::NestedBlockBegin);
-        }
-        self.block_start = Some(now);
-        Ok(())
-    }
-
-    /// The thread obtained the data it was waiting for.
-    ///
-    /// # Panics
-    /// Panics when no blocking window is open. Supervised runtimes should
-    /// drive [`StpMeter::try_block_end`] instead.
+    /// The thread obtained the data it was waiting for. An end with no open
+    /// window is ignored.
     pub fn block_end(&mut self, now: SimTime) {
-        let start = self
-            .block_start
-            .take()
-            .expect("block_end without block_begin");
-        self.blocked += now.since(start);
-    }
-
-    /// Typed-error [`StpMeter::block_end`]: an unbalanced end is rejected
-    /// instead of panicking the task.
-    pub fn try_block_end(&mut self, now: SimTime) -> Result<(), AruError> {
-        let start = self
-            .block_start
-            .take()
-            .ok_or(AruError::UnbalancedBlockEnd)?;
-        self.blocked += now.since(start);
-        Ok(())
+        if let Some(start) = self.block_start.take() {
+            self.blocked += now.since(start);
+        }
     }
 
     /// Whether the thread is currently inside a `block_begin`/`block_end`
@@ -185,44 +132,15 @@ impl StpMeter {
     /// This corresponds to the `periodicity_sync()` call the paper adds to
     /// the Stampede API (§4) — "each thread is required to call this function
     /// at the end of every thread iteration loop".
+    ///
+    /// Unbalanced hook state is repaired, never a panic: an open blocking
+    /// window is closed here, and a missing `iteration_begin` (e.g. the
+    /// meter was rebuilt after a crash mid-iteration) counts as `now`,
+    /// yielding a zero-length iteration.
     pub fn iteration_end(&mut self, now: SimTime) -> Stp {
-        debug_assert!(self.block_start.is_none(), "iteration ended while blocked");
-        let start = self
-            .iter_start
-            .take()
-            .expect("iteration_end without iteration_begin");
-        self.complete(start, now)
-    }
-
-    /// Typed-error [`StpMeter::iteration_end`]: errors (without mutating)
-    /// when a blocking window is still open or no iteration was begun.
-    pub fn try_iteration_end(&mut self, now: SimTime) -> Result<Stp, AruError> {
-        if self.block_start.is_some() {
-            return Err(AruError::IterationWhileBlocked);
-        }
-        let start = self
-            .iter_start
-            .take()
-            .ok_or(AruError::IterationEndWithoutBegin)?;
-        Ok(self.complete(start, now))
-    }
-
-    /// Forcibly complete the iteration at `now`, repairing any unbalanced
-    /// hook state: an open blocking window is closed here, and a missing
-    /// `iteration_begin` (e.g. the meter was rebuilt after a crash
-    /// mid-iteration) is treated as `now`, yielding a zero-length iteration.
-    /// This is the no-panic path supervised task loops drive.
-    pub fn iteration_end_lenient(&mut self, now: SimTime) -> Stp {
-        if self.block_start.is_some() {
-            let _ = self.try_block_end(now);
-        }
+        self.block_end(now);
         let start = self.iter_start.take().unwrap_or(now);
-        self.complete(start, now)
-    }
-
-    fn complete(&mut self, start: SimTime, now: SimTime) -> Stp {
-        let wall = now.since(start);
-        let busy = wall.saturating_sub(self.blocked);
+        let busy = now.since(start).saturating_sub(self.blocked);
         let stp = Stp(busy);
         self.last_stp = Some(stp);
         self.iterations += 1;
@@ -261,12 +179,6 @@ impl StpMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stp_rate() {
-        assert_eq!(Stp::from_millis(100).rate_hz(), 10.0);
-        assert!(Stp::ZERO.rate_hz().is_infinite());
-    }
 
     #[test]
     fn simple_iteration_no_blocking() {
@@ -327,62 +239,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block_end without block_begin")]
-    fn unbalanced_block_end_panics() {
+    fn unbalanced_hooks_are_repaired() {
         let mut m = StpMeter::new();
+        // An end with no open window is ignored.
+        m.block_end(SimTime(0));
+        assert!(!m.is_blocked());
         m.iteration_begin(SimTime(0));
-        m.block_end(SimTime(10));
+        m.block_begin(SimTime(10));
+        // A nested begin keeps the earliest window.
+        m.block_begin(SimTime(20));
+        m.block_end(SimTime(40));
+        let stp = m.iteration_end(SimTime(50));
+        assert_eq!(stp.as_micros(), 20, "50 − 30 blocked");
+        // A begin drops a window left open by an interrupted op.
+        m.block_begin(SimTime(60));
+        m.iteration_begin(SimTime(100));
+        assert!(!m.is_blocked());
+        assert_eq!(m.iteration_end(SimTime(150)).as_micros(), 50);
+        assert_eq!(m.iterations(), 2);
+        assert_eq!(m.total_blocked(), Micros(30));
     }
 
     #[test]
-    fn try_variants_report_typed_errors_without_mutating() {
-        use crate::error::AruError;
-        let mut m = StpMeter::new();
-        assert_eq!(
-            m.try_block_end(SimTime(0)),
-            Err(AruError::UnbalancedBlockEnd)
-        );
-        assert_eq!(
-            m.try_iteration_end(SimTime(0)),
-            Err(AruError::IterationEndWithoutBegin)
-        );
-        m.try_iteration_begin(SimTime(0)).unwrap();
-        m.try_block_begin(SimTime(10)).unwrap();
-        assert_eq!(
-            m.try_block_begin(SimTime(20)),
-            Err(AruError::NestedBlockBegin)
-        );
-        assert_eq!(
-            m.try_iteration_begin(SimTime(20)),
-            Err(AruError::IterationWhileBlocked)
-        );
-        assert_eq!(
-            m.try_iteration_end(SimTime(30)),
-            Err(AruError::IterationWhileBlocked)
-        );
-        // The original window (opened at 10) survived all the rejections.
-        m.try_block_end(SimTime(40)).unwrap();
-        let stp = m.try_iteration_end(SimTime(50)).unwrap();
-        assert_eq!(stp.as_micros(), 20); // 50 − 30 blocked
-    }
-
-    #[test]
-    fn lenient_end_repairs_open_block_window() {
+    fn end_repairs_open_block_window() {
         let mut m = StpMeter::new();
         m.iteration_begin(SimTime(0));
         m.block_begin(SimTime(40));
         // Task loop lost the block_end (e.g. the op was interrupted by a
-        // shutdown signal): the lenient end closes the window at `now`.
-        let stp = m.iteration_end_lenient(SimTime(100));
+        // shutdown signal): the end closes the window at `now`.
+        let stp = m.iteration_end(SimTime(100));
         assert_eq!(stp.as_micros(), 40);
         assert_eq!(m.iterations(), 1);
         assert!(!m.is_blocked());
     }
 
     #[test]
-    fn lenient_end_without_begin_is_zero_length() {
+    fn end_without_begin_is_zero_length() {
         let mut m = StpMeter::new();
-        let stp = m.iteration_end_lenient(SimTime(500));
+        let stp = m.iteration_end(SimTime(500));
         assert_eq!(stp, Stp::ZERO);
         assert_eq!(m.iterations(), 1);
     }

@@ -7,6 +7,9 @@
 //! • else (channel/queue): summary ← compressed
 //! • propagate summary upstream
 //! ```
+//!
+//! The buffer rule is the identity, so only the thread rule is a function;
+//! `AruController` forwards a buffer's compressed value as is.
 
 use crate::stp::Stp;
 
@@ -26,13 +29,6 @@ pub fn summary_for_thread(compressed: Option<Stp>, current: Option<Stp>) -> Opti
         (None, Some(s)) => Some(s),
         (None, None) => None,
     }
-}
-
-/// Summary-STP for a **channel or queue** node: buffers do not execute, so
-/// they forward the compressed backward value unchanged.
-#[must_use]
-pub fn summary_for_buffer(compressed: Option<Stp>) -> Option<Stp> {
-    compressed
 }
 
 #[cfg(test)]
@@ -70,12 +66,6 @@ mod tests {
     #[test]
     fn nothing_known_is_none() {
         assert_eq!(summary_for_thread(None, None), None);
-        assert_eq!(summary_for_buffer(None), None);
-    }
-
-    #[test]
-    fn buffer_is_passthrough() {
-        assert_eq!(summary_for_buffer(Some(us(123))), Some(us(123)));
     }
 
     /// End-to-end check of the boxed algorithm on the paper's Figure 3/4

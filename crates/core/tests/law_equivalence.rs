@@ -10,8 +10,8 @@
 //! iteration must produce the same `(summary, sleep, stale)` triple.
 
 use aru_core::{
-    summary_for_thread, AruConfig, AruController, BackwardStpVec, CompressOp, FilterSpec, NodeKind,
-    Pacer, Stp, StpFilter, StpMeter,
+    summary_for_thread, AruConfig, AruController, BackwardStpVec, CompressOp, Filter, FilterSpec,
+    NodeKind, Pacer, Stp, StpMeter,
 };
 use vtime::{Micros, SimTime};
 
@@ -19,7 +19,7 @@ use vtime::{Micros, SimTime};
 struct Oracle {
     backward: BackwardStpVec,
     compress: CompressOp,
-    filter: Box<dyn StpFilter>,
+    filter: Filter,
     meter: StpMeter,
     pacer: Pacer,
     cached: Option<Stp>,
@@ -32,7 +32,7 @@ impl Oracle {
         Oracle {
             backward: BackwardStpVec::new(n_outputs),
             compress: cfg.compress.clone(),
-            filter: cfg.filter.build(),
+            filter: Filter::new(cfg.filter),
             meter: StpMeter::new(),
             pacer: Pacer::new(),
             cached: None,
