@@ -23,7 +23,9 @@
 //!   that satisfies the get races the purge for the state lock.
 //! * **Queue single-condvar `notify_one`**: the model picks every possible
 //!   victim, so a wrong-victim wakeup (producer woken instead of the
-//!   consumer) would deadlock here.
+//!   consumer) would deadlock here. With two getters parked, the sleeper
+//!   gate of [`crate::sync::Condvar`] counts above 1 and must still let
+//!   each put's wake through.
 //! * **[`Shutdown`] set vs. timed sleep**: the timeout path and the
 //!   notified path are both explored; `set()` must win in every
 //!   interleaving.
@@ -213,6 +215,43 @@ fn loom_queue_handoff_has_no_lost_wakeup() {
         assert_eq!(got.ts, Timestamp(7));
 
         producer.join().unwrap();
+    });
+}
+
+/// Two getters parked on the queue's one condvar, two puts: the wake gate
+/// sees a sleeper count above 1 under `notify_one`, and each put must
+/// still wake a getter. A waiter that counted itself only after
+/// releasing the lock, or a put that read the count before taking it,
+/// would skip a wake here and deadlock the model.
+#[test]
+fn loom_queue_two_getters_two_puts_wake_both() {
+    loom::model(|| {
+        let trace = SharedTrace::new();
+        let shutdown = Shutdown::new();
+        let q = Arc::new(Queue::new(
+            NodeId(1),
+            "q".into(),
+            &AruConfig::aru_min(),
+            Arc::new(ManualClock::new()),
+            trace.clone(),
+        ));
+        q.configure_consumers(1);
+        let p = IterKey::new(NodeId(0), 0);
+
+        let getters: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                let mut ctx = test_ctx(&trace, &shutdown);
+                loom::thread::spawn(move || q.get(0, &mut ctx).unwrap().ts)
+            })
+            .collect();
+
+        q.put(Timestamp(1), vec![1u8], p).unwrap();
+        q.put(Timestamp(2), vec![2u8], p).unwrap();
+
+        let mut got: Vec<Timestamp> = getters.into_iter().map(|g| g.join().unwrap()).collect();
+        got.sort();
+        assert_eq!(got, [Timestamp(1), Timestamp(2)]);
     });
 }
 

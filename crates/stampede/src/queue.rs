@@ -44,6 +44,10 @@ struct QueueState<T> {
     aru: AruController,
     closed: bool,
     live_bytes: u64,
+    /// Timestamps are non-decreasing front to back, so the items a DGC
+    /// purge frees are a prefix. A put below the tail clears it; a put
+    /// into an empty queue sets it again.
+    in_order: bool,
     /// Live-telemetry accumulator (see `crate::tele::BufTele`).
     tele: BufTele,
 }
@@ -81,6 +85,7 @@ impl<T: ItemData> Queue<T> {
                 aru: AruController::new(NodeKind::Queue, 0, false, config),
                 closed: false,
                 live_bytes: 0,
+                in_order: true,
                 tele,
             }),
             cond: Condvar::new(),
@@ -125,10 +130,27 @@ impl<T: ItemData> Queue<T> {
         value: T,
         producer: IterKey,
     ) -> Result<Option<aru_core::Stp>, StampedeError> {
+        self.put_and_wake(ts, value, producer)
+            .map(|(summary, _)| summary)
+    }
+
+    /// [`Queue::put`], also reporting whether it issued a wake (`false`:
+    /// no getter was parked, and the put made no syscall to find out).
+    fn put_and_wake(
+        &self,
+        ts: Timestamp,
+        value: T,
+        producer: IterKey,
+    ) -> Result<(Option<aru_core::Stp>, bool), StampedeError> {
         let now = self.clock.now();
         let mut st = self.state.lock();
         if st.closed {
             return Err(StampedeError::Closed);
+        }
+        match st.items.back() {
+            Some(tail) if ts < tail.ts => st.in_order = false,
+            None => st.in_order = true,
+            Some(_) => {}
         }
         let bytes = value.size_bytes();
         let id = st.trace.alloc(now, self.node, ts, bytes, producer);
@@ -146,8 +168,7 @@ impl<T: ItemData> Queue<T> {
             st.tele.on_return(producer.node, s.period(), || now);
         }
         drop(st);
-        self.cond.notify_one();
-        Ok(summary)
+        Ok((summary, self.cond.notify_one()))
     }
 
     /// Dequeue the oldest item, blocking while empty (up to the task's op
@@ -269,31 +290,48 @@ impl<T: ItemData> Queue<T> {
     }
 
     /// Drop queued items with `ts < bound` (their downstream outputs are
-    /// provably dead).
+    /// provably dead), tracing the frees in queue order.
+    ///
+    /// A task runs a due DGC pass at every iteration end, and usually the
+    /// bound trails the consumption frontier so nothing queued is dead.
+    /// While the queue is in order the dead items are a prefix: the pass
+    /// costs one compare plus one pop per item it frees, however long the
+    /// queue. Only an out-of-order queue is walked whole, once, in place.
     pub fn apply_dead_before(&self, bound: Timestamp) {
         if bound == Timestamp::ZERO {
             return;
         }
         let mut st = self.state.lock();
-        // Common case: the DGC bound trails the consumption frontier and
-        // nothing queued is dead — skip the rebuild entirely.
-        if !st.items.iter().any(|s| s.ts < bound) {
-            return;
+        let QueueState {
+            items,
+            trace,
+            live_bytes,
+            in_order,
+            tele,
+            ..
+        } = &mut *st;
+        let before = items.len();
+        let mut now = None;
+        let mut free = |stored: &QStored<T>| {
+            *live_bytes -= stored.bytes;
+            trace.free(*now.get_or_insert_with(|| self.clock.now()), stored.id);
+        };
+        if *in_order {
+            let dead = items.iter().take_while(|s| s.ts < bound).count();
+            items.drain(..dead).for_each(|stored| free(&stored));
+        } else {
+            items.retain(|stored| {
+                let dead = stored.ts < bound;
+                if dead {
+                    free(stored);
+                }
+                !dead
+            });
         }
-        let now = self.clock.now();
-        let mut kept = VecDeque::with_capacity(st.items.len());
-        let mut dropped = 0u64;
-        while let Some(stored) = st.items.pop_front() {
-            if stored.ts < bound {
-                st.live_bytes -= stored.bytes;
-                st.trace.free(now, stored.id);
-                dropped += 1;
-            } else {
-                kept.push_back(stored);
-            }
+        let dropped = before - items.len();
+        if dropped > 0 {
+            tele.on_purged(dropped as u64);
         }
-        st.items = kept;
-        st.tele.on_purged(dropped);
     }
 
     /// Close: wake blocked getters; free queued items.
@@ -404,5 +442,183 @@ impl<T: ItemData> MutexQueueInput<T> {
     #[must_use]
     pub fn queue(&self) -> &Queue<T> {
         &self.q
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+    use crate::bench_api;
+    use aru_metrics::TraceEvent;
+    use proptest::prelude::*;
+    use vtime::{ManualClock, Micros};
+
+    fn queue(clock: Arc<ManualClock>, trace: SharedTrace) -> Arc<Queue<Vec<u8>>> {
+        let q = Arc::new(Queue::new(
+            NodeId(1),
+            "q".into(),
+            &AruConfig::aru_min(),
+            clock,
+            trace,
+        ));
+        q.configure_consumers(1);
+        q
+    }
+
+    fn ctx(clock: Arc<ManualClock>) -> TaskCtx {
+        bench_api::task_ctx(
+            NodeId(9),
+            "q-test",
+            1,
+            false,
+            &AruConfig::aru_min(),
+            clock,
+            SharedTrace::new(),
+        )
+    }
+
+    /// The gate: puts with nobody parked issue no wake at all; a put that
+    /// finds a getter parked issues exactly one, and the getter returns
+    /// the item. The parked getter is observed through the sleeper count
+    /// (not a sleep), so the test does not depend on timing.
+    #[test]
+    fn put_wakes_only_when_a_getter_is_parked() {
+        let clock = Arc::new(ManualClock::new());
+        let q = queue(Arc::clone(&clock), SharedTrace::new());
+        let p = IterKey::new(NodeId(0), 0);
+        let mut wakes = 0;
+        for ts in 0..1_000u64 {
+            let (_, woke) = q.put_and_wake(Timestamp(ts), vec![0u8; 64], p).unwrap();
+            wakes += usize::from(woke);
+        }
+        assert_eq!(wakes, 0, "no getter was parked, so no put may wake");
+
+        let mut c = ctx(Arc::clone(&clock));
+        while q.try_get(0, &mut c).unwrap().is_some() {}
+        let getter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.get(0, &mut ctx(clock)).unwrap().ts)
+        };
+        while q.cond.sleepers() == 0 {
+            std::thread::yield_now();
+        }
+        let (_, woke) = q.put_and_wake(Timestamp(1_000), vec![1u8; 64], p).unwrap();
+        assert!(woke, "a parked getter must be woken");
+        assert_eq!(getter.join().unwrap(), Timestamp(1_000));
+    }
+
+    /// The purge as it was before the in-order prefix path: look for a dead
+    /// item anywhere, then rebuild the whole queue without the dead ones.
+    fn apply_dead_before_rebuild<T: ItemData>(q: &Queue<T>, bound: Timestamp) {
+        if bound == Timestamp::ZERO {
+            return;
+        }
+        let mut st = q.state.lock();
+        if !st.items.iter().any(|s| s.ts < bound) {
+            return;
+        }
+        let now = q.clock.now();
+        let mut kept = VecDeque::with_capacity(st.items.len());
+        let mut dropped = 0u64;
+        while let Some(stored) = st.items.pop_front() {
+            if stored.ts < bound {
+                st.live_bytes -= stored.bytes;
+                st.trace.free(now, stored.id);
+                dropped += 1;
+            } else {
+                kept.push_back(stored);
+            }
+        }
+        st.items = kept;
+        st.tele.on_purged(dropped);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Put at the last put's timestamp plus this (0: a duplicate).
+        PutAfter(u64),
+        /// Put at this timestamp, usually out of order.
+        PutAt(u64),
+        Get,
+        /// Raise the DGC bound by this much (0: a repeated pass).
+        Purge(u64),
+    }
+
+    /// Weights 3 : 1 : 2 : 2 for in-order puts, arbitrary puts, gets and
+    /// DGC passes.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u64..8, 0u64..40).prop_map(|(kind, x)| match kind {
+            0..=2 => Op::PutAfter(x % 4),
+            3 => Op::PutAt(x),
+            4 | 5 => Op::Get,
+            _ => Op::Purge(x % 6),
+        })
+    }
+
+    /// Queue contents as `(ts, id, bytes)`, front to back.
+    fn survivors(q: &Queue<Vec<u8>>) -> Vec<(Timestamp, ItemId, u64)> {
+        let st = q.state.lock();
+        st.items.iter().map(|s| (s.ts, s.id, s.bytes)).collect()
+    }
+
+    fn frees(trace: &SharedTrace) -> Vec<ItemId> {
+        let trace = trace.snapshot();
+        let ids = trace.events().iter().filter_map(|e| match *e {
+            TraceEvent::Free { item, .. } => Some(item),
+            _ => None,
+        });
+        ids.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-order prefix purge and the in-place `retain` against the
+        /// scan-and-rebuild they replaced: in-order, out-of-order and
+        /// duplicate timestamps, gets, and a monotone DGC bound. Both queues
+        /// keep the same survivors in the same order, free the same items
+        /// in the same trace order at the same times, and hold the same
+        /// bytes after every op.
+        fn purge_matches_the_rebuild_oracle(ops in prop::collection::vec(op(), 1..120)) {
+            let clock = Arc::new(ManualClock::new());
+            let (fast_trace, oracle_trace) = (SharedTrace::new(), SharedTrace::new());
+            let fast = queue(Arc::clone(&clock), fast_trace.clone());
+            let oracle = queue(Arc::clone(&clock), oracle_trace.clone());
+            let (mut fast_ctx, mut oracle_ctx) = (ctx(Arc::clone(&clock)), ctx(Arc::clone(&clock)));
+            let p = IterKey::new(NodeId(0), 0);
+            let (mut last, mut bound) = (0u64, 0u64);
+            for (i, op) in ops.into_iter().enumerate() {
+                clock.advance(Micros(1));
+                match op {
+                    Op::PutAfter(d) | Op::PutAt(d) => {
+                        let ts = match op {
+                            Op::PutAfter(_) => last + d,
+                            _ => d,
+                        };
+                        last = ts;
+                        let bytes = vec![0u8; 1 + i % 7];
+                        fast.put(Timestamp(ts), bytes.clone(), p).unwrap();
+                        oracle.put(Timestamp(ts), bytes, p).unwrap();
+                    }
+                    Op::Get => {
+                        let a = fast.try_get(0, &mut fast_ctx).unwrap().map(|it| it.ts);
+                        let b = oracle.try_get(0, &mut oracle_ctx).unwrap().map(|it| it.ts);
+                        prop_assert_eq!(a, b);
+                    }
+                    Op::Purge(d) => {
+                        bound += d;
+                        fast.apply_dead_before(Timestamp(bound));
+                        apply_dead_before_rebuild(&oracle, Timestamp(bound));
+                    }
+                }
+                prop_assert_eq!(survivors(&fast), survivors(&oracle));
+                prop_assert_eq!(fast.live_bytes(), oracle.live_bytes());
+            }
+            BufferAdmin::flush_trace(&*fast);
+            BufferAdmin::flush_trace(&*oracle);
+            prop_assert_eq!(frees(&fast_trace), frees(&oracle_trace));
+            let (a, b) = (fast_trace.snapshot(), oracle_trace.snapshot());
+            prop_assert_eq!(a.events(), b.events());
+        }
     }
 }

@@ -9,14 +9,116 @@
 //! explored by the tests in `loom_tests.rs` (run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p stampede --lib loom_`).
 //!
+//! [`Condvar`] is the one type defined here rather than re-exported: it
+//! wraps either condvar with a count of sleepers, so a notify with nobody
+//! asleep returns without entering the kernel (DESIGN.md §9), and loom
+//! explores that gate together with the protocols built on it.
+//!
 //! `aru-metrics` has the mirror shim for the trace recorder
 //! (`aru_metrics::sync`). See DESIGN.md §10 for the lane matrix.
 
+use std::fmt;
+use std::time::Duration;
+
 #[cfg(not(loom))]
-pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+use parking_lot::Condvar as RawCondvar;
+#[cfg(not(loom))]
+pub use parking_lot::{Mutex, MutexGuard, RwLock, WaitTimeoutResult};
 
 #[cfg(loom)]
-pub use self::loom_shim::{Condvar, Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+use self::loom_shim::Condvar as RawCondvar;
+#[cfg(loom)]
+pub use self::loom_shim::{Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+
+/// Condition variable that notifies only when a sleeper is counted.
+///
+/// The vendored `parking_lot` stand-in is std's condvar, whose notify is a
+/// futex syscall whether or not anyone sleeps; on a buffer that is rarely
+/// empty that was a kernel entry on every `put`. Here a waiter counts
+/// itself while it still holds the mutex, before it parks, and uncounts
+/// itself after the mutex is reacquired; `notify_*` returns at once when
+/// the count is 0.
+///
+/// No wakeup is lost if the notifier makes its change before it releases
+/// the mutex the waiter waits with, and notifies after it took that mutex
+/// (under the lock or after dropping it). Order the two critical
+/// sections. If the waiter's came first, its count happens-before the
+/// notifier's lock and so before the notifier's read, which sees ≥ 1 (the
+/// waiter uncounts itself only once it holds the mutex again, and then
+/// re-checks the state itself). If the notifier's came first, the
+/// waiter's check under the lock finds the change and it never parks.
+/// The mutex orders the count, so the counter needs no stronger ordering
+/// than `Relaxed`.
+#[derive(Default)]
+pub struct Condvar {
+    inner: RawCondvar,
+    sleepers: atomic::AtomicUsize,
+}
+
+impl Condvar {
+    #[must_use]
+    pub fn new() -> Self {
+        Condvar {
+            inner: RawCondvar::new(),
+            sleepers: atomic::AtomicUsize::new(0),
+        }
+    }
+
+    /// Park until notified (or a spurious wakeup); the caller re-checks.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.sleepers.fetch_add(1, atomic::Ordering::Relaxed);
+        self.inner.wait(guard);
+        self.sleepers.fetch_sub(1, atomic::Ordering::Relaxed);
+    }
+
+    /// [`Condvar::wait`] bounded by `timeout`.
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        self.sleepers.fetch_add(1, atomic::Ordering::Relaxed);
+        let res = self.inner.wait_for(guard, timeout);
+        self.sleepers.fetch_sub(1, atomic::Ordering::Relaxed);
+        res
+    }
+
+    /// Wake one sleeper; `false` when none was counted and no wake was
+    /// issued.
+    pub fn notify_one(&self) -> bool {
+        let any = self.has_sleepers();
+        if any {
+            self.inner.notify_one();
+        }
+        any
+    }
+
+    /// Wake every sleeper; `false` when none was counted and no wake was
+    /// issued.
+    pub fn notify_all(&self) -> bool {
+        let any = self.has_sleepers();
+        if any {
+            self.inner.notify_all();
+        }
+        any
+    }
+
+    fn has_sleepers(&self) -> bool {
+        self.sleepers.load(atomic::Ordering::Relaxed) != 0
+    }
+
+    /// Threads counted as parked (or woken but not yet back in the lock).
+    #[cfg(all(test, not(loom)))]
+    pub(crate) fn sleepers(&self) -> usize {
+        self.sleepers.load(atomic::Ordering::Relaxed)
+    }
+}
+
+impl fmt::Debug for Condvar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Condvar")
+    }
+}
 
 /// Atomic types routed through the same cfg switch as the locks, so the
 /// lock-free ring and seqlock (DESIGN.md §14) model-check under the same
