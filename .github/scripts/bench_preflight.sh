@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark pre-flight (ROADMAP 7h): does `benchmark/` still build and pass
+# Benchmark pre-flight (ROADMAP items 2 and 18): does `benchmark/` still build and pass
 # against the crates, from committed files only and without the network?
 # The driver builds the benchmark from a fresh checkout, so a file left
 # uncommitted, a build that leans on a warm target directory, or a `pub`

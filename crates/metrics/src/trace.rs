@@ -15,14 +15,15 @@
 //!
 //! * every handle clone owns a private **shard** — a chunked append buffer
 //!   (fixed-capacity `Vec` chunks, sealed when full) behind its own mutex.
-//!   The runtime hands one clone to each task context, so a shard is only
-//!   ever locked by its owning thread and the lock is never contended on
-//!   the hot path; snapshotting is the only cross-thread reader.
-//! * the put/get hot path goes further: a [`LocalTrace`] (opened with
+//!   The runtime hands one clone to each task's supervisor, so a shard is
+//!   only ever locked by its owning thread and the lock is never contended;
+//!   snapshotting is the only cross-thread reader.
+//! * the hot paths go further: a [`LocalTrace`] (opened with
 //!   [`SharedTrace::local`]) is a buffered single-owner writer — channels
-//!   and queues keep one inside the state mutex they already hold, so
-//!   recording an event is a plain `Vec::push` and the shard lock is
-//!   taken once per `SHARD_CHUNK` events (flush), not once per event.
+//!   and queues keep one inside the state mutex they already hold, and a
+//!   task context owns one for its loop's records, so recording an event
+//!   is a plain `Vec::push` and the shard lock is taken once per
+//!   `SHARD_CHUNK` events (flush), not once per event.
 //! * item ids come from one shared atomic, reserved in writer-private
 //!   blocks (`ID_BLOCK`) held under the writer's ambient exclusion, so
 //!   id generation adds no shared-cache-line traffic and no extra atomics
@@ -415,11 +416,13 @@ struct TraceCore {
 
 /// Thread-safe sharded trace handle for the threaded runtime.
 ///
-/// Cloning registers a fresh shard: give each task context its own clone
-/// and appends never contend (see the module docs). The handle writes the
-/// task-loop and supervisor records; items are allocated, read and freed
-/// only inside buffers, through each buffer's [`LocalTrace`], which is
-/// the one source of item ids.
+/// Cloning registers a fresh shard: give each supervisor its own clone and
+/// appends never contend (see the module docs). The handle writes only the
+/// supervisor's crash and restart records. Everything else goes through a
+/// [`LocalTrace`]: a buffer's records (items are allocated, read and freed
+/// only inside buffers, so a buffer's writer is the one source of item
+/// ids) and a task's own records (iteration ends, sink outputs, stale
+/// summaries, pace decisions).
 #[derive(Debug)]
 pub struct SharedTrace {
     core: Arc<TraceCore>,
@@ -471,14 +474,6 @@ impl SharedTrace {
         self.core.epoch_unix_us
     }
 
-    pub fn iter_end(&self, t: SimTime, iter: IterKey, busy: Micros) {
-        self.shard.push(TraceEvent::IterEnd { t, iter, busy });
-    }
-
-    pub fn sink_output(&self, t: SimTime, iter: IterKey, ts: Timestamp) {
-        self.shard.push(TraceEvent::SinkOutput { t, iter, ts });
-    }
-
     pub fn task_crash(&self, t: SimTime, node: NodeId, attempt: u32) {
         self.shard.push(TraceEvent::TaskCrash { t, node, attempt });
     }
@@ -489,27 +484,6 @@ impl SharedTrace {
             node,
             attempt,
             backoff,
-        });
-    }
-
-    pub fn stale_summary(&self, t: SimTime, iter: IterKey) {
-        self.shard.push(TraceEvent::StaleSummary { t, iter });
-    }
-
-    pub fn pace_decision(
-        &self,
-        t: SimTime,
-        node: NodeId,
-        raw: Micros,
-        target: Micros,
-        clamped: bool,
-    ) {
-        self.shard.push(TraceEvent::PaceDecision {
-            t,
-            node,
-            raw,
-            target,
-            clamped,
         });
     }
 
@@ -557,12 +531,15 @@ impl SharedTrace {
 ///
 /// The owner provides the mutual exclusion: channels and queues keep their
 /// `LocalTrace` inside the state mutex they already hold on every buffer
-/// operation, so recording adds no second lock to the hot path.
+/// operation, and a task context owns its own, so recording adds no second
+/// lock to the hot path.
 ///
 /// **Visibility**: buffered events reach [`SharedTrace::snapshot`] only
 /// after a flush — automatic every `SHARD_CHUNK` events and on drop, or
-/// explicit via [`LocalTrace::flush`]. The runtime flushes every buffer
-/// after joining the task threads, before it snapshots.
+/// explicit via [`LocalTrace::flush`]. A task flushes its writer when its
+/// loop exits and before its supervisor records a crash; the runtime
+/// flushes every buffer after joining the task threads, before it
+/// snapshots.
 #[derive(Debug)]
 pub struct LocalTrace {
     core: Arc<TraceCore>,
@@ -622,6 +599,35 @@ impl LocalTrace {
 
     pub fn op_timeout(&mut self, t: SimTime, node: NodeId) {
         self.push(TraceEvent::OpTimeout { t, node });
+    }
+
+    pub fn iter_end(&mut self, t: SimTime, iter: IterKey, busy: Micros) {
+        self.push(TraceEvent::IterEnd { t, iter, busy });
+    }
+
+    pub fn sink_output(&mut self, t: SimTime, iter: IterKey, ts: Timestamp) {
+        self.push(TraceEvent::SinkOutput { t, iter, ts });
+    }
+
+    pub fn stale_summary(&mut self, t: SimTime, iter: IterKey) {
+        self.push(TraceEvent::StaleSummary { t, iter });
+    }
+
+    pub fn pace_decision(
+        &mut self,
+        t: SimTime,
+        node: NodeId,
+        raw: Micros,
+        target: Micros,
+        clamped: bool,
+    ) {
+        self.push(TraceEvent::PaceDecision {
+            t,
+            node,
+            raw,
+            target,
+            clamped,
+        });
     }
 
     /// Next item id, drawn from this writer's private block.
@@ -795,7 +801,7 @@ mod tests {
                 let tr = tr.clone();
                 s.spawn(move || {
                     for j in 0..per {
-                        tr.iter_end(SimTime(j), IterKey::new(NodeId(i), j), Micros(1));
+                        tr.task_crash(SimTime(j), NodeId(i), j as u32);
                     }
                 });
             }
@@ -810,16 +816,15 @@ mod tests {
     fn shard_chunk_sealing_loses_nothing() {
         // Cross several chunk boundaries on one handle.
         let tr = SharedTrace::new();
-        let p = IterKey::new(NodeId(0), 0);
         let n = (SHARD_CHUNK * 3 + 17) as u64;
         for j in 0..n {
-            tr.iter_end(SimTime(j), p, Micros(1));
+            tr.task_crash(SimTime(j), NodeId(0), 1);
         }
         let snap = tr.snapshot();
         assert_eq!(snap.len(), n as usize);
         assert_eq!(snap.last_time(), SimTime(n - 1));
         // a later snapshot still sees everything plus newer events
-        tr.iter_end(SimTime(n), p, Micros(1));
+        tr.task_crash(SimTime(n), NodeId(0), 1);
         assert_eq!(tr.snapshot().len(), n as usize + 1);
     }
 

@@ -138,21 +138,23 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
             |t, k, ts| coarse.lock().unwrap().sink_output(t, k, ts),
         );
 
-        // The buffered hot-path writer, with the low-frequency events going
-        // through the shared handle — the runtime's exact split. (RefCell
+        // Two buffered writers, one for the buffer's item events and one
+        // for the task's own records — the runtime's exact split. (RefCell
         // only because `apply` takes one closure per op; the runtime owns
-        // its LocalTrace behind the channel-state mutex.)
+        // a buffer's LocalTrace behind its state mutex and a task's in its
+        // context.)
         let shared = SharedTrace::new();
         let local = std::cell::RefCell::new(shared.local());
+        let task = std::cell::RefCell::new(shared.local());
         apply(
             &ops,
             |t, ts, bytes, p| local.borrow_mut().alloc(t, buf, ts, bytes, p),
             |t, id, c| local.borrow_mut().get(t, id, c),
             |t, id| local.borrow_mut().free(t, id),
-            |t, k, busy| shared.iter_end(t, k, busy),
-            |t, k, ts| shared.sink_output(t, k, ts),
+            |t, k, busy| task.borrow_mut().iter_end(t, k, busy),
+            |t, k, ts| task.borrow_mut().sink_output(t, k, ts),
         );
-        drop(local);
+        drop((local, task));
 
         assert_eq!(
             reports(&coarse.into_inner().unwrap()),

@@ -103,7 +103,7 @@ pub fn task_ctx(
         is_source,
         config,
         clock,
-        trace,
+        &trace,
         Shutdown::new(),
         None,
     )

@@ -57,6 +57,8 @@ struct Stored<T> {
     value: Arc<T>,
     id: ItemId,
     bytes: u64,
+    /// The alloc stamp: a get that did not block is stamped no earlier.
+    born: SimTime,
 }
 
 impl<T> Footprint for Stored<T> {
@@ -156,12 +158,6 @@ impl<T: ItemData> Channel<T> {
         self.node
     }
 
-    /// One reading of the channel's clock (the fan-out path shares it
-    /// across every channel in the bundle).
-    pub(crate) fn clock_now(&self) -> SimTime {
-        self.clock.now()
-    }
-
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
@@ -174,8 +170,9 @@ impl<T: ItemData> Channel<T> {
     /// freed); source threads issue monotonically increasing timestamps so
     /// this only happens in adversarial tests.
     ///
-    /// Ignores any capacity bound (used internally and by tests); task code
-    /// goes through [`Output::put`], which blocks on a full bounded channel.
+    /// Ignores any capacity bound and is stamped by the channel's clock
+    /// (used by tests); task code goes through [`Output::put`], which
+    /// blocks on a full bounded channel and is stamped by the task's read.
     pub fn put(
         &self,
         ts: Timestamp,
@@ -214,9 +211,13 @@ impl<T: ItemData> Channel<T> {
             core, trace, tele, ..
         } = st;
         let id = trace.alloc(now, self.node, ts, bytes, producer);
-        core.insert(ts, Stored { value, id, bytes }, |old| {
-            trace.free(now, old.id)
-        });
+        let stored = Stored {
+            value,
+            id,
+            bytes,
+            born: now,
+        };
+        core.insert(ts, stored, |old| trace.free(now, old.id));
         tele.on_put(1, core.store().len());
         let summary = core.summary();
         if let Some(s) = summary {
@@ -228,10 +229,11 @@ impl<T: ItemData> Channel<T> {
     /// [`Channel::put_blocking`] for an already-shared payload — the path
     /// both it and the fan-out take. `now` is the fan-out's single clock
     /// read (N channels share one `Arc` and one time instead of N deep
-    /// clones and N reads); a lone put passes `None` and the clock is read
-    /// under the lock. If this channel makes the producer wait for
-    /// capacity the clock is re-read after the wait so trace times stay
-    /// monotone within the channel's event stream.
+    /// clones and N reads); a lone put passes `None` and the task reads the
+    /// clock under the lock. A put that waited for capacity is stamped with
+    /// its wake-up read instead, so trace times stay monotone within the
+    /// channel's event stream. Either way the stamp is the task's last read
+    /// when this returns.
     pub(crate) fn put_arc_blocking(
         &self,
         ctx: &mut TaskCtx,
@@ -241,7 +243,7 @@ impl<T: ItemData> Channel<T> {
         bytes: u64,
     ) -> Result<Option<Stp>, StampedeError> {
         let mut value = Some(value);
-        let summary = self.block_until(&self.prod, ctx, |st, ctx, waited| {
+        let summary = self.block_until(&self.prod, ctx, |st, ctx, woke| {
             let items = st.core.store();
             let full = st
                 .capacity
@@ -249,9 +251,9 @@ impl<T: ItemData> Channel<T> {
             if full {
                 return None;
             }
-            let now = match now {
-                Some(shared) if !waited => shared,
-                _ => self.clock.now(),
+            let now = match woke.or(now) {
+                Some(now) => now,
+                None => ctx.read_clock(),
             };
             let value = value.take().expect("a probe completes at most once");
             Some(self.put_locked(st, now, ctx.iter_key(), ts, value, bytes))
@@ -277,21 +279,23 @@ impl<T: ItemData> Channel<T> {
     /// The one single-item get probe: look `policy` up at `at` (get-latest's
     /// floor, the joins' target); on a hit, deposit the consumer's
     /// summary-STP and record the get. `Some(None)`: the join target can
-    /// never arrive; `None`: nothing to take yet.
+    /// never arrive; `None`: nothing to take yet. A hit is stamped `woke`
+    /// when the get parked, else [`TaskCtx::stamp_after`] the item's birth.
     fn take_locked(
         &self,
         st: &mut ChannelState<T>,
         chan_out_index: usize,
-        ctx: &TaskCtx,
+        ctx: &mut TaskCtx,
         policy: InputPolicy,
         at: Timestamp,
+        woke: Option<SimTime>,
     ) -> Option<Option<StampedItem<T>>> {
-        let (ts, value, id) = match st.core.lookup(policy, at, Some(at)) {
-            Acquire::Got(ts, stored) => (ts, Arc::clone(&stored.value), stored.id),
+        let (ts, value, id, born) = match st.core.lookup(policy, at, Some(at)) {
+            Acquire::Got(ts, s) => (ts, Arc::clone(&s.value), s.id, s.born),
             Acquire::Abandon => return Some(None),
             Acquire::Block | Acquire::Skip => return None,
         };
-        let now = self.clock.now();
+        let now = woke.unwrap_or_else(|| ctx.stamp_after(born));
         self.deposit_locked(st, chan_out_index, ctx, now);
         st.tele.on_get(1, st.core.store().len());
         st.trace.get(now, id, ctx.iter_key());
@@ -315,8 +319,9 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         floor: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, _| {
-            self.take_locked(st, chan_out_index, ctx, InputPolicy::DriverLatest, floor)
+        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+            let policy = InputPolicy::DriverLatest;
+            self.take_locked(st, chan_out_index, ctx, policy, floor, woke)
                 .flatten()
         })
     }
@@ -338,8 +343,8 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<Option<StampedItem<T>>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, _| {
-            self.take_locked(st, chan_out_index, ctx, InputPolicy::JoinExact, ts)
+        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+            self.take_locked(st, chan_out_index, ctx, InputPolicy::JoinExact, ts, woke)
         })
     }
 
@@ -353,9 +358,9 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, _| {
+        self.block_until(&self.cons, ctx, |st, ctx, woke| {
             let policy = InputPolicy::JoinLatestAtOrBefore;
-            self.take_locked(st, chan_out_index, ctx, policy, ts)
+            self.take_locked(st, chan_out_index, ctx, policy, ts, woke)
                 .flatten()
         })
     }
@@ -375,9 +380,10 @@ impl<T: ItemData> Channel<T> {
         n: usize,
     ) -> Result<Vec<StampedItem<T>>, StampedeError> {
         assert!(n > 0, "window must be non-empty");
-        self.block_until(&self.cons, ctx, |st, ctx, _| {
-            st.core.store().latest().filter(|&(ts, _)| ts >= floor)?;
-            let now = self.clock.now();
+        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+            let (_, newest) = st.core.store().latest().filter(|&(ts, _)| ts >= floor)?;
+            let born = newest.born;
+            let now = woke.unwrap_or_else(|| ctx.stamp_after(born));
             self.deposit_locked(st, chan_out_index, ctx, now);
             // Build the window directly (newest-first, then reverse) and
             // record the gets as one batched trace append — no per-item
@@ -412,7 +418,7 @@ impl<T: ItemData> Channel<T> {
     ) -> Result<Option<StampedItem<T>>, StampedeError> {
         let mut st = self.state.lock();
         let policy = InputPolicy::DriverLatest;
-        let item = self.take_locked(&mut st, chan_out_index, ctx, policy, floor);
+        let item = self.take_locked(&mut st, chan_out_index, ctx, policy, floor, None);
         match item.flatten() {
             Some(item) => Ok(Some(item)),
             None if st.closed => Err(StampedeError::Closed),
@@ -443,45 +449,49 @@ impl<T: ItemData> Channel<T> {
     /// The one blocking-wait loop behind every blocking get and put.
     ///
     /// `probe` runs under the state lock, first on entry and again after
-    /// every wakeup (`waited` = this call has parked at least once):
-    /// `Some(result)` completes the op, `None` parks on `cond` (consumers
-    /// wait on `cons`, producers on `prod`). A closed channel fails the op
-    /// with `Closed` — close drains the store and rejects inserts, so a
-    /// closed channel never holds anything a probe could find. The task's
-    /// op timeout bounds the whole call: when it passes, the timeout is
-    /// counted and traced once and the op fails with `Timeout`. Everything
-    /// from the first park to the return is recorded as blocked time,
-    /// excluded from the task's current-STP.
+    /// every wakeup: `Some(result)` completes the op, `None` parks on
+    /// `cond` (consumers wait on `cons`, producers on `prod`). Its `woke`
+    /// argument is `None` on entry and afterwards the task's read on its
+    /// latest wake-up, which stamps what the probe records. A closed
+    /// channel fails the op with `Closed` — close drains the store and
+    /// rejects inserts, so a closed channel never holds anything a probe
+    /// could find. The task's op timeout bounds the whole call: when it
+    /// passes, the timeout is counted and traced once and the op fails with
+    /// `Timeout`. Everything from the first park to the last wake-up read
+    /// is recorded as blocked time, excluded from the task's current-STP.
     #[inline]
     fn block_until<R>(
         &self,
         cond: &Condvar,
         ctx: &mut TaskCtx,
-        mut probe: impl FnMut(&mut ChannelState<T>, &mut TaskCtx, bool) -> Option<R>,
+        mut probe: impl FnMut(&mut ChannelState<T>, &mut TaskCtx, Option<SimTime>) -> Option<R>,
     ) -> Result<R, StampedeError> {
         let deadline = op_deadline(ctx);
         let mut st = self.state.lock();
-        let mut waited = false;
+        let mut woke = None;
         let res = loop {
             if st.closed {
                 break Err(StampedeError::Closed);
             }
-            if let Some(done) = probe(&mut st, ctx, waited) {
+            if let Some(done) = probe(&mut st, ctx, woke) {
                 break Ok(done);
             }
-            if !waited {
-                waited = true;
-                ctx.block_begin(self.clock.now());
+            if woke.is_none() {
+                let now = ctx.read_clock();
+                ctx.block_begin(now);
             }
-            if self.wait_step(cond, &mut st, deadline) {
+            let timed_out = self.wait_step(cond, &mut st, deadline);
+            let now = ctx.read_clock();
+            woke = Some(now);
+            if timed_out {
                 st.tele.on_timeout();
-                st.trace.op_timeout(self.clock.now(), ctx.node());
+                st.trace.op_timeout(now, ctx.node());
                 break Err(StampedeError::Timeout);
             }
         };
         drop(st);
-        if waited {
-            ctx.block_end(self.clock.now());
+        if let Some(now) = woke {
+            ctx.block_end(now);
         }
         res
     }
@@ -638,7 +648,8 @@ impl<T: ItemData> Output<T> {
         let t0 = ctx.op_sample();
         let summary = self.ch.put_blocking(ctx, ts, value)?;
         if let Some(stp) = summary {
-            ctx.receive_feedback_from(self.thread_out_index, stp, self.ch.node());
+            let now = ctx.last_read();
+            ctx.receive_feedback_from(self.thread_out_index, stp, now, self.ch.node());
         }
         if let Some(t0) = t0 {
             ctx.record_put_ns(t0);

@@ -302,12 +302,13 @@ impl<T: ItemData> LfQueue<T> {
         ctx: &mut TaskCtx,
     ) -> Result<LfItem<T>, StampedeError> {
         let deadline = op_deadline(ctx);
-        let mut blocked = false;
+        // The task's read on its latest wake-up: it ends the blocked time.
+        let mut woke = None;
         loop {
             let epoch = self.push_ops.load(Ordering::SeqCst);
             if let Some(stored) = self.ring.try_pop() {
-                if blocked {
-                    ctx.block_end(ctx.now());
+                if let Some(now) = woke {
+                    ctx.block_end(now);
                 }
                 self.finish_pop(&stored, chan_out_index, ctx);
                 return Ok(LfItem {
@@ -316,8 +317,8 @@ impl<T: ItemData> LfQueue<T> {
                 });
             }
             if self.closed.load(Ordering::SeqCst) && self.ring.is_empty() {
-                if blocked {
-                    ctx.block_end(ctx.now());
+                if let Some(now) = woke {
+                    ctx.block_end(now);
                 }
                 return Err(StampedeError::Closed);
             }
@@ -328,12 +329,15 @@ impl<T: ItemData> LfQueue<T> {
             // sleep if it already did. Returning `Closed` here would
             // strand a drainable item, breaking the close contract the
             // mutex oracle keeps.
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(ctx.now());
+            if woke.is_none() {
+                let now = ctx.read_clock();
+                ctx.block_begin(now);
             }
-            if self.park_consumer(epoch, deadline) {
-                ctx.block_end(ctx.now());
+            let timed_out = self.park_consumer(epoch, deadline);
+            let now = ctx.read_clock();
+            woke = Some(now);
+            if timed_out {
+                ctx.block_end(now);
                 return Err(StampedeError::Timeout);
             }
         }
@@ -443,7 +447,7 @@ impl<T: ItemData> LfQueue<T> {
         if c.last_deposit_hop != Some(value) {
             c.last_deposit_hop = Some(value);
             c.journal.record(
-                ctx.now(),
+                ctx.last_read(),
                 self.node,
                 JournalKind::Hop {
                     leg: HopLeg::Deposit,
@@ -641,13 +645,16 @@ impl<T: ItemData> LfQueueOutput<T> {
         }
         self.last_gen = Some(gen);
         if let Some(s) = summary {
+            // The lock-free put reads no clock, so the fold (gated, like
+            // this) does.
+            let now = ctx.read_clock();
             // Return hop on value change: the queue's summary reached this
             // producer. Mirrors `BufTele::on_return` on the mutex buffers.
             let value = s.period();
             if self.last_return != Some(value) {
                 self.last_return = Some(value);
                 self.journal.record(
-                    ctx.now(),
+                    now,
                     self.q.node(),
                     JournalKind::Hop {
                         leg: HopLeg::Return,
@@ -656,7 +663,7 @@ impl<T: ItemData> LfQueueOutput<T> {
                     },
                 );
             }
-            ctx.receive_feedback_from(self.thread_out_index, s, self.q.node());
+            ctx.receive_feedback_from(self.thread_out_index, s, now, self.q.node());
         }
     }
 

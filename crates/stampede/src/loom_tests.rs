@@ -60,7 +60,7 @@ fn test_ctx(trace: &SharedTrace, shutdown: &Shutdown) -> TaskCtx {
         false,
         &AruConfig::aru_min(),
         Arc::new(ManualClock::new()),
-        trace.clone(),
+        trace,
         shutdown.clone(),
         None,
     )

@@ -33,6 +33,8 @@ struct QStored<T> {
     value: Arc<T>,
     id: ItemId,
     bytes: u64,
+    /// The alloc stamp: a get that did not block is stamped no earlier.
+    born: SimTime,
 }
 
 struct QueueState<T> {
@@ -123,26 +125,29 @@ impl<T: ItemData> Queue<T> {
         &self.name
     }
 
-    /// Enqueue; returns the queue's summary-STP as backward feedback.
+    /// Enqueue, stamped by the queue's clock; returns the queue's
+    /// summary-STP as backward feedback. A task's put goes through its
+    /// endpoint, which stamps it with the task's read instead.
     pub fn put(
         &self,
         ts: Timestamp,
         value: T,
         producer: IterKey,
     ) -> Result<Option<aru_core::Stp>, StampedeError> {
-        self.put_and_wake(ts, value, producer)
+        self.put_and_wake(self.clock.now(), ts, value, producer)
             .map(|(summary, _)| summary)
     }
 
-    /// [`Queue::put`], also reporting whether it issued a wake (`false`:
-    /// no getter was parked, and the put made no syscall to find out).
+    /// [`Queue::put`] at `now`, also reporting whether it issued a wake
+    /// (`false`: no getter was parked, and the put made no syscall to find
+    /// out).
     fn put_and_wake(
         &self,
+        now: SimTime,
         ts: Timestamp,
         value: T,
         producer: IterKey,
     ) -> Result<(Option<aru_core::Stp>, bool), StampedeError> {
-        let now = self.clock.now();
         let mut st = self.state.lock();
         if st.closed {
             return Err(StampedeError::Closed);
@@ -159,6 +164,7 @@ impl<T: ItemData> Queue<T> {
             value: Arc::new(value),
             id,
             bytes,
+            born: now,
         });
         st.live_bytes += bytes;
         let len = st.items.len();
@@ -173,6 +179,10 @@ impl<T: ItemData> Queue<T> {
 
     /// Dequeue the oldest item, blocking while empty (up to the task's op
     /// timeout, when one is configured).
+    ///
+    /// A get that found an item waiting is stamped with the task's last
+    /// read, raised to the item's birth; one that parked, with the read it
+    /// took on its last wake-up, which also ends its blocked time.
     pub fn get(
         &self,
         chan_out_index: usize,
@@ -180,52 +190,49 @@ impl<T: ItemData> Queue<T> {
     ) -> Result<StampedItem<T>, StampedeError> {
         let deadline = crate::channel::op_deadline(ctx);
         let mut st = self.state.lock();
-        let mut blocked = false;
+        let mut woke = None;
         loop {
             if let Some(stored) = st.items.pop_front() {
-                if blocked {
-                    ctx.block_end(self.clock.now());
-                }
-                st.live_bytes -= stored.bytes;
-                st.marks.advance(chan_out_index, stored.ts);
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, stored.id, ctx.iter_key());
-                st.trace.free(now, stored.id);
-                return Ok(StampedItem {
-                    ts: stored.ts,
-                    value: stored.value,
-                });
+                let now = match woke {
+                    Some(now) => {
+                        ctx.block_end(now);
+                        now
+                    }
+                    None => ctx.stamp_after(stored.born),
+                };
+                return Ok(self.take_locked(&mut st, chan_out_index, ctx, now, stored));
             }
             if st.closed {
-                if blocked {
-                    ctx.block_end(self.clock.now());
+                if let Some(now) = woke {
+                    ctx.block_end(now);
                 }
                 return Err(StampedeError::Closed);
             }
-            if !blocked {
-                blocked = true;
-                ctx.block_begin(self.clock.now());
+            if woke.is_none() {
+                let now = ctx.read_clock();
+                ctx.block_begin(now);
             }
             match deadline {
                 None => self.cond.wait(&mut st),
                 Some(dl) => {
-                    let now = std::time::Instant::now();
-                    if now >= dl {
-                        ctx.block_end(self.clock.now());
+                    let left = dl.saturating_duration_since(std::time::Instant::now());
+                    if left.is_zero() {
+                        // The read taken on entering the wait or on the
+                        // last wake-up, after which nothing parked.
+                        let now = ctx.last_read();
+                        ctx.block_end(now);
                         st.tele.on_timeout();
-                        st.trace.op_timeout(self.clock.now(), ctx.node());
+                        st.trace.op_timeout(now, ctx.node());
                         return Err(StampedeError::Timeout);
                     }
-                    self.cond.wait_for(&mut st, dl - now);
+                    self.cond.wait_for(&mut st, left);
                 }
             }
+            woke = Some(ctx.read_clock());
         }
     }
 
-    /// Non-blocking dequeue.
+    /// Non-blocking dequeue, stamped like a get that did not block.
     pub fn try_get(
         &self,
         chan_out_index: usize,
@@ -234,21 +241,40 @@ impl<T: ItemData> Queue<T> {
         let mut st = self.state.lock();
         match st.items.pop_front() {
             Some(stored) => {
-                st.live_bytes -= stored.bytes;
-                st.marks.advance(chan_out_index, stored.ts);
-                let now = self.clock.now();
-                self.deposit_locked(&mut st, chan_out_index, ctx, now);
-                let len = st.items.len();
-                st.tele.on_get(1, len);
-                st.trace.get(now, stored.id, ctx.iter_key());
-                st.trace.free(now, stored.id);
-                Ok(Some(StampedItem {
-                    ts: stored.ts,
-                    value: stored.value,
-                }))
+                let now = ctx.stamp_after(stored.born);
+                Ok(Some(self.take_locked(
+                    &mut st,
+                    chan_out_index,
+                    ctx,
+                    now,
+                    stored,
+                )))
             }
             None if st.closed => Err(StampedeError::Closed),
             None => Ok(None),
+        }
+    }
+
+    /// The bookkeeping of a get that popped `stored`, stamped `now`: bytes,
+    /// the consumer's mark, its deposit, and the get and free records.
+    fn take_locked(
+        &self,
+        st: &mut QueueState<T>,
+        chan_out_index: usize,
+        ctx: &TaskCtx,
+        now: SimTime,
+        stored: QStored<T>,
+    ) -> StampedItem<T> {
+        st.live_bytes -= stored.bytes;
+        st.marks.advance(chan_out_index, stored.ts);
+        self.deposit_locked(st, chan_out_index, ctx, now);
+        let len = st.items.len();
+        st.tele.on_get(1, len);
+        st.trace.get(now, stored.id, ctx.iter_key());
+        st.trace.free(now, stored.id);
+        StampedItem {
+            ts: stored.ts,
+            value: stored.value,
         }
     }
 
@@ -394,9 +420,10 @@ impl<T: ItemData> MutexQueueOutput<T> {
     /// producing thread.
     pub fn put(&self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
-        let summary = self.q.put(ts, value, ctx.iter_key())?;
+        let now = ctx.read_clock();
+        let (summary, _) = self.q.put_and_wake(now, ts, value, ctx.iter_key())?;
         if let Some(stp) = summary {
-            ctx.receive_feedback_from(self.thread_out_index, stp, self.q.node());
+            ctx.receive_feedback_from(self.thread_out_index, stp, now, self.q.node());
         }
         if let Some(t0) = t0 {
             ctx.record_put_ns(t0);
@@ -488,7 +515,9 @@ mod tests {
         let p = IterKey::new(NodeId(0), 0);
         let mut wakes = 0;
         for ts in 0..1_000u64 {
-            let (_, woke) = q.put_and_wake(Timestamp(ts), vec![0u8; 64], p).unwrap();
+            let (_, woke) = q
+                .put_and_wake(clock.now(), Timestamp(ts), vec![0u8; 64], p)
+                .unwrap();
             wakes += usize::from(woke);
         }
         assert_eq!(wakes, 0, "no getter was parked, so no put may wake");
@@ -502,7 +531,9 @@ mod tests {
         while q.cond.sleepers() == 0 {
             std::thread::yield_now();
         }
-        let (_, woke) = q.put_and_wake(Timestamp(1_000), vec![1u8; 64], p).unwrap();
+        let (_, woke) = q
+            .put_and_wake(SimTime(0), Timestamp(1_000), vec![1u8; 64], p)
+            .unwrap();
         assert!(woke, "a parked getter must be woken");
         assert_eq!(getter.join().unwrap(), Timestamp(1_000));
     }

@@ -4,14 +4,26 @@
 //!
 //! ```text
 //! loop {
-//!     iteration_begin                  // clock read
+//!     iteration_begin                  // the last iteration's end read
 //!     body(ctx)                        // gets (may block) → compute → puts
 //!     release consumed inputs          // the channels' GC marks advance
+//!     iteration end                    // clock read
 //!     DGC pass, if due                 // one task at a time, never waits
 //!     periodicity_sync                 // current-STP, summary-STP, pacing
 //!     sleep(pacing residual)           // sources only, by default
 //! }
 //! ```
+//!
+//! Time and records go through the context. It keeps its last clock read,
+//! and every stamp that a read taken for another transition can serve
+//! reuses it: an iteration begins at the previous one's end read (a pacing
+//! sleep or a DGC pass in between forces a fresh read), a get that did not
+//! block is stamped `max(last read, item's birth)`, a get that blocked at
+//! its wake-up read. Puts, sink outputs, block begin/end and iteration
+//! ends are fresh reads (DESIGN.md §9 lists every stamp). The task's own
+//! trace records go to a buffered [`LocalTrace`] and its telemetry counters
+//! to plain deltas, drained to the registry before it blocks or sleeps,
+//! every 64 iterations (`tele::TASK_DRAIN`) and when the loop exits.
 //!
 //! The runtime owns the loop; the application supplies only the body, which
 //! is exactly the programming model the paper describes ("each thread is
@@ -23,7 +35,7 @@ use crate::runtime::DgcPass;
 use crate::shutdown::Shutdown;
 use crate::tele::TaskTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
-use aru_metrics::{IterKey, SharedTrace};
+use aru_metrics::{IterKey, LocalTrace, SharedTrace};
 use std::sync::Arc;
 use vtime::{Clock, Micros, SimTime, Timestamp};
 
@@ -46,7 +58,11 @@ pub struct TaskCtx {
     /// issues; `None` means block forever (classic Stampede semantics).
     op_timeout: Option<Micros>,
     clock: Arc<dyn Clock>,
-    trace: SharedTrace,
+    /// The task's last clock read, which reused stamps take.
+    last: SimTime,
+    /// The task's own records (iteration ends, sink outputs, stale
+    /// summaries, pace decisions), buffered.
+    records: LocalTrace,
     shutdown: Shutdown,
     /// `None` outside `GcMode::Dgc`: nothing is skipped, no pass runs.
     dgc: Option<Arc<DgcPass>>,
@@ -67,7 +83,7 @@ impl TaskCtx {
         is_source: bool,
         config: &AruConfig,
         clock: Arc<dyn Clock>,
-        trace: SharedTrace,
+        trace: &SharedTrace,
         shutdown: Shutdown,
         dgc: Option<Arc<DgcPass>>,
     ) -> Self {
@@ -82,7 +98,8 @@ impl TaskCtx {
             is_source,
             op_timeout: None,
             clock,
-            trace,
+            last: SimTime::ZERO,
+            records: trace.local(),
             shutdown,
             dgc,
             releases: Vec::new(),
@@ -102,10 +119,30 @@ impl TaskCtx {
         &self.name
     }
 
-    /// Current time.
+    /// Current time: a fresh read, which the task's own stamps do not
+    /// reuse.
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.clock.now()
+    }
+
+    /// A fresh clock read, kept as the task's last read.
+    pub(crate) fn read_clock(&mut self) -> SimTime {
+        self.last = self.clock.now();
+        self.last
+    }
+
+    /// The task's last clock read, or a later stamp it already handed out.
+    pub(crate) fn last_read(&self) -> SimTime {
+        self.last
+    }
+
+    /// The stamp of a get that did not block: the last read, raised to the
+    /// item's birth so a get never precedes its alloc. It is at most the
+    /// time since the last read early.
+    pub(crate) fn stamp_after(&mut self, born: SimTime) -> SimTime {
+        self.last = self.last.max(born);
+        self.last
     }
 
     /// Identity of the current iteration (for trace lineage).
@@ -127,8 +164,9 @@ impl TaskCtx {
     /// Record that this (sink) task emitted a pipeline output for frame
     /// `ts` — e.g. the GUI displayed a tracking result.
     pub fn emit_output(&mut self, ts: Timestamp) {
-        let now = self.clock.now();
-        self.trace.sink_output(now, self.iter_key(), ts);
+        let now = self.read_clock();
+        let key = self.iter_key();
+        self.records.sink_output(now, key, ts);
     }
 
     /// The thread's current summary-STP (piggybacked on gets).
@@ -139,8 +177,11 @@ impl TaskCtx {
 
     // ---- hooks used by channel/queue endpoints ------------------------------
 
+    /// The task is about to park: `now` is a fresh read. Its telemetry
+    /// deltas drain here, where the task waits anyway.
     pub(crate) fn block_begin(&mut self, now: SimTime) {
         self.controller.block_begin(now);
+        self.tele.drain(self.controller.meter());
     }
 
     pub(crate) fn block_end(&mut self, now: SimTime) {
@@ -148,22 +189,14 @@ impl TaskCtx {
     }
 
     pub(crate) fn receive_feedback(&mut self, out_index: usize, stp: Stp) {
-        let now = self.clock.now();
+        let now = self.read_clock();
         self.controller.receive_feedback_at(out_index, stp, now);
     }
 
-    /// [`TaskCtx::receive_feedback`] that also journals a `Fold` hop
-    /// naming the buffer the summary came back from.
-    pub(crate) fn receive_feedback_from(&mut self, out_index: usize, stp: Stp, from: NodeId) {
-        let now = self.clock.now();
-        self.tele.on_fold(now, self.node, from, stp.period());
-        self.controller.receive_feedback_at(out_index, stp, now);
-    }
-
-    /// Feedback fold with a caller-provided time: the fan-out path folds N
-    /// channels' summaries at one shared clock read instead of N reads.
-    /// Records the `Fold` hop like [`TaskCtx::receive_feedback_from`].
-    pub(crate) fn receive_feedback_from_at(
+    /// Fold a summary a put returned from buffer `from`, at the put's
+    /// stamp `now` (the fan-out folds N channels' summaries at its one
+    /// read), and journal the `Fold` hop.
+    pub(crate) fn receive_feedback_from(
         &mut self,
         out_index: usize,
         stp: Stp,
@@ -196,6 +229,12 @@ impl TaskCtx {
         self.op_timeout = timeout;
     }
 
+    /// Publish the task's buffered records (the supervisor calls this
+    /// before it records a crash).
+    pub(crate) fn flush_records(&mut self) {
+        self.records.flush();
+    }
+
     /// Register a channel release to run when the current iteration ends.
     pub(crate) fn defer_release(&mut self, release: Box<dyn FnOnce() + Send>) {
         self.releases.push(release);
@@ -209,11 +248,14 @@ impl TaskCtx {
     /// the same context after a crash (see [`TaskCtx::recover`]); iteration
     /// seqs therefore stay unique across restarts.
     pub(crate) fn run(&mut self, body: &mut (dyn FnMut(&mut TaskCtx) -> TaskResult + Send)) -> u64 {
+        // The first iteration, and one after a pacing sleep or a DGC pass,
+        // begins at a fresh read; any other at the previous end read.
+        let mut fresh = true;
         loop {
             if self.shutdown.is_set() {
                 break;
             }
-            let t0 = self.clock.now();
+            let t0 = if fresh { self.read_clock() } else { self.last };
             self.controller.iteration_begin(t0);
             let step = body(self);
             debug_assert!(
@@ -225,21 +267,19 @@ impl TaskCtx {
             for release in self.releases.drain(..) {
                 release();
             }
-            let t1 = self.clock.now();
-            if let Some(dgc) = &self.dgc {
-                dgc.run_if_due(t1);
-            }
+            let t1 = self.read_clock();
+            fresh = self.dgc.as_ref().is_some_and(|dgc| dgc.run_if_due(t1));
             let outcome = self.controller.iteration_end(t1);
             self.tele
                 .on_iteration(t1, self.node, &outcome, self.controller.meter());
             let key = self.iter_key();
-            self.trace.iter_end(t1, key, outcome.current_stp.period());
+            self.records.iter_end(t1, key, outcome.current_stp.period());
             if outcome.stale {
-                self.trace.stale_summary(t1, key);
+                self.records.stale_summary(t1, key);
             }
             if outcome.law_fired {
                 if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
-                    self.trace.pace_decision(
+                    self.records.pace_decision(
                         t1,
                         self.node,
                         raw.period(),
@@ -250,14 +290,19 @@ impl TaskCtx {
             }
             self.seq += 1;
             match step {
-                Ok(Step::Continue) => {
-                    if !outcome.sleep.is_zero() && self.shutdown.sleep(outcome.sleep) {
+                Ok(Step::Continue) if !outcome.sleep.is_zero() => {
+                    self.tele.drain(self.controller.meter());
+                    if self.shutdown.sleep(outcome.sleep) {
                         break;
                     }
+                    fresh = true;
                 }
+                Ok(Step::Continue) => {}
                 Ok(Step::Stop) | Err(_) => break,
             }
         }
+        self.records.flush();
+        self.tele.drain(self.controller.meter());
         self.seq
     }
 
@@ -273,13 +318,14 @@ impl TaskCtx {
         for release in self.releases.drain(..) {
             release();
         }
+        self.tele.drain(self.controller.meter());
+        self.tele.on_recover();
         self.controller = AruController::new(
             NodeKind::Thread,
             self.n_outputs,
             self.is_source,
             &self.config,
         );
-        self.tele.on_recover();
         self.seq += 1;
     }
 }
@@ -298,7 +344,7 @@ mod tests {
             true,
             &AruConfig::aru_min(),
             Arc::new(clock),
-            SharedTrace::new(),
+            &SharedTrace::new(),
             Shutdown::new(),
             None,
         )
@@ -339,7 +385,7 @@ mod tests {
             true,
             &AruConfig::aru_min(),
             Arc::new(clock),
-            SharedTrace::new(),
+            &SharedTrace::new(),
             shutdown.clone(),
             None,
         );
@@ -359,7 +405,7 @@ mod tests {
             true,
             &AruConfig::aru_min(),
             Arc::new(clock.clone()),
-            trace.clone(),
+            &trace,
             Shutdown::new(),
             None,
         );
@@ -394,11 +440,12 @@ mod tests {
             false,
             &AruConfig::aru_min(),
             Arc::new(clock),
-            trace.clone(),
+            &trace,
             Shutdown::new(),
             None,
         );
         c.emit_output(Timestamp(4));
+        drop(c); // a dropped context flushes its records
         let snap = trace.snapshot();
         assert!(matches!(
             snap.events()[0],
@@ -407,6 +454,54 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Counters drain in batches (every `TASK_DRAIN` iterations, before a
+    /// block, at loop exit), so after the loop exits the registry holds
+    /// exactly the run's totals.
+    #[test]
+    fn telemetry_totals_are_exact_after_the_loop_exits() {
+        let clock = ManualClock::new();
+        let trace = SharedTrace::new();
+        let mut c = TaskCtx::new(
+            NodeId(3),
+            "t".into(),
+            0,
+            false,
+            &AruConfig::aru_min(),
+            Arc::new(clock.clone()),
+            &trace,
+            Shutdown::new(),
+            None,
+        );
+        let mut n = 0u64;
+        let iters = c.run(&mut |ctx: &mut TaskCtx| {
+            n += 1;
+            clock.advance(Micros(1 + n % 5));
+            if n.is_multiple_of(7) {
+                let t = ctx.read_clock();
+                ctx.block_begin(t);
+                let t = clock.advance(Micros(3));
+                ctx.block_end(t);
+            }
+            Ok(if n == 2 * crate::tele::TASK_DRAIN + 9 {
+                Step::Stop
+            } else {
+                Step::Continue
+            })
+        });
+        let snap = trace.telemetry().registry.snapshot();
+        let labels: &[(&str, &str)] = &[("thread", "t")];
+        let meter = c.controller.meter();
+        assert_eq!(snap.counter("aru_iterations_total", labels), iters);
+        assert_eq!(
+            snap.counter("aru_busy_us_total", labels),
+            meter.total_busy().as_micros()
+        );
+        assert_eq!(
+            snap.counter("aru_blocked_us_total", labels),
+            meter.total_blocked().as_micros()
+        );
     }
 
     #[test]
@@ -420,7 +515,7 @@ mod tests {
             true,
             &AruConfig::aru_min(),
             Arc::new(vtime::WallClock::new()),
-            SharedTrace::new(),
+            &SharedTrace::new(),
             shutdown.clone(),
             None,
         );

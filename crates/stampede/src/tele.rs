@@ -10,10 +10,12 @@
 //!   accumulated deltas are drained to the shared registry only when the
 //!   exporter (or shutdown) calls `publish` — the put/get hot path never
 //!   touches a shared cache line for telemetry.
-//! * [`TaskTele`] is **task-thread-private** and records straight to the
-//!   registry's wait-free handles at *iteration* cadence (µs-scale, far off
-//!   the per-op budget). Per-op put/get latency is sampled 1 in
-//!   [`LAT_SAMPLE`] calls on the endpoint side.
+//! * [`TaskTele`] is **task-thread-private**: gauges are stored every
+//!   iteration, counters accumulate as plain deltas drained to the
+//!   registry's wait-free handles when the task is about to block or sleep,
+//!   every [`TASK_DRAIN`] iterations, and when its loop exits or recovers.
+//!   Per-op put/get latency is sampled 1 in [`LAT_SAMPLE`] calls on the
+//!   endpoint side.
 //!
 //! Both own a [`JournalShard`] and journal feedback-loop hops **only when
 //! the carried summary value changes** — a converged pipeline pays one
@@ -281,9 +283,27 @@ impl Drop for LfEndpointTele {
     }
 }
 
-/// Per-task telemetry. Thread-private (lives in `TaskCtx`); records to the
-/// registry's wait-free handles at iteration cadence and samples endpoint
-/// op latency.
+/// Iterations a task may run between two drains of its telemetry deltas
+/// (DESIGN.md §12). A task also drains before it blocks or sleeps, and
+/// when its loop exits or recovers from a crash.
+pub(crate) const TASK_DRAIN: u64 = 64;
+
+/// A task's counter deltas since its last drain: plain integers.
+#[derive(Default)]
+struct TaskDeltas {
+    iterations: u64,
+    pacing_taken: u64,
+    pacing_skipped: u64,
+    stale: u64,
+    pace_sleep_us: u64,
+    law_fired: u64,
+    law_clamped: u64,
+}
+
+/// Per-task telemetry. Thread-private (lives in `TaskCtx`): gauges are
+/// stored every iteration, counters accumulate as plain deltas that
+/// [`TaskTele::drain`] adds to the registry, and endpoint op latency is
+/// sampled.
 pub(crate) struct TaskTele {
     stp_current: Gauge,
     stp_summary: Gauge,
@@ -300,7 +320,8 @@ pub(crate) struct TaskTele {
     blocked_us: Counter,
     put_ns: Histogram,
     get_ns: Histogram,
-    // Meter totals already published, so each iteration adds the delta.
+    d: TaskDeltas,
+    // Meter totals already published, so a drain adds the difference.
     prev_busy: Micros,
     prev_blocked: Micros,
     op_seq: u64,
@@ -334,6 +355,7 @@ impl TaskTele {
             blocked_us: r.counter("aru_blocked_us_total", labels),
             put_ns: r.histogram("aru_put_latency_ns", labels),
             get_ns: r.histogram("aru_get_latency_ns", labels),
+            d: TaskDeltas::default(),
             prev_busy: Micros::ZERO,
             prev_blocked: Micros::ZERO,
             op_seq: 0,
@@ -342,9 +364,9 @@ impl TaskTele {
         }
     }
 
-    /// Iteration finished: publish STP gauges, iteration/pacing/staleness
-    /// counters, busy/blocked deltas, and (when the law fired) the
-    /// journal's pace record.
+    /// Iteration finished: store the STP gauges, count the iteration,
+    /// pacing, staleness and law deltas, and (when the law fired) write the
+    /// journal's pace record. Drains every [`TASK_DRAIN`] iterations.
     pub(crate) fn on_iteration(
         &mut self,
         t: SimTime,
@@ -356,21 +378,18 @@ impl TaskTele {
         if let Some(s) = outcome.summary {
             self.stp_summary.set(s.as_micros() as f64);
         }
-        self.iterations.inc();
+        let d = &mut self.d;
+        d.iterations += 1;
         if outcome.paced {
-            self.pacing_taken.inc();
-            self.pace_sleep_us.add(outcome.sleep.as_micros());
+            d.pacing_taken += 1;
+            d.pace_sleep_us += outcome.sleep.as_micros();
         } else {
-            self.pacing_skipped.inc();
+            d.pacing_skipped += 1;
         }
-        if outcome.stale {
-            self.stale.inc();
-        }
+        d.stale += u64::from(outcome.stale);
         if outcome.law_fired {
-            self.law_fired.inc();
-            if outcome.clamped {
-                self.law_clamped.inc();
-            }
+            d.law_fired += 1;
+            d.law_clamped += u64::from(outcome.clamped);
             if let Some(raw) = outcome.raw_target {
                 self.pace_raw_us.set(raw.as_micros() as f64);
             }
@@ -379,16 +398,40 @@ impl TaskTele {
             }
         }
         self.gates.on_iteration(&self.journal, t, node, outcome);
-        let busy = meter.total_busy();
-        let blocked = meter.total_blocked();
+        if self.d.iterations >= TASK_DRAIN {
+            self.drain(meter);
+        }
+    }
+
+    /// Add the counter deltas and the meter's busy/blocked growth since the
+    /// last drain to the registry.
+    pub(crate) fn drain(&mut self, meter: &aru_core::StpMeter) {
+        let d = std::mem::take(&mut self.d);
+        for (counter, delta) in [
+            (&self.iterations, d.iterations),
+            (&self.pacing_taken, d.pacing_taken),
+            (&self.pacing_skipped, d.pacing_skipped),
+            (&self.stale, d.stale),
+            (&self.pace_sleep_us, d.pace_sleep_us),
+            (&self.law_fired, d.law_fired),
+            (&self.law_clamped, d.law_clamped),
+        ] {
+            if delta > 0 {
+                counter.add(delta);
+            }
+        }
+        let (busy, blocked) = (meter.total_busy(), meter.total_blocked());
         // saturating: the meter restarts from zero after a crash recovery
-        self.busy_us
-            .add(busy.as_micros().saturating_sub(self.prev_busy.as_micros()));
-        self.blocked_us.add(
-            blocked
-                .as_micros()
-                .saturating_sub(self.prev_blocked.as_micros()),
-        );
+        let busy_delta = busy.as_micros().saturating_sub(self.prev_busy.as_micros());
+        let blocked_delta = blocked
+            .as_micros()
+            .saturating_sub(self.prev_blocked.as_micros());
+        if busy_delta > 0 {
+            self.busy_us.add(busy_delta);
+        }
+        if blocked_delta > 0 {
+            self.blocked_us.add(blocked_delta);
+        }
         self.prev_busy = busy;
         self.prev_blocked = blocked;
     }
@@ -422,8 +465,8 @@ impl TaskTele {
         self.get_ns.record(t0.elapsed().as_nanos() as u64);
     }
 
-    /// After a crash the meter restarts from zero; resync the published
-    /// baselines so the next iteration's delta is not wildly negative.
+    /// After a crash the meter restarts from zero (the caller drained the
+    /// old one first); resync the published baselines to match.
     pub(crate) fn on_recover(&mut self) {
         self.prev_busy = Micros::ZERO;
         self.prev_blocked = Micros::ZERO;

@@ -260,3 +260,33 @@ fn lockfree_backend_pace_attributes_through_the_same_chain() {
     assert!(report.outputs() > 3);
     assert_pace_attributes_to_full_chain(&telemetry, src_node, snk_node);
 }
+
+/// A task drains its counters in batches, and at the latest when its loop
+/// exits, so after `stop` each thread's iteration and busy totals are
+/// exactly what its trace records: one `IterEnd` per iteration, carrying
+/// that iteration's busy time.
+#[test]
+fn task_counters_are_exact_after_stop() {
+    let (tele, src, snk, report) = run_instrumented_until(1, 2, 100, 5);
+    let snap = tele.registry.snapshot();
+    for (node, name) in [(src, "src"), (snk, "sink")] {
+        let (iterations, busy) = report
+            .trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                aru_metrics::TraceEvent::IterEnd { iter, busy, .. } if iter.node == node => {
+                    Some(busy.as_micros())
+                }
+                _ => None,
+            })
+            .fold((0, 0), |(n, sum), b| (n + 1, sum + b));
+        let label = ("thread", name);
+        assert_eq!(
+            counter(&snap, "aru_iterations_total", label),
+            iterations,
+            "{name}"
+        );
+        assert_eq!(counter(&snap, "aru_busy_us_total", label), busy, "{name}");
+    }
+}

@@ -1,4 +1,4 @@
-//! Simulator vs threaded runtime on the same graph (ROADMAP 6a). The
+//! Simulator vs threaded runtime on the same graph (ROADMAP 9a). The
 //! simulator is the oracle behind every figure; this pins it to the runtime
 //! that computes for real. Both substrates lower `graph::STAGES`, get the
 //! same five per-stage times (5 / 15 / 20 / 50 / 5 ms — as service times in
