@@ -13,17 +13,16 @@
 //! in the threaded runtime into a contention point and distorts the very
 //! waste/footprint numbers we reproduce. [`SharedTrace`] therefore shards:
 //!
-//! * every handle clone owns a private **shard** — a chunked append buffer
-//!   (fixed-capacity `Vec` chunks, sealed when full) behind its own mutex.
-//!   The runtime hands one clone to each task's supervisor, so a shard is
-//!   only ever locked by its owning thread and the lock is never contended;
-//!   snapshotting is the only cross-thread reader.
-//! * the hot paths go further: a [`LocalTrace`] (opened with
-//!   [`SharedTrace::local`]) is a buffered single-owner writer — channels
-//!   and queues keep one inside the state mutex they already hold, and a
-//!   task context owns one for its loop's records, so recording an event
-//!   is a plain `Vec::push` and the shard lock is taken once per
-//!   `SHARD_CHUNK` events (flush), not once per event.
+//! * every writer is a [`LocalTrace`] (opened with [`SharedTrace::local`]):
+//!   a buffered single-owner writer on a private **shard**, a list of
+//!   sealed `Vec` chunks behind its own mutex. Channels and queues keep
+//!   their writer inside the state mutex they already hold, and a task
+//!   context owns one for its own records (the supervisor's crash and
+//!   restart records among them), so recording an event is a plain
+//!   `Vec::push` and the shard lock is taken once per `SHARD_CHUNK` events
+//!   (flush), not once per event. Snapshotting is the only other reader
+//!   of a shard, so the lock is never contended. The [`SharedTrace`]
+//!   handle itself writes nothing.
 //! * item ids come from one shared atomic, reserved in writer-private
 //!   blocks (`ID_BLOCK`) held under the writer's ambient exclusion, so
 //!   id generation adds no shared-cache-line traffic and no extra atomics
@@ -67,10 +66,6 @@ pub struct Trace {
     /// Max event time so far — kept incrementally so [`Trace::last_time`]
     /// is O(1) instead of a full scan.
     max_time: SimTime,
-    /// Are `events` nondecreasing in time? Runtimes append in time order so
-    /// this stays true; it only drops on an out-of-order append and lets
-    /// [`Trace::merge`] pick the cheap merge path without re-verifying.
-    sorted: bool,
     /// Wall-clock creation instant (see [`wall_clock_unix_us`]); 0 for
     /// default-constructed traces.
     epoch_unix_us: u64,
@@ -83,7 +78,6 @@ impl Trace {
             events: Vec::new(),
             next_item: 0,
             max_time: SimTime::ZERO,
-            sorted: true,
             epoch_unix_us: wall_clock_unix_us(),
         }
     }
@@ -107,12 +101,7 @@ impl Trace {
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        let t = ev.time();
-        if t < self.max_time {
-            self.sorted = false;
-        } else {
-            self.max_time = t;
-        }
+        self.max_time = self.max_time.max(ev.time());
         self.events.push(ev);
     }
 
@@ -220,46 +209,6 @@ impl Trace {
         self.max_time
     }
 
-    /// Merge another trace (e.g. per-thread shards). Events keep their
-    /// times; the result is time-ordered with `self`'s events first on
-    /// ties.
-    ///
-    /// Cost: O(1) extra when `other` starts at or after `self`'s last
-    /// event (the common shard-collection case), O(n + m) when the runs
-    /// overlap, and one O((n+m) log(n+m)) sort only when either side was
-    /// itself recorded out of order — never a re-sort of everything on
-    /// every call.
-    pub fn merge(&mut self, other: Trace) {
-        self.next_item = self.next_item.max(other.next_item);
-        if self.epoch_unix_us == 0 {
-            self.epoch_unix_us = other.epoch_unix_us;
-        }
-        if other.events.is_empty() {
-            return;
-        }
-        if self.events.is_empty() {
-            self.events = other.events;
-            self.max_time = other.max_time;
-            self.sorted = other.sorted;
-            return;
-        }
-        if self.sorted && other.sorted {
-            if other.events[0].time() >= self.max_time {
-                // Disjoint runs: plain append keeps global order.
-                self.events.extend_from_slice(&other.events);
-            } else {
-                // Overlapping sorted runs: single linear two-way merge.
-                let left = std::mem::take(&mut self.events);
-                self.events = merge_two_sorted(left, other.events);
-            }
-        } else {
-            self.events.extend_from_slice(&other.events);
-            self.events.sort_by_key(TraceEvent::time);
-            self.sorted = true;
-        }
-        self.max_time = self.max_time.max(other.max_time);
-    }
-
     /// Build a trace from per-shard event runs by k-way merge.
     ///
     /// Each run is sorted individually first (runs recorded in time order —
@@ -308,28 +257,9 @@ impl Trace {
             events,
             next_item,
             max_time,
-            sorted: true,
             epoch_unix_us: 0,
         }
     }
-}
-
-/// Linear merge of two time-sorted runs, stable with `left` first on ties.
-fn merge_two_sorted(left: Vec<TraceEvent>, right: Vec<TraceEvent>) -> Vec<TraceEvent> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        if left[i].time() <= right[j].time() {
-            out.push(left[i]);
-            i += 1;
-        } else {
-            out.push(right[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&left[i..]);
-    out.extend_from_slice(&right[j..]);
-    out
 }
 
 /// Events per sealed shard chunk. Large enough that sealing (a pointer
@@ -348,62 +278,18 @@ const SHARD_CHUNK: usize = 1024;
 /// preemption budget instead of after 256 uncontended bumps.
 const ID_BLOCK: u64 = if cfg!(loom) { 2 } else { 256 };
 
-#[derive(Debug, Default)]
-struct ShardBuf {
-    /// Sealed, full chunks in append order.
-    full: Vec<Vec<TraceEvent>>,
-    /// The chunk currently being filled.
-    cur: Vec<TraceEvent>,
-}
-
-/// One clone-private append buffer of a [`SharedTrace`].
+/// One [`LocalTrace`]'s published events: sealed chunks in append order.
 ///
-/// The mutex is for the snapshotting reader only: the owning handle is the
-/// single writer, so hot-path locking is always uncontended.
-#[derive(Debug, Default)]
-struct Shard {
-    buf: Mutex<ShardBuf>,
-}
-
-impl Shard {
-    fn push(&self, ev: TraceEvent) {
-        let mut b = self.buf.lock();
-        b.cur.push(ev);
-        if b.cur.len() == SHARD_CHUNK {
-            let sealed = std::mem::replace(&mut b.cur, Vec::with_capacity(SHARD_CHUNK));
-            b.full.push(sealed);
-        }
-    }
-
-    /// Hand over a whole pre-filled chunk (a [`LocalTrace`] flush). The
-    /// flushing writer is the shard's only event writer, so `cur` is
-    /// always empty here and append order is preserved.
-    fn push_chunk(&self, chunk: Vec<TraceEvent>) {
-        if chunk.is_empty() {
-            return;
-        }
-        let mut b = self.buf.lock();
-        debug_assert!(b.cur.is_empty(), "push_chunk on a directly-written shard");
-        b.full.push(chunk);
-    }
-
-    /// Copy out everything recorded so far, in append order.
-    fn collect(&self) -> Vec<TraceEvent> {
-        let b = self.buf.lock();
-        let mut out = Vec::with_capacity(b.full.len() * SHARD_CHUNK + b.cur.len());
-        for chunk in &b.full {
-            out.extend_from_slice(chunk);
-        }
-        out.extend_from_slice(&b.cur);
-        out
-    }
-}
+/// The mutex is for the snapshotting reader only: the owning writer is the
+/// single writer, so its flushes never contend.
+type Shard = Mutex<Vec<Vec<TraceEvent>>>;
 
 #[derive(Debug)]
 struct TraceCore {
     next_item: AtomicU64,
     /// Registry of every shard ever created for this trace, in
-    /// registration order (= clone order; the merge tiebreak).
+    /// registration order (the order [`SharedTrace::local`] opened their
+    /// writers; the merge tiebreak).
     shards: Mutex<Vec<Arc<Shard>>>,
     /// Live-telemetry bundle (metrics registry + flight-recorder journal).
     /// Carried here because the trace handle already reaches every
@@ -416,17 +302,15 @@ struct TraceCore {
 
 /// Thread-safe sharded trace handle for the threaded runtime.
 ///
-/// Cloning registers a fresh shard: give each supervisor its own clone and
-/// appends never contend (see the module docs). The handle writes only the
-/// supervisor's crash and restart records. Everything else goes through a
-/// [`LocalTrace`]: a buffer's records (items are allocated, read and freed
-/// only inside buffers, so a buffer's writer is the one source of item
-/// ids) and a task's own records (iteration ends, sink outputs, stale
-/// summaries, pace decisions).
-#[derive(Debug)]
+/// The handle opens writers and takes snapshots; it writes nothing itself,
+/// and a clone is another handle on the same trace. Every record goes
+/// through a [`LocalTrace`]: a buffer's records (items are allocated, read
+/// and freed only inside buffers, so a buffer's writer is the one source of
+/// item ids) and a task's own records (iteration ends, sink outputs, stale
+/// summaries, pace decisions, op timeouts, crashes and restarts).
+#[derive(Debug, Clone)]
 pub struct SharedTrace {
     core: Arc<TraceCore>,
-    shard: Arc<Shard>,
 }
 
 impl Default for SharedTrace {
@@ -435,30 +319,16 @@ impl Default for SharedTrace {
     }
 }
 
-impl Clone for SharedTrace {
-    /// The clone shares the id counter and snapshot registry but writes to
-    /// its own newly registered shard.
-    fn clone(&self) -> Self {
-        let shard = Arc::new(Shard::default());
-        self.core.shards.lock().push(Arc::clone(&shard));
-        SharedTrace {
-            core: Arc::clone(&self.core),
-            shard,
-        }
-    }
-}
-
 impl SharedTrace {
     #[must_use]
     pub fn new() -> Self {
-        let shard = Arc::new(Shard::default());
         let core = Arc::new(TraceCore {
             next_item: AtomicU64::new(0),
-            shards: Mutex::new(vec![Arc::clone(&shard)]),
+            shards: Mutex::default(),
             telemetry: Telemetry::new(),
             epoch_unix_us: wall_clock_unix_us(),
         });
-        SharedTrace { core, shard }
+        SharedTrace { core }
     }
 
     /// The live-telemetry bundle every clone of this trace shares.
@@ -474,19 +344,6 @@ impl SharedTrace {
         self.core.epoch_unix_us
     }
 
-    pub fn task_crash(&self, t: SimTime, node: NodeId, attempt: u32) {
-        self.shard.push(TraceEvent::TaskCrash { t, node, attempt });
-    }
-
-    pub fn task_restart(&self, t: SimTime, node: NodeId, attempt: u32, backoff: Micros) {
-        self.shard.push(TraceEvent::TaskRestart {
-            t,
-            node,
-            attempt,
-            backoff,
-        });
-    }
-
     /// Snapshot into an owned [`Trace`] for postmortem analysis: all shards
     /// are collected and k-way merged by time, once (concurrent appends may
     /// interleave slightly out of order within a shard; each shard is
@@ -498,7 +355,7 @@ impl SharedTrace {
     #[must_use]
     pub fn snapshot(&self) -> Trace {
         let shards: Vec<Arc<Shard>> = self.core.shards.lock().clone();
-        let runs: Vec<Vec<TraceEvent>> = shards.iter().map(|s| s.collect()).collect();
+        let runs: Vec<Vec<TraceEvent>> = shards.iter().map(|s| s.lock().concat()).collect();
         let mut trace = Trace::from_runs(runs, self.core.next_item.load(Ordering::Relaxed));
         trace.set_epoch_unix_us(self.core.epoch_unix_us);
         trace
@@ -566,7 +423,7 @@ impl LocalTrace {
             return;
         }
         let chunk = std::mem::replace(&mut self.buf, Vec::with_capacity(SHARD_CHUNK));
-        self.shard.push_chunk(chunk);
+        self.shard.lock().push(chunk);
     }
 
     pub fn alloc(
@@ -611,6 +468,19 @@ impl LocalTrace {
 
     pub fn stale_summary(&mut self, t: SimTime, iter: IterKey) {
         self.push(TraceEvent::StaleSummary { t, iter });
+    }
+
+    pub fn task_crash(&mut self, t: SimTime, node: NodeId, attempt: u32) {
+        self.push(TraceEvent::TaskCrash { t, node, attempt });
+    }
+
+    pub fn task_restart(&mut self, t: SimTime, node: NodeId, attempt: u32, backoff: Micros) {
+        self.push(TraceEvent::TaskRestart {
+            t,
+            node,
+            attempt,
+            backoff,
+        });
     }
 
     pub fn pace_decision(
@@ -699,69 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorts_by_time() {
-        let p = IterKey::new(NodeId(0), 0);
-        let mut a = Trace::new();
-        a.free(SimTime(10), ItemId(0));
-        let mut b = Trace::new();
-        b.alloc(SimTime(5), NodeId(1), Timestamp(0), 1, p);
-        a.merge(b);
-        assert_eq!(a.events()[0].time(), SimTime(5));
-        assert_eq!(a.events()[1].time(), SimTime(10));
-        assert_eq!(a.last_time(), SimTime(10));
-    }
-
-    #[test]
-    fn merge_appends_disjoint_runs_and_tracks_last_time() {
-        let p = IterKey::new(NodeId(0), 0);
-        let mut a = Trace::new();
-        a.alloc(SimTime(1), NodeId(1), Timestamp(0), 1, p);
-        let mut b = Trace::new();
-        b.free(SimTime(1), ItemId(0)); // tie with a's last: a first
-        b.free(SimTime(9), ItemId(0));
-        a.merge(b);
-        let times: Vec<SimTime> = a.events().iter().map(TraceEvent::time).collect();
-        assert_eq!(times, vec![SimTime(1), SimTime(1), SimTime(9)]);
-        assert!(matches!(a.events()[0], TraceEvent::Alloc { .. }));
-        assert_eq!(a.last_time(), SimTime(9));
-    }
-
-    #[test]
-    fn merge_of_unsorted_trace_sorts_once() {
-        let p = IterKey::new(NodeId(0), 0);
-        let mut a = Trace::new();
-        a.free(SimTime(30), ItemId(7));
-        a.free(SimTime(10), ItemId(8)); // out of order: marks unsorted
-        let mut b = Trace::new();
-        b.alloc(SimTime(20), NodeId(1), Timestamp(0), 1, p);
-        a.merge(b);
-        let times: Vec<SimTime> = a.events().iter().map(TraceEvent::time).collect();
-        assert_eq!(times, vec![SimTime(10), SimTime(20), SimTime(30)]);
-        assert_eq!(a.last_time(), SimTime(30));
-    }
-
-    #[test]
-    fn repeated_merge_stays_sorted() {
-        // The old implementation re-sorted the whole vector per merge; the
-        // new one must still end fully ordered after many small merges.
-        let p = IterKey::new(NodeId(0), 0);
-        let mut acc = Trace::new();
-        for k in 0..50u64 {
-            let mut shard = Trace::new();
-            // interleaved time ranges so merges genuinely overlap
-            shard.alloc(SimTime(1000 - k * 7), NodeId(1), Timestamp(k), 1, p);
-            shard.free(SimTime(1000 - k * 7 + 3), ItemId(k));
-            acc.merge(shard);
-        }
-        let times: Vec<SimTime> = acc.events().iter().map(TraceEvent::time).collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert_eq!(times, sorted);
-        assert_eq!(acc.len(), 100);
-        assert_eq!(acc.last_time(), SimTime(1003));
-    }
-
-    #[test]
     fn from_runs_merges_and_tiebreaks_by_run_index() {
         let p = IterKey::new(NodeId(0), 0);
         let run0 = vec![
@@ -792,16 +599,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_trace_concurrent_clones_merge_in_time_order() {
-        // Each clone crosses a chunk seal on its own shard.
+    fn concurrent_writers_merge_in_time_order() {
+        // Each writer crosses a chunk seal on its own shard; cloned handles
+        // open writers on the same trace.
         let tr = SharedTrace::new();
         let per = SHARD_CHUNK as u64 + 100;
         std::thread::scope(|s| {
             for i in 0..4 {
-                let tr = tr.clone();
+                let mut local = tr.clone().local();
                 s.spawn(move || {
                     for j in 0..per {
-                        tr.task_crash(SimTime(j), NodeId(i), j as u32);
+                        local.task_crash(SimTime(j), NodeId(i), j as u32);
                     }
                 });
             }
@@ -814,31 +622,30 @@ mod tests {
 
     #[test]
     fn shard_chunk_sealing_loses_nothing() {
-        // Cross several chunk boundaries on one handle.
+        // Cross several chunk boundaries on one writer.
         let tr = SharedTrace::new();
+        let mut local = tr.local();
         let n = (SHARD_CHUNK * 3 + 17) as u64;
         for j in 0..n {
-            tr.task_crash(SimTime(j), NodeId(0), 1);
+            local.task_restart(SimTime(j), NodeId(0), 1, Micros(5));
         }
+        local.flush();
         let snap = tr.snapshot();
         assert_eq!(snap.len(), n as usize);
         assert_eq!(snap.last_time(), SimTime(n - 1));
         // a later snapshot still sees everything plus newer events
-        tr.task_crash(SimTime(n), NodeId(0), 1);
+        local.task_crash(SimTime(n), NodeId(0), 1);
+        drop(local);
         assert_eq!(tr.snapshot().len(), n as usize + 1);
     }
 
     #[test]
-    fn snapshot_and_merge_carry_wall_clock_epoch() {
+    fn snapshot_carries_wall_clock_epoch() {
         let tr = SharedTrace::new();
         assert!(tr.epoch_unix_us() > 0, "epoch stamped at creation");
         assert_eq!(tr.snapshot().epoch_unix_us(), tr.epoch_unix_us());
-        let a = Trace::new();
-        assert!(a.epoch_unix_us() > 0);
-        let mut b = Trace::default();
-        assert_eq!(b.epoch_unix_us(), 0);
-        b.merge(a.clone());
-        assert_eq!(b.epoch_unix_us(), a.epoch_unix_us(), "merge adopts epoch");
+        assert!(Trace::new().epoch_unix_us() > 0);
+        assert_eq!(Trace::default().epoch_unix_us(), 0);
     }
 
     #[test]

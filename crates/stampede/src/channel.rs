@@ -36,21 +36,14 @@
 
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
-use crate::sync::{Condvar, Mutex, MutexGuard};
+use crate::sync::{Condvar, Mutex};
 use crate::task::TaskCtx;
 use crate::tele::BufTele;
 use aru_core::{AruConfig, Stp};
 use aru_gc::{Acquire, BufferCore, ConsumerMarks, Footprint, GcMode, InputPolicy};
 use aru_metrics::{ItemId, IterKey, LocalTrace, SharedTrace};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use vtime::{Clock, SimTime, Timestamp};
-
-/// Wall-clock deadline for one blocking buffer operation, from the task's
-/// configured op timeout (`None` = block forever).
-pub(crate) fn op_deadline(ctx: &TaskCtx) -> Option<Instant> {
-    ctx.op_timeout().map(|d| Instant::now() + Duration::from(d))
-}
 
 /// An item held by a channel.
 struct Stored<T> {
@@ -446,19 +439,13 @@ impl<T: ItemData> Channel<T> {
         }
     }
 
-    /// The one blocking-wait loop behind every blocking get and put.
-    ///
-    /// `probe` runs under the state lock, first on entry and again after
-    /// every wakeup: `Some(result)` completes the op, `None` parks on
-    /// `cond` (consumers wait on `cons`, producers on `prod`). Its `woke`
-    /// argument is `None` on entry and afterwards the task's read on its
-    /// latest wake-up, which stamps what the probe records. A closed
+    /// Every blocking get and put: the probe, under the state lock, in the
+    /// task's one wait path ([`TaskCtx::park_op`]), parked on `cond`
+    /// (consumers wait on `cons`, producers on `prod`). `Some(result)`
+    /// completes the op; `woke` stamps what the probe records. A closed
     /// channel fails the op with `Closed` — close drains the store and
     /// rejects inserts, so a closed channel never holds anything a probe
-    /// could find. The task's op timeout bounds the whole call: when it
-    /// passes, the timeout is counted and traced once and the op fails with
-    /// `Timeout`. Everything from the first park to the last wake-up read
-    /// is recorded as blocked time, excluded from the task's current-STP.
+    /// could find. An op timeout is counted here and traced by the task.
     #[inline]
     fn block_until<R>(
         &self,
@@ -466,58 +453,23 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         mut probe: impl FnMut(&mut ChannelState<T>, &mut TaskCtx, Option<SimTime>) -> Option<R>,
     ) -> Result<R, StampedeError> {
-        let deadline = op_deadline(ctx);
         let mut st = self.state.lock();
-        let mut woke = None;
-        let res = loop {
-            if st.closed {
-                break Err(StampedeError::Closed);
-            }
-            if let Some(done) = probe(&mut st, ctx, woke) {
-                break Ok(done);
-            }
-            if woke.is_none() {
-                let now = ctx.read_clock();
-                ctx.block_begin(now);
-            }
-            let timed_out = self.wait_step(cond, &mut st, deadline);
-            let now = ctx.read_clock();
-            woke = Some(now);
-            if timed_out {
-                st.tele.on_timeout();
-                st.trace.op_timeout(now, ctx.node());
-                break Err(StampedeError::Timeout);
-            }
-        };
-        drop(st);
-        if let Some(now) = woke {
-            ctx.block_end(now);
-        }
-        res
-    }
-
-    /// One bounded wait; `true` means the op deadline passed before
-    /// anything woke us.
-    fn wait_step(
-        &self,
-        cond: &Condvar,
-        st: &mut MutexGuard<'_, ChannelState<T>>,
-        deadline: Option<Instant>,
-    ) -> bool {
-        match deadline {
-            None => {
-                cond.wait(st);
-                false
-            }
-            Some(dl) => {
-                let now = Instant::now();
-                if now >= dl {
-                    return true;
+        ctx.park_op(
+            &mut st,
+            |st, ctx, woke| {
+                if st.closed {
+                    return Some(Err(StampedeError::Closed));
                 }
-                cond.wait_for(st, dl - now);
-                false
-            }
-        }
+                probe(st, ctx, woke).map(Ok)
+            },
+            |st, deadline| {
+                let timed_out = cond.wait_until(st, deadline);
+                if timed_out {
+                    st.tele.on_timeout();
+                }
+                timed_out
+            },
+        )
     }
 
     // ---- admin interface used by the runtime's DGC pass --------------------

@@ -46,7 +46,7 @@
 //! the completing push bumps). Items nobody asks for after close are
 //! freed by the ring's `Drop`.
 
-use crate::channel::{op_deadline, BufferAdmin};
+use crate::channel::BufferAdmin;
 use crate::error::StampedeError;
 use crate::item::ItemData;
 use crate::ring::MpmcRing;
@@ -301,46 +301,32 @@ impl<T: ItemData> LfQueue<T> {
         chan_out_index: usize,
         ctx: &mut TaskCtx,
     ) -> Result<LfItem<T>, StampedeError> {
-        let deadline = op_deadline(ctx);
-        // The task's read on its latest wake-up: it ends the blocked time.
-        let mut woke = None;
-        loop {
-            let epoch = self.push_ops.load(Ordering::SeqCst);
-            if let Some(stored) = self.ring.try_pop() {
-                if let Some(now) = woke {
-                    ctx.block_end(now);
+        // The push epoch read before the latest pop attempt: the park
+        // re-checks it.
+        let mut epoch = 0;
+        ctx.park_op(
+            &mut epoch,
+            |epoch, ctx, _woke| {
+                *epoch = self.push_ops.load(Ordering::SeqCst);
+                if let Some(stored) = self.ring.try_pop() {
+                    self.finish_pop(&stored, chan_out_index, ctx);
+                    return Some(Ok(LfItem {
+                        ts: stored.ts,
+                        value: stored.value,
+                    }));
                 }
-                self.finish_pop(&stored, chan_out_index, ctx);
-                return Ok(LfItem {
-                    ts: stored.ts,
-                    value: stored.value,
-                });
-            }
-            if self.closed.load(Ordering::SeqCst) && self.ring.is_empty() {
-                if let Some(now) = woke {
-                    ctx.block_end(now);
-                }
-                return Err(StampedeError::Closed);
-            }
-            // Closed but not empty: a push claimed its slot but has not
-            // released it yet (`try_pop` saw the slot unready). Parking on
-            // the pre-pop epoch is safe — the completing push bumps
-            // `push_ops` and wakes us, and the park re-check refuses to
-            // sleep if it already did. Returning `Closed` here would
-            // strand a drainable item, breaking the close contract the
-            // mutex oracle keeps.
-            if woke.is_none() {
-                let now = ctx.read_clock();
-                ctx.block_begin(now);
-            }
-            let timed_out = self.park_consumer(epoch, deadline);
-            let now = ctx.read_clock();
-            woke = Some(now);
-            if timed_out {
-                ctx.block_end(now);
-                return Err(StampedeError::Timeout);
-            }
-        }
+                // Closed but not empty: a push claimed its slot but has not
+                // released it yet (`try_pop` saw the slot unready). Parking
+                // on the pre-pop epoch is safe — the completing push bumps
+                // `push_ops` and wakes us, and the park re-check refuses to
+                // sleep if it already did. Returning `Closed` here would
+                // strand a drainable item, breaking the close contract the
+                // mutex oracle keeps.
+                let drained = self.closed.load(Ordering::SeqCst) && self.ring.is_empty();
+                drained.then_some(Err(StampedeError::Closed))
+            },
+            |epoch, deadline| self.park_consumer(*epoch, deadline),
+        )
     }
 
     /// Non-blocking [`LfQueue::get`]: `Ok(None)` when nothing is
@@ -459,33 +445,16 @@ impl<T: ItemData> LfQueue<T> {
     }
 
     /// Park until a push completes (the epoch moves), close lands, or the
-    /// deadline passes; `true` = timed out. The epoch re-check runs under
-    /// the park lock, so a wakeup slipping between re-check and sleep is
-    /// impossible: wakers take the same lock to notify.
+    /// deadline passes; `true` = the deadline had passed. The epoch
+    /// re-check runs under the park lock, so a wakeup slipping between
+    /// re-check and sleep is impossible: wakers take the same lock to
+    /// notify.
     fn park_consumer(&self, epoch: u64, deadline: Option<Instant>) -> bool {
         self.cons_waiters.fetch_add(1, Ordering::SeqCst);
         let mut g = self.cons_park.lock();
-        let timed_out = if self.closed.load(Ordering::SeqCst)
-            || self.push_ops.load(Ordering::SeqCst) != epoch
-        {
-            false
-        } else {
-            match deadline {
-                None => {
-                    self.cons_cond.wait(&mut g);
-                    false
-                }
-                Some(dl) => {
-                    let now = Instant::now();
-                    if now >= dl {
-                        true
-                    } else {
-                        self.cons_cond.wait_for(&mut g, dl - now);
-                        false
-                    }
-                }
-            }
-        };
+        let quiet =
+            !self.closed.load(Ordering::SeqCst) && self.push_ops.load(Ordering::SeqCst) == epoch;
+        let timed_out = quiet && self.cons_cond.wait_until(&mut g, deadline);
         drop(g);
         self.cons_waiters.fetch_sub(1, Ordering::SeqCst);
         timed_out

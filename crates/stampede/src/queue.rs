@@ -182,54 +182,30 @@ impl<T: ItemData> Queue<T> {
     ///
     /// A get that found an item waiting is stamped with the task's last
     /// read, raised to the item's birth; one that parked, with the read it
-    /// took on its last wake-up, which also ends its blocked time.
+    /// took on its last wake-up (`TaskCtx::park_op`).
     pub fn get(
         &self,
         chan_out_index: usize,
         ctx: &mut TaskCtx,
     ) -> Result<StampedItem<T>, StampedeError> {
-        let deadline = crate::channel::op_deadline(ctx);
         let mut st = self.state.lock();
-        let mut woke = None;
-        loop {
-            if let Some(stored) = st.items.pop_front() {
-                let now = match woke {
-                    Some(now) => {
-                        ctx.block_end(now);
-                        now
-                    }
-                    None => ctx.stamp_after(stored.born),
-                };
-                return Ok(self.take_locked(&mut st, chan_out_index, ctx, now, stored));
-            }
-            if st.closed {
-                if let Some(now) = woke {
-                    ctx.block_end(now);
+        ctx.park_op(
+            &mut st,
+            |st, ctx, woke| match st.items.pop_front() {
+                Some(stored) => {
+                    let now = woke.unwrap_or_else(|| ctx.stamp_after(stored.born));
+                    Some(Ok(self.take_locked(st, chan_out_index, ctx, now, stored)))
                 }
-                return Err(StampedeError::Closed);
-            }
-            if woke.is_none() {
-                let now = ctx.read_clock();
-                ctx.block_begin(now);
-            }
-            match deadline {
-                None => self.cond.wait(&mut st),
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(std::time::Instant::now());
-                    if left.is_zero() {
-                        // The read taken on entering the wait or on the
-                        // last wake-up, after which nothing parked.
-                        let now = ctx.last_read();
-                        ctx.block_end(now);
-                        st.tele.on_timeout();
-                        st.trace.op_timeout(now, ctx.node());
-                        return Err(StampedeError::Timeout);
-                    }
-                    self.cond.wait_for(&mut st, left);
+                None => st.closed.then_some(Err(StampedeError::Closed)),
+            },
+            |st, deadline| {
+                let timed_out = self.cond.wait_until(st, deadline);
+                if timed_out {
+                    st.tele.on_timeout();
                 }
-            }
-            woke = Some(ctx.read_clock());
-        }
+                timed_out
+            },
+        )
     }
 
     /// Non-blocking dequeue, stamped like a get that did not block.

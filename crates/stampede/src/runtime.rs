@@ -218,8 +218,6 @@ impl Runtime {
             let alive = LiveTask::new(&live);
             let node = *node;
             let policy = self.retry;
-            let clock = Arc::clone(&self.clock);
-            let trace = self.trace.clone();
             let sd = shutdown.clone();
             let admins: Vec<Arc<dyn BufferAdmin>> = self.admins.clone();
             let journal = self.trace.telemetry().journal.clone();
@@ -237,12 +235,15 @@ impl Runtime {
                 .name(name.clone())
                 .spawn(move || {
                     // Declared first, dropped last: the context (and its
-                    // buffered records) goes before the thread counts out.
+                    // buffered records, the crash and restart records
+                    // among them) goes before the thread counts out.
                     let _alive = alive;
                     let mut ctx = ctx;
-                    // Per-task journal shard: the supervisor is this
-                    // thread's only writer, honoring the shard's
-                    // single-writer contract.
+                    // The supervisor's own journal shard, apart from the
+                    // task's: a busy task wraps its ring, and would
+                    // overwrite the crash records. The supervisor is this
+                    // shard's only writer, honoring its single-writer
+                    // contract.
                     let jshard = journal.shard();
                     let mut attempt: u32 = 0;
                     loop {
@@ -251,18 +252,17 @@ impl Runtime {
                             Err(payload) => {
                                 attempt += 1;
                                 let msg = panic_message(payload.as_ref());
-                                ctx.flush_records();
-                                trace.task_crash(clock.now(), node, attempt);
-                                jshard.record(clock.now(), node, JournalKind::Crash { attempt });
+                                let now = ctx.record_crash(attempt);
+                                jshard.record(now, node, JournalKind::Crash { attempt });
                                 if sd.is_set() {
                                     return Err(msg);
                                 }
                                 if policy.allows(attempt) {
                                     let backoff = policy.delay(attempt);
                                     ctx.recover();
-                                    trace.task_restart(clock.now(), node, attempt, backoff);
+                                    let now = ctx.record_restart(attempt, backoff);
                                     jshard.record(
-                                        clock.now(),
+                                        now,
                                         node,
                                         JournalKind::Restart { attempt, backoff },
                                     );
@@ -271,7 +271,7 @@ impl Runtime {
                                     }
                                 } else {
                                     jshard.record(
-                                        clock.now(),
+                                        ctx.now(),
                                         node,
                                         JournalKind::Escalate { attempt },
                                     );
@@ -337,19 +337,15 @@ impl Runtime {
                     // on supervisor escalation, so a crashed run still
                     // leaves its last snapshot behind. A run that recorded
                     // faults additionally appends the fault report as a
-                    // JSONL line next to the snapshots. It waits for the
-                    // task threads to exit, which flushes their records
-                    // (stale summaries) and drains their counters, and it
-                    // flushes the buffers' trace writers: op timeouts are
-                    // recorded inside channels and queues, and would
-                    // otherwise still be buffered when the report is
-                    // computed.
+                    // JSONL line next to the snapshots. Every fault it
+                    // counts is a task record (crashes, restarts, op
+                    // timeouts, stale summaries), so it waits for the task
+                    // threads to exit, which flushes their records and
+                    // drains their counters; the buffers' own records
+                    // (allocs, gets, frees) are not needed.
                     live.wait_none();
                     let _ = catch_unwind(AssertUnwindSafe(|| {
                         export_tick(&admins, &telemetry, &sink, epoch, clock.now());
-                        for a in &admins {
-                            a.flush_trace();
-                        }
                         let faults = FaultReport::compute(&trace.snapshot());
                         if faults.any() {
                             let line = fault_report_jsonl(&faults, epoch, wall_clock_unix_us());
@@ -538,6 +534,7 @@ pub type RunAnalysis = Postmortem;
 #[cfg(test)]
 mod tests {
     use super::RunReport;
+    use crate::backend::QueueBackend;
     use crate::builder::RuntimeBuilder;
     use crate::error::{StampedeError, Step};
     use aru_core::{AruConfig, RetryPolicy};
@@ -731,9 +728,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Run a sink whose `get_latest` on a never-fed channel times out once
-    /// (5 ms op deadline), then stops; `with` adds to the builder.
+    /// Run a sink whose get on a never-fed buffer times out once (5 ms op
+    /// deadline), then stops; `queue` picks the buffer (`None`: a channel,
+    /// read with `get_latest`), and `with` adds to the builder.
     fn run_sink_that_times_out_once(
+        queue: Option<QueueBackend>,
         with: impl FnOnce(RuntimeBuilder) -> RuntimeBuilder,
     ) -> RunReport {
         let mut b = with(
@@ -741,34 +740,48 @@ mod tests {
                 .with_op_timeout(Micros::from_millis(5)),
         );
         let sink = b.thread("sink");
-        let ch = b.channel::<Vec<u8>>("never-fed");
-        let mut input = b.connect_in(&ch, sink).unwrap();
         let saw_timeout = Arc::new(AtomicBool::new(false));
         let st = Arc::clone(&saw_timeout);
-        b.spawn(sink, move |ctx| match input.get_latest(ctx) {
+        let step = move |got: Result<(), StampedeError>| match got {
             Err(StampedeError::Timeout) => {
                 st.store(true, Ordering::SeqCst);
                 Ok(Step::Stop)
             }
-            other => {
-                let _ = other?;
-                Ok(Step::Continue)
+            other => other.map(|()| Step::Continue),
+        };
+        match queue {
+            None => {
+                let ch = b.channel::<Vec<u8>>("never-fed");
+                let mut input = b.connect_in(&ch, sink).unwrap();
+                b.spawn(sink, move |ctx| step(input.get_latest(ctx).map(drop)));
             }
-        });
+            Some(backend) => {
+                let q = b.queue_with_backend::<Vec<u8>>("never-fed", backend);
+                let mut input = b.connect_queue_in(&q, sink).unwrap();
+                b.spawn(sink, move |ctx| step(input.get(ctx).map(drop)));
+            }
+        }
         let running = b.build().unwrap().start();
         wait_until(|| saw_timeout.load(Ordering::SeqCst), "op timeout");
         running.stop().expect("timeout is not a crash")
     }
 
+    /// Every buffer's op timeout is traced, by the task that timed out.
     #[test]
     fn blocked_get_times_out_when_configured() {
-        let faults = run_sink_that_times_out_once(|b| b).analyze().faults;
-        assert_eq!(faults.timeouts, 1);
-        assert!(faults.any());
+        for queue in [
+            None,
+            Some(QueueBackend::Mutex),
+            Some(QueueBackend::lock_free()),
+        ] {
+            let faults = run_sink_that_times_out_once(queue, |b| b).analyze().faults;
+            assert_eq!(faults.timeouts, 1, "{queue:?}");
+            assert!(faults.any());
+        }
     }
 
-    /// The exporter's final `fault_report` line sees op timeouts that are
-    /// still buffered in the channel's trace writer when it runs.
+    /// The exporter's final `fault_report` line sees op timeouts, which
+    /// the task's trace writer buffers until the task exits.
     #[test]
     fn exporter_fault_report_counts_buffered_timeouts() {
         let dir = std::env::temp_dir().join(format!("aru-export-timeout-{}", std::process::id()));
@@ -778,7 +791,7 @@ mod tests {
             prometheus_path: None,
             jsonl_path: Some(jsonl.clone()),
         };
-        run_sink_that_times_out_once(|b| b.with_export(files, Micros::from_millis(10)));
+        run_sink_that_times_out_once(None, |b| b.with_export(files, Micros::from_millis(10)));
         let text = std::fs::read_to_string(&jsonl).expect("exporter wrote JSONL");
         let line = text
             .lines()

@@ -57,11 +57,9 @@ impl Shutdown {
     pub fn sleep_until(&self, deadline: std::time::Instant) -> bool {
         let mut g = self.inner.flag.lock();
         while !*g {
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            if self.inner.cond.wait_until(&mut g, Some(deadline)) {
                 return false;
             }
-            self.inner.cond.wait_for(&mut g, deadline - now);
         }
         true
     }

@@ -12,23 +12,25 @@
 //! [`Condvar`] is the one type defined here rather than re-exported: it
 //! wraps either condvar with a count of sleepers, so a notify with nobody
 //! asleep returns without entering the kernel (DESIGN.md §9), and loom
-//! explores that gate together with the protocols built on it.
+//! explores that gate together with the protocols built on it. Its
+//! [`Condvar::wait_until`] is the runtime's one deadline wait: every
+//! blocking buffer op and the shutdown sleep park through it.
 //!
 //! `aru-metrics` has the mirror shim for the trace recorder
 //! (`aru_metrics::sync`). See DESIGN.md §10 for the lane matrix.
 
 use std::fmt;
-use std::time::Duration;
+use std::time::Instant;
 
 #[cfg(not(loom))]
 use parking_lot::Condvar as RawCondvar;
 #[cfg(not(loom))]
-pub use parking_lot::{Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+pub use parking_lot::{Mutex, MutexGuard, RwLock};
 
 #[cfg(loom)]
 use self::loom_shim::Condvar as RawCondvar;
 #[cfg(loom)]
-pub use self::loom_shim::{Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+pub use self::loom_shim::{Mutex, MutexGuard, RwLock};
 
 /// Condition variable that notifies only when a sleeper is counted.
 ///
@@ -71,16 +73,23 @@ impl Condvar {
         self.sleepers.fetch_sub(1, atomic::Ordering::Relaxed);
     }
 
-    /// [`Condvar::wait`] bounded by `timeout`.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
+    /// [`Condvar::wait`] bounded by `deadline` (`None`: unbounded).
+    /// Returns `true`, without parking, when the deadline has already
+    /// passed; a wait that the deadline ends returns `false` like any other
+    /// wakeup, and the caller's re-check finds it expired on the next call.
+    pub fn wait_until<T>(&self, guard: &mut MutexGuard<'_, T>, deadline: Option<Instant>) -> bool {
+        let Some(deadline) = deadline else {
+            self.wait(guard);
+            return false;
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return true;
+        }
         self.sleepers.fetch_add(1, atomic::Ordering::Relaxed);
-        let res = self.inner.wait_for(guard, timeout);
+        self.inner.wait_for(guard, left);
         self.sleepers.fetch_sub(1, atomic::Ordering::Relaxed);
-        res
+        false
     }
 
     /// Wake one sleeper; `false` when none was counted and no wake was
@@ -218,19 +227,6 @@ mod loom_shim {
         }
     }
 
-    /// Result of a timed condition-variable wait.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult {
-        timed_out: bool,
-    }
-
-    impl WaitTimeoutResult {
-        #[must_use]
-        pub fn timed_out(&self) -> bool {
-            self.timed_out
-        }
-    }
-
     /// Model-checked condvar with the parking_lot API. A modeled timed
     /// wait has no real clock: loom may fire the timeout at any scheduling
     /// point, which explores both the notified and the timed-out path.
@@ -252,20 +248,13 @@ mod loom_shim {
             guard.inner = Some(g);
         }
 
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
+        pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
             let g = guard.inner.take().expect("guard present");
-            let (g, res) = self
+            let (g, _) = self
                 .inner
                 .wait_timeout(g, timeout)
                 .unwrap_or_else(PoisonError::into_inner);
             guard.inner = Some(g);
-            WaitTimeoutResult {
-                timed_out: res.timed_out(),
-            }
         }
 
         pub fn notify_one(&self) {

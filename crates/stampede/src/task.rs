@@ -25,18 +25,24 @@
 //! to plain deltas, drained to the registry before it blocks or sleeps,
 //! every 64 iterations (`tele::TASK_DRAIN`) and when the loop exits.
 //!
+//! Every blocking buffer op parks through `TaskCtx::park_op`: the op's
+//! deadline, its blocked time and its timeout record belong to the task,
+//! whichever buffer it waits on; the buffer supplies only its probe and
+//! its wait.
+//!
 //! The runtime owns the loop; the application supplies only the body, which
 //! is exactly the programming model the paper describes ("each thread is
 //! required to call \[periodicity_sync\] at the end of every thread iteration
 //! loop" — here the runtime calls it for you).
 
-use crate::error::{Step, TaskResult};
+use crate::error::{StampedeError, Step, TaskResult};
 use crate::runtime::DgcPass;
 use crate::shutdown::Shutdown;
 use crate::tele::TaskTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_metrics::{IterKey, LocalTrace, SharedTrace};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vtime::{Clock, Micros, SimTime, Timestamp};
 
 /// Per-task context handed to the body on every iteration.
@@ -61,7 +67,8 @@ pub struct TaskCtx {
     /// The task's last clock read, which reused stamps take.
     last: SimTime,
     /// The task's own records (iteration ends, sink outputs, stale
-    /// summaries, pace decisions), buffered.
+    /// summaries, pace decisions, op timeouts, and the supervisor's crash
+    /// and restart records), buffered.
     records: LocalTrace,
     shutdown: Shutdown,
     /// `None` outside `GcMode::Dgc`: nothing is skipped, no pass runs.
@@ -177,14 +184,60 @@ impl TaskCtx {
 
     // ---- hooks used by channel/queue endpoints ------------------------------
 
+    /// The one wait path of every blocking buffer op.
+    ///
+    /// `probe` runs on entry and again after every wakeup, on the buffer's
+    /// wait state `st` (its held state lock, or the lock-free queue's
+    /// epoch): `Some` completes the op, `None` parks through `park`, which
+    /// waits until woken or until the deadline it is handed and returns
+    /// `true` only when that deadline had already passed. The probe's
+    /// `woke` is `None` until the op has parked, and afterwards the read
+    /// taken on the latest wake-up, which stamps what the probe records.
+    ///
+    /// On the first park the task reads the clock, begins its blocked time
+    /// and sets the op's deadline from its op timeout. The blocked time
+    /// ends at the last read the op took, so everything from the first park
+    /// on is excluded from the task's current-STP. An op whose deadline
+    /// passed fails with `Timeout`, and the task records `OpTimeout` at that
+    /// same read: the op did not park again after it.
+    pub(crate) fn park_op<S, R>(
+        &mut self,
+        st: &mut S,
+        mut probe: impl FnMut(&mut S, &mut TaskCtx, Option<SimTime>) -> Option<Result<R, StampedeError>>,
+        mut park: impl FnMut(&mut S, Option<Instant>) -> bool,
+    ) -> Result<R, StampedeError> {
+        let mut woke = None;
+        let mut deadline = None;
+        let res = loop {
+            if let Some(done) = probe(st, self, woke) {
+                break done;
+            }
+            if woke.is_none() {
+                let now = self.read_clock();
+                self.block_begin(now);
+                deadline = self.op_timeout.map(|d| Instant::now() + Duration::from(d));
+            }
+            if park(st, deadline) {
+                woke = Some(self.last);
+                self.records.op_timeout(self.last, self.node);
+                break Err(StampedeError::Timeout);
+            }
+            woke = Some(self.read_clock());
+        };
+        if let Some(now) = woke {
+            self.block_end(now);
+        }
+        res
+    }
+
     /// The task is about to park: `now` is a fresh read. Its telemetry
     /// deltas drain here, where the task waits anyway.
-    pub(crate) fn block_begin(&mut self, now: SimTime) {
+    fn block_begin(&mut self, now: SimTime) {
         self.controller.block_begin(now);
         self.tele.drain(self.controller.meter());
     }
 
-    pub(crate) fn block_end(&mut self, now: SimTime) {
+    fn block_end(&mut self, now: SimTime) {
         self.controller.block_end(now);
     }
 
@@ -220,19 +273,24 @@ impl TaskCtx {
         self.tele.record_get_ns(t0);
     }
 
-    /// Op timeout applied by blocking buffer operations.
-    pub(crate) fn op_timeout(&self) -> Option<Micros> {
-        self.op_timeout
-    }
-
     pub(crate) fn set_op_timeout(&mut self, timeout: Option<Micros>) {
         self.op_timeout = timeout;
     }
 
-    /// Publish the task's buffered records (the supervisor calls this
-    /// before it records a crash).
-    pub(crate) fn flush_records(&mut self) {
-        self.records.flush();
+    /// Record a crash of the task's body at a fresh read, which it returns
+    /// for the supervisor's journal record.
+    pub(crate) fn record_crash(&mut self, attempt: u32) -> SimTime {
+        let now = self.read_clock();
+        self.records.task_crash(now, self.node, attempt);
+        now
+    }
+
+    /// Record the restart that follows a crash, like
+    /// [`TaskCtx::record_crash`].
+    pub(crate) fn record_restart(&mut self, attempt: u32, backoff: Micros) -> SimTime {
+        let now = self.read_clock();
+        self.records.task_restart(now, self.node, attempt, backoff);
+        now
     }
 
     /// Register a channel release to run when the current iteration ends.

@@ -654,19 +654,17 @@ fn run_blocked(
 #[test]
 fn every_blocking_op_honours_close_and_deadline_the_same_way() {
     use BlockingOp::*;
-    // (op, does the buffer trace? — the lock-free ring records no trace
-    // events, DESIGN.md §14, so its timeout is counted but not traced)
     let table = [
-        (GetLatest, true),
-        (GetExact, true),
-        (GetLatestAtOrBefore, true),
-        (GetLatestWindow, true),
-        (Put, true),
-        (FanOutPut, true),
-        (QueueGet(QueueBackend::Mutex), true),
-        (QueueGet(QueueBackend::lock_free()), false),
+        GetLatest,
+        GetExact,
+        GetLatestAtOrBefore,
+        GetLatestWindow,
+        Put,
+        FanOutPut,
+        QueueGet(QueueBackend::Mutex),
+        QueueGet(QueueBackend::lock_free()),
     ];
-    for (op, traces) in table {
+    for op in table {
         for how in [Unblock::Close, Unblock::Deadline] {
             let (err, waited, node, report) = run_blocked(op, how);
             let case = format!("{op:?} / {how:?}");
@@ -682,7 +680,7 @@ fn every_blocking_op_honours_close_and_deadline_the_same_way() {
                 .iter()
                 .filter(|e| matches!(e, aru_metrics::TraceEvent::OpTimeout { node: n, .. } if *n == node))
                 .count();
-            let want_timeouts = usize::from(how == Unblock::Deadline && traces);
+            let want_timeouts = usize::from(how == Unblock::Deadline);
             assert_eq!(timeouts, want_timeouts, "{case}: OpTimeout events");
 
             // The wait is blocked time, not compute: the iteration's busy

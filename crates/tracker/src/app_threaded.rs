@@ -231,18 +231,87 @@ pub fn build_threaded(params: &ThreadedTrackerParams) -> Result<ThreadedTracker,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::video::check_accuracy;
+    use crate::video::{check_accuracy, detection_error};
+    use aru_metrics::TraceEvent;
+    use stampede::RunReport;
+    use std::collections::HashMap;
+
+    /// The histogram lag of every detector iteration, from the run's trace:
+    /// the mask's frame less the frame of the histogram the iteration
+    /// joined to it (`get_latest_at_or_before`), keyed by `(model, mask
+    /// frame)`. Each `Get` is joined to its item's `Alloc` for the frame.
+    fn histogram_lag(report: &RunReport) -> HashMap<(u32, u64), i64> {
+        let topo = &report.topo;
+        let node = |c: usize| {
+            let name = CHANNELS[c].0;
+            topo.node_ids().find(|&n| topo.name(n) == name).expect(name)
+        };
+        // (model, is the histogram) per mask and histogram channel
+        let role = HashMap::from([
+            (node(C4), (0, false)),
+            (node(C7), (0, true)),
+            (node(C5), (1, false)),
+            (node(C8), (1, true)),
+        ]);
+        let mut items = HashMap::new();
+        let mut iters: HashMap<_, (u32, [Option<u64>; 2])> = HashMap::new();
+        for ev in report.trace.events() {
+            match *ev {
+                TraceEvent::Alloc {
+                    item, buffer, ts, ..
+                } => {
+                    if let Some(&r) = role.get(&buffer) {
+                        items.insert(item, (r, ts.raw()));
+                    }
+                }
+                TraceEvent::Get { item, consumer, .. } => {
+                    if let Some(&((model, hist), frame)) = items.get(&item) {
+                        let it = iters.entry(consumer).or_insert((model, [None; 2]));
+                        it.1[usize::from(hist)] = Some(frame);
+                    }
+                }
+                _ => {}
+            }
+        }
+        iters
+            .into_values()
+            .filter_map(|(model, [mask, hist])| {
+                let (mask, hist) = (mask?, hist?);
+                Some(((model, mask), mask as i64 - hist as i64))
+            })
+            .collect()
+    }
 
     /// A short real run: frames flow end-to-end and detections land near
     /// ground truth. (The detection kernel joins on matching timestamps, so
-    /// accuracy also validates the join plumbing.)
+    /// accuracy also validates the join plumbing.) Before the accuracy
+    /// check it prints the detectors' histogram lag (ROADMAP 1d): the
+    /// largest, and the lag behind every detection more than 30 px off, so
+    /// a failing run's log carries it.
     #[test]
     fn threaded_tracker_end_to_end() {
         let params = ThreadedTrackerParams::new(AruConfig::aru_min());
         let tracker = build_threaded(&params).unwrap();
         let report = tracker.runtime.run_for(Micros::from_millis(1500)).unwrap();
         assert!(report.outputs() > 2, "outputs {}", report.outputs());
-        let checked = check_accuracy(&tracker.video, &tracker.detections.lock());
+        let detections = tracker.detections.lock();
+        let lag = histogram_lag(&report);
+        let max = lag.values().max().copied().unwrap_or(0);
+        println!(
+            "histogram lag: max {max} frames over {} detector iterations",
+            lag.len()
+        );
+        for det in detections.iter().filter(|det| det.found == 1) {
+            let err = detection_error(&tracker.video, det);
+            if err > 30.0 {
+                let lag = lag.get(&(det.model_id, det.frame_no));
+                println!(
+                    "frame {} model {}: {err:.1}px off, histogram lag {lag:?} frames",
+                    det.frame_no, det.model_id
+                );
+            }
+        }
+        let checked = check_accuracy(&tracker.video, &detections);
         assert!(checked > 0, "no positive detections");
     }
 

@@ -286,6 +286,14 @@ fn add_noise(rgb: &mut [u8], state: u64, amp: u8) {
     }
 }
 
+/// Test support: a detection's distance in px from its frame's ground
+/// truth.
+#[cfg(test)]
+pub(crate) fn detection_error(video: &SyntheticVideo, det: &crate::types::TargetLocation) -> f64 {
+    let gt = video.ground_truth(det.model_id as usize, det.frame_no);
+    (f64::from(det.x) - gt.cx).hypot(f64::from(det.y) - gt.cy)
+}
+
 /// Test support for the pipeline modules: positive detections lie within
 /// 30 px of their frame's ground truth. Returns how many were checked.
 ///
@@ -306,8 +314,7 @@ pub(crate) fn check_accuracy(
     for det in detections.iter().filter(|det| det.found == 1) {
         let target = video.target(det.model_id as usize);
         let corner = ((target.half_w + 1) as f64).hypot((target.half_h + 1) as f64);
-        let gt = video.ground_truth(det.model_id as usize, det.frame_no);
-        let err = ((det.x as f64 - gt.cx).powi(2) + (det.y as f64 - gt.cy).powi(2)).sqrt();
+        let err = detection_error(video, det);
         assert!(
             err <= corner,
             "frame {}: detection {err:.1}px from its target",
