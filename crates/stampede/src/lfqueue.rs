@@ -248,7 +248,9 @@ impl<T: ItemData> LfQueue<T> {
 
     /// Insert one item, parking while the ring is full. Returns the
     /// queue's summary-STP for the producer to fold (as `Queue::put`
-    /// does), or `Err(Closed)` once the queue is closed.
+    /// does), or `Err(Closed)` once the queue is closed. Outside a task
+    /// the park has no deadline; a task's put parks through its endpoint
+    /// ([`LfQueueOutput::put`]) instead.
     ///
     /// Uncontended cost: one claim CAS + release store (ring), two
     /// `SeqCst` ops (epoch bump, waiter check), one relaxed RMW
@@ -258,38 +260,63 @@ impl<T: ItemData> LfQueue<T> {
         &self,
         ts: Timestamp,
         value: T,
-        producer: IterKey,
+        _producer: IterKey,
     ) -> Result<Option<Stp>, StampedeError> {
-        Ok(self.put_with_gen(ts, value, producer)?.1)
+        let mut st = Self::put_state(ts, value);
+        loop {
+            if let Some(done) = self.try_put(&mut st) {
+                return done.map(|(_, summary)| summary);
+            }
+            self.park_producer(st.1, None);
+        }
     }
 
-    pub(crate) fn put_with_gen(
+    /// [`LfQueue::put`] in a task: the full-ring park is the task's
+    /// ([`TaskCtx::park_op`]), so it is blocked time, bounded by the op
+    /// timeout. Also returns the summary's seqlock generation.
+    pub(crate) fn put_in_task(
         &self,
+        ctx: &mut TaskCtx,
         ts: Timestamp,
         value: T,
-        _producer: IterKey,
     ) -> Result<(u64, Option<Stp>), StampedeError> {
+        let mut st = Self::put_state(ts, value);
+        ctx.park_op(
+            &mut st,
+            |st, _ctx, _woke| self.try_put(st),
+            |st, deadline| self.park_producer(st.1, deadline),
+        )
+    }
+
+    /// A put's wait state: the item not yet in the ring, and the pop
+    /// epoch read before the latest push attempt.
+    fn put_state(ts: Timestamp, value: T) -> (Option<LfStored<T>>, u64) {
         let bytes = value.size_bytes();
-        let mut item = LfStored { ts, value, bytes };
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(StampedeError::Closed);
-            }
-            // Epoch *before* the attempt: a pop completing after this load
-            // flips the epoch and the park re-check refuses to sleep.
-            let epoch = self.pop_ops.load(Ordering::SeqCst);
-            match self.ring.try_push(item) {
-                Ok(()) => break,
-                Err(back) => {
-                    item = back;
-                    self.park_producer(epoch);
-                }
-            }
+        (Some(LfStored { ts, value, bytes }), 0)
+    }
+
+    /// One push attempt: `Some` completes the put (pushed, or closed),
+    /// `None` means the ring was full.
+    fn try_put(
+        &self,
+        (item, epoch): &mut (Option<LfStored<T>>, u64),
+    ) -> Option<Result<(u64, Option<Stp>), StampedeError>> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Some(Err(StampedeError::Closed));
+        }
+        // Epoch *before* the attempt: a pop completing after this load
+        // flips the epoch and the park re-check refuses to sleep.
+        *epoch = self.pop_ops.load(Ordering::SeqCst);
+        let stored = item.take().expect("a put completes at most once");
+        let bytes = stored.bytes;
+        if let Err(back) = self.ring.try_push(stored) {
+            *item = Some(back);
+            return None;
         }
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.push_ops.fetch_add(1, Ordering::SeqCst);
         self.wake_consumers();
-        Ok(self.read_summary())
+        Some(Ok(self.read_summary()))
     }
 
     /// Remove the oldest item, parking while empty (up to the task's op
@@ -460,17 +487,18 @@ impl<T: ItemData> LfQueue<T> {
         timed_out
     }
 
-    /// Park until a pop completes or close lands. Puts carry no op
-    /// deadline (`Queue::put` never times out either — backpressure is
-    /// the contract).
-    fn park_producer(&self, epoch: u64) {
+    /// Park until a pop completes (the epoch moves), close lands, or the
+    /// deadline passes; `true` = the deadline had passed. The mirror of
+    /// [`LfQueue::park_consumer`].
+    fn park_producer(&self, epoch: u64, deadline: Option<Instant>) -> bool {
         self.prod_waiters.fetch_add(1, Ordering::SeqCst);
         let mut g = self.prod_park.lock();
-        if !self.closed.load(Ordering::SeqCst) && self.pop_ops.load(Ordering::SeqCst) == epoch {
-            self.prod_cond.wait(&mut g);
-        }
+        let quiet =
+            !self.closed.load(Ordering::SeqCst) && self.pop_ops.load(Ordering::SeqCst) == epoch;
+        let timed_out = quiet && self.prod_cond.wait_until(&mut g, deadline);
         drop(g);
         self.prod_waiters.fetch_sub(1, Ordering::SeqCst);
+        timed_out
     }
 
     fn wake_consumers(&self) {
@@ -595,7 +623,11 @@ impl<T: ItemData> LfQueueOutput<T> {
 
     pub fn put(&mut self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
-        let (gen, summary) = self.q.put_with_gen(ts, value, ctx.iter_key())?;
+        let (gen, summary) = self.q.put_in_task(ctx, ts, value).inspect_err(|e| {
+            if *e == StampedeError::Timeout {
+                self.tele.on_timeout();
+            }
+        })?;
         let q = &self.q;
         self.tele.on_op(1, || q.len());
         self.fold(ctx, gen, summary);

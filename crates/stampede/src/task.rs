@@ -188,7 +188,7 @@ impl TaskCtx {
     ///
     /// `probe` runs on entry and again after every wakeup, on the buffer's
     /// wait state `st` (its held state lock, or the lock-free queue's
-    /// epoch): `Some` completes the op, `None` parks through `park`, which
+    /// epoch and, on a put, the item not yet pushed): `Some` completes the op, `None` parks through `park`, which
     /// waits until woken or until the deadline it is handed and returns
     /// `true` only when that deadline had already passed. The probe's
     /// `woke` is `None` until the op has parked, and afterwards the read
@@ -200,6 +200,10 @@ impl TaskCtx {
     /// on is excluded from the task's current-STP. An op whose deadline
     /// passed fails with `Timeout`, and the task records `OpTimeout` at that
     /// same read: the op did not park again after it.
+    ///
+    /// Inlined: the lock-free put's ring-has-room path runs only the probe,
+    /// and an out-of-line call cost it ~20 ns on a ~45 ns put.
+    #[inline]
     pub(crate) fn park_op<S, R>(
         &mut self,
         st: &mut S,

@@ -539,6 +539,9 @@ enum BlockingOp {
     /// `FanOut::put` whose second channel is full.
     FanOutPut,
     QueueGet(QueueBackend),
+    /// `QueueOutput::put` on a full lock-free ring (the mutex queue is
+    /// unbounded: its puts never block).
+    LfQueuePut,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -553,19 +556,21 @@ enum Unblock {
 type Attempt = Box<dyn FnMut(&mut TaskCtx) -> Result<(), StampedeError> + Send>;
 
 /// Block `op` in a task of its own, unblock it by `how`, and return the
-/// error the op saw, how long it waited, that task's node, and the run
-/// report.
+/// error the op saw, how long it waited, that task's node, the run report
+/// and the run's `aru_channel_timeouts_total`.
 fn run_blocked(
     op: BlockingOp,
     how: Unblock,
-) -> (StampedeError, Duration, aru_core::NodeId, RunReport) {
+) -> (StampedeError, Duration, aru_core::NodeId, RunReport, u64) {
     const OP_TIMEOUT_MS: u64 = 40;
     let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::None);
     if how == Unblock::Deadline {
         b = b.with_op_timeout(Micros::from_millis(OP_TIMEOUT_MS));
     }
-    if let BlockingOp::QueueGet(backend) = op {
-        b = b.with_queue_backend(backend);
+    match op {
+        BlockingOp::QueueGet(backend) => b = b.with_queue_backend(backend),
+        BlockingOp::LfQueuePut => b = b.with_queue_backend(QueueBackend::LockFree { capacity: 2 }),
+        _ => {}
     }
     let blocked = b.thread("blocked");
     let peer = b.thread("peer");
@@ -601,6 +606,17 @@ fn run_blocked(
             let mut inp = b.connect_queue_in(&q, blocked).unwrap();
             Box::new(move |ctx| inp.get(ctx).map(drop))
         }
+        BlockingOp::LfQueuePut => {
+            let q = b.queue::<Vec<u8>>("full");
+            let mut out = b.connect_queue_out(blocked, &q).unwrap();
+            let _in = b.connect_queue_in(&q, peer).unwrap();
+            // Two puts fill the ring's two slots; the third parks.
+            let mut ts = Timestamp::ZERO;
+            Box::new(move |ctx| loop {
+                out.put(ctx, ts, vec![0u8; 8])?;
+                ts = ts.next();
+            })
+        }
         _ => {
             let ch = b.channel::<Vec<u8>>("empty");
             let _out = b.connect_out(peer, &ch).unwrap();
@@ -628,6 +644,7 @@ fn run_blocked(
         Ok(Step::Continue)
     });
 
+    let telemetry = b.telemetry().clone();
     let running = b.build().unwrap().start();
     match how {
         // Long enough that the op is parked when the close lands.
@@ -648,7 +665,15 @@ fn run_blocked(
         .lock()
         .take()
         .expect("the blocked task recorded its error");
-    (err, waited, blocked.node(), report)
+    let counted = telemetry
+        .registry
+        .snapshot()
+        .counters
+        .iter()
+        .filter(|(series, _)| series.name == "aru_channel_timeouts_total")
+        .map(|(_, n)| n)
+        .sum();
+    (err, waited, blocked.node(), report, counted)
 }
 
 #[test]
@@ -663,10 +688,11 @@ fn every_blocking_op_honours_close_and_deadline_the_same_way() {
         FanOutPut,
         QueueGet(QueueBackend::Mutex),
         QueueGet(QueueBackend::lock_free()),
+        LfQueuePut,
     ];
     for op in table {
         for how in [Unblock::Close, Unblock::Deadline] {
-            let (err, waited, node, report) = run_blocked(op, how);
+            let (err, waited, node, report, counted) = run_blocked(op, how);
             let case = format!("{op:?} / {how:?}");
             let want = match how {
                 Unblock::Close => StampedeError::Closed,
@@ -682,6 +708,11 @@ fn every_blocking_op_honours_close_and_deadline_the_same_way() {
                 .count();
             let want_timeouts = usize::from(how == Unblock::Deadline);
             assert_eq!(timeouts, want_timeouts, "{case}: OpTimeout events");
+            // The buffer counts it too.
+            assert_eq!(
+                counted, want_timeouts as u64,
+                "{case}: aru_channel_timeouts_total"
+            );
 
             // The wait is blocked time, not compute: the iteration's busy
             // time (its current-STP) stays far below the time it waited.

@@ -319,8 +319,14 @@ fn fan_out_min_sustains_fast_consumer() {
     );
 }
 
-fn queue_fifo_exactly_once_on(backend: stampede::QueueBackend) {
-    let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Dgc).with_queue_backend(backend);
+/// `src -> q -> sink` on `backend`: 50 items, delivered exactly once in
+/// FIFO order. With `crash`, the source panics once before it puts ts 2
+/// and restarts under its retry policy: the items it queued before the
+/// crash still get through, and the restarted source resumes at ts 2.
+fn queue_fifo_exactly_once_on(backend: QueueBackend, crash: bool) {
+    let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Dgc)
+        .with_queue_backend(backend)
+        .with_retry_policy(RetryPolicy::constant(3, Micros::from_millis(5)));
     let q = b.queue::<Vec<u8>>("q");
     let src = b.thread("src");
     let snk = b.thread("snk");
@@ -329,7 +335,12 @@ fn queue_fifo_exactly_once_on(backend: stampede::QueueBackend) {
     let seen = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
     let seen2 = Arc::clone(&seen);
     let mut ts = Timestamp::ZERO;
+    let mut crash_pending = crash;
     b.spawn(src, move |ctx| {
+        if crash_pending && ts.raw() == 2 {
+            crash_pending = false;
+            panic!("injected source crash before ts 2");
+        }
         out.put(ctx, ts, vec![ts.raw() as u8])?;
         ts = ts.next();
         if ts.raw() >= 50 {
@@ -344,7 +355,8 @@ fn queue_fifo_exactly_once_on(backend: stampede::QueueBackend) {
         ctx.emit_output(item.ts);
         Ok(Step::Continue)
     });
-    b.build()
+    let report = b
+        .build()
         .unwrap()
         .run_for(Micros::from_millis(250))
         .unwrap();
@@ -354,18 +366,98 @@ fn queue_fifo_exactly_once_on(backend: stampede::QueueBackend) {
     for (i, &ts) in seen.iter().enumerate() {
         assert_eq!(ts, i as u64, "FIFO order violated: {seen:?}");
     }
+    let faults = report.analyze().faults;
+    let want = u64::from(crash);
+    assert_eq!((faults.crashes, faults.restarts), (want, want), "{faults}");
 }
 
 #[test]
 fn queue_delivers_fifo_exactly_once() {
-    queue_fifo_exactly_once_on(stampede::QueueBackend::Mutex);
+    queue_fifo_exactly_once_on(QueueBackend::Mutex, false);
 }
 
 /// Identical task-graph code over the lock-free ring: the backend seam
 /// must preserve FIFO exactly-once delivery.
 #[test]
 fn queue_delivers_fifo_exactly_once_lockfree() {
-    queue_fifo_exactly_once_on(stampede::QueueBackend::lock_free());
+    queue_fifo_exactly_once_on(QueueBackend::lock_free(), false);
+}
+
+#[test]
+fn queue_delivers_fifo_exactly_once_across_a_source_crash() {
+    queue_fifo_exactly_once_on(QueueBackend::Mutex, true);
+}
+
+#[test]
+fn queue_delivers_fifo_exactly_once_across_a_source_crash_lockfree() {
+    queue_fifo_exactly_once_on(QueueBackend::lock_free(), true);
+}
+
+/// The largest backlog (items put but not yet taken) of `src -> q -> sink`
+/// on `backend` under `aru`: a 1 ms source over a 25 ms sink, sampled
+/// every 10 ms for 1.2 s.
+fn max_queue_backlog(aru: AruConfig, backend: QueueBackend) -> u64 {
+    let mut b = RuntimeBuilder::new(aru, GcMode::Ref).with_queue_backend(backend);
+    let q = b.queue::<Vec<u8>>("q");
+    let src = b.thread("src");
+    let snk = b.thread("snk");
+    let mut out = b.connect_queue_out(src, &q).unwrap();
+    let mut inp = b.connect_queue_in(&q, snk).unwrap();
+    let produced = Arc::new(AtomicU64::new(0));
+    let consumed = Arc::new(AtomicU64::new(0));
+    let (p2, c2) = (Arc::clone(&produced), Arc::clone(&consumed));
+    let mut ts = Timestamp::ZERO;
+    b.spawn(src, move |ctx| {
+        std::thread::sleep(Duration::from_millis(1));
+        out.put(ctx, ts, vec![0u8; 1000])?;
+        p2.fetch_add(1, Ordering::Relaxed);
+        ts = ts.next();
+        Ok(Step::Continue)
+    });
+    b.spawn(snk, move |ctx| {
+        let item = inp.get(ctx)?;
+        c2.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(25));
+        ctx.emit_output(item.ts);
+        Ok(Step::Continue)
+    });
+    let running = b.build().unwrap().start();
+    let mut max_backlog = 0;
+    for _ in 0..120 {
+        std::thread::sleep(Duration::from_millis(10));
+        let backlog = produced
+            .load(Ordering::Relaxed)
+            .saturating_sub(consumed.load(Ordering::Relaxed));
+        max_backlog = max_backlog.max(backlog);
+    }
+    running.stop().unwrap();
+    max_backlog
+}
+
+/// With ARU the source is paced to the sink and the backlog stays far
+/// below what the unpaced source builds: the whole run's surplus on the
+/// unbounded mutex queue, the ring's capacity on the lock-free one.
+fn aru_bounds_queue_backlog_on(backend: QueueBackend) {
+    let base = max_queue_backlog(AruConfig::disabled(), backend);
+    let aru = max_queue_backlog(AruConfig::aru_min(), backend);
+    assert!(
+        base >= 32,
+        "{backend:?}: baseline never built a backlog (max {base}); the experiment says nothing"
+    );
+    assert!(
+        aru < base / 2,
+        "{backend:?}: ARU backlog {aru} not well below baseline {base}"
+    );
+}
+
+#[test]
+fn aru_bounds_queue_backlog() {
+    aru_bounds_queue_backlog_on(QueueBackend::Mutex);
+}
+
+#[test]
+fn aru_bounds_queue_backlog_lockfree() {
+    aru_bounds_queue_backlog_on(QueueBackend::LockFree { capacity: 64 });
 }
 
 #[test]

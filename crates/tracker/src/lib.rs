@@ -32,12 +32,13 @@
 //!   computing for real in configuration 1: typed connections, names from
 //!   the table,
 //!   `tests/wiring.rs` holding the edges to it and `tests/differential.rs`
-//!   the measured behaviour to the simulator's;
-//! * [`app_queue`] — the same kernels as a different, 3-stage FIFO
-//!   work-queue pipeline, parameterized by queue backend (mutex oracle or
-//!   lock-free ring).
+//!   the measured behaviour to the simulator's.
+//!
+//! These two lowerings of the one table are the only wirings of the
+//! tracker. How a FIFO queue behaves on either backend (exactly-once
+//! delivery, ARU backlog control, restarts) is stampede's to test, on its
+//! own two-stage pipelines (`stampede/tests/pipeline.rs`).
 
-pub mod app_queue;
 pub mod app_sim;
 pub mod app_threaded;
 pub mod graph;
@@ -47,7 +48,6 @@ pub mod model;
 pub mod types;
 pub mod video;
 
-pub use app_queue::{build_queue_tracker, QueueTracker, QueueTrackerParams};
 pub use app_sim::{build_sim, SimTrackerParams, TrackerConfigId};
 pub use app_threaded::{build_threaded, ThreadedTrackerParams};
 pub use graph::TrackerGraph;

@@ -142,33 +142,6 @@ fn every_law_falls_back_to_unpaced_on_staleness() {
     }
 }
 
-/// Chaos on the real threaded runtime rather than the simulator, on both
-/// queue backends: an injected digitizer crash is caught by the
-/// supervisor, the task restarts under its retry budget, and the queue
-/// pipeline keeps delivering — frames already queued at the crash instant
-/// survive on either backend.
-#[test]
-fn queue_tracker_crash_recovery_on_both_backends() {
-    use stampede::QueueBackend;
-    use tracker::{build_queue_tracker, QueueTrackerParams};
-    for backend in [QueueBackend::Mutex, QueueBackend::lock_free()] {
-        let mut params = QueueTrackerParams::new(AruConfig::aru_min(), backend);
-        params.retry = RetryPolicy::constant(3, Micros::from_millis(5));
-        params.crash_digitizer_at = Some(2);
-        let tracker = build_queue_tracker(&params).unwrap();
-        let report = tracker.runtime.run_for(Micros::from_millis(1200)).unwrap();
-        assert!(
-            report.outputs() > 2,
-            "{backend:?}: outputs {}",
-            report.outputs()
-        );
-        assert!(
-            !tracker.detections.lock().is_empty(),
-            "{backend:?}: no detections after restart"
-        );
-    }
-}
-
 /// The same crash with no restart budget starves the pipeline: the GUI's
 /// driver channel (C6, fed through change detection) dries up, so this is
 /// the control run proving the supervisor — not luck — keeps it alive above.

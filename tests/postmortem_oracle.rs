@@ -13,8 +13,7 @@ use aru_gc::Postmortem;
 use aru_metrics::{thread_stats, Trace, TraceEvent};
 use experiments::{config, scale};
 use stampede_aru::prelude::*;
-use tracker::app_queue::{build_queue_tracker, QueueTrackerParams};
-use tracker::TrackerConfigId;
+use tracker::{build_threaded, ThreadedTrackerParams, TrackerConfigId};
 
 fn assert_matches_oracle(what: &str, trace: &Trace, t_end: SimTime) {
     let new = Postmortem::analyze(trace, t_end);
@@ -92,15 +91,45 @@ fn scale_cell_1000_nodes_matches_oracle() {
     scale_cell(1000);
 }
 
+/// `src -> q -> sink` on `backend`: a 1 ms source, a sink that takes
+/// every item.
+fn two_stage_queue(backend: QueueBackend) -> Runtime {
+    let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Dgc).with_queue_backend(backend);
+    let q = b.queue::<Vec<u8>>("q");
+    let src = b.thread("src");
+    let snk = b.thread("snk");
+    let mut out = b.connect_queue_out(src, &q).expect("wires");
+    let mut inp = b.connect_queue_in(&q, snk).expect("wires");
+    let mut ts = Timestamp::ZERO;
+    b.spawn(src, move |ctx| {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        out.put(ctx, ts, vec![0u8; 1000])?;
+        ts = ts.next();
+        Ok(Step::Continue)
+    });
+    b.spawn(snk, move |ctx| {
+        let item = inp.get(ctx)?;
+        ctx.emit_output(item.ts);
+        Ok(Step::Continue)
+    });
+    b.build().expect("graph builds")
+}
+
+/// Threaded traces: the tracker's nine channels (get-latest skips, joins,
+/// DGC frees), then a two-stage queue graph on either backend.
 #[test]
 fn threaded_run_matches_oracle_on_both_queue_backends() {
+    let params = ThreadedTrackerParams::new(AruConfig::aru_min());
+    let tracker = build_threaded(&params).expect("tracker builds");
+    let r = tracker
+        .runtime
+        .run_for(Micros::from_millis(500))
+        .expect("tracker runs");
+    assert_matches_oracle("threaded tracker", &r.trace, r.t_end);
     for backend in [QueueBackend::Mutex, QueueBackend::lock_free()] {
-        let params = QueueTrackerParams::new(AruConfig::aru_min(), backend);
-        let tracker = build_queue_tracker(&params).expect("tracker builds");
-        let r = tracker
-            .runtime
-            .run_for(Micros::from_millis(500))
-            .expect("tracker runs");
-        assert_matches_oracle(&format!("threaded {backend:?}"), &r.trace, r.t_end);
+        let r = two_stage_queue(backend)
+            .run_for(Micros::from_millis(200))
+            .expect("queue graph runs");
+        assert_matches_oracle(&format!("threaded queue {backend:?}"), &r.trace, r.t_end);
     }
 }
