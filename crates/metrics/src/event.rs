@@ -30,9 +30,10 @@ impl IterKey {
 
 /// One recorded runtime event.
 ///
-/// `Copy`: every variant is a handful of plain integers, and the hot-path
-/// recorders ([`crate::trace::SharedTrace`]) move events between chunk
-/// buffers with `extend_from_slice` — a memcpy, no per-event clone calls.
+/// `Copy`: every variant is a handful of plain integers, moved by value
+/// through the recorders and the snapshot merge. The threaded recorder
+/// ([`crate::trace::SharedTrace`]) stores events encoded (~7 bytes each)
+/// and decodes them into this form once, at the snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// An item was allocated into a buffer (a `put`).

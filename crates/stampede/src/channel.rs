@@ -37,7 +37,7 @@
 use crate::error::StampedeError;
 use crate::item::{ItemData, StampedItem};
 use crate::sync::{Condvar, Mutex};
-use crate::task::TaskCtx;
+use crate::task::{ChannelRelease, TaskCtx};
 use crate::tele::BufTele;
 use aru_core::{AruConfig, Stp};
 use aru_gc::{Acquire, BufferCore, ConsumerMarks, Footprint, GcMode, InputPolicy};
@@ -67,7 +67,8 @@ struct ChannelState<T> {
     core: BufferCore<Stored<T>>,
     /// Buffered trace writer. Living inside the state mutex, it is written
     /// with `&mut` access on every op the channel already serializes —
-    /// recording an event is a plain `Vec::push`, no second lock.
+    /// recording an event is an append to the writer's chunk, no second
+    /// lock.
     trace: LocalTrace,
     /// Optional item-count bound: puts block while the channel is full
     /// (classic backpressure — the alternative to ARU this runtime lets
@@ -536,6 +537,13 @@ impl<T: ItemData> Channel<T> {
     }
 }
 
+impl<T: ItemData> ChannelRelease for Channel<T> {
+    fn release(&self, out_index: usize, ts: Timestamp) {
+        // The inherent method.
+        Channel::release(self, out_index, ts);
+    }
+}
+
 /// Type-erased admin view the runtime's DGC pass and exporter use.
 pub(crate) trait BufferAdmin: Send + Sync {
     fn node(&self) -> aru_core::NodeId;
@@ -642,9 +650,7 @@ impl<T: ItemData> Input<T> {
         if ts.next() > self.floor {
             self.floor = ts.next();
         }
-        let ch = Arc::clone(&self.ch);
-        let idx = self.chan_out_index;
-        ctx.defer_release(Box::new(move || ch.release(idx, ts)));
+        ctx.defer_release(self.ch.clone(), self.chan_out_index, ts);
     }
 
     /// Blocking get-latest (see [`Channel::get_latest`]).
@@ -728,10 +734,7 @@ impl<T: ItemData> Input<T> {
         if window.len() == n {
             // The next window holds the n newest items and at least one new
             // one, so the current oldest can never be needed again.
-            let release_ts = window[0].ts;
-            let ch = Arc::clone(&self.ch);
-            let idx = self.chan_out_index;
-            ctx.defer_release(Box::new(move || ch.release(idx, release_ts)));
+            ctx.defer_release(self.ch.clone(), self.chan_out_index, window[0].ts);
         }
         Ok(window)
     }

@@ -40,7 +40,8 @@ struct QStored<T> {
 struct QueueState<T> {
     items: VecDeque<QStored<T>>,
     /// Buffered trace writer, `&mut`-accessed under the state mutex every
-    /// queue op already holds — recording is a plain `Vec::push`.
+    /// queue op already holds — recording is an append to the writer's
+    /// chunk.
     trace: LocalTrace,
     marks: ConsumerMarks,
     aru: AruController,

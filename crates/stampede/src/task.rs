@@ -45,6 +45,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vtime::{Clock, Micros, SimTime, Timestamp};
 
+/// A buffer whose consumer marks advance when the consuming iteration ends;
+/// implemented by [`Channel`](crate::Channel).
+pub(crate) trait ChannelRelease: Send + Sync {
+    /// Release connection `out_index`'s hold through `ts`.
+    fn release(&self, out_index: usize, ts: Timestamp);
+}
+
 /// Per-task context handed to the body on every iteration.
 ///
 /// It carries the thread's ARU controller (STP meter, backward vector,
@@ -73,9 +80,9 @@ pub struct TaskCtx {
     shutdown: Shutdown,
     /// `None` outside `GcMode::Dgc`: nothing is skipped, no pass runs.
     dgc: Option<Arc<DgcPass>>,
-    /// Deferred channel releases, flushed when the iteration ends
-    /// (consume-on-iteration-end semantics).
-    releases: Vec<Box<dyn FnOnce() + Send>>,
+    /// Deferred channel releases `(channel, out_index, ts)`, run when the
+    /// iteration ends (consume-on-iteration-end semantics).
+    releases: Vec<(Arc<dyn ChannelRelease>, usize, Timestamp)>,
     /// Thread-private live telemetry: STP gauges, iteration/pacing
     /// counters, sampled op latency, journaled feedback hops (DESIGN.md §12).
     tele: TaskTele,
@@ -298,8 +305,20 @@ impl TaskCtx {
     }
 
     /// Register a channel release to run when the current iteration ends.
-    pub(crate) fn defer_release(&mut self, release: Box<dyn FnOnce() + Send>) {
-        self.releases.push(release);
+    pub(crate) fn defer_release(
+        &mut self,
+        channel: Arc<dyn ChannelRelease>,
+        out_index: usize,
+        ts: Timestamp,
+    ) {
+        self.releases.push((channel, out_index, ts));
+    }
+
+    /// Run every deferred release.
+    fn run_releases(&mut self) {
+        for (channel, out_index, ts) in self.releases.drain(..) {
+            channel.release(out_index, ts);
+        }
     }
 
     // ---- loop driver --------------------------------------------------------
@@ -326,9 +345,7 @@ impl TaskCtx {
             );
             // The iteration is over: release every item it consumed so the
             // channels' GC marks advance.
-            for release in self.releases.drain(..) {
-                release();
-            }
+            self.run_releases();
             let t1 = self.read_clock();
             fresh = self.dgc.as_ref().is_some_and(|dgc| dgc.run_if_due(t1));
             let outcome = self.controller.iteration_end(t1);
@@ -377,9 +394,7 @@ impl TaskCtx {
     /// consumed items don't pin channel GC forever. The iteration seq is
     /// advanced past the crashed iteration so its `IterKey` is never reused.
     pub(crate) fn recover(&mut self) {
-        for release in self.releases.drain(..) {
-            release();
-        }
+        self.run_releases();
         self.tele.drain(self.controller.meter());
         self.tele.on_recover();
         self.controller = AruController::new(
@@ -599,17 +614,24 @@ mod tests {
         let mut c = ctx(clock);
         // Simulate a crash mid-iteration: blocked, feedback received,
         // releases pending.
-        let released = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let r2 = Arc::clone(&released);
+        struct Flag(std::sync::atomic::AtomicBool);
+        impl ChannelRelease for Flag {
+            fn release(&self, _: usize, _: Timestamp) {
+                self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+        let released = Arc::new(Flag(std::sync::atomic::AtomicBool::new(false)));
         c.block_begin(SimTime(0));
         c.receive_feedback(0, Stp(Micros(500)));
-        c.defer_release(Box::new(move || {
-            r2.store(true, std::sync::atomic::Ordering::SeqCst);
-        }));
+        c.defer_release(
+            Arc::clone(&released) as Arc<dyn ChannelRelease>,
+            0,
+            Timestamp(0),
+        );
         let crashed_key = c.iter_key();
         c.recover();
         assert!(
-            released.load(std::sync::atomic::Ordering::SeqCst),
+            released.0.load(std::sync::atomic::Ordering::SeqCst),
             "pending releases must run so GC marks advance"
         );
         assert_ne!(c.iter_key(), crashed_key, "crashed IterKey never reused");
