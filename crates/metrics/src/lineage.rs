@@ -523,8 +523,8 @@ mod tests {
     #[test]
     fn get_on_a_never_allocated_id_is_not_an_item() {
         let sink = IterKey::new(NodeId(2), 0);
-        let mut tr = Trace::from_runs(
-            vec![vec![
+        let mut tr = Trace::from_events(
+            vec![
                 TraceEvent::Get {
                     t: SimTime(5),
                     item: ItemId(7),
@@ -535,7 +535,7 @@ mod tests {
                     item: ItemId(0),
                     consumer: sink,
                 },
-            ]],
+            ],
             0,
         );
         let late = tr.alloc(
@@ -571,8 +571,8 @@ mod tests {
             bytes: 8,
             producer: src,
         };
-        let tr = Trace::from_runs(
-            vec![vec![
+        let tr = Trace::from_events(
+            vec![
                 alloc(0, far, u64::MAX),
                 alloc(1, near, 0),
                 TraceEvent::Get {
@@ -594,7 +594,7 @@ mod tests {
                     t: SimTime(9),
                     item: far,
                 },
-            ]],
+            ],
             u64::MAX,
         );
         let lin = Lineage::analyze(&tr);

@@ -92,15 +92,12 @@ mod tests {
     /// latencies 50, 80, 50; gaps 130, 70.
     fn sample() -> (Trace, Lineage) {
         let mut tr = Trace::new();
-        let sink = NodeId(2);
-        for i in 0..3u64 {
+        for (i, output) in [50, 180, 250].into_iter().enumerate() {
+            let i = i as u64;
             let id = tr.alloc(SimTime(i * 100), NodeId(1), Timestamp(i), 100, key(0, i));
             tr.get(SimTime(i * 100 + 10), id, key(2, i));
+            tr.sink_output(SimTime(output), key(2, i), Timestamp(i));
         }
-        tr.sink_output(SimTime(50), key(2, 0), Timestamp(0));
-        tr.sink_output(SimTime(180), key(2, 1), Timestamp(1));
-        tr.sink_output(SimTime(250), key(2, 2), Timestamp(2));
-        let _ = sink;
         let lin = Lineage::analyze(&tr);
         (tr, lin)
     }

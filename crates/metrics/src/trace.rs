@@ -27,29 +27,41 @@
 //!   taken once per `CHUNK_BYTES` of events (a seal), not once per event.
 //!   Snapshotting is the only other reader of a shard, so the lock is
 //!   never contended. The [`SharedTrace`] handle itself writes nothing.
-//! * an event is a tag byte, then its time and (for `Alloc`/`Get`/`Free`)
-//!   its item id as zigzag deltas against the writer's previous ones, then
-//!   every other field as an LEB128 varint: 6.9 bytes on the threaded
-//!   transport. Deltas wrap, so times or ids that go backwards (a buffer's
-//!   writer is stamped by several tasks) cost a few bytes, never a failure;
-//!   the writer, which holds its previous time anyway, flags its shard
-//!   *unsorted* the first time one does.
+//! * an event is a tag byte, then its time as a delta against the writer's
+//!   previous time and (for `Alloc`/`Get`/`Free`) its item id as a zigzag
+//!   delta against the writer's previous id, then every other field as an
+//!   LEB128 varint: 6.9 bytes on the threaded transport. Deltas wrap, so
+//!   any `u64` round-trips, an order violation included (it costs ten
+//!   bytes, not a failure).
 //! * item ids come from one shared atomic, reserved in writer-private
 //!   blocks (`ID_BLOCK`) held under the writer's ambient exclusion, so
 //!   id generation adds no shared-cache-line traffic and no extra atomics
 //!   to the hot path.
 //! * [`SharedTrace::snapshot`] decodes every shard straight into one
 //!   time-ordered `Vec`, sized from the writers' event counts, by a k-way
-//!   merge that decodes the in-order shards as it advances. An unsorted
-//!   shard is decoded and stably sorted first, the one intermediate copy.
-//!   Every postmortem report sees one identical, time-ordered event
-//!   stream.
+//!   merge that decodes the shards as it advances. Every postmortem report
+//!   sees one identical, time-ordered event stream.
+//!
+//! # Every writer records in time order
+//!
+//! Each writer's times never decrease; [`LocalTrace`] and [`Trace`]
+//! `debug_assert!` it on every record. A task's own writer holds its own
+//! reads, which only move forward. A buffer's writer is stamped by several
+//! tasks, so every stamp it records is raised to the writer's last record
+//! ([`LocalTrace::last_time`]). The raise only shrinks a stamp's error:
+//! every stamp is a clock read taken at or before its op (a fresh read, a
+//! wake-up read, a task's last read, the fan-out's one read), and the
+//! buffer's state mutex orders the writer's records, so the last record's
+//! time was read before this op ended too. DESIGN.md §9 checks this at
+//! every stamp source. The simulator records in event order, which is time
+//! order.
 //!
 //! Merge ordering guarantee: events are ordered by time; ties are broken
 //! by shard registration order, then by append order within the shard —
-//! exactly [`Trace::from_runs`] over the shards' events. All analyses are
-//! insensitive to tie order (they key on `ItemId` / `IterKey` and
-//! integrate over time), which the trace-equivalence tests pin down.
+//! a stable sort of the shards' events, concatenated in registration
+//! order, by time. All analyses are insensitive to tie order (they key on
+//! `ItemId` / `IterKey` and integrate over time), which the
+//! trace-equivalence tests pin down.
 
 use crate::event::{ItemId, IterKey, TraceEvent};
 use crate::registry::Telemetry;
@@ -76,9 +88,6 @@ pub fn wall_clock_unix_us() -> u64 {
 pub struct Trace {
     events: Vec<TraceEvent>,
     next_item: u64,
-    /// Max event time so far — kept incrementally so [`Trace::last_time`]
-    /// is O(1) instead of a full scan.
-    max_time: SimTime,
     /// Wall-clock creation instant (see [`wall_clock_unix_us`]); 0 for
     /// default-constructed traces.
     epoch_unix_us: u64,
@@ -90,7 +99,6 @@ impl Trace {
         Trace {
             events: Vec::new(),
             next_item: 0,
-            max_time: SimTime::ZERO,
             epoch_unix_us: wall_clock_unix_us(),
         }
     }
@@ -114,7 +122,11 @@ impl Trace {
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        self.max_time = self.max_time.max(ev.time());
+        debug_assert!(
+            self.last_time() <= ev.time(),
+            "{ev:?} recorded after an event at {:?}",
+            self.last_time()
+        );
         self.events.push(ev);
     }
 
@@ -198,8 +210,7 @@ impl Trace {
         });
     }
 
-    /// All events in record order (runtimes record in nondecreasing time;
-    /// merged traces are time-ordered).
+    /// All events in time order.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -216,65 +227,23 @@ impl Trace {
     }
 
     /// Time of the last event (end-of-run proxy when no explicit end is
-    /// supplied). O(1): the max is tracked on append.
+    /// supplied).
     #[must_use]
     pub fn last_time(&self) -> SimTime {
-        self.max_time
+        self.events.last().map_or(SimTime::ZERO, TraceEvent::time)
     }
 
-    /// Build a trace from per-shard event runs by k-way merge.
-    ///
-    /// Each run is sorted individually first (runs recorded in time order —
-    /// the normal case — are detected in O(n) and not re-sorted), then all
-    /// runs are merged by time in a single pass. Ties are broken by run
-    /// index, then by position within the run, making the result
-    /// deterministic for a given set of runs.
+    /// A trace over `events`, which must be in time order, with the id
+    /// bound `next_item` (hand-built traces may carry ids beyond it).
     #[must_use]
-    pub fn from_runs(mut runs: Vec<Vec<TraceEvent>>, next_item: u64) -> Trace {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        runs.retain(|r| !r.is_empty());
-        for run in &mut runs {
-            if !run.is_sorted_by_key(TraceEvent::time) {
-                // Stable: preserves append order within equal times.
-                run.sort_by_key(TraceEvent::time);
-            }
-        }
-        let events = match runs.len() {
-            0 => Vec::new(),
-            1 => runs.pop().expect("one run"),
-            _ => {
-                let total = runs.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                // Heap holds (time, run index); position per run advances
-                // monotonically, so (time, run) is a sufficient tiebreak.
-                let mut pos = vec![0usize; runs.len()];
-                let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = runs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| Reverse((r[0].time(), i)))
-                    .collect();
-                while let Some(Reverse((_, i))) = heap.pop() {
-                    out.push(runs[i][pos[i]]);
-                    pos[i] += 1;
-                    if pos[i] < runs[i].len() {
-                        heap.push(Reverse((runs[i][pos[i]].time(), i)));
-                    }
-                }
-                out
-            }
-        };
-        Trace::from_sorted(events, next_item)
-    }
-
-    /// A trace over `events`, already in time order.
-    fn from_sorted(events: Vec<TraceEvent>, next_item: u64) -> Trace {
-        let max_time = events.last().map_or(SimTime::ZERO, TraceEvent::time);
+    pub fn from_events(events: Vec<TraceEvent>, next_item: u64) -> Trace {
+        debug_assert!(
+            events.is_sorted_by_key(TraceEvent::time),
+            "trace events out of time order"
+        );
         Trace {
             events,
             next_item,
-            max_time,
             epoch_unix_us: 0,
         }
     }
@@ -308,8 +277,6 @@ struct ShardLog {
     chunks: Vec<Vec<u8>>,
     /// Events in `chunks` (sizes the snapshot's output).
     events: usize,
-    /// Some event in `chunks` is earlier than the one before it.
-    unsorted: bool,
 }
 
 type Shard = Mutex<ShardLog>;
@@ -375,10 +342,8 @@ impl SharedTrace {
     }
 
     /// Snapshot into an owned [`Trace`] for postmortem analysis: every
-    /// shard is decoded straight into one time-ordered event list, equal
-    /// to [`Trace::from_runs`] over the shards' events (a buffer's writer
-    /// is stamped by several tasks, so a shard may be slightly out of time
-    /// order; such a shard is decoded and stably sorted before the merge).
+    /// shard is decoded straight into one time-ordered event list (see the
+    /// module docs for the tie order).
     ///
     /// Non-destructive — shards keep recording; a later snapshot sees a
     /// superset. Events sitting in an unflushed [`LocalTrace`] buffer are
@@ -390,7 +355,7 @@ impl SharedTrace {
         // seals meanwhile waits; none takes a second shard's lock.
         let logs: Vec<MutexGuard<'_, ShardLog>> = shards.iter().map(|s| s.lock()).collect();
         let events = merge(&logs);
-        let mut trace = Trace::from_sorted(events, self.core.next_item.load(Ordering::Relaxed));
+        let mut trace = Trace::from_events(events, self.core.next_item.load(Ordering::Relaxed));
         trace.set_epoch_unix_us(self.core.epoch_unix_us);
         trace
     }
@@ -408,7 +373,6 @@ impl SharedTrace {
             pos: 0,
             pending: 0,
             last: Bases::default(),
-            unsorted: false,
             id_next: 0,
             id_end: 0,
         }
@@ -417,11 +381,13 @@ impl SharedTrace {
 
 // ---- encoding ---------------------------------------------------------------
 //
-// An event is a tag byte, its time as a zigzag delta against the previous
-// event of the same shard, then its fields in declaration order: an item id
-// as a zigzag delta against the shard's previous item id, every other field
-// as an LEB128 varint. Deltas wrap, so every `u64` round-trips, and times or
-// ids that go backwards cost a few bytes, not a failure.
+// An event is a tag byte, its time as a delta against the previous event of
+// the same shard, then its fields in declaration order: an item id as a
+// zigzag delta against the shard's previous item id, every other field as an
+// LEB128 varint. Times never go backwards within a shard, so their delta is
+// a plain varint; ids do (a get or a free names an item allocated before
+// the writer's latest alloc), so theirs is zigzagged. Deltas wrap, so every
+// `u64` round-trips.
 
 /// Event tags: the first byte of every encoded event. A `PaceDecision`'s
 /// `clamped` flag is its tag.
@@ -503,7 +469,7 @@ impl<'a> Encoder<'a> {
     ) -> Self {
         let mut e = Encoder { chunk, pos };
         e.byte(tag);
-        e.varint(zigzag(t.0.wrapping_sub(last.t)));
+        e.varint(t.0.wrapping_sub(last.t));
         last.t = t.0;
         e
     }
@@ -683,7 +649,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn time(&mut self) -> SimTime {
-        self.last.t = self.last.t.wrapping_add(unzigzag(self.varint()));
+        self.last.t = self.last.t.wrapping_add(self.varint());
         SimTime(self.last.t)
     }
 
@@ -780,52 +746,17 @@ impl Iterator for Decoder<'_> {
     }
 }
 
-/// One shard's events in time order, as the merge takes them.
-enum Run<'a> {
-    /// An in-order shard, decoded as the merge advances.
-    Stream(Decoder<'a>),
-    /// An out-of-order shard, decoded and stably sorted up front.
-    Sorted(std::vec::IntoIter<TraceEvent>),
-}
-
-impl<'a> Run<'a> {
-    fn new(log: &'a ShardLog) -> Self {
-        let events = Decoder::new(&log.chunks);
-        if log.unsorted {
-            let mut sorted = Vec::with_capacity(log.events);
-            sorted.extend(events);
-            // Stable: keeps append order within equal times.
-            sorted.sort_by_key(TraceEvent::time);
-            Run::Sorted(sorted.into_iter())
-        } else {
-            Run::Stream(events)
-        }
-    }
-}
-
-impl Iterator for Run<'_> {
-    type Item = TraceEvent;
-
-    fn next(&mut self) -> Option<TraceEvent> {
-        match self {
-            Run::Stream(events) => events.next(),
-            Run::Sorted(events) => events.next(),
-        }
-    }
-}
-
-/// Decode the shards into one list ordered by time, then shard, then
-/// position in the shard: what [`Trace::from_runs`] makes of their
-/// decoded events, with no intermediate copy of an in-order shard.
+/// Decode the shards, each in time order, into one list ordered by time,
+/// then shard, then position in the shard, with no intermediate copy.
 fn merge(logs: &[MutexGuard<'_, ShardLog>]) -> Vec<TraceEvent> {
     use std::cmp::Reverse;
     use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
     let mut out = Vec::with_capacity(logs.iter().map(|log| log.events).sum());
-    let mut runs: Vec<Run<'_>> = logs
+    let mut runs: Vec<Decoder<'_>> = logs
         .iter()
         .filter(|log| log.events > 0)
-        .map(|log| Run::new(log))
+        .map(|log| Decoder::new(&log.chunks))
         .collect();
     let mut heads: Vec<TraceEvent> = runs
         .iter_mut()
@@ -886,9 +817,6 @@ pub struct LocalTrace {
     pending: usize,
     /// Delta bases after the last event encoded, sealed or not.
     last: Bases,
-    /// Some event this writer recorded is earlier than the one before it:
-    /// a buffer's writer is stamped by several tasks.
-    unsorted: bool,
     /// Private id block `[id_next, id_end)`; plain integers — the owner's
     /// `&mut` access is the synchronization.
     id_next: u64,
@@ -898,7 +826,11 @@ pub struct LocalTrace {
 impl LocalTrace {
     #[inline(always)]
     fn push(&mut self, ev: TraceEvent) {
-        self.unsorted |= ev.time().0 < self.last.t;
+        debug_assert!(
+            self.last.t <= ev.time().0,
+            "{ev:?} recorded after an event at {}",
+            self.last.t
+        );
         self.pos = encode(&mut self.buf, self.pos, ev, &mut self.last);
         debug_assert!(self.pos <= CHUNK_BYTES, "an event overran its chunk");
         self.pending += 1;
@@ -918,7 +850,13 @@ impl LocalTrace {
         let mut log = self.shard.lock();
         log.chunks.push(chunk);
         log.events += std::mem::take(&mut self.pending);
-        log.unsorted = self.unsorted;
+    }
+
+    /// Time of the last event this writer recorded (zero before the
+    /// first): every later record must be stamped at or after it.
+    #[must_use]
+    pub fn last_time(&self) -> SimTime {
+        SimTime(self.last.t)
     }
 
     pub fn alloc(
@@ -1054,36 +992,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(tr.len(), 2);
         assert_eq!(tr.last_time(), SimTime(2));
-    }
-
-    #[test]
-    fn from_runs_merges_and_tiebreaks_by_run_index() {
-        let p = IterKey::new(NodeId(0), 0);
-        let run0 = vec![
-            TraceEvent::Free {
-                t: SimTime(5),
-                item: ItemId(0),
-            },
-            TraceEvent::Free {
-                t: SimTime(9),
-                item: ItemId(1),
-            },
-        ];
-        let run1 = vec![TraceEvent::Alloc {
-            t: SimTime(5),
-            item: ItemId(2),
-            buffer: NodeId(1),
-            ts: Timestamp(0),
-            bytes: 1,
-            producer: p,
-        }];
-        let tr = Trace::from_runs(vec![run0, run1], 3);
-        assert_eq!(tr.len(), 3);
-        // tie at t=5: run 0 first
-        assert!(matches!(tr.events()[0], TraceEvent::Free { .. }));
-        assert!(matches!(tr.events()[1], TraceEvent::Alloc { .. }));
-        assert_eq!(tr.last_time(), SimTime(9));
-        assert_eq!(tr.next_item, 3);
     }
 
     #[test]
@@ -1265,10 +1173,11 @@ mod tests {
     #[test]
     fn longest_event_is_max_event_bytes() {
         // Every variant, both pace tags, with ten-byte time and item deltas
-        // (from a fresh writer's zero bases, zigzag of i64::MIN is
-        // u64::MAX) and every other field at its maximum. The encoder masks
-        // its indices instead of checking them, so an event longer than
-        // `MAX_EVENT_BYTES` would wrap to the start of its chunk.
+        // (from a fresh writer's zero bases: 2^63 takes ten bytes as a
+        // varint, and its zigzag is u64::MAX) and every other field at its
+        // maximum. The encoder masks its indices instead of checking them,
+        // so an event longer than `MAX_EVENT_BYTES` would wrap to the start
+        // of its chunk.
         let t = SimTime(1 << 63);
         let item = ItemId(1 << 63);
         let node = NodeId(u32::MAX);
@@ -1432,12 +1341,13 @@ mod tests {
         }
     }
 
-    /// One step of a round-trip writer.
+    /// One step of a round-trip writer. The times the steps carry are
+    /// recorded in ascending order, not as drawn.
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        /// Record this event as it is (any item id, any time).
-        Record(TraceEvent),
-        /// `LocalTrace::alloc` at this time: the id comes from the writer.
+        /// Record this event (any item id).
+        Record(u64, Fields),
+        /// `LocalTrace::alloc`: the id comes from the writer.
         Alloc(u64),
         /// Another writer reserves an id block from the shared counter.
         Reserve,
@@ -1448,7 +1358,7 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         (0u8..10, wide_u64(), fields()).prop_map(|(kind, t, f)| match kind {
-            0..=5 => Op::Record(build(t, f)),
+            0..=5 => Op::Record(t, f),
             6 | 7 => Op::Alloc(t),
             8 => Op::Reserve,
             _ if f.0 % 2 == 0 => Op::Exhaust,
@@ -1457,10 +1367,10 @@ mod tests {
     }
 
     /// The decoded contents of one writer's shard.
-    fn decode_shard(local: &LocalTrace) -> (Vec<TraceEvent>, usize, bool) {
+    fn decode_shard(local: &LocalTrace) -> (Vec<TraceEvent>, usize) {
         let log = local.shard.lock();
         let events: Vec<TraceEvent> = Decoder::new(&log.chunks).collect();
-        (events, log.events, log.unsorted)
+        (events, log.events)
     }
 
     /// Cases per property; Miri runs a handful.
@@ -1469,24 +1379,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-        // Every variant, extreme values, times and ids that go backwards,
-        // id-block refills and seals at any point: the shard decodes to
-        // exactly what was recorded, with its count and order flag.
+        // Every variant, extreme values and time steps, ids that go
+        // backwards, id-block refills and seals at any point: the shard
+        // decodes to exactly what was recorded, with its count.
         fn encoding_round_trips_every_trace_event(
             ops in prop::collection::vec(op(), 0..300),
         ) {
             let tr = SharedTrace::new();
             let mut local = tr.local();
             let producer = IterKey::new(NodeId(u32::MAX), u64::MAX);
+            let mut times: Vec<u64> = ops
+                .iter()
+                .filter_map(|op| match *op {
+                    Op::Record(t, _) | Op::Alloc(t) => Some(t),
+                    _ => None,
+                })
+                .collect();
+            times.sort_unstable();
+            let mut times = times.into_iter();
             let mut recorded = Vec::new();
             for op in ops {
                 match op {
-                    Op::Record(ev) => {
+                    Op::Record(_, f) => {
+                        let ev = build(times.next().expect("a time per record"), f);
                         local.push(ev);
                         recorded.push(ev);
                     }
-                    Op::Alloc(t) => {
-                        let t = SimTime(t);
+                    Op::Alloc(_) => {
+                        let t = SimTime(times.next().expect("a time per alloc"));
                         let (buffer, ts) = (NodeId(3), Timestamp(u64::MAX));
                         let item = local.alloc(t, buffer, ts, u64::MAX, producer);
                         recorded.push(TraceEvent::Alloc { t, item, buffer, ts, bytes: u64::MAX, producer });
@@ -1499,10 +1419,9 @@ mod tests {
                 }
             }
             local.flush();
-            let (decoded, events, unsorted) = decode_shard(&local);
+            let (decoded, events) = decode_shard(&local);
             prop_assert_eq!(&decoded, &recorded);
             prop_assert_eq!(events, recorded.len());
-            prop_assert_eq!(unsorted, !recorded.is_sorted_by_key(TraceEvent::time));
             let log = local.shard.lock();
             prop_assert!(
                 log.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK_BYTES),
@@ -1510,27 +1429,33 @@ mod tests {
             );
         }
 
-        // Several writers, random flush points, some shards out of time
-        // order, many equal times across shards: every snapshot equals
-        // `Trace::from_runs` over the same events kept as plain runs.
-        fn snapshot_equals_from_runs_oracle(
-            disordered in prop::collection::vec(any::<bool>(), 1..6),
-            steps in prop::collection::vec((0usize..6, 0u64..3, 0u64..4, 0u8..24, fields()), 0..300),
+        // Several writers, random flush points, many equal times across
+        // shards: every snapshot equals the shards' events, concatenated in
+        // registration order and stably sorted by time.
+        fn snapshot_equals_sorted_oracle(
+            n in 1usize..6,
+            steps in prop::collection::vec((0usize..6, 0u64..3, 0u8..24, fields()), 0..300),
         ) {
             let tr = SharedTrace::new();
-            let n = disordered.len();
             let mut writers: Vec<LocalTrace> = (0..n).map(|_| tr.local()).collect();
             let mut runs: Vec<Vec<TraceEvent>> = vec![Vec::new(); n];
             let mut clocks = vec![0u64; n];
             let check = |runs: &Vec<Vec<TraceEvent>>| -> Result<(), TestCaseError> {
                 let snap = tr.snapshot();
-                let want = Trace::from_runs(runs.clone(), tr.core.next_item.load(Ordering::Relaxed));
-                prop_assert_eq!(snap.events(), want.events());
-                prop_assert_eq!(snap.last_time(), want.last_time());
-                prop_assert_eq!(snap.next_item(), want.next_item());
+                let mut want: Vec<(usize, TraceEvent)> = runs
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(w, run)| run.iter().map(move |&ev| (w, ev)))
+                    .collect();
+                // Stable: equal (time, shard) keeps append order.
+                want.sort_by_key(|&(w, ev)| (ev.time(), w));
+                let want: Vec<TraceEvent> = want.into_iter().map(|(_, ev)| ev).collect();
+                prop_assert_eq!(snap.events(), &want[..]);
+                prop_assert_eq!(snap.last_time(), want.last().map_or(SimTime::ZERO, TraceEvent::time));
+                prop_assert_eq!(snap.next_item(), tr.core.next_item.load(Ordering::Relaxed));
                 Ok(())
             };
-            for (w, step, jitter, action, f) in steps {
+            for (w, step, action, f) in steps {
                 let w = w % n;
                 match action {
                     0 => writers[w].flush(),
@@ -1540,7 +1465,7 @@ mod tests {
                     }
                     _ => {
                         clocks[w] += step;
-                        let t = if disordered[w] { clocks[w].saturating_sub(jitter) } else { clocks[w] };
+                        let t = clocks[w];
                         let ev = if f.0 == 0 {
                             let item = writers[w].alloc(SimTime(t), NodeId(1), Timestamp(t), 64, IterKey::new(NodeId(0), t));
                             TraceEvent::Alloc { t: SimTime(t), item, buffer: NodeId(1), ts: Timestamp(t), bytes: 64, producer: IterKey::new(NodeId(0), t) }

@@ -106,13 +106,13 @@ mod tests {
         let sink = IterKey::new(NodeId(2), 0);
         let mut tr = Trace::new();
         let good = tr.alloc(SimTime(0), NodeId(1), Timestamp(0), 100, src0);
-        tr.iter_end(SimTime(10), src0, Micros(10));
-        let bad = tr.alloc(SimTime(10), NodeId(1), Timestamp(1), 100, src1);
-        tr.iter_end(SimTime(20), src1, Micros(10));
         tr.get(SimTime(5), good, sink);
         tr.sink_output(SimTime(6), sink, Timestamp(0));
         tr.iter_end(SimTime(7), sink, Micros(2));
+        tr.iter_end(SimTime(10), src0, Micros(10));
+        let bad = tr.alloc(SimTime(10), NodeId(1), Timestamp(1), 100, src1);
         tr.free(SimTime(10), good);
+        tr.iter_end(SimTime(20), src1, Micros(10));
         tr.free(SimTime(40), bad);
 
         let lin = Lineage::analyze(&tr);

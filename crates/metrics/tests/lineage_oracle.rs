@@ -110,7 +110,7 @@ fn build(ops: &[Op], next_item: u64) -> (Trace, SimTime) {
             _ => TraceEvent::OpTimeout { t, node: iter.node },
         });
     }
-    (Trace::from_runs(vec![events], next_item), last_alloc)
+    (Trace::from_events(events, next_item), last_alloc)
 }
 
 fn assert_agree(tr: &Trace, t_end: SimTime) -> Result<(), TestCaseError> {
@@ -270,7 +270,7 @@ fn dense_side_and_spill_side_give_the_same_answers() {
                 });
             }
         }
-        Trace::from_runs(vec![ev], 40)
+        Trace::from_events(ev, 40)
     };
     let (near, far) = (shift(false), shift(true));
     let t_end = near.last_time();

@@ -50,8 +50,6 @@ struct Stored<T> {
     value: Arc<T>,
     id: ItemId,
     bytes: u64,
-    /// The alloc stamp: a get that did not block is stamped no earlier.
-    born: SimTime,
 }
 
 impl<T> Footprint for Stored<T> {
@@ -164,9 +162,10 @@ impl<T: ItemData> Channel<T> {
     /// freed); source threads issue monotonically increasing timestamps so
     /// this only happens in adversarial tests.
     ///
-    /// Ignores any capacity bound and is stamped by the channel's clock
-    /// (used by tests); task code goes through [`Output::put`], which
-    /// blocks on a full bounded channel and is stamped by the task's read.
+    /// Ignores any capacity bound and is stamped by the channel's clock,
+    /// raised to the channel's last record (used by tests); task code goes
+    /// through [`Output::put`], which blocks on a full bounded channel and
+    /// is stamped by the task's read.
     pub fn put(
         &self,
         ts: Timestamp,
@@ -180,6 +179,7 @@ impl<T: ItemData> Channel<T> {
         if st.closed {
             return Err(StampedeError::Closed);
         }
+        let now = now.max(st.trace.last_time());
         let summary = self.put_locked(&mut st, now, producer, ts, value, bytes);
         drop(st);
         // New data helps consumers only — a put never opens capacity.
@@ -205,12 +205,7 @@ impl<T: ItemData> Channel<T> {
             core, trace, tele, ..
         } = st;
         let id = trace.alloc(now, self.node, ts, bytes, producer);
-        let stored = Stored {
-            value,
-            id,
-            bytes,
-            born: now,
-        };
+        let stored = Stored { value, id, bytes };
         core.insert(ts, stored, |old| trace.free(now, old.id));
         tele.on_put(1, core.store().len());
         let summary = core.summary();
@@ -221,17 +216,17 @@ impl<T: ItemData> Channel<T> {
     }
 
     /// [`Channel::put_blocking`] for an already-shared payload — the path
-    /// both it and the fan-out take. `now` is the fan-out's single clock
-    /// read (N channels share one `Arc` and one time instead of N deep
-    /// clones and N reads); a lone put passes `None` and the task reads the
-    /// clock under the lock. A put that waited for capacity is stamped with
-    /// its wake-up read instead, so trace times stay monotone within the
-    /// channel's event stream. Either way the stamp is the task's last read
-    /// when this returns.
+    /// both it and the fan-out take. The fan-out passes `reuse_read`: the
+    /// task's last read, the fan-out's single clock read, stamps the put
+    /// (N channels share one `Arc` and one read instead of N deep clones
+    /// and N reads); a lone put reads the clock under the lock. Either
+    /// stamp is raised to the channel's last record. A put that waited for
+    /// capacity is stamped with its wake-up read instead. The stamp is the
+    /// task's last read when this returns.
     pub(crate) fn put_arc_blocking(
         &self,
         ctx: &mut TaskCtx,
-        now: Option<SimTime>,
+        reuse_read: bool,
         ts: Timestamp,
         value: Arc<T>,
         bytes: u64,
@@ -245,10 +240,10 @@ impl<T: ItemData> Channel<T> {
             if full {
                 return None;
             }
-            let now = match woke.or(now) {
-                Some(now) => now,
-                None => ctx.read_clock(),
-            };
+            if woke.is_none() && !reuse_read {
+                ctx.read_clock();
+            }
+            let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
             let value = value.take().expect("a probe completes at most once");
             Some(self.put_locked(st, now, ctx.iter_key(), ts, value, bytes))
         })?;
@@ -267,14 +262,15 @@ impl<T: ItemData> Channel<T> {
         value: T,
     ) -> Result<Option<Stp>, StampedeError> {
         let bytes = value.size_bytes();
-        self.put_arc_blocking(ctx, None, ts, Arc::new(value), bytes)
+        self.put_arc_blocking(ctx, false, ts, Arc::new(value), bytes)
     }
 
     /// The one single-item get probe: look `policy` up at `at` (get-latest's
     /// floor, the joins' target); on a hit, deposit the consumer's
     /// summary-STP and record the get. `Some(None)`: the join target can
     /// never arrive; `None`: nothing to take yet. A hit is stamped `woke`
-    /// when the get parked, else [`TaskCtx::stamp_after`] the item's birth.
+    /// when the get parked, else [`TaskCtx::stamp_after`] the channel's
+    /// last record.
     fn take_locked(
         &self,
         st: &mut ChannelState<T>,
@@ -284,12 +280,12 @@ impl<T: ItemData> Channel<T> {
         at: Timestamp,
         woke: Option<SimTime>,
     ) -> Option<Option<StampedItem<T>>> {
-        let (ts, value, id, born) = match st.core.lookup(policy, at, Some(at)) {
-            Acquire::Got(ts, s) => (ts, Arc::clone(&s.value), s.id, s.born),
+        let (ts, value, id) = match st.core.lookup(policy, at, Some(at)) {
+            Acquire::Got(ts, s) => (ts, Arc::clone(&s.value), s.id),
             Acquire::Abandon => return Some(None),
             Acquire::Block | Acquire::Skip => return None,
         };
-        let now = woke.unwrap_or_else(|| ctx.stamp_after(born));
+        let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
         self.deposit_locked(st, chan_out_index, ctx, now);
         st.tele.on_get(1, st.core.store().len());
         st.trace.get(now, id, ctx.iter_key());
@@ -375,9 +371,8 @@ impl<T: ItemData> Channel<T> {
     ) -> Result<Vec<StampedItem<T>>, StampedeError> {
         assert!(n > 0, "window must be non-empty");
         self.block_until(&self.cons, ctx, |st, ctx, woke| {
-            let (_, newest) = st.core.store().latest().filter(|&(ts, _)| ts >= floor)?;
-            let born = newest.born;
-            let now = woke.unwrap_or_else(|| ctx.stamp_after(born));
+            st.core.store().latest().filter(|&(ts, _)| ts >= floor)?;
+            let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
             self.deposit_locked(st, chan_out_index, ctx, now);
             // Build the window directly (newest-first, then reverse) and
             // record the gets as one batched trace append — no per-item
@@ -421,7 +416,8 @@ impl<T: ItemData> Channel<T> {
     }
 
     /// Run a core op that may free items: trace each free (one clock read,
-    /// at the first) and wake producers blocked on a full channel.
+    /// at the first, raised to the channel's last record) and wake
+    /// producers blocked on a full channel.
     fn reclaim(&self, op: impl FnOnce(&mut BufferCore<Stored<T>>, Reclaim<'_, T>) -> usize) {
         let mut st = self.state.lock();
         let ChannelState {
@@ -429,7 +425,8 @@ impl<T: ItemData> Channel<T> {
         } = &mut *st;
         let mut now = None;
         let removed = op(core, &mut |stored| {
-            trace.free(*now.get_or_insert_with(|| self.clock.now()), stored.id);
+            let now = *now.get_or_insert_with(|| self.clock.now().max(trace.last_time()));
+            trace.free(now, stored.id);
         });
         tele.on_purged(removed as u64);
         drop(st);
@@ -488,7 +485,7 @@ impl<T: ItemData> Channel<T> {
             return;
         }
         st.closed = true;
-        let now = self.clock.now();
+        let now = self.clock.now().max(st.trace.last_time());
         let mut freed = Vec::with_capacity(st.core.store().len());
         st.core.drain(|stored| freed.push(stored.id));
         st.trace.free_n(now, freed);

@@ -8,11 +8,11 @@
 //! * the payload is boxed into **one `Arc`** shared by every channel (the
 //!   channels' stores hold `Arc<T>` anyway — the deep clones were pure
 //!   waste);
-//! * the task reads the clock **once**; every channel's alloc event and
-//!   every backward feedback fold carries that shared time (a channel that
-//!   blocks the producer on capacity stamps its alloc with the task's
-//!   wake-up read so its trace stays monotone — see
-//!   `Channel::put_arc_blocking`);
+//! * the task reads the clock **once**; every backward feedback fold
+//!   carries that shared time, and so does every channel's alloc event,
+//!   raised to the channel's last record (a channel that blocks the
+//!   producer on capacity stamps its alloc with the task's wake-up read —
+//!   see `Channel::put_arc_blocking`);
 //! * each channel still returns its own cached summary-STP (a field read,
 //!   see the channel docs) and the producer folds each into its own slot —
 //!   feedback semantics are unchanged, only the redundant clock reads and
@@ -59,7 +59,7 @@ impl<T: ItemData> FanOut<T> {
         for out in &self.outs {
             let summary = out
                 .ch
-                .put_arc_blocking(ctx, Some(now), ts, Arc::clone(&value), bytes)?;
+                .put_arc_blocking(ctx, true, ts, Arc::clone(&value), bytes)?;
             if let Some(stp) = summary {
                 ctx.receive_feedback_from(out.thread_out_index, stp, now, out.ch.node());
             }

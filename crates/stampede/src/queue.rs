@@ -33,8 +33,6 @@ struct QStored<T> {
     value: Arc<T>,
     id: ItemId,
     bytes: u64,
-    /// The alloc stamp: a get that did not block is stamped no earlier.
-    born: SimTime,
 }
 
 struct QueueState<T> {
@@ -135,16 +133,17 @@ impl<T: ItemData> Queue<T> {
         value: T,
         producer: IterKey,
     ) -> Result<Option<aru_core::Stp>, StampedeError> {
-        self.put_and_wake(self.clock.now(), ts, value, producer)
+        self.put_and_wake(|last| self.clock.now().max(last), ts, value, producer)
             .map(|(summary, _)| summary)
     }
 
-    /// [`Queue::put`] at `now`, also reporting whether it issued a wake
-    /// (`false`: no getter was parked, and the put made no syscall to find
-    /// out).
+    /// [`Queue::put`] at the time `stamp` makes of the queue's last record
+    /// (its read, raised to that record), also reporting whether it issued
+    /// a wake (`false`: no getter was parked, and the put made no syscall
+    /// to find out).
     fn put_and_wake(
         &self,
-        now: SimTime,
+        stamp: impl FnOnce(SimTime) -> SimTime,
         ts: Timestamp,
         value: T,
         producer: IterKey,
@@ -153,6 +152,7 @@ impl<T: ItemData> Queue<T> {
         if st.closed {
             return Err(StampedeError::Closed);
         }
+        let now = stamp(st.trace.last_time());
         match st.items.back() {
             Some(tail) if ts < tail.ts => st.in_order = false,
             None => st.in_order = true,
@@ -165,7 +165,6 @@ impl<T: ItemData> Queue<T> {
             value: Arc::new(value),
             id,
             bytes,
-            born: now,
         });
         st.live_bytes += bytes;
         let len = st.items.len();
@@ -182,8 +181,8 @@ impl<T: ItemData> Queue<T> {
     /// timeout, when one is configured).
     ///
     /// A get that found an item waiting is stamped with the task's last
-    /// read, raised to the item's birth; one that parked, with the read it
-    /// took on its last wake-up (`TaskCtx::park_op`).
+    /// read, raised to the queue's last record; one that parked, with the
+    /// read it took on its last wake-up (`TaskCtx::park_op`).
     pub fn get(
         &self,
         chan_out_index: usize,
@@ -194,7 +193,7 @@ impl<T: ItemData> Queue<T> {
             &mut st,
             |st, ctx, woke| match st.items.pop_front() {
                 Some(stored) => {
-                    let now = woke.unwrap_or_else(|| ctx.stamp_after(stored.born));
+                    let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
                     Some(Ok(self.take_locked(st, chan_out_index, ctx, now, stored)))
                 }
                 None => st.closed.then_some(Err(StampedeError::Closed)),
@@ -218,7 +217,7 @@ impl<T: ItemData> Queue<T> {
         let mut st = self.state.lock();
         match st.items.pop_front() {
             Some(stored) => {
-                let now = ctx.stamp_after(stored.born);
+                let now = ctx.stamp_after(st.trace.last_time());
                 Ok(Some(self.take_locked(
                     &mut st,
                     chan_out_index,
@@ -317,7 +316,8 @@ impl<T: ItemData> Queue<T> {
         let mut now = None;
         let mut free = |stored: &QStored<T>| {
             *live_bytes -= stored.bytes;
-            trace.free(*now.get_or_insert_with(|| self.clock.now()), stored.id);
+            let now = *now.get_or_insert_with(|| self.clock.now().max(trace.last_time()));
+            trace.free(now, stored.id);
         };
         if *in_order {
             let dead = items.iter().take_while(|s| s.ts < bound).count();
@@ -344,7 +344,7 @@ impl<T: ItemData> Queue<T> {
             return;
         }
         st.closed = true;
-        let now = self.clock.now();
+        let now = self.clock.now().max(st.trace.last_time());
         while let Some(stored) = st.items.pop_front() {
             st.trace.free(now, stored.id);
         }
@@ -394,12 +394,17 @@ pub struct MutexQueueOutput<T: ItemData> {
 
 impl<T: ItemData> MutexQueueOutput<T> {
     /// Enqueue an item, folding the queue's summary-STP back into the
-    /// producing thread.
+    /// producing thread. The task reads the clock before the queue's lock;
+    /// the put is stamped with that read, raised to the queue's last
+    /// record.
     pub fn put(&self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
-        let now = ctx.read_clock();
-        let (summary, _) = self.q.put_and_wake(now, ts, value, ctx.iter_key())?;
+        ctx.read_clock();
+        let producer = ctx.iter_key();
+        let stamp = |last| ctx.stamp_after(last);
+        let (summary, _) = self.q.put_and_wake(stamp, ts, value, producer)?;
         if let Some(stp) = summary {
+            let now = ctx.last_read();
             ctx.receive_feedback_from(self.thread_out_index, stp, now, self.q.node());
         }
         if let Some(t0) = t0 {
@@ -493,7 +498,7 @@ mod tests {
         let mut wakes = 0;
         for ts in 0..1_000u64 {
             let (_, woke) = q
-                .put_and_wake(clock.now(), Timestamp(ts), vec![0u8; 64], p)
+                .put_and_wake(|last| last, Timestamp(ts), vec![0u8; 64], p)
                 .unwrap();
             wakes += usize::from(woke);
         }
@@ -509,7 +514,7 @@ mod tests {
             std::thread::yield_now();
         }
         let (_, woke) = q
-            .put_and_wake(SimTime(0), Timestamp(1_000), vec![1u8; 64], p)
+            .put_and_wake(|last| last, Timestamp(1_000), vec![1u8; 64], p)
             .unwrap();
         assert!(woke, "a parked getter must be woken");
         assert_eq!(getter.join().unwrap(), Timestamp(1_000));

@@ -18,9 +18,11 @@
 //! and every stamp that a read taken for another transition can serve
 //! reuses it: an iteration begins at the previous one's end read (a pacing
 //! sleep or a DGC pass in between forces a fresh read), a get that did not
-//! block is stamped `max(last read, item's birth)`, a get that blocked at
-//! its wake-up read. Puts, sink outputs, block begin/end and iteration
-//! ends are fresh reads (DESIGN.md §9 lists every stamp). The task's own
+//! block is stamped with the last read, a get that blocked at its wake-up
+//! read. Puts, sink outputs, block begin/end and iteration ends are fresh
+//! reads. A stamp recorded in a buffer is raised to that buffer's last
+//! record (`TaskCtx::stamp_after`), so every trace writer is in time order
+//! (DESIGN.md §9 lists every stamp). The task's own
 //! trace records go to a buffered [`LocalTrace`] and its telemetry counters
 //! to plain deltas, drained to the registry before it blocks or sleeps,
 //! every 64 iterations (`tele::TASK_DRAIN`) and when the loop exits.
@@ -151,11 +153,12 @@ impl TaskCtx {
         self.last
     }
 
-    /// The stamp of a get that did not block: the last read, raised to the
-    /// item's birth so a get never precedes its alloc. It is at most the
-    /// time since the last read early.
-    pub(crate) fn stamp_after(&mut self, born: SimTime) -> SimTime {
-        self.last = self.last.max(born);
+    /// The stamp of a record this task makes in a buffer whose writer last
+    /// recorded at `after`: the task's last read raised to `after`, so the
+    /// writer never goes back in time, kept as the last read so the task's
+    /// later reused stamps are no earlier.
+    pub(crate) fn stamp_after(&mut self, after: SimTime) -> SimTime {
+        self.last = self.last.max(after);
         self.last
     }
 

@@ -4,13 +4,17 @@
 //! * A counting clock pins the reads per item on the two-task transport
 //!   graph (`src → Q → sink`, 64-byte items, ARU-min, DGC), fill-then-drain
 //!   and streaming.
-//! * Stamp order on streaming runs, where source and sink run at once: per
-//!   item Alloc ≤ Get ≤ Free, and per task non-decreasing IterEnd times with
-//!   no Alloc, Get or SinkOutput of an iteration after its IterEnd. The sink
-//!   takes every other item by polling a non-blocking get, so it often
-//!   takes an item put after its last clock read: such a get is stamped
-//!   with that read raised to the item's birth, and without the raise it
-//!   would precede its alloc.
+//! * Stamp order: per item Alloc ≤ Get ≤ Free, per task non-decreasing
+//!   IterEnd times with no Alloc, Get or SinkOutput of an iteration after
+//!   its IterEnd, and snapshot times that never decrease (each trace writer
+//!   records in time order; the snapshot only merges them). On streaming
+//!   runs, where source and sink run at once, the sink takes every other
+//!   item by polling a non-blocking get, so it often takes an item put after
+//!   its last clock read: such a get is stamped with that read raised to
+//!   the buffer's last record, and without the raise it would precede its
+//!   alloc. Fill-then-drain, the sink's first get is stamped from a read
+//!   taken before it waited out the whole fill, so without the raise it
+//!   would precede the fill's later allocs.
 
 use aru_metrics::{IterKey, Trace, TraceEvent};
 use stampede::prelude::*;
@@ -202,6 +206,13 @@ fn streaming_reads_the_clock_at_most_four_and_a_half_times_per_item() {
 /// The stamp-order checks over one run's trace; returns how many items
 /// and iterations they covered.
 fn check_stamp_order(trace: &Trace) -> (usize, usize) {
+    if let Some(w) = trace
+        .events()
+        .windows(2)
+        .find(|w| w[1].time() < w[0].time())
+    {
+        panic!("snapshot goes back in time: {:?} after {:?}", w[1], w[0]);
+    }
     let mut iter_end: HashMap<IterKey, SimTime> = HashMap::new();
     let mut last_end: HashMap<aru_core::NodeId, SimTime> = HashMap::new();
     let mut alloc = HashMap::new();
@@ -275,16 +286,25 @@ fn check_stamp_order(trace: &Trace) -> (usize, usize) {
     (first_get.len(), ends.len())
 }
 
+/// Streaming with a polling sink on every backend, and fill-then-drain on
+/// the mutex queue and the channel. Fill-then-drain, every Alloc is
+/// recorded before the sink's first get, so every Get and Free must be
+/// stamped at or after every Alloc.
 #[test]
-fn streaming_stamps_keep_alloc_get_free_and_iteration_order() {
+fn stamps_keep_alloc_get_free_and_iteration_order() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for (edge, what) in [
-        (Edge::Queue(QueueBackend::Mutex), "mutex queue"),
-        (Edge::Queue(QueueBackend::lock_free()), "lock-free queue"),
-        (Edge::Channel, "channel get_latest"),
+    let (polled, filled) = (Regime::StreamingPolled, Regime::FillThenDrain);
+    let mutex = Edge::Queue(QueueBackend::Mutex);
+    let lock_free = Edge::Queue(QueueBackend::lock_free());
+    for (edge, regime, what) in [
+        (mutex, polled, "mutex queue"),
+        (lock_free, polled, "lock-free queue"),
+        (Edge::Channel, polled, "channel get_latest"),
+        (mutex, filled, "mutex queue, filled"),
+        (Edge::Channel, filled, "channel get_latest, filled"),
     ] {
         let clock = Arc::new(WallClock::new());
-        let (trace, _) = run(edge, 20_000, Regime::StreamingPolled, clock);
+        let (trace, _) = run(edge, 20_000, regime, clock);
         let (items, iterations) = check_stamp_order(&trace);
         assert!(
             iterations >= 20_000,
@@ -293,6 +313,26 @@ fn streaming_stamps_keep_alloc_get_free_and_iteration_order() {
         // The lock-free queue records no per-item events (DESIGN.md §14).
         if !matches!(edge, Edge::Queue(QueueBackend::LockFree { .. })) {
             assert!(items > 0, "{what}: no item was got");
+        }
+        if regime != filled {
+            continue;
+        }
+        let last_alloc = trace
+            .events()
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::Alloc { t, .. } => Some(t),
+                _ => None,
+            })
+            .max()
+            .expect("the source put items");
+        for ev in trace.events() {
+            if let TraceEvent::Get { t, .. } | TraceEvent::Free { t, .. } = *ev {
+                assert!(
+                    last_alloc <= t,
+                    "{what}: {ev:?} before the fill's last Alloc at {last_alloc:?}"
+                );
+            }
         }
     }
 }

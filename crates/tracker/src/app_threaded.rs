@@ -236,6 +236,12 @@ mod tests {
     use stampede::RunReport;
     use std::collections::HashMap;
 
+    /// Each test here runs the six-task tracker; one at a time keeps them
+    /// from competing for the CPUs. The footprint comparison needs the
+    /// baseline to outgrow ARU-min within its 1.5 s window, which a
+    /// concurrent tracker run can starve it of.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// The histogram lag of every detector iteration, from the run's trace:
     /// the mask's frame less the frame of the histogram the iteration
     /// joined to it (`get_latest_at_or_before`), keyed by `(model, mask
@@ -290,10 +296,15 @@ mod tests {
     /// a failing run's log carries it.
     #[test]
     fn threaded_tracker_end_to_end() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let params = ThreadedTrackerParams::new(AruConfig::aru_min());
         let tracker = build_threaded(&params).unwrap();
         let report = tracker.runtime.run_for(Micros::from_millis(1500)).unwrap();
         assert!(report.outputs() > 2, "outputs {}", report.outputs());
+        // Every writer, the fan-outs' channels included, records in time
+        // order, so the merge of their shards is in time order too.
+        let in_order = report.trace.events().is_sorted_by_key(TraceEvent::time);
+        assert!(in_order, "trace out of time order");
         let detections = tracker.detections.lock();
         let lag = histogram_lag(&report);
         let max = lag.values().max().copied().unwrap_or(0);
@@ -317,6 +328,7 @@ mod tests {
 
     #[test]
     fn threaded_tracker_aru_reduces_footprint() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let run = |aru: AruConfig| {
             let mut params = ThreadedTrackerParams::new(aru);
             // slow the detectors so the digitizer overruns without ARU
