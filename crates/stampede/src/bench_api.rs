@@ -21,7 +21,9 @@ use std::sync::Arc;
 use vtime::{Clock, Micros};
 
 /// A standalone channel with `consumers` consumer slots configured.
-// Mirrors `Channel::new`'s parameter list so benches read the same as runtime wiring.
+///
+/// Channels are unbounded: `capacity` stays in the signature only so the
+/// benchmark's existing call keeps compiling, and must be `None`.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn channel<T: ItemData>(
@@ -34,12 +36,12 @@ pub fn channel<T: ItemData>(
     trace: SharedTrace,
     consumers: usize,
 ) -> Arc<Channel<T>> {
+    assert!(capacity.is_none(), "channels are unbounded");
     let ch = Arc::new(Channel::new(
         node,
         name.to_string(),
         config,
         gc_mode,
-        capacity,
         clock,
         trace,
     ));

@@ -156,7 +156,7 @@ impl RuntimeBuilder {
     }
 
     /// Deadline applied to every blocking channel/queue operation: a get or
-    /// bounded put that blocks longer than `timeout` fails with
+    /// lock-free-ring put that blocks longer than `timeout` fails with
     /// [`crate::error::StampedeError::Timeout`] instead of waiting forever
     /// (e.g. on a producer that crashed and is backing off before restart).
     #[must_use]
@@ -196,28 +196,9 @@ impl RuntimeBuilder {
         self.trace.telemetry()
     }
 
-    /// Declare an unbounded channel (Stampede semantics).
+    /// Declare a channel. Channels are unbounded, as in Stampede: ARU, not
+    /// a full channel, paces producers.
     pub fn channel<T: ItemData>(&mut self, name: impl Into<String>) -> ChannelRef<T> {
-        self.channel_inner(name, None)
-    }
-
-    /// Declare a bounded channel: puts block while `capacity` items are
-    /// held (classic backpressure — provided so applications can compare
-    /// blocking producers against ARU's pacing).
-    pub fn channel_with_capacity<T: ItemData>(
-        &mut self,
-        name: impl Into<String>,
-        capacity: usize,
-    ) -> ChannelRef<T> {
-        assert!(capacity > 0, "capacity must be positive");
-        self.channel_inner(name, Some(capacity))
-    }
-
-    fn channel_inner<T: ItemData>(
-        &mut self,
-        name: impl Into<String>,
-        capacity: Option<usize>,
-    ) -> ChannelRef<T> {
         let name = name.into();
         let node = self.topo.add_channel(name.clone());
         let ch = Arc::new(Channel::<T>::new(
@@ -225,7 +206,6 @@ impl RuntimeBuilder {
             name,
             &self.config,
             self.gc_mode,
-            capacity,
             Arc::clone(&self.clock),
             self.trace.clone(),
         ));

@@ -20,13 +20,13 @@
 //! by the DGC pass via [`Channel::apply_dead_before`], are purged when the
 //! bound moves; a `put`/`get` pays one timestamp compare, not a map walk.
 //!
-//! Hot-path notes: producer and consumer waiters sit on separate condvars,
-//! so a `put` wakes only consumers and reclamation wakes only producers
-//! blocked on a full bounded channel — no broadcast storms through
-//! unrelated waiters. The summary-STP a `put` returns is the controller's
-//! cached compression ([`BufferCore::summary`] is a field read;
-//! recompression happens only when a consumer deposits feedback), so the
-//! put path never recomputes the backward-vector compression.
+//! Channels are unbounded, as in Stampede: a `put` never waits (ARU, not
+//! a full channel, paces producers), so only gets park, all on one
+//! condvar that a put or a close wakes; reclamation wakes no one. The
+//! summary-STP a `put` returns is the controller's cached compression
+//! ([`BufferCore::summary`] is a field read; recompression happens only
+//! when a consumer deposits feedback), so the put path never recomputes
+//! the backward-vector compression.
 //!
 //! Observers ([`Channel::len`], [`Channel::live_bytes`],
 //! [`Channel::occupancy`], [`Channel::summary`]) take the state lock.
@@ -68,11 +68,6 @@ struct ChannelState<T> {
     /// recording an event is an append to the writer's chunk, no second
     /// lock.
     trace: LocalTrace,
-    /// Optional item-count bound: puts block while the channel is full
-    /// (classic backpressure — the alternative to ARU this runtime lets
-    /// you compare against; `None` reproduces Stampede's unbounded
-    /// channels).
-    capacity: Option<usize>,
     closed: bool,
     /// Live-telemetry accumulator (DESIGN.md §12): plain counters and a
     /// sampled occupancy histogram, recorded under this mutex and drained
@@ -88,8 +83,6 @@ pub struct Channel<T: ItemData> {
     state: Mutex<ChannelState<T>>,
     /// Consumers blocked in a get, waiting for data.
     cons: Condvar,
-    /// Producers blocked in a bounded put, waiting for capacity.
-    prod: Condvar,
 }
 
 impl<T: ItemData> Channel<T> {
@@ -101,7 +94,6 @@ impl<T: ItemData> Channel<T> {
         name: String,
         config: &AruConfig,
         gc_mode: GcMode,
-        capacity: Option<usize>,
         clock: Arc<dyn Clock>,
         trace: SharedTrace,
     ) -> Self {
@@ -113,12 +105,10 @@ impl<T: ItemData> Channel<T> {
             state: Mutex::new(ChannelState {
                 core: BufferCore::new(gc_mode, config),
                 trace: trace.local(),
-                capacity,
                 closed: false,
                 tele,
             }),
             cons: Condvar::new(),
-            prod: Condvar::new(),
         }
     }
 
@@ -162,10 +152,9 @@ impl<T: ItemData> Channel<T> {
     /// freed); source threads issue monotonically increasing timestamps so
     /// this only happens in adversarial tests.
     ///
-    /// Ignores any capacity bound and is stamped by the channel's clock,
-    /// raised to the channel's last record (used by tests); task code goes
-    /// through [`Output::put`], which blocks on a full bounded channel and
-    /// is stamped by the task's read.
+    /// Stamped by the channel's clock, raised to the channel's last record
+    /// (used by tests); task code goes through [`Output::put`], which is
+    /// stamped by the task's read.
     pub fn put(
         &self,
         ts: Timestamp,
@@ -173,37 +162,58 @@ impl<T: ItemData> Channel<T> {
         producer: IterKey,
     ) -> Result<Option<Stp>, StampedeError> {
         let bytes = value.size_bytes();
-        let value = Arc::new(value);
-        let now = self.clock.now();
-        let mut st = self.state.lock();
-        if st.closed {
-            return Err(StampedeError::Closed);
-        }
-        let now = now.max(st.trace.last_time());
-        let summary = self.put_locked(&mut st, now, producer, ts, value, bytes);
-        drop(st);
-        // New data helps consumers only — a put never opens capacity.
-        self.cons.notify_all();
-        Ok(summary)
+        let stamp = |last: SimTime| self.clock.now().max(last);
+        self.put_stamped(stamp, producer, ts, Arc::new(value), bytes)
     }
 
-    /// The one insertion path, under the state lock: record the alloc,
-    /// insert (freeing a displaced item at the same timestamp, or the new
-    /// one if it is dead on arrival), count the put, and hand back the channel's
-    /// summary-STP (the cached compression — a field
-    /// read, recomputed only on feedback).
-    fn put_locked(
+    /// A task's put of an already-shared payload — the path both
+    /// [`Output::put`] and the fan-out take. It never waits. The fan-out
+    /// passes `reuse_read`: the task's last read, the fan-out's single
+    /// clock read, stamps the put (N channels share one `Arc` and one read
+    /// instead of N deep clones and N reads); a lone put reads the clock
+    /// under the lock. Either stamp is raised to the channel's last record
+    /// and is the task's last read when this returns.
+    pub(crate) fn put_arc(
         &self,
-        st: &mut ChannelState<T>,
-        now: SimTime,
+        ctx: &mut TaskCtx,
+        reuse_read: bool,
+        ts: Timestamp,
+        value: Arc<T>,
+        bytes: u64,
+    ) -> Result<Option<Stp>, StampedeError> {
+        let producer = ctx.iter_key();
+        let stamp = |last| {
+            if !reuse_read {
+                ctx.read_clock();
+            }
+            ctx.stamp_after(last)
+        };
+        self.put_stamped(stamp, producer, ts, value, bytes)
+    }
+
+    /// The one insertion path: under the state lock, fail on a closed
+    /// channel, take the stamp `stamp` makes of the channel's last record,
+    /// record the alloc, insert (freeing a displaced item at the same
+    /// timestamp, or the new one if it is dead on arrival) and count the
+    /// put; then wake the parked gets and hand back the channel's
+    /// summary-STP (the cached compression — a field read, recomputed
+    /// only on feedback).
+    fn put_stamped(
+        &self,
+        stamp: impl FnOnce(SimTime) -> SimTime,
         producer: IterKey,
         ts: Timestamp,
         value: Arc<T>,
         bytes: u64,
-    ) -> Option<Stp> {
+    ) -> Result<Option<Stp>, StampedeError> {
+        let mut st = self.state.lock();
+        if st.closed {
+            return Err(StampedeError::Closed);
+        }
         let ChannelState {
             core, trace, tele, ..
-        } = st;
+        } = &mut *st;
+        let now = stamp(trace.last_time());
         let id = trace.alloc(now, self.node, ts, bytes, producer);
         let stored = Stored { value, id, bytes };
         core.insert(ts, stored, |old| trace.free(now, old.id));
@@ -212,57 +222,9 @@ impl<T: ItemData> Channel<T> {
         if let Some(s) = summary {
             tele.on_return(producer.node, s.period(), || now);
         }
-        summary
-    }
-
-    /// [`Channel::put_blocking`] for an already-shared payload — the path
-    /// both it and the fan-out take. The fan-out passes `reuse_read`: the
-    /// task's last read, the fan-out's single clock read, stamps the put
-    /// (N channels share one `Arc` and one read instead of N deep clones
-    /// and N reads); a lone put reads the clock under the lock. Either
-    /// stamp is raised to the channel's last record. A put that waited for
-    /// capacity is stamped with its wake-up read instead. The stamp is the
-    /// task's last read when this returns.
-    pub(crate) fn put_arc_blocking(
-        &self,
-        ctx: &mut TaskCtx,
-        reuse_read: bool,
-        ts: Timestamp,
-        value: Arc<T>,
-        bytes: u64,
-    ) -> Result<Option<Stp>, StampedeError> {
-        let mut value = Some(value);
-        let summary = self.block_until(&self.prod, ctx, |st, ctx, woke| {
-            let items = st.core.store();
-            let full = st
-                .capacity
-                .is_some_and(|cap| items.len() >= cap && !items.contains(ts));
-            if full {
-                return None;
-            }
-            if woke.is_none() && !reuse_read {
-                ctx.read_clock();
-            }
-            let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
-            let value = value.take().expect("a probe completes at most once");
-            Some(self.put_locked(st, now, ctx.iter_key(), ts, value, bytes))
-        })?;
+        drop(st);
         self.cons.notify_all();
         Ok(summary)
-    }
-
-    /// Capacity-aware insert: blocks while a bounded channel is full
-    /// (backpressure). The wait is recorded as blocking time, so it is
-    /// excluded from the producer's current-STP just like waiting for
-    /// upstream data.
-    pub fn put_blocking(
-        &self,
-        ctx: &mut TaskCtx,
-        ts: Timestamp,
-        value: T,
-    ) -> Result<Option<Stp>, StampedeError> {
-        let bytes = value.size_bytes();
-        self.put_arc_blocking(ctx, false, ts, Arc::new(value), bytes)
     }
 
     /// The one single-item get probe: look `policy` up at `at` (get-latest's
@@ -309,7 +271,7 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         floor: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+        self.block_until(ctx, |st, ctx, woke| {
             let policy = InputPolicy::DriverLatest;
             self.take_locked(st, chan_out_index, ctx, policy, floor, woke)
                 .flatten()
@@ -333,7 +295,7 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<Option<StampedItem<T>>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+        self.block_until(ctx, |st, ctx, woke| {
             self.take_locked(st, chan_out_index, ctx, InputPolicy::JoinExact, ts, woke)
         })
     }
@@ -348,7 +310,7 @@ impl<T: ItemData> Channel<T> {
         ctx: &mut TaskCtx,
         ts: Timestamp,
     ) -> Result<StampedItem<T>, StampedeError> {
-        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+        self.block_until(ctx, |st, ctx, woke| {
             let policy = InputPolicy::JoinLatestAtOrBefore;
             self.take_locked(st, chan_out_index, ctx, policy, ts, woke)
                 .flatten()
@@ -370,7 +332,7 @@ impl<T: ItemData> Channel<T> {
         n: usize,
     ) -> Result<Vec<StampedItem<T>>, StampedeError> {
         assert!(n > 0, "window must be non-empty");
-        self.block_until(&self.cons, ctx, |st, ctx, woke| {
+        self.block_until(ctx, |st, ctx, woke| {
             st.core.store().latest().filter(|&(ts, _)| ts >= floor)?;
             let now = woke.unwrap_or_else(|| ctx.stamp_after(st.trace.last_time()));
             self.deposit_locked(st, chan_out_index, ctx, now);
@@ -416,8 +378,8 @@ impl<T: ItemData> Channel<T> {
     }
 
     /// Run a core op that may free items: trace each free (one clock read,
-    /// at the first, raised to the channel's last record) and wake
-    /// producers blocked on a full channel.
+    /// at the first, raised to the channel's last record). Nothing new
+    /// arrived, so no get is woken.
     fn reclaim(&self, op: impl FnOnce(&mut BufferCore<Stored<T>>, Reclaim<'_, T>) -> usize) {
         let mut st = self.state.lock();
         let ChannelState {
@@ -429,25 +391,18 @@ impl<T: ItemData> Channel<T> {
             trace.free(now, stored.id);
         });
         tele.on_purged(removed as u64);
-        drop(st);
-        // Reclamation may have opened capacity for a blocked producer;
-        // nothing new arrived, so consumers stay asleep.
-        if removed > 0 {
-            self.prod.notify_all();
-        }
     }
 
-    /// Every blocking get and put: the probe, under the state lock, in the
-    /// task's one wait path ([`TaskCtx::park_op`]), parked on `cond`
-    /// (consumers wait on `cons`, producers on `prod`). `Some(result)`
-    /// completes the op; `woke` stamps what the probe records. A closed
-    /// channel fails the op with `Closed` — close drains the store and
-    /// rejects inserts, so a closed channel never holds anything a probe
-    /// could find. An op timeout is counted here and traced by the task.
+    /// Every blocking get: the probe, under the state lock, in the task's
+    /// one wait path ([`TaskCtx::park_op`]), parked on `cons`.
+    /// `Some(result)` completes the op; `woke` stamps what the probe
+    /// records. A closed channel fails the op with `Closed` — close drains
+    /// the store and rejects inserts, so a closed channel never holds
+    /// anything a probe could find. An op timeout is counted here and
+    /// traced by the task.
     #[inline]
     fn block_until<R>(
         &self,
-        cond: &Condvar,
         ctx: &mut TaskCtx,
         mut probe: impl FnMut(&mut ChannelState<T>, &mut TaskCtx, Option<SimTime>) -> Option<R>,
     ) -> Result<R, StampedeError> {
@@ -461,7 +416,7 @@ impl<T: ItemData> Channel<T> {
                 probe(st, ctx, woke).map(Ok)
             },
             |st, deadline| {
-                let timed_out = cond.wait_until(st, deadline);
+                let timed_out = self.cons.wait_until(st, deadline);
                 if timed_out {
                     st.tele.on_timeout();
                 }
@@ -477,8 +432,8 @@ impl<T: ItemData> Channel<T> {
         self.reclaim(|core, freed| core.raise_dgc(bound, freed));
     }
 
-    /// Close the channel: all blocked and future gets/puts fail with
-    /// [`StampedeError::Closed`]; remaining items are freed.
+    /// Close the channel: all parked and future gets and all future puts
+    /// fail with [`StampedeError::Closed`]; remaining items are freed.
     pub fn close(&self) {
         let mut st = self.state.lock();
         if st.closed {
@@ -490,9 +445,7 @@ impl<T: ItemData> Channel<T> {
         st.core.drain(|stored| freed.push(stored.id));
         st.trace.free_n(now, freed);
         drop(st);
-        // Close unblocks everyone, whichever side they wait on.
         self.cons.notify_all();
-        self.prod.notify_all();
     }
 
     /// The channel's current summary-STP (the value a put would return).
@@ -599,11 +552,12 @@ pub struct Output<T: ItemData> {
 
 impl<T: ItemData> Output<T> {
     /// Put an item; folds the channel's returned summary-STP into the
-    /// producing thread's ARU state (the backward propagation hop). Blocks
-    /// while a bounded channel is full.
+    /// producing thread's ARU state (the backward propagation hop). Never
+    /// waits.
     pub fn put(&self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
-        let summary = self.ch.put_blocking(ctx, ts, value)?;
+        let bytes = value.size_bytes();
+        let summary = self.ch.put_arc(ctx, false, ts, Arc::new(value), bytes)?;
         if let Some(stp) = summary {
             let now = ctx.last_read();
             ctx.receive_feedback_from(self.thread_out_index, stp, now, self.ch.node());

@@ -10,16 +10,15 @@
 //!   waste);
 //! * the task reads the clock **once**; every backward feedback fold
 //!   carries that shared time, and so does every channel's alloc event,
-//!   raised to the channel's last record (a channel that blocks the
-//!   producer on capacity stamps its alloc with the task's wake-up read —
-//!   see `Channel::put_arc_blocking`);
+//!   raised to the channel's last record (see `Channel::put_arc`);
 //! * each channel still returns its own cached summary-STP (a field read,
 //!   see the channel docs) and the producer folds each into its own slot —
 //!   feedback semantics are unchanged, only the redundant clock reads and
 //!   clones are gone.
 //!
-//! Error behaviour matches the loop of puts it replaces: the first
-//! `Closed`/`Timeout` aborts the fan-out, earlier channels keep the item.
+//! Channel puts never wait, so a fan-out can only fail with `Closed`. Error
+//! behaviour matches the loop of puts it replaces: the first closed
+//! channel aborts the fan-out, earlier channels keep the item.
 
 use crate::channel::Output;
 use crate::error::StampedeError;
@@ -48,18 +47,15 @@ impl<T: ItemData> FanOut<T> {
         self.outs.len()
     }
 
-    /// Put one item to every channel in the bundle: one `Arc`, one clock
-    /// read, one feedback time. Blocks per channel while bounded channels
-    /// are full, in bundle order.
+    /// Put one item to every channel in the bundle, in bundle order: one
+    /// `Arc`, one clock read, one feedback time.
     pub fn put(&self, ctx: &mut TaskCtx, ts: Timestamp, value: T) -> Result<(), StampedeError> {
         let t0 = ctx.op_sample();
         let bytes = value.size_bytes();
         let value = Arc::new(value);
         let now = ctx.read_clock();
         for out in &self.outs {
-            let summary = out
-                .ch
-                .put_arc_blocking(ctx, true, ts, Arc::clone(&value), bytes)?;
+            let summary = out.ch.put_arc(ctx, true, ts, Arc::clone(&value), bytes)?;
             if let Some(stp) = summary {
                 ctx.receive_feedback_from(out.thread_out_index, stp, now, out.ch.node());
             }

@@ -15,9 +15,9 @@
 //!
 //! What is covered and why:
 //!
-//! * **Split condvars** ([`Channel`] keeps separate `cons`/`prod` wait
-//!   sets): a put must never need to wake producers and a release must
-//!   never need to wake consumers, or the split loses wakeups.
+//! * **Task put vs. a parked get** ([`Channel`] parks only gets, on one
+//!   condvar): the task put path must wake a consumer parked in
+//!   `get_latest`, and a release must never need to.
 //! * **Watermark purge vs. a blocked get**: `release` advances the purge
 //!   watermark while a consumer is parked inside `get_latest`; the put
 //!   that satisfies the get races the purge for the state lock.
@@ -78,13 +78,12 @@ fn test_lfqueue(capacity: usize, trace: &SharedTrace) -> Arc<crate::lfqueue::LfQ
     q
 }
 
-fn test_channel(capacity: Option<usize>, trace: &SharedTrace) -> Arc<Channel<Vec<u8>>> {
+fn test_channel(trace: &SharedTrace) -> Arc<Channel<Vec<u8>>> {
     let ch = Arc::new(Channel::new(
         NodeId(1),
         "ch".into(),
         &AruConfig::aru_min(),
         GcMode::Ref,
-        capacity,
         Arc::new(ManualClock::new()),
         trace.clone(),
     ));
@@ -92,33 +91,38 @@ fn test_channel(capacity: Option<usize>, trace: &SharedTrace) -> Arc<Channel<Vec
     ch
 }
 
-/// Split-condvar wakeup protocol on a capacity-1 channel: the producer's
-/// second `put_blocking` parks on `prod` until the consumer's `release`
-/// purges the first item; the consumer's second `get_latest` parks on
-/// `cons` until the second put lands. Any interleaving that loses either
+/// The task put path wakes a parked get: the producer's two
+/// `put_arc`s land ts 0 and ts 1 while the consumer parks in
+/// `get_latest`, releases what it got and, if that was ts 0, parks again
+/// for ts 1. Nothing bounds the channel, so both puts may land before the
+/// first get, which then returns ts 1. Any interleaving that loses the
 /// wakeup deadlocks the model.
 #[test]
-fn loom_bounded_channel_handoff_has_no_lost_wakeup() {
+fn loom_task_put_wakes_parked_get() {
     loom::model(|| {
         let trace = SharedTrace::new();
         let shutdown = Shutdown::new();
-        let ch = test_channel(Some(1), &trace);
+        let ch = test_channel(&trace);
 
         let producer = {
             let ch = Arc::clone(&ch);
             let mut ctx = test_ctx(&trace, &shutdown);
             loom::thread::spawn(move || {
-                ch.put_blocking(&mut ctx, Timestamp(0), vec![0u8]).unwrap();
-                ch.put_blocking(&mut ctx, Timestamp(1), vec![1u8]).unwrap();
+                for ts in 0..2u8 {
+                    ch.put_arc(&mut ctx, false, Timestamp(ts.into()), Arc::new(vec![ts]), 1)
+                        .unwrap();
+                }
             })
         };
 
         let mut ctx = test_ctx(&trace, &shutdown);
-        let first = ch.get_latest(0, &mut ctx, Timestamp::ZERO).unwrap();
-        ch.release(0, first.ts);
-        let second = ch.get_latest(0, &mut ctx, first.ts.next()).unwrap();
-        assert_eq!(second.ts, Timestamp(1));
-        assert_eq!(*second.value, vec![1u8]);
+        let mut got = ch.get_latest(0, &mut ctx, Timestamp::ZERO).unwrap();
+        ch.release(0, got.ts);
+        if got.ts == Timestamp(0) {
+            got = ch.get_latest(0, &mut ctx, got.ts.next()).unwrap();
+        }
+        assert_eq!(got.ts, Timestamp(1));
+        assert_eq!(*got.value, vec![1u8]);
 
         producer.join().unwrap();
     });
@@ -135,7 +139,7 @@ fn loom_put_and_purge_racing_a_blocked_get() {
     loom::model(|| {
         let trace = SharedTrace::new();
         let shutdown = Shutdown::new();
-        let ch = test_channel(None, &trace);
+        let ch = test_channel(&trace);
         let p = IterKey::new(NodeId(0), 0);
 
         ch.put(Timestamp(0), vec![0u8], p).unwrap();
@@ -170,7 +174,7 @@ fn loom_close_wakes_blocked_consumer() {
     loom::model(|| {
         let trace = SharedTrace::new();
         let shutdown = Shutdown::new();
-        let ch = test_channel(None, &trace);
+        let ch = test_channel(&trace);
 
         let closer = {
             let ch = Arc::clone(&ch);
@@ -426,7 +430,7 @@ fn loom_lfqueue_close_never_strands_drainable_item() {
 fn loom_channel_obs_pair_never_tears() {
     loom::model(|| {
         let trace = SharedTrace::new();
-        let ch = test_channel(None, &trace);
+        let ch = test_channel(&trace);
         let p = IterKey::new(NodeId(0), 0);
 
         let producer = {
@@ -529,7 +533,6 @@ fn loom_dgc_pass_has_one_sweeper_that_no_task_waits_for() {
                 "ch".into(),
                 &AruConfig::aru_min(),
                 GcMode::Dgc,
-                None,
                 Arc::new(ManualClock::new()),
                 trace.clone(),
             ));

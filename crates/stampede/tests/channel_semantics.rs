@@ -387,145 +387,6 @@ fn pipeline_survives_producer_death() {
     assert!(report.outputs() <= 5, "only 5 items ever existed");
 }
 
-#[test]
-fn bounded_channel_enforces_capacity_and_backpressure() {
-    // Fast producer into a capacity-3 channel; slow consumer. The producer
-    // must block instead of flooding; occupancy never exceeds 3; no
-    // deadlock; throughput is the consumer's.
-    let mut b = RuntimeBuilder::new(AruConfig::disabled(), GcMode::Dgc);
-    let ch = b.channel_with_capacity::<Vec<u8>>("bounded", 3);
-    let src = b.thread("src");
-    let snk = b.thread("snk");
-    let out = b.connect_out(src, &ch).unwrap();
-    let ch_probe = out.channel_arc();
-    let mut inp = b.connect_in(&ch, snk).unwrap();
-    let produced = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let produced2 = Arc::clone(&produced);
-    let mut ts = Timestamp::ZERO;
-    b.spawn(src, move |ctx| {
-        out.put(ctx, ts, vec![0u8; 64])?; // blocks when full
-        ts = ts.next();
-        produced2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(Step::Continue)
-    });
-    b.spawn(snk, move |ctx| {
-        let item = inp.get_latest(ctx)?;
-        std::thread::sleep(Duration::from_millis(10));
-        ctx.emit_output(item.ts);
-        Ok(Step::Continue)
-    });
-    let running = b.build().unwrap().start();
-    for _ in 0..20 {
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(ch_probe.len() <= 3, "capacity exceeded: {}", ch_probe.len());
-    }
-    let report = running.stop().unwrap();
-    let outputs = report.outputs() as u64;
-    let produced = produced.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(outputs > 5, "outputs {outputs}");
-    // Backpressure bounds overproduction: at most ~capacity extra in
-    // flight per consumer cycle.
-    assert!(
-        produced <= outputs * 4 + 8,
-        "producer {produced} vs outputs {outputs} — backpressure failed"
-    );
-}
-
-#[test]
-fn dgc_purge_wakes_blocked_producer() {
-    // A producer blocked on a full bounded channel sits on the producer
-    // wait set; a DGC dead-before purge that frees items must wake it
-    // (no consumer release involved).
-    let mut b = RuntimeBuilder::new(AruConfig::disabled(), GcMode::Dgc);
-    let ch = b.channel_with_capacity::<Vec<u8>>("bounded", 2);
-    let src = b.thread("src");
-    let snk = b.thread("snk");
-    let out = b.connect_out(src, &ch).unwrap();
-    let ch_probe = out.channel_arc();
-    let mut inp = b.connect_in(&ch, snk).unwrap();
-    let produced = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let produced2 = Arc::clone(&produced);
-    let mut ts = Timestamp::ZERO;
-    b.spawn(src, move |ctx| {
-        out.put(ctx, ts, vec![0u8; 16])?; // blocks when full
-        ts = ts.next();
-        produced2.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(Step::Continue)
-    });
-    b.spawn(snk, move |ctx| {
-        // consumer never releases anything: it only peeks non-destructively
-        // and sleeps, so capacity opens through the DGC purge alone
-        let _ = inp.try_get_latest(ctx)?;
-        std::thread::sleep(Duration::from_millis(5));
-        Ok(Step::Continue)
-    });
-    let running = b.build().unwrap().start();
-    // wait for the producer to fill the channel and block
-    for _ in 0..100 {
-        if produced.load(std::sync::atomic::Ordering::Relaxed) >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let before = produced.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(before >= 2, "producer should have filled the channel");
-    // everything currently in the channel is dead: purge must free slots
-    // and wake the blocked producer
-    ch_probe.apply_dead_before(Timestamp(before));
-    let t0 = std::time::Instant::now();
-    while produced.load(std::sync::atomic::Ordering::Relaxed) <= before {
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "producer not woken by DGC purge"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    running.stop().unwrap();
-}
-
-#[test]
-fn bounded_channel_blocking_is_excluded_from_stp() {
-    // A producer stuck on backpressure must not report an inflated
-    // current-STP: its busy time is its compute, not the wait.
-    let mut b = RuntimeBuilder::new(AruConfig::aru_min(), GcMode::Dgc);
-    let ch = b.channel_with_capacity::<Vec<u8>>("bounded", 1);
-    let src = b.thread("src");
-    let snk = b.thread("snk");
-    let out = b.connect_out(src, &ch).unwrap();
-    let mut inp = b.connect_in(&ch, snk).unwrap();
-    let mut ts = Timestamp::ZERO;
-    b.spawn(src, move |ctx| {
-        std::thread::sleep(Duration::from_millis(1)); // real work: ~1 ms
-        out.put(ctx, ts, vec![0u8; 64])?; // waits ~30 ms on backpressure
-        ts = ts.next();
-        Ok(Step::Continue)
-    });
-    b.spawn(snk, move |ctx| {
-        let item = inp.get_latest(ctx)?;
-        std::thread::sleep(Duration::from_millis(30));
-        ctx.emit_output(item.ts);
-        Ok(Step::Continue)
-    });
-    let report = b
-        .build()
-        .unwrap()
-        .run_for(Micros::from_millis(400))
-        .unwrap();
-    // source busy time per iteration (current-STP) must stay ~1-2 ms even
-    // though wall time per iteration is ~30 ms.
-    let stats =
-        aru_metrics::thread_stats(&report.trace, &aru_metrics::Lineage::analyze(&report.trace));
-    let src_stats = stats
-        .values()
-        .find(|s| report.topo.name(s.node) == "src")
-        .expect("src stats");
-    assert!(
-        src_stats.busy.mean < 10_000.0,
-        "source current-STP {}us includes backpressure wait",
-        src_stats.busy.mean
-    );
-}
-
 /// One blocking entry point of the data plane, stuck on a buffer that will
 /// never become ready.
 #[derive(Clone, Copy, Debug)]
@@ -534,10 +395,6 @@ enum BlockingOp {
     GetExact,
     GetLatestAtOrBefore,
     GetLatestWindow,
-    /// `Output::put` on a full capacity-1 channel.
-    Put,
-    /// `FanOut::put` whose second channel is full.
-    FanOutPut,
     QueueGet(QueueBackend),
     /// `QueueOutput::put` on a full lock-free ring (the mutex queue is
     /// unbounded: its puts never block).
@@ -577,29 +434,6 @@ fn run_blocked(
     // Everything the op needs is wired here; the peer never makes the
     // buffer ready.
     let mut attempt: Attempt = match op {
-        BlockingOp::Put | BlockingOp::FanOutPut => {
-            let free = b.channel_with_capacity::<Vec<u8>>("free", 1);
-            let full = b.channel_with_capacity::<Vec<u8>>("full", 1);
-            let out_free = b.connect_out(blocked, &free).unwrap();
-            let out_full = b.connect_out(blocked, &full).unwrap();
-            let _in_free = b.connect_in(&free, peer).unwrap();
-            let _in_full = b.connect_in(&full, peer).unwrap();
-            // Fill "full" from outside the task so the op blocks at once.
-            out_full
-                .channel()
-                .put(
-                    Timestamp(0),
-                    vec![0u8; 8],
-                    aru_metrics::IterKey::new(peer.node(), 0),
-                )
-                .unwrap();
-            if matches!(op, BlockingOp::Put) {
-                Box::new(move |ctx| out_full.put(ctx, Timestamp(1), vec![0u8; 8]))
-            } else {
-                let fan = FanOut::new(vec![out_free, out_full]);
-                Box::new(move |ctx| fan.put(ctx, Timestamp(1), vec![0u8; 8]))
-            }
-        }
         BlockingOp::QueueGet(_) => {
             let q = b.queue::<Vec<u8>>("empty");
             let _out = b.connect_queue_out(peer, &q).unwrap();
@@ -684,8 +518,6 @@ fn every_blocking_op_honours_close_and_deadline_the_same_way() {
         GetExact,
         GetLatestAtOrBefore,
         GetLatestWindow,
-        Put,
-        FanOutPut,
         QueueGet(QueueBackend::Mutex),
         QueueGet(QueueBackend::lock_free()),
         LfQueuePut,
