@@ -18,7 +18,9 @@ use crate::schannel::{SimChannel, SimItem};
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, RetryPolicy, Topology};
 use aru_gc::{Acquire, BufferCore, DgcEngine, DgcResult, GcMode};
 use aru_metrics::journal::{FaultClass, TaskGates};
-use aru_metrics::{Counter, Histogram, IterKey, JournalKind, JournalShard, Telemetry, Trace};
+use aru_metrics::{
+    Counter, Histogram, IterKey, JournalKind, JournalShard, Telemetry, Trace, TraceEvent, TraceSink,
+};
 use vtime::{Micros, SimTime, Timestamp};
 
 /// Configuration of one simulated run.
@@ -119,8 +121,9 @@ struct TaskState {
     /// When the current crash happened (sim time) — taken by the restart
     /// handler to measure crash→restart recovery latency.
     crashed_at: Option<SimTime>,
-    /// Gates of the journal's Stale, Pace and Fold records — the threaded
-    /// runtime's, so sim and live journals are directly comparable.
+    /// The recording rule of the task's iteration and Fold records — the
+    /// threaded runtime's, so sim and live traces and journals are directly
+    /// comparable.
     gates: TaskGates,
 }
 
@@ -720,7 +723,9 @@ impl Sim {
                 // under the staleness horizon instead of freezing).
                 if let Some(s) = self.chans[o.chan.0].core.summary() {
                     if drop_fb {
-                        self.trace.summary_dropped(now, task_graph_node);
+                        let node = task_graph_node;
+                        self.trace
+                            .record(TraceEvent::SummaryDropped { t: now, node });
                         self.tele
                             .journal
                             .record(now, task_graph_node, JournalKind::SummaryDropped);
@@ -745,24 +750,8 @@ impl Sim {
         }
 
         let outcome = self.tasks[t.0].controller.iteration_end(now);
-        self.trace.iter_end(now, key, outcome.current_stp.period());
-        if outcome.stale {
-            self.trace.stale_summary(now, key);
-        }
-        self.tasks[t.0]
-            .gates
-            .on_iteration(&self.tele.journal, now, key.node, &outcome);
-        if outcome.law_fired {
-            if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
-                self.trace.pace_decision(
-                    now,
-                    key.node,
-                    raw.period(),
-                    target.period(),
-                    outcome.clamped,
-                );
-            }
-        }
+        let gates = &mut self.tasks[t.0].gates;
+        gates.on_iteration(&mut self.trace, &self.tele.journal, now, key, &outcome);
         self.tasks[t.0].seq += 1;
         self.tasks[t.0].phase = Phase::Idle;
         let gen = self.tasks[t.0].generation;
@@ -823,7 +812,6 @@ impl Sim {
                 t.seq += 1; // the crashed iteration's key is never reused
                 t.crashed_at = Some(now);
                 self.tele.faults_crash.inc();
-                self.trace.task_crash(now, graph, attempt);
                 self.tele.journal.record(
                     now,
                     graph,
@@ -831,9 +819,7 @@ impl Sim {
                         class: FaultClass::Crash,
                     },
                 );
-                self.tele
-                    .journal
-                    .record(now, graph, JournalKind::Crash { attempt });
+                TaskGates::on_crash(&mut self.trace, &self.tele.journal, now, graph, attempt);
                 if self.config.retry.allows(attempt) {
                     let backoff = self.config.retry.delay(attempt);
                     self.schedule(now + backoff, EvKind::Restart(TaskId(ti)));
@@ -886,10 +872,8 @@ impl Sim {
                 .recovery_latency_us
                 .record(now.since(crashed).as_micros());
         }
-        self.trace.task_restart(now, graph, attempt, backoff);
-        self.tele
-            .journal
-            .record(now, graph, JournalKind::Restart { attempt, backoff });
+        let (trace, journal) = (&mut self.trace, &self.tele.journal);
+        TaskGates::on_restart(trace, journal, now, graph, attempt, backoff);
         let gen = self.tasks[t.0].generation;
         self.schedule(now, EvKind::Wake(t, gen));
     }

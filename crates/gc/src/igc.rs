@@ -69,7 +69,7 @@ impl IdealGc {
 mod tests {
     use super::*;
     use aru_core::graph::NodeId;
-    use aru_metrics::IterKey;
+    use aru_metrics::{IterKey, TraceEvent, TraceSink};
     use vtime::Timestamp;
 
     #[test]
@@ -79,12 +79,24 @@ mod tests {
         let src1 = IterKey::new(NodeId(0), 1);
         let sink = IterKey::new(NodeId(2), 0);
         let good = tr.alloc(SimTime(0), NodeId(1), Timestamp(0), 100, src0);
-        tr.iter_end(SimTime(10), src0, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(10),
+            iter: src0,
+            busy: Micros(10),
+        });
         let _bad = tr.alloc(SimTime(10), NodeId(1), Timestamp(1), 100, src1);
-        tr.iter_end(SimTime(20), src1, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(20),
+            iter: src1,
+            busy: Micros(10),
+        });
         tr.get(SimTime(30), good, sink);
         tr.sink_output(SimTime(31), sink, Timestamp(0));
-        tr.iter_end(SimTime(32), sink, Micros(2));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(32),
+            iter: sink,
+            busy: Micros(2),
+        });
 
         let igc = IdealGc::analyze(&tr, SimTime(100));
         assert_eq!(igc.useful_items, 1);

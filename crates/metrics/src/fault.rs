@@ -124,6 +124,7 @@ impl std::fmt::Display for FaultReport {
 mod tests {
     use super::*;
     use crate::event::IterKey;
+    use crate::trace::TraceSink;
     use vtime::{Micros, SimTime};
 
     #[test]
@@ -138,11 +139,27 @@ mod tests {
         let mut tr = Trace::new();
         let a = NodeId(1);
         let b = NodeId(2);
-        tr.task_crash(SimTime(10), a, 1);
-        tr.task_restart(SimTime(20), a, 1, Micros(10));
-        tr.task_crash(SimTime(30), a, 2);
+        tr.record(TraceEvent::TaskCrash {
+            t: SimTime(10),
+            node: a,
+            attempt: 1,
+        });
+        tr.record(TraceEvent::TaskRestart {
+            t: SimTime(20),
+            node: a,
+            attempt: 1,
+            backoff: Micros(10),
+        });
+        tr.record(TraceEvent::TaskCrash {
+            t: SimTime(30),
+            node: a,
+            attempt: 2,
+        });
         tr.op_timeout(SimTime(40), b);
-        tr.summary_dropped(SimTime(50), b);
+        tr.record(TraceEvent::SummaryDropped {
+            t: SimTime(50),
+            node: b,
+        });
         let report = FaultReport::compute(&tr);
         assert!(report.any());
         assert_eq!(report.crashes, 2);
@@ -161,9 +178,15 @@ mod tests {
         let n = NodeId(3);
         // Two episodes: seqs 5,6,7 and 20,21 — plus another node's episode.
         for seq in [5u64, 6, 7, 20, 21] {
-            tr.stale_summary(SimTime(seq), IterKey::new(n, seq));
+            tr.record(TraceEvent::StaleSummary {
+                t: SimTime(seq),
+                iter: IterKey::new(n, seq),
+            });
         }
-        tr.stale_summary(SimTime(99), IterKey::new(NodeId(4), 0));
+        tr.record(TraceEvent::StaleSummary {
+            t: SimTime(99),
+            iter: IterKey::new(NodeId(4), 0),
+        });
         let report = FaultReport::compute(&tr);
         assert_eq!(report.stale_iterations, 6);
         assert_eq!(report.stale_intervals, 3);

@@ -21,14 +21,19 @@
 //! the lock is uncontended. The ring overwrites its oldest record once it
 //! holds [`JOURNAL_CAP`] and counts what it overwrote; memory stays
 //! bounded no matter how long the run, and grows only as far as a shard
-//! is used. Every call site is change- or event-gated (a steady-state
-//! pipeline journals nothing) and a snapshot is cut only at clean stop
-//! (what `repro --watch` reads), at a crash dump or on demand, so nothing
-//! here needs to be lock-free. The span recorder ([`crate::spans`]) keeps
+//! is used. Every record is change- or event-gated (a steady-state
+//! pipeline journals nothing), and each kind by one rule that both
+//! substrates and both FIFO backends call: [`TaskGates`] for a task's
+//! iterations, crashes and restarts, [`HopGate`] for the summary-STP hops,
+//! [`OccupancyGate`] for buffer occupancy. A snapshot is cut only at clean
+//! stop (what `repro --watch` reads), at a crash dump or on demand, so
+//! nothing here needs to be lock-free. The span recorder ([`crate::spans`]) keeps
 //! its hops in the same ring type.
 
+use crate::event::{IterKey, TraceEvent};
 use crate::json::JsonObj;
 use crate::sync::Mutex;
+use crate::trace::TraceSink;
 use aru_core::graph::NodeId;
 use aru_core::IterationOutcome;
 use std::io;
@@ -257,16 +262,78 @@ impl JournalShard {
     }
 }
 
-/// The per-task record gates the threaded runtime and the simulator share,
-/// so a sim journal and a live one differ only in what happened: staleness
-/// is journaled on its edges (the storm detector wants transitions, not
-/// area), a pace decision when the law fired and both targets exist (the
-/// trace's `PaceDecision` gate), a fold hop when the folded value changed.
+/// The value-change gate of one hop leg: a hop is recorded only when the
+/// summary it carries differs from the last one this gate recorded, so a
+/// converged pipeline pays one compare per op and records nothing. Every
+/// `Deposit`, `Return` and `Fold` record of both substrates goes through
+/// one.
+#[derive(Debug)]
+pub struct HopGate {
+    leg: HopLeg,
+    last: Option<Micros>,
+}
+
+impl HopGate {
+    #[must_use]
+    pub fn new(leg: HopLeg) -> Self {
+        HopGate { leg, last: None }
+    }
+
+    /// `node` saw `value` pass to or from `peer` at `t`.
+    #[inline]
+    pub fn record(
+        &mut self,
+        shard: &JournalShard,
+        t: SimTime,
+        node: NodeId,
+        peer: NodeId,
+        value: Micros,
+    ) {
+        if self.last != Some(value) {
+            self.last = Some(value);
+            let leg = self.leg;
+            shard.record(t, node, JournalKind::Hop { leg, peer, value });
+        }
+    }
+}
+
+/// The occupancy gate of one buffer, read at publish cadence: a record
+/// when the length changed since the last one. A watermark crossing is a
+/// length change, and the record says which side of
+/// [`DEFAULT_OCC_WATERMARK`] the length is on.
+#[derive(Debug, Default)]
+pub struct OccupancyGate {
+    last: Option<u64>,
+}
+
+impl OccupancyGate {
+    /// Buffer `node` holds `len` items at `t`.
+    pub fn record(&mut self, shard: &JournalShard, t: SimTime, node: NodeId, len: u64) {
+        if self.last != Some(len) {
+            self.last = Some(len);
+            let kind = JournalKind::Occupancy {
+                len,
+                watermark: DEFAULT_OCC_WATERMARK,
+                high: len >= DEFAULT_OCC_WATERMARK,
+            };
+            shard.record(t, node, kind);
+        }
+    }
+}
+
+/// The recording rule of a task's control-plane records, on the threaded
+/// runtime and the simulator alike: each writes its iterations, crashes
+/// and restarts here, so a sim trace or journal and a live one differ only
+/// in what happened. An iteration's end is traced always, its staleness
+/// traced while it lasts and journaled on its edges (the storm detector
+/// wants transitions, not area), its pace decision traced and journaled
+/// when the law fired and both targets exist; a fold hop is journaled when
+/// the folded value changed.
 #[derive(Debug)]
 pub struct TaskGates {
     law: u8,
     was_stale: bool,
-    last_fold: Option<Micros>,
+    fold: HopGate,
 }
 
 impl TaskGates {
@@ -276,44 +343,52 @@ impl TaskGates {
         TaskGates {
             law: law_code(law),
             was_stale: false,
-            last_fold: None,
+            fold: HopGate::new(HopLeg::Fold),
         }
     }
 
-    /// `node` finished an iteration: a [`JournalKind::Stale`] edge, then the
+    /// Iteration `iter` ended at `t`: trace `IterEnd`, then `StaleSummary`
+    /// and `PaceDecision`; journal a [`JournalKind::Stale`] edge, then the
     /// [`JournalKind::Pace`] decision.
     #[inline]
     pub fn on_iteration(
         &mut self,
+        trace: &mut impl TraceSink,
         shard: &JournalShard,
         t: SimTime,
-        node: NodeId,
+        iter: IterKey,
         outcome: &IterationOutcome,
     ) {
+        let node = iter.node;
+        let busy = outcome.current_stp.period();
+        trace.record(TraceEvent::IterEnd { t, iter, busy });
+        if outcome.stale {
+            trace.record(TraceEvent::StaleSummary { t, iter });
+        }
         if outcome.stale != self.was_stale {
             self.was_stale = outcome.stale;
-            shard.record(
-                t,
-                node,
-                JournalKind::Stale {
-                    entered: outcome.stale,
-                },
-            );
+            let entered = outcome.stale;
+            shard.record(t, node, JournalKind::Stale { entered });
         }
         if let (true, Some(raw), Some(target)) =
             (outcome.law_fired, outcome.raw_target, outcome.pace_target)
         {
-            shard.record(
+            let (raw, target, clamped) = (raw.period(), target.period(), outcome.clamped);
+            trace.record(TraceEvent::PaceDecision {
                 t,
                 node,
-                JournalKind::Pace {
-                    law: self.law,
-                    raw: raw.period(),
-                    target: target.period(),
-                    sleep: outcome.sleep,
-                    clamped: outcome.clamped,
-                },
-            );
+                raw,
+                target,
+                clamped,
+            });
+            let pace = JournalKind::Pace {
+                law: self.law,
+                raw,
+                target,
+                sleep: outcome.sleep,
+                clamped,
+            };
+            shard.record(t, node, pace);
         }
     }
 
@@ -328,18 +403,39 @@ impl TaskGates {
         from: NodeId,
         value: Micros,
     ) {
-        if self.last_fold != Some(value) {
-            self.last_fold = Some(value);
-            shard.record(
-                t,
-                node,
-                JournalKind::Hop {
-                    leg: HopLeg::Fold,
-                    peer: from,
-                    value,
-                },
-            );
-        }
+        self.fold.record(shard, t, node, from, value);
+    }
+
+    /// Task `node`'s body crashed for the `attempt`th time: trace
+    /// `TaskCrash`, journal [`JournalKind::Crash`].
+    pub fn on_crash(
+        trace: &mut impl TraceSink,
+        shard: &JournalShard,
+        t: SimTime,
+        node: NodeId,
+        attempt: u32,
+    ) {
+        trace.record(TraceEvent::TaskCrash { t, node, attempt });
+        shard.record(t, node, JournalKind::Crash { attempt });
+    }
+
+    /// The supervisor restarted task `node` after `backoff`: trace
+    /// `TaskRestart`, journal [`JournalKind::Restart`].
+    pub fn on_restart(
+        trace: &mut impl TraceSink,
+        shard: &JournalShard,
+        t: SimTime,
+        node: NodeId,
+        attempt: u32,
+        backoff: Micros,
+    ) {
+        trace.record(TraceEvent::TaskRestart {
+            t,
+            node,
+            attempt,
+            backoff,
+        });
+        shard.record(t, node, JournalKind::Restart { attempt, backoff });
     }
 }
 
@@ -640,7 +736,14 @@ fn json_str(line: &str, key: &str) -> Option<String> {
     None
 }
 
+/// A line the writer finished: one whole object. A line torn mid-write
+/// can hold every field and still be wrong, its last number cut short.
+fn whole_line(line: &str) -> Option<&str> {
+    line.ends_with('}').then_some(line)
+}
+
 fn parse_record(line: &str) -> Option<JournalRecord> {
+    let line = whole_line(line)?;
     let kind = json_str(line, "kind")?;
     let t = SimTime(json_u64(line, "t_us")?);
     let node = NodeId(json_u32(line, "node")?);
@@ -696,20 +799,23 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
 }
 
 /// Parse a serialized journal (the output of
-/// [`JournalSnapshot::to_jsonl`]). The first line must be a
-/// `journal_header`; later lines that fail to parse are counted in
-/// [`LoadedJournal::skipped`] rather than aborting the load.
+/// [`JournalSnapshot::to_jsonl`]). The first line must be a whole
+/// `journal_header`; later lines that fail to parse, a line torn mid-write
+/// among them, are counted in [`LoadedJournal::skipped`] rather than
+/// aborting the load.
 pub fn parse_journal(text: &str) -> io::Result<LoadedJournal> {
     let mut lines = text.lines();
     let header = lines
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty journal"))?;
-    if json_str(header, "kind").as_deref() != Some("journal_header") {
+    let Some(header) =
+        whole_line(header).filter(|h| json_str(h, "kind").as_deref() == Some("journal_header"))
+    else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "missing journal_header line",
+            "missing or torn journal_header line",
         ));
-    }
+    };
     let source = json_str(header, "source").unwrap_or_else(|| "unknown".to_string());
     let schema = json_u32(header, "schema").unwrap_or(0);
     let epoch_unix_us = json_u64(header, "epoch_unix_us").unwrap_or(0);
@@ -740,8 +846,10 @@ pub fn parse_journal(text: &str) -> io::Result<LoadedJournal> {
 }
 
 /// Load a journal snapshot file written by [`JournalSnapshot::write_file`].
+/// Bytes that are not UTF-8 spoil only the lines they are on, which are
+/// skipped like any other bad line.
 pub fn load_journal(path: &Path) -> io::Result<LoadedJournal> {
-    parse_journal(&std::fs::read_to_string(path)?)
+    parse_journal(&String::from_utf8_lossy(&std::fs::read(path)?))
 }
 
 #[cfg(all(test, not(loom)))]
@@ -961,9 +1069,11 @@ mod tests {
 
     #[test]
     fn task_gates_record_edges_decisions_and_changes_only() {
+        use crate::Trace;
         use aru_core::Stp;
         let journal = Journal::new();
         let shard = journal.shard();
+        let mut trace = Trace::default();
         let mut gates = TaskGates::new("pid");
         let quiet = IterationOutcome {
             current_stp: Stp::from_micros(10),
@@ -977,31 +1087,36 @@ mod tests {
             clamped: true,
         };
         let node = NodeId(2);
-        gates.on_iteration(&shard, SimTime(1), node, &quiet);
+        let key = |seq| IterKey::new(node, seq);
+        gates.on_iteration(&mut trace, &shard, SimTime(1), key(0), &quiet);
         let stale_and_fired = IterationOutcome {
             stale: true,
             law_fired: true,
             ..quiet
         };
-        gates.on_iteration(&shard, SimTime(2), node, &stale_and_fired);
-        gates.on_iteration(
-            &shard,
-            SimTime(3),
-            node,
-            &IterationOutcome {
-                law_fired: false,
-                ..stale_and_fired
-            },
-        );
+        gates.on_iteration(&mut trace, &shard, SimTime(2), key(1), &stale_and_fired);
+        let stale_quiet = IterationOutcome {
+            law_fired: false,
+            ..stale_and_fired
+        };
+        gates.on_iteration(&mut trace, &shard, SimTime(3), key(2), &stale_quiet);
         let fired_without_target = IterationOutcome {
             stale: false,
             pace_target: None,
             ..stale_and_fired
         };
-        gates.on_iteration(&shard, SimTime(4), node, &fired_without_target);
+        gates.on_iteration(
+            &mut trace,
+            &shard,
+            SimTime(4),
+            key(3),
+            &fired_without_target,
+        );
         for (t, value) in [(5, 7), (6, 7), (7, 8)] {
             gates.on_fold(&shard, SimTime(t), node, NodeId(9), Micros(value));
         }
+        TaskGates::on_crash(&mut trace, &shard, SimTime(8), node, 1);
+        TaskGates::on_restart(&mut trace, &shard, SimTime(9), node, 1, Micros(6));
         let kinds: Vec<_> = journal
             .snapshot()
             .records
@@ -1030,7 +1145,112 @@ mod tests {
                 (4, JournalKind::Stale { entered: false }),
                 (5, fold(7)),
                 (7, fold(8)),
+                (8, JournalKind::Crash { attempt: 1 }),
+                (
+                    9,
+                    JournalKind::Restart {
+                        attempt: 1,
+                        backoff: Micros(6),
+                    }
+                ),
             ]
+        );
+        let iter_end = |t, seq| TraceEvent::IterEnd {
+            t: SimTime(t),
+            iter: key(seq),
+            busy: Micros(10),
+        };
+        let stale = |t, seq| TraceEvent::StaleSummary {
+            t: SimTime(t),
+            iter: key(seq),
+        };
+        assert_eq!(
+            trace.events(),
+            [
+                iter_end(1, 0),
+                iter_end(2, 1),
+                stale(2, 1),
+                TraceEvent::PaceDecision {
+                    t: SimTime(2),
+                    node,
+                    raw: Micros(40),
+                    target: Micros(30),
+                    clamped: true,
+                },
+                iter_end(3, 2),
+                stale(3, 2),
+                iter_end(4, 3),
+                TraceEvent::TaskCrash {
+                    t: SimTime(8),
+                    node,
+                    attempt: 1,
+                },
+                TraceEvent::TaskRestart {
+                    t: SimTime(9),
+                    node,
+                    attempt: 1,
+                    backoff: Micros(6),
+                },
+            ]
+        );
+    }
+
+    /// A hop gate records a leg's value when it differs from the last one
+    /// it recorded, whichever peer carried it; an occupancy gate records a
+    /// length when it changed, flagged high from the watermark on.
+    #[test]
+    fn hop_and_occupancy_gates_record_changes_only() {
+        let journal = Journal::new();
+        let shard = journal.shard();
+        let mut ret = HopGate::new(HopLeg::Return);
+        for (t, peer, value) in [(1, 3, 50), (2, 4, 50), (3, 3, 60), (4, 3, 50)] {
+            ret.record(&shard, SimTime(t), NodeId(1), NodeId(peer), Micros(value));
+        }
+        let mut occ = OccupancyGate::default();
+        let w = DEFAULT_OCC_WATERMARK;
+        for (t, len) in [
+            (5, 0),
+            (6, 0),
+            (7, w - 1),
+            (8, w),
+            (9, w),
+            (10, w + 1),
+            (11, 2),
+        ] {
+            occ.record(&shard, SimTime(t), NodeId(1), len);
+        }
+        let got: Vec<_> = journal
+            .snapshot()
+            .records
+            .iter()
+            .map(|r| (r.t.0, r.kind))
+            .collect();
+        let ret = |value| JournalKind::Hop {
+            leg: HopLeg::Return,
+            peer: NodeId(3),
+            value: Micros(value),
+        };
+        let occ = |len: u64| JournalKind::Occupancy {
+            len,
+            watermark: w,
+            high: len >= w,
+        };
+        assert_eq!(
+            got,
+            [
+                (1, ret(50)),
+                (3, ret(60)),
+                (4, ret(50)),
+                (5, occ(0)),
+                (7, occ(w - 1)),
+                (8, occ(w)),
+                (10, occ(w + 1)),
+                (11, occ(2)),
+            ]
+        );
+        assert!(
+            matches!(got[5].1, JournalKind::Occupancy { high: true, .. }),
+            "the watermark's own length is high"
         );
     }
 

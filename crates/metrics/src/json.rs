@@ -229,27 +229,6 @@ pub fn pretty(json: &str) -> String {
     out
 }
 
-/// Find the number stored under `field` in the first object (after
-/// `anchor`, when given) — enough of an extractor to diff this module's
-/// own output without a JSON parser. Returns `None` when the anchor,
-/// field, or a parseable number is missing.
-#[must_use]
-pub fn find_number_after(json: &str, anchor: Option<&str>, field: &str) -> Option<f64> {
-    let start = match anchor {
-        Some(a) => json.find(a)? + a.len(),
-        None => 0,
-    };
-    let tail = &json[start..];
-    let mut needle = String::new();
-    push_escaped(&mut needle, field);
-    let at = tail.find(&needle)? + needle.len();
-    let rest = tail[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,33 +268,8 @@ mod tests {
         assert!(p.ends_with("}\n"));
     }
 
-    #[test]
-    fn find_number_extracts_from_own_output() {
-        let rows = JsonArr::new()
-            .item(
-                JsonObj::new()
-                    .field("name", "put_path")
-                    .field("ns_per_op", 50.18)
-                    .raw(),
-            )
-            .item(
-                JsonObj::new()
-                    .field("name", "get_path")
-                    .field("ns_per_op", 46.5)
-                    .raw(),
-            )
-            .raw();
-        let doc = pretty(&JsonObj::new().field("workloads", rows).finish());
-        let v = find_number_after(&doc, Some("\"get_path\""), "ns_per_op");
-        assert_eq!(v, Some(46.5));
-        assert_eq!(
-            find_number_after(&doc, Some("\"missing\""), "ns_per_op"),
-            None
-        );
-    }
-
-    /// Fragments chosen to land multi-byte characters next to an anchor,
-    /// leave strings unterminated and brackets unbalanced.
+    /// Fragments chosen to put multi-byte characters beside JSON
+    /// punctuation, leave strings unterminated and brackets unbalanced.
     const FRAGMENTS: [&str; 20] = [
         "\"", "\\", "{", "}", "[", "]", ":", ",", " ", "\n", "é", "日", "🦀", "k", "\"k\"", "-",
         "1", "e", ".", "+",
@@ -329,42 +283,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        // Both take files from disk (`find_number_after` reads exported
-        // JSONL back): whatever the bytes, they return, never panic.
-        fn readers_never_panic_on_arbitrary_text(
-            doc in text_strategy(),
-            anchor in text_strategy(),
-            field in text_strategy(),
-        ) {
+        // `pretty` formats exported JSON read back from disk: whatever
+        // the bytes, it returns, never panics.
+        fn pretty_never_panics_on_arbitrary_text(doc in text_strategy()) {
             let _ = pretty(&doc);
-            let _ = find_number_after(&doc, None, &field);
-            let _ = find_number_after(&doc, Some(&anchor), &field);
-            // Anchor present, with arbitrary (possibly multi-byte) text on
-            // both sides of it.
-            let around = format!("{doc}{anchor}{doc}");
-            let _ = find_number_after(&around, Some(&anchor), &field);
-        }
-
-        fn find_number_round_trips_written_numbers(
-            bits in any::<u64>(),
-            key in text_strategy(),
-            filler in text_strategy(),
-        ) {
-            let float = f64::from_bits(bits);
-            for (written, want) in [
-                (JsonObj::new().field(&key, bits), Some(bits as f64)),
-                (JsonObj::new().field(&key, float), float.is_finite().then_some(float)),
-            ] {
-                let inner = written.finish();
-                prop_assert_eq!(find_number_after(&inner, None, &key), want);
-                // Nested after an anchor, compact and pretty-printed.
-                let doc = JsonObj::new()
-                    .field("filler", filler.as_str())
-                    .field("anchor", Raw(inner))
-                    .finish();
-                prop_assert_eq!(find_number_after(&doc, Some("\"anchor\""), &key), want);
-                prop_assert_eq!(find_number_after(&pretty(&doc), Some("\"anchor\""), &key), want);
-            }
         }
     }
 }

@@ -76,5 +76,5 @@ pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, Series
 pub use spans::{FeedbackHop, HopKind, SpanRecorder, SpanShard, SpanSnapshot};
 pub use stability::{stability, StabilityReport, StabilitySpec};
 pub use thread_stats::{thread_stats, ThreadStats};
-pub use trace::{LocalTrace, SharedTrace, Trace};
+pub use trace::{LocalTrace, SharedTrace, Trace, TraceSink};
 pub use waste::WasteReport;

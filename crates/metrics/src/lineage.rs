@@ -405,6 +405,7 @@ impl Lineage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSink;
     use aru_core::graph::NodeId;
 
     /// Build a two-stage pipeline trace:
@@ -420,15 +421,31 @@ mod tests {
 
         let mut tr = Trace::new();
         let i0 = tr.alloc(SimTime(0), buf_a, Timestamp(0), 100, src0);
-        tr.iter_end(SimTime(10), src0, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(10),
+            iter: src0,
+            busy: Micros(10),
+        });
         let i1 = tr.alloc(SimTime(20), buf_a, Timestamp(1), 100, src1);
-        tr.iter_end(SimTime(30), src1, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(30),
+            iter: src1,
+            busy: Micros(10),
+        });
         tr.get(SimTime(40), i0, mid0);
         let i2 = tr.alloc(SimTime(80), buf_b, Timestamp(0), 50, mid0);
-        tr.iter_end(SimTime(90), mid0, Micros(50));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(90),
+            iter: mid0,
+            busy: Micros(50),
+        });
         tr.get(SimTime(100), i2, sink0);
         tr.sink_output(SimTime(110), sink0, Timestamp(0));
-        tr.iter_end(SimTime(110), sink0, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(110),
+            iter: sink0,
+            busy: Micros(10),
+        });
         tr.free(SimTime(120), i0);
         tr.free(SimTime(130), i1);
         // i2 never freed

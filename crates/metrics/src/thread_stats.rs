@@ -131,6 +131,7 @@ pub fn render_thread_stats(
 mod tests {
     use super::*;
     use crate::event::IterKey;
+    use crate::trace::TraceSink;
     use vtime::{SimTime, Timestamp};
 
     fn key(n: u32, s: u64) -> IterKey {
@@ -141,13 +142,25 @@ mod tests {
         let mut tr = Trace::new();
         // node 0: two iterations, one useful (produces item consumed by sink)
         let good = tr.alloc(SimTime(0), NodeId(1), Timestamp(0), 10, key(0, 0));
-        tr.iter_end(SimTime(10), key(0, 0), Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(10),
+            iter: key(0, 0),
+            busy: Micros(10),
+        });
         tr.alloc(SimTime(10), NodeId(1), Timestamp(1), 10, key(0, 1));
-        tr.iter_end(SimTime(30), key(0, 1), Micros(20));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(30),
+            iter: key(0, 1),
+            busy: Micros(20),
+        });
         // node 2 (sink): one iteration
         tr.get(SimTime(40), good, key(2, 0));
         tr.sink_output(SimTime(45), key(2, 0), Timestamp(0));
-        tr.iter_end(SimTime(50), key(2, 0), Micros(5));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(50),
+            iter: key(2, 0),
+            busy: Micros(5),
+        });
         let lin = Lineage::analyze(&tr);
         (tr, lin)
     }

@@ -83,6 +83,14 @@ pub fn wall_clock_unix_us() -> u64 {
         .map_or(0, |d| d.as_micros() as u64)
 }
 
+/// A trace writer: the simulator's [`Trace`] and the threaded runtime's
+/// [`LocalTrace`]. The control-plane records go through it from
+/// [`crate::journal::TaskGates`], the one place that decides them.
+pub trait TraceSink {
+    /// Append `ev`, which is no earlier than this writer's last event.
+    fn record(&mut self, ev: TraceEvent);
+}
+
 /// An in-memory event trace.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
@@ -121,15 +129,6 @@ impl Trace {
         self.epoch_unix_us = epoch;
     }
 
-    fn push(&mut self, ev: TraceEvent) {
-        debug_assert!(
-            self.last_time() <= ev.time(),
-            "{ev:?} recorded after an event at {:?}",
-            self.last_time()
-        );
-        self.events.push(ev);
-    }
-
     /// Allocate a fresh [`ItemId`] and record the allocation.
     pub fn alloc(
         &mut self,
@@ -141,7 +140,7 @@ impl Trace {
     ) -> ItemId {
         let item = ItemId(self.next_item);
         self.next_item += 1;
-        self.push(TraceEvent::Alloc {
+        self.record(TraceEvent::Alloc {
             t,
             item,
             buffer,
@@ -153,61 +152,19 @@ impl Trace {
     }
 
     pub fn free(&mut self, t: SimTime, item: ItemId) {
-        self.push(TraceEvent::Free { t, item });
+        self.record(TraceEvent::Free { t, item });
     }
 
     pub fn get(&mut self, t: SimTime, item: ItemId, consumer: IterKey) {
-        self.push(TraceEvent::Get { t, item, consumer });
-    }
-
-    pub fn iter_end(&mut self, t: SimTime, iter: IterKey, busy: Micros) {
-        self.push(TraceEvent::IterEnd { t, iter, busy });
+        self.record(TraceEvent::Get { t, item, consumer });
     }
 
     pub fn sink_output(&mut self, t: SimTime, iter: IterKey, ts: Timestamp) {
-        self.push(TraceEvent::SinkOutput { t, iter, ts });
-    }
-
-    pub fn task_crash(&mut self, t: SimTime, node: NodeId, attempt: u32) {
-        self.push(TraceEvent::TaskCrash { t, node, attempt });
-    }
-
-    pub fn task_restart(&mut self, t: SimTime, node: NodeId, attempt: u32, backoff: Micros) {
-        self.push(TraceEvent::TaskRestart {
-            t,
-            node,
-            attempt,
-            backoff,
-        });
+        self.record(TraceEvent::SinkOutput { t, iter, ts });
     }
 
     pub fn op_timeout(&mut self, t: SimTime, node: NodeId) {
-        self.push(TraceEvent::OpTimeout { t, node });
-    }
-
-    pub fn stale_summary(&mut self, t: SimTime, iter: IterKey) {
-        self.push(TraceEvent::StaleSummary { t, iter });
-    }
-
-    pub fn summary_dropped(&mut self, t: SimTime, node: NodeId) {
-        self.push(TraceEvent::SummaryDropped { t, node });
-    }
-
-    pub fn pace_decision(
-        &mut self,
-        t: SimTime,
-        node: NodeId,
-        raw: Micros,
-        target: Micros,
-        clamped: bool,
-    ) {
-        self.push(TraceEvent::PaceDecision {
-            t,
-            node,
-            raw,
-            target,
-            clamped,
-        });
+        self.record(TraceEvent::OpTimeout { t, node });
     }
 
     /// All events in time order.
@@ -246,6 +203,17 @@ impl Trace {
             next_item,
             epoch_unix_us: 0,
         }
+    }
+}
+
+impl TraceSink for Trace {
+    fn record(&mut self, ev: TraceEvent) {
+        debug_assert!(
+            self.last_time() <= ev.time(),
+            "{ev:?} recorded after an event at {:?}",
+            self.last_time()
+        );
+        self.events.push(ev);
     }
 }
 
@@ -823,9 +791,9 @@ pub struct LocalTrace {
     id_end: u64,
 }
 
-impl LocalTrace {
+impl TraceSink for LocalTrace {
     #[inline(always)]
-    fn push(&mut self, ev: TraceEvent) {
+    fn record(&mut self, ev: TraceEvent) {
         debug_assert!(
             self.last.t <= ev.time().0,
             "{ev:?} recorded after an event at {}",
@@ -838,7 +806,9 @@ impl LocalTrace {
             self.flush();
         }
     }
+}
 
+impl LocalTrace {
     /// Publish the open chunk to the shard (one lock acquisition).
     pub fn flush(&mut self) {
         if self.pos == 0 {
@@ -868,7 +838,7 @@ impl LocalTrace {
         producer: IterKey,
     ) -> ItemId {
         let item = self.next_id();
-        self.push(TraceEvent::Alloc {
+        self.record(TraceEvent::Alloc {
             t,
             item,
             buffer,
@@ -880,57 +850,19 @@ impl LocalTrace {
     }
 
     pub fn free(&mut self, t: SimTime, item: ItemId) {
-        self.push(TraceEvent::Free { t, item });
+        self.record(TraceEvent::Free { t, item });
     }
 
     pub fn get(&mut self, t: SimTime, item: ItemId, consumer: IterKey) {
-        self.push(TraceEvent::Get { t, item, consumer });
+        self.record(TraceEvent::Get { t, item, consumer });
     }
 
     pub fn op_timeout(&mut self, t: SimTime, node: NodeId) {
-        self.push(TraceEvent::OpTimeout { t, node });
-    }
-
-    pub fn iter_end(&mut self, t: SimTime, iter: IterKey, busy: Micros) {
-        self.push(TraceEvent::IterEnd { t, iter, busy });
+        self.record(TraceEvent::OpTimeout { t, node });
     }
 
     pub fn sink_output(&mut self, t: SimTime, iter: IterKey, ts: Timestamp) {
-        self.push(TraceEvent::SinkOutput { t, iter, ts });
-    }
-
-    pub fn stale_summary(&mut self, t: SimTime, iter: IterKey) {
-        self.push(TraceEvent::StaleSummary { t, iter });
-    }
-
-    pub fn task_crash(&mut self, t: SimTime, node: NodeId, attempt: u32) {
-        self.push(TraceEvent::TaskCrash { t, node, attempt });
-    }
-
-    pub fn task_restart(&mut self, t: SimTime, node: NodeId, attempt: u32, backoff: Micros) {
-        self.push(TraceEvent::TaskRestart {
-            t,
-            node,
-            attempt,
-            backoff,
-        });
-    }
-
-    pub fn pace_decision(
-        &mut self,
-        t: SimTime,
-        node: NodeId,
-        raw: Micros,
-        target: Micros,
-        clamped: bool,
-    ) {
-        self.push(TraceEvent::PaceDecision {
-            t,
-            node,
-            raw,
-            target,
-            clamped,
-        });
+        self.record(TraceEvent::SinkOutput { t, iter, ts });
     }
 
     /// Next item id, drawn from this writer's private block.
@@ -1005,7 +937,11 @@ mod tests {
                 let mut local = tr.clone().local();
                 s.spawn(move || {
                     for j in 0..per {
-                        local.task_crash(SimTime(j), NodeId(i), j as u32);
+                        local.record(TraceEvent::TaskCrash {
+                            t: SimTime(j),
+                            node: NodeId(i),
+                            attempt: j as u32,
+                        });
                     }
                 });
             }
@@ -1023,14 +959,23 @@ mod tests {
         let mut local = tr.local();
         let n = (EVENTS_PAST_A_SEAL * 3 + 17) as u64;
         for j in 0..n {
-            local.task_restart(SimTime(j), NodeId(0), 1, Micros(5));
+            local.record(TraceEvent::TaskRestart {
+                t: SimTime(j),
+                node: NodeId(0),
+                attempt: 1,
+                backoff: Micros(5),
+            });
         }
         local.flush();
         let snap = tr.snapshot();
         assert_eq!(snap.len(), n as usize);
         assert_eq!(snap.last_time(), SimTime(n - 1));
         // a later snapshot still sees everything plus newer events
-        local.task_crash(SimTime(n), NodeId(0), 1);
+        local.record(TraceEvent::TaskCrash {
+            t: SimTime(n),
+            node: NodeId(0),
+            attempt: 1,
+        });
         drop(local);
         assert_eq!(tr.snapshot().len(), n as usize + 1);
     }
@@ -1236,7 +1181,7 @@ mod tests {
         for ev in events {
             let tr = SharedTrace::new();
             let mut local = tr.local();
-            local.push(ev);
+            local.record(ev);
             assert!(
                 local.pos <= MAX_EVENT_BYTES,
                 "{ev:?} encodes to {} bytes",
@@ -1402,7 +1347,7 @@ mod tests {
                 match op {
                     Op::Record(_, f) => {
                         let ev = build(times.next().expect("a time per record"), f);
-                        local.push(ev);
+                        local.record(ev);
                         recorded.push(ev);
                     }
                     Op::Alloc(_) => {
@@ -1471,7 +1416,7 @@ mod tests {
                             TraceEvent::Alloc { t: SimTime(t), item, buffer: NodeId(1), ts: Timestamp(t), bytes: 64, producer: IterKey::new(NodeId(0), t) }
                         } else {
                             let ev = build(t, f);
-                            writers[w].push(ev);
+                            writers[w].record(ev);
                             ev
                         };
                         runs[w].push(ev);

@@ -92,8 +92,8 @@ impl WasteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::IterKey;
-    use crate::trace::Trace;
+    use crate::event::{IterKey, TraceEvent};
+    use crate::trace::{Trace, TraceSink};
     use aru_core::graph::NodeId;
     use vtime::Timestamp;
 
@@ -108,11 +108,23 @@ mod tests {
         let good = tr.alloc(SimTime(0), NodeId(1), Timestamp(0), 100, src0);
         tr.get(SimTime(5), good, sink);
         tr.sink_output(SimTime(6), sink, Timestamp(0));
-        tr.iter_end(SimTime(7), sink, Micros(2));
-        tr.iter_end(SimTime(10), src0, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(7),
+            iter: sink,
+            busy: Micros(2),
+        });
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(10),
+            iter: src0,
+            busy: Micros(10),
+        });
         let bad = tr.alloc(SimTime(10), NodeId(1), Timestamp(1), 100, src1);
         tr.free(SimTime(10), good);
-        tr.iter_end(SimTime(20), src1, Micros(10));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(20),
+            iter: src1,
+            busy: Micros(10),
+        });
         tr.free(SimTime(40), bad);
 
         let lin = Lineage::analyze(&tr);
@@ -150,10 +162,18 @@ mod tests {
         let sink = IterKey::new(NodeId(2), 0);
         let mut tr = Trace::new();
         let item = tr.alloc(SimTime(0), NodeId(1), Timestamp(0), 10, src0);
-        tr.iter_end(SimTime(5), src0, Micros(5));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(5),
+            iter: src0,
+            busy: Micros(5),
+        });
         tr.get(SimTime(6), item, sink);
         tr.sink_output(SimTime(7), sink, Timestamp(0));
-        tr.iter_end(SimTime(8), sink, Micros(2));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(8),
+            iter: sink,
+            busy: Micros(2),
+        });
         tr.free(SimTime(9), item);
         let lin = Lineage::analyze(&tr);
         let w = WasteReport::compute(&lin, SimTime(10));

@@ -7,10 +7,10 @@
 use aru_core::graph::NodeId;
 use aru_metrics::export::{prometheus_text, validate_prometheus_text};
 use aru_metrics::footprint::{ideal_series, observed_series};
-use aru_metrics::journal::{parse_journal, JOURNAL_SCHEMA};
+use aru_metrics::journal::{law_code, load_journal, parse_journal, JOURNAL_SCHEMA};
 use aru_metrics::{
     FaultClass, HopLeg, IterKey, JournalKind, JournalRecord, JournalSnapshot, Lineage, PerfReport,
-    Registry, Trace, WasteReport,
+    Registry, Trace, TraceEvent, TraceSink, WasteReport,
 };
 use proptest::prelude::*;
 use vtime::{Micros, SimTime, Timestamp};
@@ -59,7 +59,11 @@ fn build(run: &RandomRun) -> (Trace, SimTime) {
     for (i, &bytes) in run.bytes.iter().enumerate() {
         let key = IterKey::new(src, i as u64);
         let id = tr.alloc(SimTime(t), buf, Timestamp(i as u64), bytes, key);
-        tr.iter_end(SimTime(t + 5), key, Micros(5));
+        tr.record(TraceEvent::IterEnd {
+            t: SimTime(t + 5),
+            iter: key,
+            busy: Micros(5),
+        });
         items.push(id);
         t += run.gap_us;
     }
@@ -71,7 +75,11 @@ fn build(run: &RandomRun) -> (Trace, SimTime) {
             if run.emitted[i] {
                 tr.sink_output(SimTime(t + 1), key, Timestamp(i as u64));
             }
-            tr.iter_end(SimTime(t + 2), key, Micros(2));
+            tr.record(TraceEvent::IterEnd {
+                t: SimTime(t + 2),
+                iter: key,
+                busy: Micros(2),
+            });
             out_seq += 1;
             t += run.gap_us;
         }
@@ -132,6 +140,22 @@ const JOURNAL_FRAGMENTS: [&str; 37] = [
 fn journal_text() -> impl Strategy<Value = String> {
     prop::collection::vec(0usize..JOURNAL_FRAGMENTS.len(), 0..40)
         .prop_map(|ix| ix.into_iter().map(|i| JOURNAL_FRAGMENTS[i]).collect())
+}
+
+/// Text of arbitrary Unicode scalar values, interleaved with the journal
+/// fragments so keys and quotes meet multi-byte characters.
+fn unicode_text() -> impl Strategy<Value = String> {
+    let piece = (any::<u32>(), 0usize..JOURNAL_FRAGMENTS.len(), any::<bool>());
+    prop::collection::vec(piece, 0..60).prop_map(|pieces| {
+        let mut text = String::new();
+        for (code, fragment, scalar) in pieces {
+            match char::from_u32(code % 0x11_0000) {
+                Some(c) if scalar => text.push(c),
+                _ => text.push_str(JOURNAL_FRAGMENTS[fragment]),
+            }
+        }
+        text
+    })
 }
 
 /// Any record the schema can hold (law codes are the persisted ones; an
@@ -220,6 +244,40 @@ proptest! {
         prop_assert_eq!((loaded.snapshot.torn, loaded.snapshot.dropped), (torn, dropped));
         prop_assert_eq!((loaded.schema, loaded.epoch_unix_us), (JOURNAL_SCHEMA, epoch));
         prop_assert_eq!(loaded.source, source);
+    }
+
+    /// Any characters at all, not only the fragments above: every scalar
+    /// value from ASCII to the astral planes, between key look-alikes. The
+    /// loader returns, and under an intact header it loads.
+    #[test]
+    fn parse_journal_never_panics_on_arbitrary_unicode(text in unicode_text()) {
+        let _ = parse_journal(&text);
+        let header = JournalSnapshot::default().to_jsonl("sim", 0);
+        let loaded = parse_journal(&(header + &text));
+        prop_assert!(loaded.is_ok(), "an intact header loads");
+    }
+
+    /// A file of arbitrary bytes, valid UTF-8 or not, loads or fails with
+    /// an error; under an intact header it loads, the lines that are not
+    /// records counted as skipped.
+    #[test]
+    fn load_journal_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        record in record_strategy(),
+    ) {
+        let dir = std::env::temp_dir().join(format!("aru-journal-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("arbitrary.journal.jsonl");
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = load_journal(&path);
+        let snap = JournalSnapshot { records: vec![record], torn: 0, dropped: 0 };
+        let mut file = snap.to_jsonl("sim", 0).into_bytes();
+        file.extend_from_slice(&bytes);
+        std::fs::write(&path, &file).unwrap();
+        let loaded = load_journal(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        let loaded = loaded.expect("an intact header loads");
+        prop_assert_eq!(loaded.snapshot.records.first(), Some(&record));
     }
 
     /// The scrape validator returns — `Ok` or `Err` — whatever the text:
@@ -322,4 +380,103 @@ proptest! {
         prop_assert!(p.jitter_us.is_finite());
         prop_assert!(p.throughput_fps >= 0.0);
     }
+}
+
+/// A journal cut at every byte offset — a crash dump torn mid-write —
+/// loads a prefix of its records: every line written whole, none changed,
+/// and the torn line, if any, counted in `skipped`. A cut inside the header
+/// fails the load. Every record kind is in it, at extreme field values, so
+/// every kind is cut inside every field, its last field's digits included.
+#[test]
+fn a_journal_cut_at_any_byte_loads_a_prefix_of_its_records() {
+    let (max, big) = (Micros(u64::MAX), u32::MAX);
+    let kinds = [
+        JournalKind::Pace {
+            law: law_code("hysteresis"),
+            raw: max,
+            target: max,
+            sleep: max,
+            clamped: true,
+        },
+        JournalKind::Hop {
+            leg: HopLeg::Deposit,
+            peer: NodeId(big),
+            value: max,
+        },
+        JournalKind::Hop {
+            leg: HopLeg::Return,
+            peer: NodeId(big),
+            value: max,
+        },
+        JournalKind::Hop {
+            leg: HopLeg::Fold,
+            peer: NodeId(big),
+            value: max,
+        },
+        JournalKind::Occupancy {
+            len: u64::MAX,
+            watermark: u64::MAX,
+            high: false,
+        },
+        JournalKind::Stale { entered: false },
+        JournalKind::Crash { attempt: big },
+        JournalKind::Restart {
+            attempt: big,
+            backoff: max,
+        },
+        JournalKind::Escalate { attempt: big },
+        JournalKind::Fault {
+            class: FaultClass::DropSummaries,
+        },
+        JournalKind::SummaryDropped,
+    ];
+    let records: Vec<_> = kinds
+        .into_iter()
+        .map(|kind| JournalRecord {
+            t: SimTime(u64::MAX),
+            node: NodeId(big),
+            kind,
+        })
+        .collect();
+    let snap = JournalSnapshot {
+        records,
+        torn: u64::MAX,
+        dropped: u64::MAX,
+    };
+    let file = snap.to_jsonl("sim \"日🦀\"", u64::MAX).into_bytes();
+    // Byte offsets at which each line's content ends (its newline's).
+    let ends: Vec<usize> = (0..file.len()).filter(|&i| file[i] == b'\n').collect();
+    assert_eq!(
+        ends.len(),
+        snap.records.len() + 1,
+        "a header and a line per record"
+    );
+    let dir = std::env::temp_dir().join(format!("aru-journal-cut-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cut.journal.jsonl");
+    for cut in 0..=file.len() {
+        std::fs::write(&path, &file[..cut]).unwrap();
+        let loaded = load_journal(&path);
+        if cut < ends[0] {
+            assert!(loaded.is_err(), "cut at {cut} inside the header loaded");
+            continue;
+        }
+        let loaded = loaded.unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+        let whole = ends[1..].iter().filter(|&&end| end <= cut).count();
+        let torn = ends[1..]
+            .iter()
+            .any(|&end| end > cut && cut > ends[whole] + 1);
+        assert_eq!(
+            loaded.snapshot.records,
+            snap.records[..whole],
+            "cut at {cut}: the records written whole, unchanged"
+        );
+        assert_eq!(loaded.skipped, u64::from(torn), "cut at {cut}");
+        assert_eq!(
+            (loaded.snapshot.torn, loaded.snapshot.dropped),
+            (u64::MAX, u64::MAX),
+            "cut at {cut}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 use aru_core::graph::NodeId;
 use aru_metrics::{
     FootprintReport, ItemId, IterKey, Lineage, PerfReport, SharedTrace, Trace, TraceEvent,
-    WasteReport,
+    TraceSink, WasteReport,
 };
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -134,7 +134,12 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
             |t, ts, bytes, p| coarse.lock().unwrap().alloc(t, buf, ts, bytes, p),
             |t, id, c| coarse.lock().unwrap().get(t, id, c),
             |t, id| coarse.lock().unwrap().free(t, id),
-            |t, k, busy| coarse.lock().unwrap().iter_end(t, k, busy),
+            |t, iter, busy| {
+                coarse
+                    .lock()
+                    .unwrap()
+                    .record(TraceEvent::IterEnd { t, iter, busy })
+            },
             |t, k, ts| coarse.lock().unwrap().sink_output(t, k, ts),
         );
 
@@ -151,7 +156,10 @@ fn fixed_seed_reports_are_byte_identical_across_recorders() {
             |t, ts, bytes, p| local.borrow_mut().alloc(t, buf, ts, bytes, p),
             |t, id, c| local.borrow_mut().get(t, id, c),
             |t, id| local.borrow_mut().free(t, id),
-            |t, k, busy| task.borrow_mut().iter_end(t, k, busy),
+            |t, iter, busy| {
+                task.borrow_mut()
+                    .record(TraceEvent::IterEnd { t, iter, busy })
+            },
             |t, k, ts| task.borrow_mut().sink_output(t, k, ts),
         );
         drop((local, task));

@@ -123,7 +123,7 @@ impl<T: ItemData> Channel<T> {
     ) {
         if let Some(summary) = ctx.summary() {
             st.core.deposit(chan_out_index, summary);
-            st.tele.on_deposit(ctx.node(), summary.period(), || now);
+            st.tele.on_deposit(ctx.node(), summary.period(), now);
         }
     }
 
@@ -220,7 +220,7 @@ impl<T: ItemData> Channel<T> {
         tele.on_put(1, core.store().len());
         let summary = core.summary();
         if let Some(s) = summary {
-            tele.on_return(producer.node, s.period(), || now);
+            tele.on_return(producer.node, s.period(), now);
         }
         drop(st);
         self.cons.notify_all();

@@ -57,11 +57,11 @@ use crate::task::TaskCtx;
 use crate::tele::LfEndpointTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
 use aru_gc::ConsumerMarks;
-use aru_metrics::journal::{HopLeg, DEFAULT_OCC_WATERMARK};
-use aru_metrics::{Gauge, IterKey, JournalKind, JournalShard, SharedTrace};
+use aru_metrics::journal::{HopGate, HopLeg, OccupancyGate};
+use aru_metrics::{Gauge, IterKey, JournalShard, SharedTrace};
 use std::sync::Arc;
 use std::time::Instant;
-use vtime::{Micros, SimTime, Timestamp};
+use vtime::{SimTime, Timestamp};
 
 /// Deposit/mark slots pre-allocated per queue, so consumer endpoints
 /// reach their slot without locking or resizing. `configure_consumers`
@@ -108,8 +108,8 @@ struct LfControl {
     generation: u64,
     consumers: usize,
     journal: JournalShard,
-    last_deposit_hop: Option<Micros>,
-    last_occ: Option<(u64, bool)>,
+    deposit_hops: HopGate,
+    occupancy_records: OccupancyGate,
 }
 
 /// Bounded lock-free MPMC FIFO queue with out-of-band summary-STP.
@@ -172,8 +172,8 @@ impl<T: ItemData> LfQueue<T> {
                 generation: 0,
                 consumers: 0,
                 journal,
-                last_deposit_hop: None,
-                last_occ: None,
+                deposit_hops: HopGate::new(HopLeg::Deposit),
+                occupancy_records: OccupancyGate::default(),
             }),
             summary_cell: SeqCell::new(0, 0),
             slots: std::array::from_fn(|_| ConsumerSlot {
@@ -451,24 +451,12 @@ impl<T: ItemData> LfQueue<T> {
         // Seqlock writer invariant: we hold the control mutex.
         self.summary_cell
             .write(c.generation, encode_summary(folded));
-        // Feedback-lineage recording (same change gate as the fold we just
-        // did — we only get here when the deposited summary moved). This
-        // closes the LF path's observability gap: the deposit hop lands in
-        // the flight-recorder journal exactly as the mutex buffers'
-        // `BufTele::on_deposit` does.
-        let value = summary.period();
-        if c.last_deposit_hop != Some(value) {
-            c.last_deposit_hop = Some(value);
-            c.journal.record(
-                ctx.last_read(),
-                self.node,
-                JournalKind::Hop {
-                    leg: HopLeg::Deposit,
-                    peer: ctx.node(),
-                    value,
-                },
-            );
-        }
+        // The deposit hop, through the gate of the mutex buffers' deposits
+        // (`BufTele::on_deposit`).
+        let c = &mut *c;
+        let (now, value) = (ctx.last_read(), summary.period());
+        c.deposit_hops
+            .record(&c.journal, now, self.node, ctx.node(), value);
     }
 
     /// Park until a push completes (the epoch moves), close lands, or the
@@ -569,23 +557,11 @@ impl<T: ItemData> BufferAdmin for LfQueue<T> {
         self.occupancy_gauge.set(len as f64);
         self.live_bytes_gauge
             .set(self.live_bytes.load(Ordering::SeqCst) as f64);
-        // Occupancy journal record on change / watermark crossing —
-        // exporter-tick cadence only, so locking the control mutex for
-        // its journal shard is off the hot path.
-        let high = len >= DEFAULT_OCC_WATERMARK;
-        let mut c = self.control.lock();
-        if c.last_occ != Some((len, high)) {
-            c.last_occ = Some((len, high));
-            c.journal.record(
-                now,
-                self.node,
-                JournalKind::Occupancy {
-                    len,
-                    watermark: DEFAULT_OCC_WATERMARK,
-                    high,
-                },
-            );
-        }
+        // Occupancy journal record on change — exporter-tick cadence
+        // only, so locking the control mutex for its journal shard is off
+        // the hot path.
+        let c = &mut *self.control.lock();
+        c.occupancy_records.record(&c.journal, now, self.node, len);
     }
 }
 
@@ -603,7 +579,7 @@ pub struct LfQueueOutput<T: ItemData> {
     // writer, so the Return hop (queue summary handed back on put) can be
     // recorded without touching the queue's control mutex.
     journal: JournalShard,
-    last_return: Option<Micros>,
+    return_hops: HopGate,
 }
 
 impl<T: ItemData> LfQueueOutput<T> {
@@ -617,7 +593,7 @@ impl<T: ItemData> LfQueueOutput<T> {
             last_gen: None,
             ops: 0,
             journal,
-            last_return: None,
+            return_hops: HopGate::new(HopLeg::Return),
         }
     }
 
@@ -650,20 +626,10 @@ impl<T: ItemData> LfQueueOutput<T> {
             // this) does.
             let now = ctx.read_clock();
             // Return hop on value change: the queue's summary reached this
-            // producer. Mirrors `BufTele::on_return` on the mutex buffers.
-            let value = s.period();
-            if self.last_return != Some(value) {
-                self.last_return = Some(value);
-                self.journal.record(
-                    now,
-                    self.q.node(),
-                    JournalKind::Hop {
-                        leg: HopLeg::Return,
-                        peer: ctx.node(),
-                        value,
-                    },
-                );
-            }
+            // producer, through the mutex buffers' gate.
+            let (q, value) = (self.q.node(), s.period());
+            self.return_hops
+                .record(&self.journal, now, q, ctx.node(), value);
             ctx.receive_feedback_from(self.thread_out_index, s, now, self.q.node());
         }
     }

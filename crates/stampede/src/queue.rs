@@ -110,7 +110,7 @@ impl<T: ItemData> Queue<T> {
     ) {
         if let Some(summary) = ctx.summary() {
             st.aru.receive_feedback(chan_out_index, summary);
-            st.tele.on_deposit(ctx.node(), summary.period(), || now);
+            st.tele.on_deposit(ctx.node(), summary.period(), now);
         }
     }
 
@@ -171,7 +171,7 @@ impl<T: ItemData> Queue<T> {
         st.tele.on_put(1, len);
         let summary = st.aru.summary();
         if let Some(s) = summary {
-            st.tele.on_return(producer.node, s.period(), || now);
+            st.tele.on_return(producer.node, s.period(), now);
         }
         drop(st);
         Ok((summary, self.cond.notify_one()))

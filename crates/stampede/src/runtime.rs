@@ -252,20 +252,14 @@ impl Runtime {
                             Err(payload) => {
                                 attempt += 1;
                                 let msg = panic_message(payload.as_ref());
-                                let now = ctx.record_crash(attempt);
-                                jshard.record(now, node, JournalKind::Crash { attempt });
+                                ctx.record_crash(&jshard, attempt);
                                 if sd.is_set() {
                                     return Err(msg);
                                 }
                                 if policy.allows(attempt) {
                                     let backoff = policy.delay(attempt);
                                     ctx.recover();
-                                    let now = ctx.record_restart(attempt, backoff);
-                                    jshard.record(
-                                        now,
-                                        node,
-                                        JournalKind::Restart { attempt, backoff },
-                                    );
+                                    ctx.record_restart(&jshard, attempt, backoff);
                                     if sd.sleep(backoff) {
                                         return Err(msg);
                                     }

@@ -42,7 +42,8 @@ use crate::runtime::DgcPass;
 use crate::shutdown::Shutdown;
 use crate::tele::TaskTele;
 use aru_core::{AruConfig, AruController, NodeId, NodeKind, Stp};
-use aru_metrics::{IterKey, LocalTrace, SharedTrace};
+use aru_metrics::journal::TaskGates;
+use aru_metrics::{IterKey, JournalShard, LocalTrace, SharedTrace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vtime::{Clock, Micros, SimTime, Timestamp};
@@ -291,20 +292,18 @@ impl TaskCtx {
         self.op_timeout = timeout;
     }
 
-    /// Record a crash of the task's body at a fresh read, which it returns
-    /// for the supervisor's journal record.
-    pub(crate) fn record_crash(&mut self, attempt: u32) -> SimTime {
+    /// Record a crash of the task's body at a fresh read: traced in the
+    /// task's records, journaled in the supervisor's `shard`.
+    pub(crate) fn record_crash(&mut self, shard: &JournalShard, attempt: u32) {
         let now = self.read_clock();
-        self.records.task_crash(now, self.node, attempt);
-        now
+        TaskGates::on_crash(&mut self.records, shard, now, self.node, attempt);
     }
 
     /// Record the restart that follows a crash, like
     /// [`TaskCtx::record_crash`].
-    pub(crate) fn record_restart(&mut self, attempt: u32, backoff: Micros) -> SimTime {
+    pub(crate) fn record_restart(&mut self, shard: &JournalShard, attempt: u32, backoff: Micros) {
         let now = self.read_clock();
-        self.records.task_restart(now, self.node, attempt, backoff);
-        now
+        TaskGates::on_restart(&mut self.records, shard, now, self.node, attempt, backoff);
     }
 
     /// Register a channel release to run when the current iteration ends.
@@ -352,24 +351,10 @@ impl TaskCtx {
             let t1 = self.read_clock();
             fresh = self.dgc.as_ref().is_some_and(|dgc| dgc.run_if_due(t1));
             let outcome = self.controller.iteration_end(t1);
-            self.tele
-                .on_iteration(t1, self.node, &outcome, self.controller.meter());
             let key = self.iter_key();
-            self.records.iter_end(t1, key, outcome.current_stp.period());
-            if outcome.stale {
-                self.records.stale_summary(t1, key);
-            }
-            if outcome.law_fired {
-                if let (Some(raw), Some(target)) = (outcome.raw_target, outcome.pace_target) {
-                    self.records.pace_decision(
-                        t1,
-                        self.node,
-                        raw.period(),
-                        target.period(),
-                        outcome.clamped,
-                    );
-                }
-            }
+            let meter = self.controller.meter();
+            self.tele
+                .on_iteration(&mut self.records, t1, key, &outcome, meter);
             self.seq += 1;
             match step {
                 Ok(Step::Continue) if !outcome.sleep.is_zero() => {

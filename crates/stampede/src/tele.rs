@@ -22,8 +22,8 @@
 //! compare per op and records nothing (see `aru_metrics::journal`).
 
 use aru_core::NodeId;
-use aru_metrics::journal::{HopLeg, TaskGates, DEFAULT_OCC_WATERMARK};
-use aru_metrics::{Counter, Gauge, Hist, Histogram, JournalKind, JournalShard, Telemetry};
+use aru_metrics::journal::{HopGate, HopLeg, OccupancyGate, TaskGates};
+use aru_metrics::{Counter, Gauge, Hist, Histogram, IterKey, JournalShard, Telemetry, TraceSink};
 use std::time::Instant;
 use vtime::{Micros, SimTime};
 
@@ -54,11 +54,11 @@ pub(crate) struct BufTele {
     seq: u64,
     // Flight-recorder journal (DESIGN.md §16): hop records are
     // change-triggered; occupancy records are cut at publish cadence on
-    // length change or a watermark crossing.
-    last_deposit: Option<Micros>,
-    last_return: Option<Micros>,
+    // length change.
+    deposit_hops: HopGate,
+    return_hops: HopGate,
+    occupancy_records: OccupancyGate,
     journal: JournalShard,
-    last_occ: Option<(u64, bool)>,
 }
 
 impl BufTele {
@@ -80,10 +80,10 @@ impl BufTele {
             d_timeouts: 0,
             occ: Hist::new(),
             seq: 0,
-            last_deposit: None,
-            last_return: None,
+            deposit_hops: HopGate::new(HopLeg::Deposit),
+            return_hops: HopGate::new(HopLeg::Return),
+            occupancy_records: OccupancyGate::default(),
             journal: tele.journal.shard(),
-            last_occ: None,
         }
     }
 
@@ -121,59 +121,26 @@ impl BufTele {
         self.d_timeouts += 1;
     }
 
-    /// A consumer deposited its summary-STP at this buffer. Journals a
-    /// [`HopLeg::Deposit`] hop when the value differs from the last one
-    /// (the clock closure is only evaluated then).
+    /// A consumer deposited its summary-STP at this buffer: a
+    /// [`HopLeg::Deposit`] hop, journaled on value change.
     #[inline]
-    pub(crate) fn on_deposit(
-        &mut self,
-        consumer: NodeId,
-        value: Micros,
-        now: impl FnOnce() -> SimTime,
-    ) {
-        if self.last_deposit == Some(value) {
-            return;
-        }
-        self.last_deposit = Some(value);
-        self.journal.record(
-            now(),
-            self.node,
-            JournalKind::Hop {
-                leg: HopLeg::Deposit,
-                peer: consumer,
-                value,
-            },
-        );
+    pub(crate) fn on_deposit(&mut self, consumer: NodeId, value: Micros, now: SimTime) {
+        self.deposit_hops
+            .record(&self.journal, now, self.node, consumer, value);
     }
 
-    /// This buffer's summary-STP was handed back to a producer on `put`.
-    /// Journals a [`HopLeg::Return`] hop on value change.
+    /// This buffer's summary-STP was handed back to a producer on `put`: a
+    /// [`HopLeg::Return`] hop, journaled on value change.
     #[inline]
-    pub(crate) fn on_return(
-        &mut self,
-        producer: NodeId,
-        value: Micros,
-        now: impl FnOnce() -> SimTime,
-    ) {
-        if self.last_return == Some(value) {
-            return;
-        }
-        self.last_return = Some(value);
-        self.journal.record(
-            now(),
-            self.node,
-            JournalKind::Hop {
-                leg: HopLeg::Return,
-                peer: producer,
-                value,
-            },
-        );
+    pub(crate) fn on_return(&mut self, producer: NodeId, value: Micros, now: SimTime) {
+        self.return_hops
+            .record(&self.journal, now, self.node, producer, value);
     }
 
     /// Drain accumulated deltas into the shared registry and refresh the
     /// point-in-time gauges. Called by the exporter tick and at shutdown —
     /// never from a put/get. Journals an occupancy record when the length
-    /// changed since the last publish or crossed the watermark.
+    /// changed since the last publish.
     pub(crate) fn publish(&mut self, now: SimTime, len: usize, live_bytes: u64) {
         self.puts.add(std::mem::take(&mut self.d_puts));
         self.gets.add(std::mem::take(&mut self.d_gets));
@@ -182,20 +149,8 @@ impl BufTele {
         self.occupancy_hist.merge_plain(&mut self.occ);
         self.occupancy.set(len as f64);
         self.live_bytes.set(live_bytes as f64);
-        let len = len as u64;
-        let high = len >= DEFAULT_OCC_WATERMARK;
-        if self.last_occ != Some((len, high)) {
-            self.last_occ = Some((len, high));
-            self.journal.record(
-                now,
-                self.node,
-                JournalKind::Occupancy {
-                    len,
-                    watermark: DEFAULT_OCC_WATERMARK,
-                    high,
-                },
-            );
-        }
+        self.occupancy_records
+            .record(&self.journal, now, self.node, len as u64);
     }
 }
 
@@ -325,9 +280,8 @@ pub(crate) struct TaskTele {
     prev_busy: Micros,
     prev_blocked: Micros,
     op_seq: u64,
-    // Flight-recorder journal: pace decisions at the law-fired gate,
-    // staleness transitions, and fold hops — gated by `TaskGates`, which the
-    // simulator shares.
+    // Flight-recorder journal: pace decisions, staleness transitions and
+    // fold hops — gated by `TaskGates`, which the simulator shares.
     journal: JournalShard,
     gates: TaskGates,
 }
@@ -364,13 +318,15 @@ impl TaskTele {
         }
     }
 
-    /// Iteration finished: store the STP gauges, count the iteration,
-    /// pacing, staleness and law deltas, and (when the law fired) write the
-    /// journal's pace record. Drains every [`TASK_DRAIN`] iterations.
+    /// Iteration `iter` finished at `t`: store the STP gauges, count the
+    /// iteration, pacing, staleness and law deltas, and write its trace
+    /// and journal records through the task's gates. Drains every
+    /// [`TASK_DRAIN`] iterations.
     pub(crate) fn on_iteration(
         &mut self,
+        trace: &mut impl TraceSink,
         t: SimTime,
-        node: NodeId,
+        iter: IterKey,
         outcome: &aru_core::IterationOutcome,
         meter: &aru_core::StpMeter,
     ) {
@@ -397,7 +353,8 @@ impl TaskTele {
                 self.pace_target_us.set(tg.as_micros() as f64);
             }
         }
-        self.gates.on_iteration(&self.journal, t, node, outcome);
+        self.gates
+            .on_iteration(trace, &self.journal, t, iter, outcome);
         if self.d.iterations >= TASK_DRAIN {
             self.drain(meter);
         }

@@ -15,14 +15,19 @@
 //!   alloc. Fill-then-drain, the sink's first get is stamped from a read
 //!   taken before it waited out the whole fill, so without the raise it
 //!   would precede the fill's later allocs.
+//! * The fan-out's raise: one read stamps the put to every channel of the
+//!   bundle, so a record another task made in one of them after that read
+//!   must raise the put's stamp. Two manual clocks stage it.
 
-use aru_metrics::{IterKey, Trace, TraceEvent};
+use aru_core::{NodeId, Stp};
+use aru_metrics::{IterKey, SharedTrace, Trace, TraceEvent};
+use stampede::bench_api;
 use stampede::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use vtime::{Clock, SimTime, Timestamp, WallClock};
+use vtime::{Clock, ManualClock, Micros, SimTime, Timestamp, WallClock};
 
 /// Runs here start two task threads each; one at a time keeps the two
 /// regimes (and the stamp-order runs) from competing for the CPUs.
@@ -203,9 +208,7 @@ fn streaming_reads_the_clock_at_most_four_and_a_half_times_per_item() {
     assert!(per_item <= 4.5 + 3.0 * slept, "{what}");
 }
 
-/// The stamp-order checks over one run's trace; returns how many items
-/// and iterations they covered.
-fn check_stamp_order(trace: &Trace) -> (usize, usize) {
+fn check_time_order(trace: &Trace) {
     if let Some(w) = trace
         .events()
         .windows(2)
@@ -213,6 +216,12 @@ fn check_stamp_order(trace: &Trace) -> (usize, usize) {
     {
         panic!("snapshot goes back in time: {:?} after {:?}", w[1], w[0]);
     }
+}
+
+/// The stamp-order checks over one run's trace; returns how many items
+/// and iterations they covered.
+fn check_stamp_order(trace: &Trace) -> (usize, usize) {
+    check_time_order(trace);
     let mut iter_end: HashMap<IterKey, SimTime> = HashMap::new();
     let mut last_end: HashMap<aru_core::NodeId, SimTime> = HashMap::new();
     let mut alloc = HashMap::new();
@@ -335,4 +344,82 @@ fn stamps_keep_alloc_get_free_and_iteration_order() {
             }
         }
     }
+}
+
+/// A lone channel put reads the clock under the channel lock, so no other
+/// writer's record can fall between its read and its stamp. A fan-out
+/// reads once for the whole bundle: its put to channel B must be raised to
+/// the Get that B's consumer recorded after that read. The producer's clock
+/// reads 10, the consumer's 20, so the Get is at 20 and the fan-out's read
+/// at 10.
+#[test]
+fn fan_out_put_is_raised_to_its_channels_last_record() {
+    let trace = SharedTrace::new();
+    let producer_clock = Arc::new(ManualClock::new());
+    let consumer_clock = Arc::new(ManualClock::new());
+    producer_clock.set(SimTime(10));
+    consumer_clock.set(SimTime(20));
+    let config = AruConfig::aru_min();
+    let channel = |node| {
+        let clock = Arc::clone(&producer_clock) as Arc<dyn Clock>;
+        bench_api::channel::<Vec<u8>>(
+            NodeId(node),
+            "fan",
+            &config,
+            GcMode::Ref,
+            None,
+            clock,
+            trace.clone(),
+            1,
+        )
+    };
+    let (a, b) = (channel(1), channel(2));
+    let task = |node, outputs, clock: &Arc<ManualClock>| {
+        let clock = Arc::clone(clock) as Arc<dyn Clock>;
+        bench_api::task_ctx(
+            NodeId(node),
+            "t",
+            outputs,
+            false,
+            &config,
+            clock,
+            trace.clone(),
+        )
+    };
+    let mut producer = task(3, 2, &producer_clock);
+    let mut consumer = task(4, 0, &consumer_clock);
+    let b_out = bench_api::output(&b, 1);
+    b_out.put(&mut producer, Timestamp(0), vec![0; 4]).unwrap();
+    // The consumer reads its clock (20) as it folds a summary, then gets
+    // B's item at that read.
+    bench_api::warm_summary(&mut consumer, Stp(Micros(1_000)));
+    b.get_latest(0, &mut consumer, Timestamp::ZERO).unwrap();
+    let fan = FanOut::new(vec![bench_api::output(&a, 0), b_out]);
+    fan.put(&mut producer, Timestamp(1), vec![1; 4]).unwrap();
+    bench_api::flush_channel_trace(&a);
+    bench_api::flush_channel_trace(&b);
+    drop((producer, consumer));
+    let snap = trace.snapshot();
+    let alloc = |buffer| {
+        snap.events()
+            .iter()
+            .find_map(|ev| match *ev {
+                TraceEvent::Alloc {
+                    t, buffer: at, ts, ..
+                } if at == buffer && ts == Timestamp(1) => Some(t),
+                _ => None,
+            })
+            .expect("the fan-out put to both channels")
+    };
+    assert_eq!(
+        alloc(NodeId(1)),
+        SimTime(10),
+        "A's put keeps the fan-out's read"
+    );
+    assert_eq!(
+        alloc(NodeId(2)),
+        SimTime(20),
+        "B's put is raised to B's Get"
+    );
+    check_time_order(&snap);
 }
