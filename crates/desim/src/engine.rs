@@ -227,6 +227,8 @@ pub struct Sim {
     ev_seq: u64,
     events_dispatched: u64,
     peak_pending: usize,
+    /// Sink outputs recorded (`SimReport::outputs`).
+    outputs: usize,
     dgc_engine: DgcEngine,
     /// The latest pass's bounds; each pass refills it in place.
     dgc_result: DgcResult,
@@ -362,6 +364,7 @@ impl Sim {
             ev_seq: 0,
             events_dispatched: 0,
             peak_pending: 0,
+            outputs: 0,
             dgc_engine,
             dgc_result: DgcResult::default(),
             dgc_next: None,
@@ -464,6 +467,7 @@ impl Sim {
                 telemetry: sim.tele.bundle,
                 events_dispatched: sim.events_dispatched,
                 peak_pending: sim.peak_pending,
+                outputs: sim.outputs,
             },
             ops,
         ))
@@ -746,6 +750,7 @@ impl Sim {
             if self.tasks[t.0].decl.spec.is_sink_reporter {
                 let report_ts = driver_ts.unwrap_or(out_ts);
                 self.trace.sink_output(now, key, report_ts);
+                self.outputs += 1;
             }
         }
 

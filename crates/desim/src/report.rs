@@ -2,7 +2,7 @@
 
 use aru_core::Topology;
 use aru_gc::Postmortem;
-use aru_metrics::{Telemetry, Trace, TraceEvent};
+use aru_metrics::{Telemetry, Trace};
 use vtime::SimTime;
 
 /// Everything recorded during one simulated run.
@@ -23,17 +23,16 @@ pub struct SimReport {
     /// High-water mark of the pending-event set — the population the event
     /// queue actually had to order.
     pub peak_pending: usize,
+    /// The trace's `SinkOutput` events, counted as the engine recorded
+    /// them: reading them back would decode the whole trace.
+    pub(crate) outputs: usize,
 }
 
 impl SimReport {
     /// Number of sink outputs.
     #[must_use]
     pub fn outputs(&self) -> usize {
-        self.trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SinkOutput { .. }))
-            .count()
+        self.outputs
     }
 
     /// Per-channel occupancy statistics.

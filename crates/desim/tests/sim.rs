@@ -117,6 +117,20 @@ fn deterministic_replay() {
     );
 }
 
+/// The engine counts sink outputs as it records them; the count is the
+/// trace's.
+#[test]
+fn outputs_count_the_traces_sink_outputs() {
+    let r = linear(AruConfig::aru_min(), 42, 0.2);
+    let in_trace = r
+        .trace
+        .iter()
+        .filter(|e| matches!(e, aru_metrics::TraceEvent::SinkOutput { .. }))
+        .count();
+    assert!(in_trace > 0);
+    assert_eq!(r.outputs(), in_trace);
+}
+
 #[test]
 fn noise_creates_jitter() {
     let quiet = linear(AruConfig::disabled(), 7, 0.0).analyze();

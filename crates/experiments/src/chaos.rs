@@ -78,7 +78,6 @@ pub struct Chaos {
 fn digitizer_iter_ends(r: &SimReport) -> Vec<u64> {
     let node = tracker::graph::node(&r.topo, "digitizer");
     r.trace
-        .events()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::IterEnd { t, iter, .. } if iter.node == node => Some(t.as_micros()),
@@ -127,7 +126,6 @@ fn crash_recovery(r: &SimReport) -> CrashRecovery {
     let ends = digitizer_iter_ends(r);
     let last_output_us = r
         .trace
-        .events()
         .iter()
         .filter_map(|e| match e {
             TraceEvent::SinkOutput { t, .. } => Some(t.as_micros()),

@@ -67,16 +67,16 @@ fn all_laws() -> [ControllerConfig; 3] {
 
 fn analyze(r: &SimReport, disturb_at: u64, until: u64) -> (StabilityReport, usize, usize) {
     let node = tracker::graph::node(&r.topo, "digitizer");
-    let series = pace_target_series(r.trace.events(), node);
+    let series = pace_target_series(&r.trace, node);
     let spec = StabilitySpec::new(SimTime(disturb_at), SimTime(until));
     let report = stability(&series, &spec);
     let (mut decisions, mut clamped) = (0usize, 0usize);
-    for e in r.trace.events() {
+    for e in &r.trace {
         if let aru_metrics::TraceEvent::PaceDecision {
             node: n,
             clamped: c,
             ..
-        } = *e
+        } = e
         {
             if n == node {
                 decisions += 1;

@@ -32,8 +32,8 @@ pub fn channel_stats(trace: &Trace, t_end: SimTime) -> BTreeMap<NodeId, ChannelS
     let mut accs: BTreeMap<NodeId, Acc> = BTreeMap::new();
     // Buffer and size of each allocated item.
     let mut item_home: IdTable<Option<(NodeId, u64)>> = IdTable::for_items(trace);
-    for ev in trace.events() {
-        match *ev {
+    for ev in trace {
+        match ev {
             TraceEvent::Alloc {
                 t,
                 item,

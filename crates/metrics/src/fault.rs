@@ -50,8 +50,8 @@ impl FaultReport {
         let mut report = FaultReport::default();
         // seq of every stale iteration, per node, for interval counting.
         let mut stale_seqs: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
-        for ev in trace.events() {
-            match *ev {
+        for ev in trace {
+            match ev {
                 TraceEvent::TaskCrash { node, .. } => {
                     report.crashes += 1;
                     report.per_node.entry(node).or_default().crashes += 1;

@@ -35,11 +35,14 @@ pub struct FootprintReport {
 }
 
 impl FootprintReport {
-    /// Build both series from a trace and its lineage analysis.
+    /// Build both series from a trace and its lineage analysis. The trace
+    /// parameter is unused: the lineage pass already built the observed
+    /// series ([`observed_series`] of the same trace), so the trace is not
+    /// decoded a second time.
     #[must_use]
-    pub fn compute(trace: &Trace, lineage: &Lineage, t_end: SimTime) -> FootprintReport {
+    pub fn compute(_trace: &Trace, lineage: &Lineage, t_end: SimTime) -> FootprintReport {
         FootprintReport {
-            observed: observed_series(trace),
+            observed: lineage.observed.clone(),
             ideal: ideal_series(lineage, t_end),
             t_end,
         }
@@ -70,15 +73,16 @@ impl FootprintReport {
     }
 }
 
-/// Live-bytes step function from Alloc/Free events.
+/// Live-bytes step function from Alloc/Free events: one pass over the
+/// trace. [`Lineage::analyze`] builds the same series in its own pass.
 #[must_use]
 pub fn observed_series(trace: &Trace) -> TimeWeightedSeries {
     let mut live: i64 = 0;
     // Bytes of each live item; 0 once freed (or never allocated).
     let mut sizes: IdTable<u64> = IdTable::for_items(trace);
     let mut series = TimeWeightedSeries::new();
-    for ev in trace.events() {
-        match *ev {
+    for ev in trace {
+        match ev {
             TraceEvent::Alloc { t, item, bytes, .. } => {
                 *sizes.slot(item.0) = bytes;
                 live += bytes as i64;

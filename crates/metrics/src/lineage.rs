@@ -32,7 +32,7 @@ use crate::dense::IdTable;
 use crate::event::{ItemId, IterKey, TraceEvent};
 use crate::trace::Trace;
 use std::collections::HashMap;
-use vtime::{Micros, SimTime, Timestamp};
+use vtime::{Micros, SimTime, TimeWeightedSeries, Timestamp};
 
 /// One row of the item table: the facts of an `Alloc` event plus what the
 /// rest of the trace says about that item. When an id is allocated more
@@ -180,6 +180,10 @@ pub struct Lineage {
     /// that no report has to sort them again.
     pub(crate) ideal_allocs: Vec<(SimTime, u64)>,
     pub(crate) ideal_releases: Vec<(SimTime, u64)>,
+    /// Live bytes over time, from the trace's `Alloc`s and `Free`s: what
+    /// [`crate::footprint::observed_series`] computes, built in the same
+    /// pass so that the footprint report does not read the trace again.
+    pub(crate) observed: TimeWeightedSeries,
 }
 
 impl Lineage {
@@ -189,23 +193,24 @@ impl Lineage {
     /// Panics on a trace of 2³² events or more (indices are `u32`).
     #[must_use]
     pub fn analyze(trace: &Trace) -> Lineage {
-        let events = trace.events();
         assert!(
-            u32::try_from(events.len()).is_ok(),
+            u32::try_from(trace.len()).is_ok(),
             "trace too long for the lineage tables"
         );
         let mut items: IdTable<ItemRecord> = IdTable::for_items(trace);
         let mut iters = IterTable {
-            budget: 2 * events.len() as u64 + 1024,
+            budget: 2 * trace.len() as u64 + 1024,
             ..IterTable::default()
         };
         let mut gets: Vec<GetRec> = Vec::new();
         let mut sink_outputs = Vec::new();
         // Iterations to expand: the sink-output ones to begin with.
         let mut worklist: Vec<u32> = Vec::new();
+        let mut observed = TimeWeightedSeries::new();
+        let mut live: i64 = 0;
 
-        for ev in events {
-            match *ev {
+        for ev in trace {
+            match ev {
                 TraceEvent::Alloc {
                     t,
                     item,
@@ -223,13 +228,20 @@ impl Lineage {
                         allocated: true,
                         ..ItemRecord::default()
                     };
+                    live += bytes as i64;
+                    observed.push(t, live as f64);
                 }
                 TraceEvent::Free { t, item } => {
                     if let Some(slot) = items.get_mut(item.0).filter(|s| s.allocated) {
                         debug_assert!(!slot.freed, "double free of {item:?}");
+                        if !slot.freed {
+                            live -= slot.bytes as i64;
+                        }
                         slot.free_t = t;
                         slot.freed = true;
                     }
+                    debug_assert!(live >= 0, "footprint went negative");
+                    observed.push(t, live as f64);
                 }
                 TraceEvent::Get { t, item, consumer } => gets.push(GetRec {
                     t,
@@ -328,6 +340,7 @@ impl Lineage {
             counts,
             ideal_allocs,
             ideal_releases,
+            observed,
         }
     }
 

@@ -214,13 +214,10 @@ pub fn stability(samples: &[(SimTime, f64)], spec: &StabilitySpec) -> StabilityR
 
 /// Extract the applied pacing-target series for `node` from a trace.
 #[must_use]
-pub fn pace_target_series(
-    events: &[crate::event::TraceEvent],
-    node: aru_core::NodeId,
-) -> Vec<(SimTime, f64)> {
-    events
+pub fn pace_target_series(trace: &crate::Trace, node: aru_core::NodeId) -> Vec<(SimTime, f64)> {
+    trace
         .iter()
-        .filter_map(|e| match *e {
+        .filter_map(|e| match e {
             crate::event::TraceEvent::PaceDecision {
                 t, node: n, target, ..
             } if n == node => Some((t, target.as_micros() as f64)),
@@ -390,6 +387,7 @@ mod tests {
                 busy: Micros(30),
             },
         ];
-        assert_eq!(pace_target_series(&events, n), vec![(SimTime(10), 450.0)]);
+        let trace = crate::Trace::from_events(events, 0);
+        assert_eq!(pace_target_series(&trace, n), vec![(SimTime(10), 450.0)]);
     }
 }

@@ -61,8 +61,8 @@ pub fn thread_stats(trace: &Trace, lineage: &Lineage) -> BTreeMap<NodeId, Thread
         wasted: Micros,
     }
     let mut accs: BTreeMap<NodeId, Acc> = BTreeMap::new();
-    for ev in trace.events() {
-        if let TraceEvent::IterEnd { iter, busy, .. } = *ev {
+    for ev in trace {
+        if let TraceEvent::IterEnd { iter, busy, .. } = ev {
             let a = accs.entry(iter.node).or_insert_with(|| Acc {
                 busy: OnlineStats::new(),
                 iterations: 0,

@@ -1,46 +1,59 @@
 //! Trace collection.
 //!
-//! [`Trace`] is a plain event log with typed append helpers (used directly
-//! by the single-threaded simulator); [`SharedTrace`] wraps the same event
-//! model for the threaded runtime. Appends are kept trivially cheap —
-//! postmortem analysis does all the work after the run, exactly like the
-//! paper's infrastructure.
+//! [`Trace`] is an encoded event log with typed append helpers (used
+//! directly by the single-threaded simulator); [`SharedTrace`] records the
+//! same log for the threaded runtime, sharded by writer. Appends are kept
+//! trivially cheap — postmortem analysis does all the work after the run,
+//! exactly like the paper's infrastructure, reading the log once, in order,
+//! through [`Trace::iter`].
+//!
+//! # One encoded log
+//!
+//! The trace must not cost memory on the scale of the data it measures: a
+//! 56-byte [`TraceEvent`] per record made the trace most of the threaded
+//! transport's resident memory and most of the 1000-node simulator cell's.
+//! Both substrates therefore store events encoded, in one format:
+//!
+//! * an event is a tag byte, then its time as a delta against the log's
+//!   previous time and (for `Alloc`/`Get`/`Free`) its item id as a zigzag
+//!   delta against the log's previous id, then every other field as an
+//!   LEB128 varint: ~7–8 bytes per event. Deltas wrap, so any `u64`
+//!   round-trips, an order violation included (it costs ten bytes, not a
+//!   failure).
+//! * a log is a list of sealed byte chunks, cut at event boundaries, and
+//!   one open chunk that a writer encodes into in place. A chunk seals as
+//!   soon as fewer than one event's worst case of its `CHUNK_BYTES` are
+//!   left.
+//! * a [`Trace`] is a whole log: its sealed chunks, its open chunk, an
+//!   event count and the delta bases. [`Trace::iter`] decodes it; every
+//!   in-repo analysis iterates it. [`Trace::events`] decodes it into a
+//!   slice once, on its first call, for callers that index.
 //!
 //! # Sharded recording
 //!
 //! The measurement layer must not serialize the pipeline it measures: a
 //! global `Mutex<Vec<TraceEvent>>` turns every `put`/`get`/`alloc`/`free`
 //! in the threaded runtime into a contention point and distorts the very
-//! waste/footprint numbers we reproduce. Nor may it cost memory on the
-//! scale of the data it measures: a 56-byte [`TraceEvent`] per record made
-//! the trace most of the threaded transport's resident memory, and its
-//! first-touch page faults a large part of its system time. [`SharedTrace`]
-//! therefore shards, and stores events encoded:
+//! waste/footprint numbers we reproduce. [`SharedTrace`] therefore shards:
 //!
 //! * every writer is a [`LocalTrace`] (opened with [`SharedTrace::local`]):
-//!   a buffered single-owner writer on a private **shard**, a list of
-//!   sealed byte chunks behind its own mutex. Channels and queues keep
-//!   their writer inside the state mutex they already hold, and a task
-//!   context owns one for its own records (the supervisor's crash and
-//!   restart records among them), so recording an event is encoding it in
-//!   place at the end of the writer's open chunk, and the shard lock is
-//!   taken once per `CHUNK_BYTES` of events (a seal), not once per event.
-//!   Snapshotting is the only other reader of a shard, so the lock is
-//!   never contended. The [`SharedTrace`] handle itself writes nothing.
-//! * an event is a tag byte, then its time as a delta against the writer's
-//!   previous time and (for `Alloc`/`Get`/`Free`) its item id as a zigzag
-//!   delta against the writer's previous id, then every other field as an
-//!   LEB128 varint: 6.9 bytes on the threaded transport. Deltas wrap, so
-//!   any `u64` round-trips, an order violation included (it costs ten
-//!   bytes, not a failure).
+//!   an open chunk whose sealed chunks go to a private **shard**, a list of
+//!   chunks behind its own mutex. Channels and queues keep their writer
+//!   inside the state mutex they already hold, and a task context owns one
+//!   for its own records (the supervisor's crash and restart records among
+//!   them), so recording an event is encoding it in place at the end of
+//!   the writer's open chunk, and the shard lock is taken once per
+//!   `CHUNK_BYTES` of events (a seal), not once per event. Snapshotting is
+//!   the only other reader of a shard, so the lock is never contended. The
+//!   [`SharedTrace`] handle itself writes nothing.
 //! * item ids come from one shared atomic, reserved in writer-private
 //!   blocks (`ID_BLOCK`) held under the writer's ambient exclusion, so
 //!   id generation adds no shared-cache-line traffic and no extra atomics
 //!   to the hot path.
-//! * [`SharedTrace::snapshot`] decodes every shard straight into one
-//!   time-ordered `Vec`, sized from the writers' event counts, by a k-way
-//!   merge that decodes the shards as it advances. Every postmortem report
-//!   sees one identical, time-ordered event stream.
+//! * [`SharedTrace::snapshot`] k-way merges the shards, decoding each as it
+//!   advances, and re-encodes the merged stream into one time-ordered
+//!   [`Trace`]. Every postmortem report sees one identical, time-ordered
+//!   event stream, and no step holds it at 56 bytes per event.
 //!
 //! # Every writer records in time order
 //!
@@ -68,7 +81,7 @@ use crate::registry::Telemetry;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, MutexGuard};
 use aru_core::graph::NodeId;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vtime::{Micros, SimTime, Timestamp};
 
 /// Wall-clock µs since the Unix epoch, or 0 when the clock is unavailable
@@ -91,23 +104,26 @@ pub trait TraceSink {
     fn record(&mut self, ev: TraceEvent);
 }
 
-/// An in-memory event trace.
+/// An in-memory event trace: one encoded log (see the module docs).
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    sealed: Sealed,
+    open: Open,
     next_item: u64,
     /// Wall-clock creation instant (see [`wall_clock_unix_us`]); 0 for
     /// default-constructed traces.
     epoch_unix_us: u64,
+    /// [`Trace::events`]'s decoded copy, made on its first call and
+    /// dropped by the next record.
+    decoded: OnceLock<Vec<TraceEvent>>,
 }
 
 impl Trace {
     #[must_use]
     pub fn new() -> Self {
         Trace {
-            events: Vec::new(),
-            next_item: 0,
             epoch_unix_us: wall_clock_unix_us(),
+            ..Trace::default()
         }
     }
 
@@ -167,60 +183,83 @@ impl Trace {
         self.record(TraceEvent::OpTimeout { t, node });
     }
 
-    /// All events in time order.
+    /// All events in time order, decoded as they are read.
+    #[must_use]
+    #[inline]
+    pub fn iter(&self) -> Iter<'_> {
+        Iter::new(&self.sealed.chunks, self.open.written(), self.len())
+    }
+
+    /// All events in time order, as a slice: decoded into a copy on the
+    /// first call (56 bytes per event), which the trace keeps until its
+    /// next record. Analyses read [`Trace::iter`] instead.
     #[must_use]
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.decoded.get_or_init(|| self.iter().collect())
     }
 
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.sealed.events + self.open.pending
     }
 
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Time of the last event (end-of-run proxy when no explicit end is
     /// supplied).
     #[must_use]
     pub fn last_time(&self) -> SimTime {
-        self.events.last().map_or(SimTime::ZERO, TraceEvent::time)
+        SimTime(self.open.last.t)
     }
 
-    /// A trace over `events`, which must be in time order, with the id
-    /// bound `next_item` (hand-built traces may carry ids beyond it).
+    /// A trace of `events`, which must be in time order, with the id bound
+    /// `next_item` (hand-built traces may carry ids beyond it).
     #[must_use]
     pub fn from_events(events: Vec<TraceEvent>, next_item: u64) -> Trace {
-        debug_assert!(
-            events.is_sorted_by_key(TraceEvent::time),
-            "trace events out of time order"
-        );
-        Trace {
-            events,
+        let mut trace = Trace {
             next_item,
-            epoch_unix_us: 0,
+            ..Trace::default()
+        };
+        for ev in events {
+            trace.record(ev);
         }
+        trace
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn seal(&mut self) {
+        let (chunk, events) = self.open.take();
+        self.sealed.push(chunk, events);
     }
 }
 
 impl TraceSink for Trace {
+    #[inline(always)]
     fn record(&mut self, ev: TraceEvent) {
-        debug_assert!(
-            self.last_time() <= ev.time(),
-            "{ev:?} recorded after an event at {:?}",
-            self.last_time()
-        );
-        self.events.push(ev);
+        self.decoded.take();
+        if self.open.push(ev) {
+            self.seal();
+        }
     }
 }
 
-/// Bytes per shard chunk. A writer seals its open chunk as soon as fewer
-/// than `MAX_EVENT_BYTES` are left in it, so an event is never split. At
-/// ~7 B per event that is one shard-lock acquisition per ~600 events, and
-/// a mostly-idle writer holds one page. A power of two: see [`Encoder`].
+impl<'a> IntoIterator for &'a Trace {
+    type Item = TraceEvent;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Bytes per chunk. A writer seals its open chunk as soon as fewer than
+/// `MAX_EVENT_BYTES` are left in it, so an event is never split. At ~7 B
+/// per event that is one shard-lock acquisition per ~600 events, and a
+/// mostly-idle writer holds one page. A power of two: see [`Encoder`].
 const CHUNK_BYTES: usize = 4096;
 
 /// Item ids are reserved from the shared counter in blocks of this size,
@@ -234,20 +273,27 @@ const CHUNK_BYTES: usize = 4096;
 /// preemption budget instead of after 256 uncontended bumps.
 const ID_BLOCK: u64 = if cfg!(loom) { 2 } else { 256 };
 
+/// The sealed chunks of a log, in append order: one delta-coded event
+/// stream, cut at event boundaries.
+#[derive(Debug, Default, Clone)]
+struct Sealed {
+    chunks: Vec<Vec<u8>>,
+    /// Events in `chunks`.
+    events: usize,
+}
+
+impl Sealed {
+    fn push(&mut self, chunk: Vec<u8>, events: usize) {
+        self.chunks.push(chunk);
+        self.events += events;
+    }
+}
+
 /// One [`LocalTrace`]'s published events.
 ///
 /// The mutex is for the snapshotting reader only: the owning writer is the
 /// single writer, so its flushes never contend.
-#[derive(Debug, Default)]
-struct ShardLog {
-    /// Sealed chunks in append order: one delta-coded event stream, cut at
-    /// event boundaries.
-    chunks: Vec<Vec<u8>>,
-    /// Events in `chunks` (sizes the snapshot's output).
-    events: usize,
-}
-
-type Shard = Mutex<ShardLog>;
+type Shard = Mutex<Sealed>;
 
 #[derive(Debug)]
 struct TraceCore {
@@ -309,8 +355,8 @@ impl SharedTrace {
         self.core.epoch_unix_us
     }
 
-    /// Snapshot into an owned [`Trace`] for postmortem analysis: every
-    /// shard is decoded straight into one time-ordered event list (see the
+    /// Snapshot into an owned [`Trace`] for postmortem analysis: the
+    /// shards are merged into one time-ordered log, re-encoded (see the
     /// module docs for the tie order).
     ///
     /// Non-destructive — shards keep recording; a later snapshot sees a
@@ -321,10 +367,13 @@ impl SharedTrace {
         let shards: Vec<Arc<Shard>> = self.core.shards.lock().clone();
         // Held through the merge: one cut of every shard. A writer that
         // seals meanwhile waits; none takes a second shard's lock.
-        let logs: Vec<MutexGuard<'_, ShardLog>> = shards.iter().map(|s| s.lock()).collect();
-        let events = merge(&logs);
-        let mut trace = Trace::from_events(events, self.core.next_item.load(Ordering::Relaxed));
-        trace.set_epoch_unix_us(self.core.epoch_unix_us);
+        let logs: Vec<MutexGuard<'_, Sealed>> = shards.iter().map(|s| s.lock()).collect();
+        let mut trace = Trace {
+            next_item: self.core.next_item.load(Ordering::Relaxed),
+            epoch_unix_us: self.core.epoch_unix_us,
+            ..Trace::default()
+        };
+        merge(&logs, &mut trace);
         trace
     }
 
@@ -337,10 +386,7 @@ impl SharedTrace {
         LocalTrace {
             core: Arc::clone(&self.core),
             shard,
-            buf: new_chunk(),
-            pos: 0,
-            pending: 0,
-            last: Bases::default(),
+            open: Open::default(),
             id_next: 0,
             id_end: 0,
         }
@@ -350,11 +396,11 @@ impl SharedTrace {
 // ---- encoding ---------------------------------------------------------------
 //
 // An event is a tag byte, its time as a delta against the previous event of
-// the same shard, then its fields in declaration order: an item id as a
-// zigzag delta against the shard's previous item id, every other field as an
-// LEB128 varint. Times never go backwards within a shard, so their delta is
-// a plain varint; ids do (a get or a free names an item allocated before
-// the writer's latest alloc), so theirs is zigzagged. Deltas wrap, so every
+// the same log, then its fields in declaration order: an item id as a
+// zigzag delta against the log's previous item id, every other field as an
+// LEB128 varint. Times never go backwards within a log, so their delta is a
+// plain varint; ids do (a get or a free names an item allocated before the
+// writer's latest alloc), so theirs is zigzagged. Deltas wrap, so every
 // `u64` round-trips.
 
 /// Event tags: the first byte of every encoded event. A `PaceDecision`'s
@@ -379,7 +425,7 @@ mod tag {
 /// bytes, a `u32` up to five).
 const MAX_EVENT_BYTES: usize = 1 + 10 + 10 + 5 + 10 + 10 + 5 + 10;
 
-/// The bases of a shard's deltas: the time and item id of its last event
+/// The bases of a log's deltas: the time and item id of its last event
 /// (item id of its last event that had one).
 #[derive(Debug, Default, Clone, Copy)]
 struct Bases {
@@ -399,7 +445,7 @@ fn unzigzag(z: u64) -> u64 {
 }
 
 /// A writer's open chunk: a fixed array that events are encoded into in
-/// place, handed to the shard as a `Vec` of its written prefix.
+/// place, sealed as a `Vec` of its written prefix.
 type Chunk = Box<[u8; CHUNK_BYTES]>;
 
 const _: () = assert!(CHUNK_BYTES.is_power_of_two() && MAX_EVENT_BYTES < CHUNK_BYTES);
@@ -409,6 +455,61 @@ fn new_chunk() -> Chunk {
         .into_boxed_slice()
         .try_into()
         .expect("a CHUNK_BYTES-long slice")
+}
+
+/// The open end of a log, shared by both writers: the chunk being encoded
+/// into, its event count and the delta bases after the last event.
+#[derive(Debug, Clone)]
+struct Open {
+    /// Its first `pos` bytes are encoded events not yet sealed.
+    buf: Chunk,
+    pos: usize,
+    /// Events in `buf`.
+    pending: usize,
+    /// Delta bases after the last event encoded, sealed or not.
+    last: Bases,
+}
+
+impl Default for Open {
+    fn default() -> Self {
+        Open {
+            buf: new_chunk(),
+            pos: 0,
+            pending: 0,
+            last: Bases::default(),
+        }
+    }
+}
+
+impl Open {
+    /// Encode `ev` at the end of the chunk; true when the chunk is full
+    /// and must be sealed before the next event.
+    #[inline(always)]
+    fn push(&mut self, ev: TraceEvent) -> bool {
+        debug_assert!(
+            self.last.t <= ev.time().0,
+            "{ev:?} recorded after an event at {}",
+            self.last.t
+        );
+        self.pos = encode(&mut self.buf, self.pos, ev, &mut self.last);
+        debug_assert!(self.pos <= CHUNK_BYTES, "an event overran its chunk");
+        self.pending += 1;
+        self.pos > CHUNK_BYTES - MAX_EVENT_BYTES
+    }
+
+    /// The encoded events not yet sealed.
+    fn written(&self) -> &[u8] {
+        &self.buf[..self.pos]
+    }
+
+    /// Seal: the written chunk and its event count, leaving a fresh chunk
+    /// open (the bases carry on).
+    fn take(&mut self) -> (Vec<u8>, usize) {
+        let full = std::mem::replace(&mut self.buf, new_chunk());
+        let mut chunk = (full as Box<[u8]>).into_vec();
+        chunk.truncate(std::mem::take(&mut self.pos));
+        (chunk, std::mem::take(&mut self.pending))
+    }
 }
 
 /// Writes one event into the open chunk from `pos` on.
@@ -480,7 +581,7 @@ impl<'a> Encoder<'a> {
 /// Encode `ev` into `chunk` at `pos` against the shard's bases, which it
 /// advances; returns the position after the event.
 ///
-/// Inlined, like [`LocalTrace::push`], into each record method, where the
+/// Inlined, like [`Open::push`], into each record method, where the
 /// variant is known: the match folds away.
 #[inline(always)]
 fn encode(chunk: &mut [u8; CHUNK_BYTES], pos: usize, ev: TraceEvent, last: &mut Bases) -> usize {
@@ -578,83 +679,165 @@ fn encode(chunk: &mut [u8; CHUNK_BYTES], pos: usize, ev: TraceEvent, last: &mut 
     }
 }
 
-/// Stream decoder over one shard's sealed chunks, in append order.
-struct Decoder<'a> {
+/// Decoder over one log's chunks, in append order: the events of a
+/// [`Trace`] ([`Trace::iter`]) or of one shard (the snapshot's merge).
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
     chunks: std::slice::Iter<'a, Vec<u8>>,
+    /// Decoded after the last chunk: a [`Trace`]'s open chunk.
+    tail: &'a [u8],
     cur: &'a [u8],
+    /// Position of the next event in `cur`.
+    i: usize,
     last: Bases,
+    /// Events not yet decoded.
+    left: usize,
 }
 
-impl<'a> Decoder<'a> {
-    fn new(chunks: &'a [Vec<u8>]) -> Self {
-        Decoder {
+impl<'a> Iter<'a> {
+    #[inline]
+    fn new(chunks: &'a [Vec<u8>], tail: &'a [u8], events: usize) -> Self {
+        Iter {
             chunks: chunks.iter(),
+            tail,
             cur: &[],
+            i: 0,
             last: Bases::default(),
+            left: events,
         }
     }
 
+    /// Move to the next chunk with bytes in it. Inlined, so that the
+    /// iterator stays in registers through a caller's loop.
+    #[inline]
+    fn next_chunk(&mut self) {
+        while self.i == self.cur.len() {
+            self.cur = match self.chunks.next() {
+                Some(chunk) => chunk,
+                None => std::mem::take(&mut self.tail),
+            };
+            self.i = 0;
+        }
+    }
+}
+
+impl Iterator for Iter<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        if self.i == self.cur.len() {
+            self.next_chunk();
+        }
+        // A local cursor, so that the event's fields are read from
+        // registers rather than through `self`.
+        let mut r = Reader {
+            buf: self.cur,
+            i: self.i,
+        };
+        let ev = r.event(&mut self.last);
+        self.i = r.i;
+        Some(ev)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// Reads one chunk from `i` on.
+struct Reader<'a> {
+    buf: &'a [u8],
+    i: usize,
+}
+
+impl Reader<'_> {
+    #[inline(always)]
     fn byte(&mut self) -> u8 {
-        let (&b, rest) = self
-            .cur
-            .split_first()
-            .expect("a trace chunk ends inside an event");
-        self.cur = rest;
+        let b = self.buf[self.i];
+        self.i += 1;
         b
     }
 
+    /// LEB128 (see [`Encoder::varint`]). Values of one and two bytes,
+    /// most fields, are read byte by byte behind branches the predictor
+    /// mostly gets right; a longer value is read eight bytes at a time.
+    #[inline(always)]
     fn varint(&mut self) -> u64 {
-        let mut v = 0;
-        let mut shift = 0;
-        loop {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
+        let b = self.buf[self.i];
+        if b < 0x80 {
+            self.i += 1;
+            return u64::from(b);
         }
+        let c = self.buf[self.i + 1];
+        if c < 0x80 {
+            self.i += 2;
+            return u64::from(b & 0x7f) | u64::from(c) << 7;
+        }
+        self.varint_long()
     }
 
-    fn time(&mut self) -> SimTime {
-        self.last.t = self.last.t.wrapping_add(self.varint());
-        SimTime(self.last.t)
+    /// A varint of three bytes or more: the first byte with its high bit
+    /// clear ends it, and the 7-bit groups before it are packed without a
+    /// branch per byte.
+    #[inline(always)]
+    fn varint_long(&mut self) -> u64 {
+        if let Some(word) = self.buf.get(self.i..self.i + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let stops = !word & 0x8080_8080_8080_8080;
+            if stops != 0 {
+                self.i += (stops.trailing_zeros() / 8 + 1) as usize;
+                // The bytes up to the first stop, without their high bits.
+                let mut v = word & (stops ^ (stops - 1)) & 0x7f7f_7f7f_7f7f_7f7f;
+                v = (v & 0x007f_007f_007f_007f) | ((v & 0x7f00_7f00_7f00_7f00) >> 1);
+                v = (v & 0x0000_3fff_0000_3fff) | ((v & 0x3fff_0000_3fff_0000) >> 2);
+                return (v & 0x0fff_ffff) | ((v & 0x0fff_ffff_0000_0000) >> 4);
+            }
+        }
+        let (v, i) = varint_bytes(self.buf, self.i);
+        self.i = i;
+        v
     }
 
-    fn item(&mut self) -> ItemId {
-        self.last.item = self.last.item.wrapping_add(unzigzag(self.varint()));
-        ItemId(self.last.item)
-    }
-
+    #[inline(always)]
     fn node(&mut self) -> NodeId {
         NodeId(u32::try_from(self.varint()).expect("a trace node id is a u32"))
     }
 
+    #[inline(always)]
     fn attempt(&mut self) -> u32 {
         u32::try_from(self.varint()).expect("a trace attempt is a u32")
     }
 
+    #[inline(always)]
     fn key(&mut self) -> IterKey {
         let node = self.node();
         IterKey::new(node, self.varint())
     }
-}
 
-impl Iterator for Decoder<'_> {
-    type Item = TraceEvent;
-
+    /// One event, against the log's bases, which it advances.
+    ///
     /// Struct-literal fields are evaluated in the order written, which is
     /// the order [`encode`] wrote them.
-    fn next(&mut self) -> Option<TraceEvent> {
-        while self.cur.is_empty() {
-            self.cur = self.chunks.next()?.as_slice();
-        }
+    #[inline(always)]
+    fn event(&mut self, last: &mut Bases) -> TraceEvent {
         let tag = self.byte();
-        let t = self.time();
-        Some(match tag {
+        last.t = last.t.wrapping_add(self.varint());
+        let t = SimTime(last.t);
+        let mut item = |r: &mut Self| {
+            last.item = last.item.wrapping_add(unzigzag(r.varint()));
+            ItemId(last.item)
+        };
+        match tag {
             tag::ALLOC => TraceEvent::Alloc {
                 t,
-                item: self.item(),
+                item: item(self),
                 buffer: self.node(),
                 ts: Timestamp(self.varint()),
                 bytes: self.varint(),
@@ -662,11 +845,11 @@ impl Iterator for Decoder<'_> {
             },
             tag::FREE => TraceEvent::Free {
                 t,
-                item: self.item(),
+                item: item(self),
             },
             tag::GET => TraceEvent::Get {
                 t,
-                item: self.item(),
+                item: item(self),
                 consumer: self.key(),
             },
             tag::ITER_END => TraceEvent::IterEnd {
@@ -710,21 +893,37 @@ impl Iterator for Decoder<'_> {
                 clamped: tag == tag::PACE_CLAMPED,
             },
             _ => unreachable!("unknown trace event tag {tag}"),
-        })
+        }
     }
 }
 
-/// Decode the shards, each in time order, into one list ordered by time,
-/// then shard, then position in the shard, with no intermediate copy.
-fn merge(logs: &[MutexGuard<'_, ShardLog>]) -> Vec<TraceEvent> {
+/// A varint read byte by byte from `buf[i..]`, and the position after it:
+/// one longer than eight bytes, or one in a chunk's last eight bytes.
+#[inline(never)]
+fn varint_bytes(buf: &[u8], mut i: usize) -> (u64, usize) {
+    let mut v = 0;
+    let mut shift = 0;
+    loop {
+        let b = buf[i];
+        i += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return (v, i);
+        }
+        shift += 7;
+    }
+}
+
+/// Merge the shards, each in time order, into `out` ordered by time, then
+/// shard, then position in the shard, decoding each shard as it advances.
+fn merge(logs: &[MutexGuard<'_, Sealed>], out: &mut Trace) {
     use std::cmp::Reverse;
     use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-    let mut out = Vec::with_capacity(logs.iter().map(|log| log.events).sum());
-    let mut runs: Vec<Decoder<'_>> = logs
+    let mut runs: Vec<Iter<'_>> = logs
         .iter()
         .filter(|log| log.events > 0)
-        .map(|log| Decoder::new(&log.chunks))
+        .map(|log| Iter::new(&log.chunks, &[], log.events))
         .collect();
     let mut heads: Vec<TraceEvent> = runs
         .iter_mut()
@@ -739,7 +938,7 @@ fn merge(logs: &[MutexGuard<'_, ShardLog>]) -> Vec<TraceEvent> {
         .collect();
     while let Some(mut top) = heap.peek_mut() {
         let Reverse((_, i)) = *top;
-        out.push(heads[i]);
+        out.record(heads[i]);
         match runs[i].next() {
             Some(ev) => {
                 heads[i] = ev;
@@ -750,18 +949,17 @@ fn merge(logs: &[MutexGuard<'_, ShardLog>]) -> Vec<TraceEvent> {
             }
         }
     }
-    out
 }
 
 /// Buffered single-owner trace writer — the zero-synchronization hot path.
 ///
-/// A `LocalTrace` owns an open chunk written through `&mut self`:
-/// recording an event encodes it (~7 bytes, see the encoding notes above)
-/// in place at the chunk's end (no lock, no atomics), and item ids come
-/// from a plain-integer block refilled from the shared counter once every
-/// `ID_BLOCK` allocs. The chunk is handed to the writer's shard once less
-/// than one event's worst case is left of its `CHUNK_BYTES` — one lock
-/// acquisition per few hundred events.
+/// A `LocalTrace` is the open end of a log whose sealed chunks go to its
+/// shard: recording an event encodes it (~7 bytes, see the encoding notes
+/// above) in place at the open chunk's end (no lock, no atomics), and item
+/// ids come from a plain-integer block refilled from the shared counter
+/// once every `ID_BLOCK` allocs. The chunk is handed to the writer's shard
+/// once less than one event's worst case is left of its `CHUNK_BYTES` —
+/// one lock acquisition per few hundred events.
 ///
 /// The owner provides the mutual exclusion: channels and queues keep their
 /// `LocalTrace` inside the state mutex they already hold on every buffer
@@ -777,14 +975,7 @@ fn merge(logs: &[MutexGuard<'_, ShardLog>]) -> Vec<TraceEvent> {
 pub struct LocalTrace {
     core: Arc<TraceCore>,
     shard: Arc<Shard>,
-    /// The open chunk: its first `pos` bytes are encoded events not yet
-    /// visible to snapshots.
-    buf: Chunk,
-    pos: usize,
-    /// Events in `buf`.
-    pending: usize,
-    /// Delta bases after the last event encoded, sealed or not.
-    last: Bases,
+    open: Open,
     /// Private id block `[id_next, id_end)`; plain integers — the owner's
     /// `&mut` access is the synchronization.
     id_next: u64,
@@ -794,15 +985,7 @@ pub struct LocalTrace {
 impl TraceSink for LocalTrace {
     #[inline(always)]
     fn record(&mut self, ev: TraceEvent) {
-        debug_assert!(
-            self.last.t <= ev.time().0,
-            "{ev:?} recorded after an event at {}",
-            self.last.t
-        );
-        self.pos = encode(&mut self.buf, self.pos, ev, &mut self.last);
-        debug_assert!(self.pos <= CHUNK_BYTES, "an event overran its chunk");
-        self.pending += 1;
-        if self.pos > CHUNK_BYTES - MAX_EVENT_BYTES {
+        if self.open.push(ev) {
             self.flush();
         }
     }
@@ -811,22 +994,18 @@ impl TraceSink for LocalTrace {
 impl LocalTrace {
     /// Publish the open chunk to the shard (one lock acquisition).
     pub fn flush(&mut self) {
-        if self.pos == 0 {
+        if self.open.pos == 0 {
             return;
         }
-        let full = std::mem::replace(&mut self.buf, new_chunk());
-        let mut chunk = (full as Box<[u8]>).into_vec();
-        chunk.truncate(std::mem::take(&mut self.pos));
-        let mut log = self.shard.lock();
-        log.chunks.push(chunk);
-        log.events += std::mem::take(&mut self.pending);
+        let (chunk, events) = self.open.take();
+        self.shard.lock().push(chunk, events);
     }
 
     /// Time of the last event this writer recorded (zero before the
     /// first): every later record must be stamped at or after it.
     #[must_use]
     pub fn last_time(&self) -> SimTime {
-        SimTime(self.last.t)
+        SimTime(self.open.last.t)
     }
 
     pub fn alloc(
@@ -1183,14 +1362,14 @@ mod tests {
             let mut local = tr.local();
             local.record(ev);
             assert!(
-                local.pos <= MAX_EVENT_BYTES,
+                local.open.pos <= MAX_EVENT_BYTES,
                 "{ev:?} encodes to {} bytes",
-                local.pos
+                local.open.pos
             );
             if matches!(ev, TraceEvent::Alloc { .. }) {
-                assert_eq!(local.pos, MAX_EVENT_BYTES);
+                assert_eq!(local.open.pos, MAX_EVENT_BYTES);
             }
-            tags.push(local.buf[0]);
+            tags.push(local.open.buf[0]);
             local.flush();
             assert_eq!(tr.snapshot().events(), &[ev]);
         }
@@ -1314,12 +1493,20 @@ mod tests {
     /// The decoded contents of one writer's shard.
     fn decode_shard(local: &LocalTrace) -> (Vec<TraceEvent>, usize) {
         let log = local.shard.lock();
-        let events: Vec<TraceEvent> = Decoder::new(&log.chunks).collect();
+        let events: Vec<TraceEvent> = Iter::new(&log.chunks, &[], log.events).collect();
         (events, log.events)
     }
 
     /// Cases per property; Miri runs a handful.
     const CASES: u32 = if cfg!(miri) { 4 } else { 256 };
+
+    /// Most records per typed round trip: enough to cross several seals;
+    /// under Miri, a few dozen.
+    const TYPED_RECORDS: usize = if cfg!(miri) {
+        64
+    } else {
+        4 * EVENTS_PAST_A_SEAL
+    };
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -1370,6 +1557,65 @@ mod tests {
             let log = local.shard.lock();
             prop_assert!(
                 log.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK_BYTES),
+                "a chunk is empty or longer than CHUNK_BYTES"
+            );
+        }
+
+        // The simulator's writer: every kind, through `Trace`'s typed
+        // methods and `record`, at extreme values, with item ids that go
+        // backwards, across several seals. The log decodes to exactly what
+        // was recorded, however it is read.
+        fn trace_round_trips_typed_records(
+            steps in prop::collection::vec((0u8..6, wide_u64(), fields()), 0..TYPED_RECORDS),
+        ) {
+            let mut tr = Trace::new();
+            let mut times: Vec<u64> = steps.iter().map(|&(_, t, _)| t).collect();
+            times.sort_unstable();
+            let mut recorded = Vec::new();
+            let mut allocs = 0u64;
+            for ((kind, _, f), t) in steps.into_iter().zip(times) {
+                let ev = build(t, f);
+                let t = SimTime(t);
+                let (_, a, node, b, c, node2, seq) = f;
+                let key = IterKey::new(NodeId(node2), seq);
+                recorded.push(match kind {
+                    0 => {
+                        let item = tr.alloc(t, NodeId(node), Timestamp(b), c, key);
+                        prop_assert_eq!(item, ItemId(allocs));
+                        allocs += 1;
+                        TraceEvent::Alloc { t, item, buffer: NodeId(node), ts: Timestamp(b), bytes: c, producer: key }
+                    }
+                    1 => {
+                        tr.free(t, ItemId(a));
+                        TraceEvent::Free { t, item: ItemId(a) }
+                    }
+                    2 => {
+                        tr.get(t, ItemId(a), key);
+                        TraceEvent::Get { t, item: ItemId(a), consumer: key }
+                    }
+                    3 => {
+                        tr.sink_output(t, key, Timestamp(b));
+                        TraceEvent::SinkOutput { t, iter: key, ts: Timestamp(b) }
+                    }
+                    4 => {
+                        tr.op_timeout(t, NodeId(node));
+                        TraceEvent::OpTimeout { t, node: NodeId(node) }
+                    }
+                    _ => {
+                        tr.record(ev);
+                        ev
+                    }
+                });
+            }
+            let decoded: Vec<TraceEvent> = tr.iter().collect();
+            prop_assert_eq!(&decoded, &recorded);
+            prop_assert_eq!(tr.iter().len(), recorded.len());
+            prop_assert_eq!(tr.events(), &recorded[..]);
+            prop_assert_eq!(tr.len(), recorded.len());
+            prop_assert_eq!(tr.last_time(), recorded.last().map_or(SimTime::ZERO, TraceEvent::time));
+            prop_assert_eq!(tr.next_item(), allocs);
+            prop_assert!(
+                tr.sealed.chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK_BYTES),
                 "a chunk is empty or longer than CHUNK_BYTES"
             );
         }

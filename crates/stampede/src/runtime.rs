@@ -503,7 +503,6 @@ impl RunReport {
     #[must_use]
     pub fn outputs(&self) -> usize {
         self.trace
-            .events()
             .iter()
             .filter(|e| matches!(e, TraceEvent::SinkOutput { .. }))
             .count()

@@ -261,8 +261,8 @@ mod tests {
         ]);
         let mut items = HashMap::new();
         let mut iters: HashMap<_, (u32, [Option<u64>; 2])> = HashMap::new();
-        for ev in report.trace.events() {
-            match *ev {
+        for ev in &report.trace {
+            match ev {
                 TraceEvent::Alloc {
                     item, buffer, ts, ..
                 } => {
@@ -303,7 +303,7 @@ mod tests {
         assert!(report.outputs() > 2, "outputs {}", report.outputs());
         // Every writer, the fan-outs' channels included, records in time
         // order, so the merge of their shards is in time order too.
-        let in_order = report.trace.events().is_sorted_by_key(TraceEvent::time);
+        let in_order = report.trace.iter().is_sorted_by_key(|ev| ev.time());
         assert!(in_order, "trace out of time order");
         let detections = tracker.detections.lock();
         let lag = histogram_lag(&report);
